@@ -10,8 +10,10 @@
 //! closed-loop — one outstanding request each — so the offered load
 //! scales with the concurrency level and the queue never overflows.
 
+use copycat_core::WorldBase;
 use copycat_serve::router::{Router, RouterConfig};
 use copycat_serve::server::{Server, ServerConfig};
+use copycat_services::{World, WorldConfig};
 use copycat_util::hist::Histogram;
 use copycat_util::json::Json;
 use std::path::PathBuf;
@@ -484,18 +486,23 @@ fn mem_server() -> Server {
     Server::new(ServerConfig { workers: 2, queue_depth: 64, shards: 64 })
 }
 
-/// Create a flat session and build its private world; returns the
-/// `register_world` response (it carries the corpus rows).
-fn create_flat_world(server: &Server, name: &str, venues: usize) -> String {
-    server.handle_line(&format!(
-        "{{\"id\":0,\"op\":\"create_session\",\"session\":{}}}",
-        esc(name)
-    ));
-    server.handle_line(&format!(
-        "{{\"id\":0,\"op\":\"register_world\",\"session\":{},\
-         \"seed\":{MEM_SEED},\"venues\":{venues}}}",
-        esc(name)
-    ))
+fn mem_world(venues: usize) -> WorldConfig {
+    WorldConfig { seed: MEM_SEED, venues, ..WorldConfig::default() }
+}
+
+/// A street and a phone number from the world: autocomplete probes that
+/// discover the Shelters ⋈ Contacts query.
+fn world_probes(venues: usize) -> (String, String) {
+    let world = World::generate(&mem_world(venues));
+    (world.shelter_rows()[0][1].clone(), world.contact_rows()[0][1].clone())
+}
+
+/// Create a flat session owning a private copy of everything a
+/// shared-world session overlays: the world's relations, graph and
+/// services.
+fn create_flat_world(server: &Server, name: &str, venues: usize) {
+    let engine = WorldBase::flat_engine(&mem_world(venues));
+    server.registry().create(name, engine).expect("fresh flat session name");
 }
 
 /// Create a copy-on-write session over the shared `WorldBase`.
@@ -546,11 +553,8 @@ pub fn run_mem(
 
     // Flat: every session builds and owns a private world.
     let server = mem_server();
-    let first = create_flat_world(&server, "flat-warm-0", MEM_VENUES);
-    let world = Json::parse(&first).expect("register_world response");
-    let street = world["result"]["shelters"][0][1].as_str().expect("street").to_string();
-    let phone = world["result"]["contacts"][0][1].as_str().expect("phone").to_string();
-    for i in 1..4 {
+    let (street, phone) = world_probes(MEM_VENUES);
+    for i in 0..4 {
         create_flat_world(&server, &format!("flat-warm-{i}"), MEM_VENUES);
     }
     let before = snap();
@@ -638,12 +642,7 @@ pub fn run_herd(
         queue_depth: (clients * 2).max(16),
         shards: 256,
     }));
-    // World probe values, via one flat scratch session over the same
-    // seed the herd shares.
-    let first = create_flat_world(&server, "scratch", HERD_VENUES);
-    let world = Json::parse(&first).expect("register_world response");
-    let street = world["result"]["shelters"][0][1].as_str().expect("street").to_string();
-    let phone = world["result"]["contacts"][0][1].as_str().expect("phone").to_string();
+    let (street, phone) = world_probes(HERD_VENUES);
 
     let before = snap.map(|s| s());
     let create_started = Instant::now();

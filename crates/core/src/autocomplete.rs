@@ -197,7 +197,7 @@ pub fn column_suggestions(
                 row.iter()
                     .take(current_schema.arity())
                     .enumerate()
-                    .all(|(i, v)| t.values.get(i).map(Value::as_text).as_deref() == Some(v))
+                    .all(|(i, v)| t.values.get(i).is_some_and(|c| c.text_eq(v)))
             });
             match hit {
                 Some(t) => {
@@ -422,18 +422,14 @@ fn expand_plan(
                             }
                         })
                         .collect();
-                    plan = plan
-                        .clone()
-                        .join(Plan::scan(outside_node.name.clone()), &oriented);
+                    plan = plan.join(Plan::scan(outside_node.name.clone()), &oriented);
                     true
                 }
                 EdgeKind::Bind { bindings } => {
                     if outside_node.kind == NodeKind::Service {
                         // Inside side provides the bindings.
                         let b: Vec<&str> = bindings.iter().map(String::as_str).collect();
-                        plan = plan
-                            .clone()
-                            .dependent_join(outside_node.name.clone(), &b);
+                        plan = plan.dependent_join(outside_node.name.clone(), &b);
                         true
                     } else {
                         // The service is in the plan but its feeding
@@ -449,7 +445,6 @@ fn expand_plan(
                         // it against the target column.
                         let derived = format!("{from}→{to}");
                         plan = plan
-                            .clone()
                             .derive(from.clone(), derived.clone(), program.clone())
                             .join(
                                 Plan::scan(outside_node.name.clone()),
@@ -511,11 +506,11 @@ pub fn search_trees_banned(
 fn trees_to_queries(
     graph: &SourceGraph,
     catalog: &Catalog,
-    trees: Vec<SteinerTree>,
+    trees: &[SteinerTree],
 ) -> Vec<ScoredQuery> {
     let mut out = Vec::new();
     for tree in trees {
-        let Some(plan) = tree_to_plan(graph, &tree) else {
+        let Some(plan) = tree_to_plan(graph, tree) else {
             continue;
         };
         let label = format!("Q:{}", plan);
@@ -537,7 +532,7 @@ fn trees_to_queries(
             }
             None => result,
         };
-        out.push(ScoredQuery { plan, cost: tree.cost, tree, result, degraded });
+        out.push(ScoredQuery { plan, cost: tree.cost, tree: tree.clone(), result, degraded });
     }
     out
 }
@@ -550,7 +545,7 @@ pub fn discover_queries(
     terminals: &[NodeId],
     k: usize,
 ) -> Vec<ScoredQuery> {
-    trees_to_queries(graph, catalog, search_trees(graph, terminals, k))
+    trees_to_queries(graph, catalog, &search_trees(graph, terminals, k))
 }
 
 /// [`discover_queries`] with the Steiner search memoized in `cache`:
@@ -581,7 +576,7 @@ pub fn discover_queries_cached_banned(
     let trees = cache.trees_for_banned(graph, terminals, k, banned, || {
         search_trees_banned(graph, terminals, k, banned)
     });
-    trees_to_queries(graph, catalog, trees)
+    trees_to_queries(graph, catalog, &trees)
 }
 
 /// Output semantic types of a service node (its schema is inputs then
@@ -682,7 +677,7 @@ pub fn failover_suggestions(
                         row.iter()
                             .take(current_schema.arity())
                             .enumerate()
-                            .all(|(i, v)| tu.values.get(i).map(Value::as_text).as_deref() == Some(v))
+                            .all(|(i, v)| tu.values.get(i).is_some_and(|c| c.text_eq(v)))
                     });
                     match hit {
                         Some(tu) => {

@@ -14,6 +14,7 @@ use copycat_graph::{EdgeId, NodeId, SourceGraph, SteinerTree};
 use copycat_util::hash::FxHashMap;
 use copycat_util::sync::Mutex;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Hit/miss counters, readable for tests and instrumentation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -30,7 +31,7 @@ pub struct CacheStats {
 #[derive(Debug)]
 struct Entry {
     version: u64,
-    trees: Vec<SteinerTree>,
+    trees: Arc<[SteinerTree]>,
 }
 
 /// Cache key: sorted deduped terminals, k, and the sorted banned-edge
@@ -71,14 +72,15 @@ impl QueryCache {
     /// served from cache when a fresh entry exists, otherwise computed
     /// via `compute` (outside the cache lock) and stored. A stale entry
     /// — same key, older version — is replaced and counted as an
-    /// invalidation.
+    /// invalidation. The trees are shared with the cache: a hit copies
+    /// nothing.
     pub fn trees_for(
         &self,
         g: &SourceGraph,
         terminals: &[NodeId],
         k: usize,
         compute: impl FnOnce() -> Vec<SteinerTree>,
-    ) -> Vec<SteinerTree> {
+    ) -> Arc<[SteinerTree]> {
         self.trees_for_banned(g, terminals, k, &[], compute)
     }
 
@@ -92,7 +94,7 @@ impl QueryCache {
         k: usize,
         banned: &[EdgeId],
         compute: impl FnOnce() -> Vec<SteinerTree>,
-    ) -> Vec<SteinerTree> {
+    ) -> Arc<[SteinerTree]> {
         let mut key_terms = terminals.to_vec();
         key_terms.sort_unstable();
         key_terms.dedup();
@@ -105,7 +107,7 @@ impl QueryCache {
             let mut inner = self.inner.lock();
             match inner.map.get(&key) {
                 Some(entry) if entry.version == version => {
-                    let trees = entry.trees.clone();
+                    let trees = Arc::clone(&entry.trees);
                     inner.stats.hits += 1;
                     return trees;
                 }
@@ -114,7 +116,7 @@ impl QueryCache {
             }
             inner.stats.misses += 1;
         }
-        let trees = compute();
+        let trees: Arc<[SteinerTree]> = compute().into();
         let mut inner = self.inner.lock();
         if !inner.map.contains_key(&key) {
             inner.order.push_back(key.clone());
@@ -124,7 +126,7 @@ impl QueryCache {
                 }
             }
         }
-        inner.map.insert(key, Entry { version, trees: trees.clone() });
+        inner.map.insert(key, Entry { version, trees: Arc::clone(&trees) });
         trees
     }
 
@@ -191,7 +193,7 @@ mod tests {
         // search, not replay the stale ranking.
         let cached = cache.trees_for(&g, &terms, 2, || top_k_steiner(&g, &terms, 2));
         let cold = top_k_steiner(&g, &terms, 2);
-        assert_eq!(cached, cold);
+        assert_eq!(*cached, *cold);
         assert_eq!(cached[0].edges, preferred, "new ranking visible through the cache");
         assert_eq!(cache.stats().invalidations, 1);
     }

@@ -774,23 +774,24 @@ impl CopyCat {
     /// pasted tuple's values (§4.2 mode 2: "user-pasted tuples in which
     /// the attributes do not all originate from the same source").
     pub fn discover_queries_for_tuple(&self, values: &[&str], k: usize) -> Vec<ScoredQuery> {
+        // Each value's terminal is the first relation, by name, that
+        // holds it in some cell.
+        let relations: Vec<(String, Arc<Relation>)> = self
+            .catalog
+            .relation_names()
+            .into_iter()
+            .filter_map(|name| self.catalog.relation(&name).map(|rel| (name, rel)))
+            .collect();
         let mut terminals: Vec<NodeId> = Vec::new();
         for v in values {
-            for name in self.catalog.relation_names() {
-                let Some(rel) = self.catalog.relation(&name) else {
-                    continue;
-                };
-                let holds = rel
-                    .tuples()
+            let holder = relations.iter().find(|(_, rel)| {
+                rel.tuples()
                     .iter()
-                    .any(|t| t.values.iter().any(|c| c.as_text() == *v));
-                if holds {
-                    if let Some(node) = self.graph.node_by_name(&name) {
-                        if !terminals.contains(&node) {
-                            terminals.push(node);
-                        }
-                    }
-                    break;
+                    .any(|t| t.values.iter().any(|c| c.text_eq(v)))
+            });
+            if let Some(node) = holder.and_then(|(name, _)| self.graph.node_by_name(name)) {
+                if !terminals.contains(&node) {
+                    terminals.push(node);
                 }
             }
         }

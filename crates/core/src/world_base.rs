@@ -66,27 +66,7 @@ impl WorldBase {
     /// is no second "base construction" code path to drift.
     pub fn synthetic(config: &WorldConfig) -> WorldBase {
         let world = Arc::new(World::generate(config));
-        let mut engine = CopyCat::new();
-        let shelters = shelters_schema();
-        let contacts = contacts_schema();
-        engine.catalog().add_relation(Relation::from_strings(
-            "Shelters",
-            shelters.clone(),
-            &world.shelter_rows(),
-        ));
-        engine.add_graph_relation("Shelters", shelters);
-        engine.catalog().add_relation(Relation::from_strings(
-            "Contacts",
-            contacts.clone(),
-            &world.contact_rows(),
-        ));
-        engine.add_graph_relation("Contacts", contacts);
-        engine.register_service(Arc::new(ZipResolver::new(Arc::clone(&world))));
-        engine.register_service(Arc::new(Geocoder::new(Arc::clone(&world))));
-        engine.register_service(Arc::new(AddressResolver::new(Arc::clone(&world))));
-        engine.register_service(Arc::new(ReversePhone::new(Arc::clone(&world))));
-        engine.register_service(Arc::new(CurrencyConverter::new()));
-        engine.register_service(Arc::new(UnitConverter::new()));
+        let engine = world_engine(&world);
         let (catalog, graph, registry) = engine.into_shared_parts();
         WorldBase {
             world,
@@ -94,6 +74,14 @@ impl WorldBase {
             graph: Arc::new(graph.freeze()),
             types: registry.freeze(),
         }
+    }
+
+    /// A flat engine holding exactly what [`WorldBase::synthetic`]
+    /// freezes for `config` — the same relations, graph and services —
+    /// privately owned rather than shared: the control side of every
+    /// copy-on-write comparison.
+    pub fn flat_engine(config: &WorldConfig) -> CopyCat {
+        world_engine(&Arc::new(World::generate(config)))
     }
 
     /// The generated world corpus (row material, service ground truth).
@@ -115,6 +103,33 @@ impl WorldBase {
     pub fn types(&self) -> Arc<Vec<SemanticType>> {
         Arc::clone(&self.types)
     }
+}
+
+/// A plain engine over `world`, built through the public API a session
+/// would use.
+fn world_engine(world: &Arc<World>) -> CopyCat {
+    let mut engine = CopyCat::new();
+    let shelters = shelters_schema();
+    let contacts = contacts_schema();
+    engine.catalog().add_relation(Relation::from_strings(
+        "Shelters",
+        shelters.clone(),
+        &world.shelter_rows(),
+    ));
+    engine.add_graph_relation("Shelters", shelters);
+    engine.catalog().add_relation(Relation::from_strings(
+        "Contacts",
+        contacts.clone(),
+        &world.contact_rows(),
+    ));
+    engine.add_graph_relation("Contacts", contacts);
+    engine.register_service(Arc::new(ZipResolver::new(Arc::clone(world))));
+    engine.register_service(Arc::new(Geocoder::new(Arc::clone(world))));
+    engine.register_service(Arc::new(AddressResolver::new(Arc::clone(world))));
+    engine.register_service(Arc::new(ReversePhone::new(Arc::clone(world))));
+    engine.register_service(Arc::new(CurrencyConverter::new()));
+    engine.register_service(Arc::new(UnitConverter::new()));
+    engine
 }
 
 impl std::fmt::Debug for WorldBase {

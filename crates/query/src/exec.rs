@@ -8,7 +8,11 @@ use crate::tuple::Tuple;
 use crate::value::Value;
 use copycat_provenance::Provenance;
 use copycat_util::hash::FxHashMap;
+use std::borrow::Cow;
+use std::collections::hash_map::Entry;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// Execution errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -95,12 +99,7 @@ impl ExecReport {
 /// Lenient: service failures degrade to skipped tuples (the report is
 /// discarded); use [`execute_reported`] to observe them.
 pub fn execute(plan: &Plan, catalog: &Catalog) -> Result<Relation, ExecError> {
-    let mut report = ExecReport::default();
-    let (schema, tuples) = eval(plan, catalog, &mut report)?;
-    let mut rel = Relation::empty("result", schema);
-    for t in tuples {
-        rel.push(t);
-    }
+    let (rel, _report) = run(plan, catalog, |provenance| provenance)?;
     Ok(rel)
 }
 
@@ -123,32 +122,124 @@ pub fn execute_reported(
     catalog: &Catalog,
     label: &str,
 ) -> Result<(Relation, ExecReport), ExecError> {
-    let mut report = ExecReport::default();
-    let (schema, tuples) = eval(plan, catalog, &mut report)?;
-    let mut rel = Relation::empty("result", schema);
-    for t in tuples {
-        rel.push(Tuple::new(
-            t.values,
-            Provenance::labeled(label.to_string(), t.provenance),
-        ));
-    }
-    Ok((rel, report))
+    // One shared label for every output tuple.
+    let label: Arc<str> = Arc::from(label);
+    run(plan, catalog, |provenance| {
+        Provenance::labeled(Arc::clone(&label), provenance)
+    })
 }
 
-fn eval(
+/// Evaluate `plan` and materialize its rows as the `result` relation,
+/// passing each tuple's provenance through `wrap`.
+fn run(
     plan: &Plan,
     catalog: &Catalog,
+    wrap: impl Fn(Provenance) -> Provenance,
+) -> Result<(Relation, ExecReport), ExecError> {
+    let mut report = ExecReport::default();
+    let pins = pin_relations(plan, catalog);
+    let (schema, rows) = eval(plan, &pins, catalog, &mut report)?;
+    let tuples = rows
+        .into_iter()
+        .map(|row| {
+            let (values, provenance) = into_parts(row);
+            Tuple::new(values, wrap(provenance))
+        })
+        .collect();
+    Ok((Relation::from_tuples("result", schema.into_owned(), tuples), report))
+}
+
+/// A row flowing between operators: borrowed straight from a catalog
+/// relation (scans, and whatever selects, unions and limits pass
+/// through untouched), or owned when an operator built it. Only the
+/// rows an operator creates are ever materialized.
+type Row<'a> = Cow<'a, Tuple>;
+
+/// The catalog relations a plan scans, looked up once before execution
+/// and held for its duration so rows can borrow from them. `None` marks
+/// a relation the catalog does not hold (reported when the scan runs).
+type Pins<'p> = Vec<(&'p str, Option<Arc<Relation>>)>;
+
+fn pin_relations<'p>(plan: &'p Plan, catalog: &Catalog) -> Pins<'p> {
+    let mut pins: Pins<'p> = Vec::new();
+    plan.walk_postorder(&mut |p| {
+        if let Plan::Scan { relation } = p {
+            if !pins.iter().any(|(name, _)| name == relation) {
+                pins.push((relation, catalog.relation(relation)));
+            }
+        }
+    });
+    pins
+}
+
+/// A row's values and provenance: moved out of an owned row, cloned
+/// (reference-count bumps for the strings) from a borrowed one.
+fn into_parts(row: Row<'_>) -> (Vec<Value>, Provenance) {
+    match row {
+        Cow::Borrowed(t) => (t.values.clone(), t.provenance.clone()),
+        Cow::Owned(t) => (t.values, t.provenance),
+    }
+}
+
+fn provenance_of(row: Row<'_>) -> Provenance {
+    match row {
+        Cow::Borrowed(t) => t.provenance.clone(),
+        Cow::Owned(t) => t.provenance,
+    }
+}
+
+/// The values of `cols` in a row, borrowed: a hash-join key.
+struct Key<'a> {
+    values: &'a [Value],
+    cols: &'a [usize],
+}
+
+impl Key<'_> {
+    fn has_null(&self) -> bool {
+        self.cols.iter().any(|&c| self.values[c].is_null())
+    }
+}
+
+impl PartialEq for Key<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cols
+            .iter()
+            .zip(other.cols)
+            .all(|(&a, &b)| self.values[a] == other.values[b])
+    }
+}
+
+impl Eq for Key<'_> {}
+
+impl Hash for Key<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        for &c in self.cols {
+            self.values[c].hash(state);
+        }
+    }
+}
+
+/// "No further match" in a join's match chains.
+const CHAIN_END: usize = usize::MAX;
+
+fn eval<'a>(
+    plan: &Plan,
+    pins: &'a Pins<'_>,
+    catalog: &Catalog,
     report: &mut ExecReport,
-) -> Result<(Schema, Vec<Tuple>), ExecError> {
+) -> Result<(Cow<'a, Schema>, Vec<Row<'a>>), ExecError> {
     match plan {
         Plan::Scan { relation } => {
-            let rel = catalog
-                .relation(relation)
+            let rel = pins
+                .iter()
+                .find(|(name, _)| name == relation)
+                .and_then(|(_, rel)| rel.as_deref())
                 .ok_or_else(|| ExecError::UnknownRelation(relation.clone()))?;
-            Ok((rel.schema().clone(), rel.tuples().to_vec()))
+            let rows = rel.tuples().iter().map(Cow::Borrowed).collect();
+            Ok((Cow::Borrowed(rel.schema()), rows))
         }
         Plan::Select { input, predicate } => {
-            let (schema, tuples) = eval(input, catalog, report)?;
+            let (schema, tuples) = eval(input, pins, catalog, report)?;
             check_predicate_columns(predicate, &schema)?;
             let kept = tuples
                 .into_iter()
@@ -157,7 +248,7 @@ fn eval(
             Ok((schema, kept))
         }
         Plan::Project { input, columns } => {
-            let (schema, tuples) = eval(input, catalog, report)?;
+            let (schema, tuples) = eval(input, pins, catalog, report)?;
             let idx: Vec<usize> = columns
                 .iter()
                 .map(|c| {
@@ -175,13 +266,13 @@ fn eval(
                 .into_iter()
                 .map(|t| {
                     let values = idx.iter().map(|&i| t.values[i].clone()).collect();
-                    Tuple::new(values, t.provenance)
+                    Cow::Owned(Tuple::new(values, provenance_of(t)))
                 })
                 .collect();
-            Ok((out_schema, out))
+            Ok((Cow::Owned(out_schema), out))
         }
         Plan::Derive { input, column, name, program } => {
-            let (schema, tuples) = eval(input, catalog, report)?;
+            let (schema, tuples) = eval(input, pins, catalog, report)?;
             let src = schema
                 .index_of(column)
                 .ok_or_else(|| ExecError::UnknownColumn(column.clone()))?;
@@ -190,7 +281,7 @@ fn eval(
             let out_schema = Schema::new(fields);
             let out = tuples
                 .into_iter()
-                .map(|mut t| {
+                .map(|t| {
                     // A null feeds nothing; a program that does not
                     // apply derives a null (never joins downstream).
                     let derived = if t.values[src].is_null() {
@@ -198,15 +289,17 @@ fn eval(
                     } else {
                         program.apply(&t.values[src].as_text())
                     };
-                    t.values.push(derived.map_or(Value::Null, Value::Str));
-                    t
+                    let mut values = Vec::with_capacity(t.values.len() + 1);
+                    values.extend_from_slice(&t.values);
+                    values.push(derived.map_or(Value::Null, Value::str));
+                    Cow::Owned(Tuple::new(values, provenance_of(t)))
                 })
                 .collect();
-            Ok((out_schema, out))
+            Ok((Cow::Owned(out_schema), out))
         }
         Plan::Join { left, right, on } => {
-            let (ls, lt) = eval(left, catalog, report)?;
-            let (rs, rt) = eval(right, catalog, report)?;
+            let (ls, lt) = eval(left, pins, catalog, report)?;
+            let (rs, rt) = eval(right, pins, catalog, report)?;
             let lcols: Vec<usize> = on
                 .iter()
                 .map(|(l, _)| ls.index_of(l).ok_or_else(|| ExecError::UnknownColumn(l.clone())))
@@ -231,36 +324,54 @@ fn eval(
                 fields.push(Field { name, sem_type: f.sem_type.clone() });
             }
             let out_schema = Schema::new(fields);
-            // Hash the right side on its key.
-            let mut index: FxHashMap<Vec<Value>, Vec<&Tuple>> = FxHashMap::default();
-            for t in &rt {
-                let key: Vec<Value> = rcols.iter().map(|&i| t.values[i].clone()).collect();
-                if key.iter().any(Value::is_null) {
+            // Hash the right side on its borrowed key values. Each key
+            // maps to the first and last right row holding it; `next`
+            // chains the rest in input order.
+            let mut index: FxHashMap<Key<'_>, (usize, usize)> = FxHashMap::default();
+            let mut next = vec![CHAIN_END; rt.len()];
+            for (i, t) in rt.iter().enumerate() {
+                let key = Key { values: &t.values, cols: &rcols };
+                if key.has_null() {
                     continue; // null keys never join
                 }
-                index.entry(key).or_default().push(t);
-            }
-            let mut out = Vec::new();
-            for l in &lt {
-                let key: Vec<Value> = lcols.iter().map(|&i| l.values[i].clone()).collect();
-                if key.iter().any(Value::is_null) {
-                    continue;
-                }
-                if let Some(matches) = index.get(&key) {
-                    for r in matches {
-                        let mut values = l.values.clone();
-                        values.extend(keep_right.iter().map(|&i| r.values[i].clone()));
-                        out.push(Tuple::new(
-                            values,
-                            Provenance::times(l.provenance.clone(), r.provenance.clone()),
-                        ));
+                match index.entry(key) {
+                    Entry::Occupied(mut e) => {
+                        let (_, last) = e.get_mut();
+                        next[*last] = i;
+                        *last = i;
+                    }
+                    Entry::Vacant(e) => {
+                        e.insert((i, i));
                     }
                 }
             }
-            Ok((out_schema, out))
+            let width = ls.arity() + keep_right.len();
+            let mut out = Vec::new();
+            for l in &lt {
+                let key = Key { values: &l.values, cols: &lcols };
+                if key.has_null() {
+                    continue;
+                }
+                let Some(&(first, _)) = index.get(&key) else {
+                    continue;
+                };
+                let mut m = first;
+                while m != CHAIN_END {
+                    let r = &rt[m];
+                    let mut values = Vec::with_capacity(width);
+                    values.extend_from_slice(&l.values);
+                    values.extend(keep_right.iter().map(|&i| r.values[i].clone()));
+                    out.push(Cow::Owned(Tuple::new(
+                        values,
+                        Provenance::times(l.provenance.clone(), r.provenance.clone()),
+                    )));
+                    m = next[m];
+                }
+            }
+            Ok((Cow::Owned(out_schema), out))
         }
         Plan::DependentJoin { input, service, bindings } => {
-            let (schema, tuples) = eval(input, catalog, report)?;
+            let (schema, tuples) = eval(input, pins, catalog, report)?;
             let svc = catalog
                 .service(service)
                 .ok_or_else(|| ExecError::UnknownService(service.clone()))?;
@@ -290,11 +401,14 @@ fn eval(
                 fields.push(Field { name, sem_type: f.sem_type.clone() });
             }
             let out_schema = Schema::new(fields);
+            // The service's provenance leaf name, shared by every answer.
+            let source: Arc<str> = Arc::from(service.as_str());
             let mut out = Vec::new();
             let mut call_ordinal: u64 = 0;
-            for t in tuples {
-                let inputs: Vec<Value> =
-                    bind_idx.iter().map(|&i| t.values[i].clone()).collect();
+            let mut inputs: Vec<Value> = Vec::with_capacity(bind_idx.len());
+            for t in &tuples {
+                inputs.clear();
+                inputs.extend(bind_idx.iter().map(|&i| t.values[i].clone()));
                 if inputs.iter().any(Value::is_null) {
                     continue; // unbound input: the service cannot be called
                 }
@@ -322,22 +436,23 @@ fn eval(
                         continue;
                     }
                 };
-                for answer in answers {
-                    let mut values = t.values.clone();
-                    let mut answer = answer;
+                let width = t.values.len() + sig.outputs.arity();
+                for mut answer in answers {
                     answer.resize(sig.outputs.arity(), Value::Null);
+                    let mut values = Vec::with_capacity(width);
+                    values.extend_from_slice(&t.values);
                     values.extend(answer);
-                    out.push(Tuple::new(
+                    out.push(Cow::Owned(Tuple::new(
                         values,
                         Provenance::times(
                             t.provenance.clone(),
-                            Provenance::base(service.clone(), call_ordinal),
+                            Provenance::base(Arc::clone(&source), call_ordinal),
                         ),
-                    ));
+                    )));
                     call_ordinal += 1;
                 }
             }
-            Ok((out_schema, out))
+            Ok((Cow::Owned(out_schema), out))
         }
         Plan::Union { inputs } => {
             if inputs.is_empty() {
@@ -345,16 +460,23 @@ fn eval(
             }
             let mut evaluated = Vec::with_capacity(inputs.len());
             for i in inputs {
-                evaluated.push(eval(i, catalog, report)?);
+                evaluated.push(eval(i, pins, catalog, report)?);
             }
             let merged = evaluated
                 .iter()
-                .map(|(s, _)| s.clone())
+                .map(|(s, _)| s.as_ref().clone())
                 .reduce(|a, b| a.union_merge(&b))
                 .expect("non-empty");
             let mut out = Vec::new();
             for (schema, tuples) in evaluated {
                 let mapping = schema.mapping_into(&merged);
+                let identity = schema.arity() == merged.arity()
+                    && mapping.iter().enumerate().all(|(j, m)| *m == Some(j));
+                if identity {
+                    // Already in the merged layout: pass the rows through.
+                    out.extend(tuples);
+                    continue;
+                }
                 for t in tuples {
                     let values: Vec<Value> = mapping
                         .iter()
@@ -363,36 +485,43 @@ fn eval(
                             None => Value::Null,
                         })
                         .collect();
-                    out.push(Tuple::new(values, t.provenance));
+                    out.push(Cow::Owned(Tuple::new(values, provenance_of(t))));
                 }
             }
-            Ok((merged, out))
+            Ok((Cow::Owned(merged), out))
         }
         Plan::Distinct { input } => {
-            let (schema, tuples) = eval(input, catalog, report)?;
-            let mut groups: Vec<(Vec<Value>, Provenance)> = Vec::new();
-            let mut index: FxHashMap<Vec<Value>, usize> = FxHashMap::default();
-            for t in tuples {
-                match index.get(&t.values) {
+            let (schema, tuples) = eval(input, pins, catalog, report)?;
+            // Group rows by their borrowed values; the first row of each
+            // group is its representative, later ones add alternative
+            // derivations with ⊕.
+            let mut index: FxHashMap<&[Value], usize> = FxHashMap::default();
+            let mut groups: Vec<(usize, Provenance)> = Vec::new();
+            for (i, t) in tuples.iter().enumerate() {
+                match index.get(t.values.as_slice()) {
                     Some(&g) => {
-                        let merged =
-                            Provenance::plus(groups[g].1.clone(), t.provenance);
-                        groups[g].1 = merged;
+                        let acc = &mut groups[g].1;
+                        let merged = std::mem::replace(acc, Provenance::Union(Vec::new()));
+                        *acc = Provenance::plus(merged, t.provenance.clone());
                     }
                     None => {
-                        index.insert(t.values.clone(), groups.len());
-                        groups.push((t.values, t.provenance));
+                        index.insert(&t.values, groups.len());
+                        groups.push((i, t.provenance.clone()));
                     }
                 }
             }
-            let out = groups
-                .into_iter()
-                .map(|(values, prov)| Tuple::new(values, prov))
-                .collect();
+            let mut groups = groups.into_iter().peekable();
+            let mut out = Vec::with_capacity(groups.len());
+            for (i, t) in tuples.into_iter().enumerate() {
+                if let Some((_, prov)) = groups.next_if(|(first, _)| *first == i) {
+                    let (values, _) = into_parts(t);
+                    out.push(Cow::Owned(Tuple::new(values, prov)));
+                }
+            }
             Ok((schema, out))
         }
         Plan::Limit { input, n } => {
-            let (schema, mut tuples) = eval(input, catalog, report)?;
+            let (schema, mut tuples) = eval(input, pins, catalog, report)?;
             tuples.truncate(*n);
             Ok((schema, tuples))
         }

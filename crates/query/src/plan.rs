@@ -184,7 +184,7 @@ impl Plan {
         out
     }
 
-    fn walk_postorder<'a>(&'a self, f: &mut impl FnMut(&'a Plan)) {
+    pub(crate) fn walk_postorder<'a>(&'a self, f: &mut impl FnMut(&'a Plan)) {
         match self {
             Plan::Scan { .. } => {}
             Plan::Select { input, .. }

@@ -19,6 +19,12 @@ impl Relation {
         Self { name: name.into(), schema, tuples: Vec::new() }
     }
 
+    /// A relation over already-built tuples (executor output).
+    pub(crate) fn from_tuples(name: impl Into<String>, schema: Schema, tuples: Vec<Tuple>) -> Self {
+        debug_assert!(tuples.iter().all(|t| t.arity() == schema.arity()));
+        Self { name: name.into(), schema, tuples }
+    }
+
     /// Build a *source* relation from raw rows: row `i` gets base
     /// provenance `name#i`. Rows are truncated/padded to the schema arity.
     pub fn from_rows(name: impl Into<String>, schema: Schema, rows: Vec<Vec<Value>>) -> Self {

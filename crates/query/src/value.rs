@@ -1,23 +1,33 @@
 //! Cell values.
+//!
+//! Strings are shared: [`Value::Str`] holds an `Arc<str>`, so copying a
+//! value — and with it a tuple, a join output row or a query result —
+//! bumps a reference count instead of copying text.
 
 use copycat_util::json::{FromJson, Json, JsonError, ToJson};
-use std::fmt;
+use std::fmt::{self, Write};
+use std::sync::Arc;
 
 /// A cell value. CopyCat data is overwhelmingly textual (it arrives via
 /// the clipboard), with numbers appearing in geocodes and conversions.
+///
+/// Equality is by meaning, not representation: `Num(5)` equals
+/// `Str("5")` (join keys arriving as text must match numeric columns),
+/// and `Hash` agrees with it. Null equals only null here; joins and
+/// dependent joins skip null keys themselves.
 #[derive(Debug, Clone)]
 pub enum Value {
     /// Missing / padded (union homogenization pads with nulls, §4.2).
     Null,
-    /// A string.
-    Str(String),
+    /// A string (shared; cloning does not copy the text).
+    Str(Arc<str>),
     /// A number.
     Num(f64),
 }
 
 impl Value {
     /// Build a string value.
-    pub fn str(s: impl Into<String>) -> Self {
+    pub fn str(s: impl Into<Arc<str>>) -> Self {
         Value::Str(s.into())
     }
 
@@ -31,8 +41,22 @@ impl Value {
     pub fn as_text(&self) -> String {
         match self {
             Value::Null => String::new(),
-            Value::Str(s) => s.clone(),
-            Value::Num(n) => format_num(*n),
+            Value::Str(s) => String::from(&**s),
+            Value::Num(_) => self.to_string(),
+        }
+    }
+
+    /// Whether the text form ([`Value::as_text`]) equals `text`, decided
+    /// without building that text: the comparison the suggestion path
+    /// makes once per cell it scans.
+    pub fn text_eq(&self, text: &str) -> bool {
+        match self {
+            Value::Null => text.is_empty(),
+            Value::Str(s) => **s == *text,
+            Value::Num(n) => {
+                let mut rest = PrefixOf(text);
+                write_num(&mut rest, *n).is_ok() && rest.0.is_empty()
+            }
         }
     }
 
@@ -51,7 +75,7 @@ impl Value {
         if looks_numeric {
             Value::Num(t.parse::<f64>().expect("checked"))
         } else {
-            Value::Str(t.to_string())
+            Value::Str(t.into())
         }
     }
 
@@ -65,11 +89,36 @@ impl Value {
     }
 }
 
-fn format_num(n: f64) -> String {
+/// The text form of a number: integral values below 10^15 print without
+/// a fraction, everything else as `f64`'s `Display` does.
+fn write_num(w: &mut impl Write, n: f64) -> fmt::Result {
     if n.fract() == 0.0 && n.abs() < 1e15 {
-        format!("{}", n as i64)
+        write!(w, "{}", n as i64)
     } else {
-        format!("{n}")
+        write!(w, "{n}")
+    }
+}
+
+/// A `fmt::Write` sink that consumes its string as long as what is
+/// written matches its prefix, and fails at the first mismatch.
+struct PrefixOf<'a>(&'a str);
+
+impl Write for PrefixOf<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 = self.0.strip_prefix(s).ok_or(fmt::Error)?;
+        Ok(())
+    }
+}
+
+/// The bits a number hashes as: `0.0` and `-0.0` are equal, and so are
+/// all NaNs, so each class hashes as one representative.
+fn num_bits(n: f64) -> u64 {
+    if n == 0.0 {
+        0.0f64.to_bits()
+    } else if n.is_nan() {
+        f64::NAN.to_bits()
+    } else {
+        n.to_bits()
     }
 }
 
@@ -92,16 +141,20 @@ impl Eq for Value {}
 
 impl std::hash::Hash for Value {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        // Hash through the textual form so Num(5) and Str("5") collide as
-        // equality demands.
+        // Numeric-looking strings hash as their number so Num(5) and
+        // Str("5") collide as equality demands; other strings hash their
+        // text in place.
         match self {
             Value::Null => 0u8.hash(state),
-            other => {
+            Value::Num(n) => {
                 1u8.hash(state);
-                // Normalize numeric-looking strings.
-                match other.as_num() {
-                    Some(n) => n.to_bits().hash(state),
-                    None => other.as_text().hash(state),
+                num_bits(*n).hash(state);
+            }
+            Value::Str(s) => {
+                1u8.hash(state);
+                match s.trim().parse::<f64>() {
+                    Ok(n) => num_bits(n).hash(state),
+                    Err(_) => str::hash(s, state),
                 }
             }
         }
@@ -110,19 +163,23 @@ impl std::hash::Hash for Value {
 
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.as_text())
+        match self {
+            Value::Null => Ok(()),
+            Value::Str(s) => f.write_str(s),
+            Value::Num(n) => write_num(f, *n),
+        }
     }
 }
 
 impl From<&str> for Value {
     fn from(s: &str) -> Self {
-        Value::Str(s.to_string())
+        Value::Str(s.into())
     }
 }
 
 impl From<String> for Value {
     fn from(s: String) -> Self {
-        Value::Str(s)
+        Value::Str(s.into())
     }
 }
 
@@ -138,7 +195,7 @@ impl ToJson for Value {
     fn to_json(&self) -> Json {
         match self {
             Value::Null => Json::Null,
-            Value::Str(s) => Json::Str(s.clone()),
+            Value::Str(s) => Json::Str(s.to_string()),
             Value::Num(n) => Json::Num(*n),
         }
     }
@@ -148,7 +205,7 @@ impl FromJson for Value {
     fn from_json(j: &Json) -> Result<Self, JsonError> {
         match j {
             Json::Null => Ok(Value::Null),
-            Json::Str(s) => Ok(Value::Str(s.clone())),
+            Json::Str(s) => Ok(Value::Str(s.as_str().into())),
             Json::Num(n) => Ok(Value::Num(*n)),
             other => Err(JsonError::expected("null, string, or number", other)),
         }
@@ -187,6 +244,103 @@ mod tests {
         };
         assert_eq!(h(&Value::Num(5.0)), h(&Value::str("5")));
         assert_eq!(h(&Value::Null), h(&Value::Null));
+    }
+
+    fn fx(v: &Value) -> u64 {
+        use std::hash::{Hash, Hasher};
+        let mut h = copycat_util::hash::FxHasher::default();
+        v.hash(&mut h);
+        h.finish()
+    }
+
+    /// Texts around every formatting and parsing edge: numeric-looking
+    /// strings, leading zeros, signs, `-0`, NaN and infinities, and the
+    /// 10^15 boundary where numbers stop printing as integers.
+    const EDGE_TEXTS: &[&str] = &[
+        "", " ", "0", "-0", "00", "-00", "007", "02134", "5", "5.0", " 5 ", "+5", "-5", "0.5",
+        ".5", "5.", "1e3", "1E3", "1000", "999999999999999", "1000000000000000",
+        "1000000000000001", "1e15", "-1e15", "1e16", "NaN", "nan", "-NaN", "inf", "-inf",
+        "infinity", "0.0000001", "1e-7", "x", "Margate", "5 ", "٣",
+    ];
+
+    fn edge_values() -> Vec<Value> {
+        let mut vs = vec![Value::Null];
+        for n in [
+            0.0,
+            -0.0,
+            5.0,
+            -5.0,
+            0.5,
+            1e15 - 1.0,
+            1e15,
+            -1e15,
+            1e15 + 1.0,
+            1e16,
+            1e-7,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+        ] {
+            vs.push(Value::Num(n));
+        }
+        for t in EDGE_TEXTS {
+            vs.push(Value::str(*t));
+            vs.push(Value::parse(t));
+        }
+        vs
+    }
+
+    /// A random text: a number in one of several spellings, or noise.
+    fn gen_text(g: &mut copycat_util::check::Gen) -> String {
+        match g.usize_in(0..6) {
+            0 => g.choose(EDGE_TEXTS).to_string(),
+            1 => g.i64_in(-2_000_000..2_000_000).to_string(),
+            2 => format!("{:0>8}", g.i64_in(0..99_999)),
+            3 => format!("{}", 1e15 + g.i64_in(-3..4) as f64),
+            4 => format!("{}", g.f64_in(-1e4..1e4)),
+            _ => g.string_of("0123456789.-+eE xNa", 0..7),
+        }
+    }
+
+    #[test]
+    fn text_eq_and_hash_agree_with_as_text_and_eq() {
+        copycat_util::check::check("value-text-eq-hash", 256, &[], |g| {
+            let mut values = edge_values();
+            let mut texts: Vec<String> = EDGE_TEXTS.iter().map(|t| t.to_string()).collect();
+            for _ in 0..4 {
+                let t = gen_text(g);
+                values.push(Value::str(t.as_str()));
+                values.push(Value::parse(&t));
+                if let Ok(n) = t.trim().parse::<f64>() {
+                    values.push(Value::Num(n));
+                }
+                texts.push(t);
+            }
+            texts.extend(values.iter().map(Value::as_text));
+            for v in &values {
+                for t in &texts {
+                    copycat_util::prop_ensure!(
+                        v.text_eq(t) == (v.as_text() == *t),
+                        "{v:?}.text_eq({t:?}) disagrees with as_text {:?}",
+                        v.as_text()
+                    );
+                }
+            }
+            for a in &values {
+                for b in &values {
+                    if a == b {
+                        copycat_util::prop_ensure!(
+                            fx(a) == fx(b),
+                            "{a:?} == {b:?} but their hashes differ"
+                        );
+                    }
+                }
+            }
+            Ok(())
+        });
     }
 
     #[test]

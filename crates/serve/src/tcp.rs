@@ -1,12 +1,15 @@
 //! The TCP transport: a thin byte pump over [`Server::handle_line`].
 //!
-//! One thread per connection, line-delimited JSON both ways, flushed
-//! per response. Everything interesting — admission, backpressure,
-//! deadlines, metrics — lives below in the server, so a socket client
-//! and an in-process test observe identical behavior.
+//! One thread per connection, line-delimited JSON both ways. Each
+//! response leaves in a single write on a `TCP_NODELAY` socket: a
+//! response split across writes would hold its tail in Nagle's buffer
+//! until the client's delayed ACK (~40 ms). Everything interesting —
+//! admission, backpressure, deadlines, metrics — lives below in the
+//! server, so a socket client and an in-process test observe identical
+//! behavior.
 
 use crate::server::Server;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::thread;
 
@@ -53,8 +56,9 @@ fn handle_connection(
     server: &Server,
     addr: std::net::SocketAddr,
 ) -> std::io::Result<()> {
+    stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
+    let mut writer = stream;
     let mut line: Vec<u8> = Vec::new();
     loop {
         line.clear();
@@ -72,10 +76,9 @@ fn handle_connection(
         if text.trim().is_empty() {
             continue;
         }
-        let response = server.handle_line(&text);
+        let mut response = server.handle_line(&text);
+        response.push('\n');
         writer.write_all(response.as_bytes())?;
-        writer.write_all(b"\n")?;
-        writer.flush()?;
         if server.draining() {
             // Wake the acceptor (it blocks in accept) so the listener
             // loop notices the drain and exits.

@@ -585,6 +585,61 @@ fn tcp_transport_round_trips_and_drains() {
     serve_thread.join().unwrap().expect("serve exits cleanly");
 }
 
+/// Regression: a response larger than the transport's write buffer used
+/// to leave in two writes — the body, then its newline — on a socket
+/// without `TCP_NODELAY`, so the newline sat in Nagle's buffer until the
+/// client's delayed ACK (~40 ms per large response). Each response now
+/// leaves in one write on a no-delay socket; a saved session (> 8 KiB)
+/// round-trips far below the delayed-ACK floor.
+#[test]
+fn tcp_large_responses_do_not_wait_for_delayed_acks() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::{TcpListener, TcpStream};
+    use std::time::{Duration, Instant};
+
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let server = Server::new(ServerConfig::default());
+    let serve_thread = std::thread::spawn(move || copycat_serve::tcp::serve(listener, server));
+
+    let stream = TcpStream::connect(addr).expect("connect");
+    // The client sends each request in one write, so only the server's
+    // side of the exchange can stall.
+    stream.set_nodelay(true).expect("nodelay");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut call = |line: &str| {
+        let mut s = &stream;
+        s.write_all(format!("{line}\n").as_bytes()).unwrap();
+        let mut resp = String::new();
+        reader.read_line(&mut resp).unwrap();
+        resp
+    };
+
+    let script = session_script("big", "b", 30);
+    let (save, setup) = script.split_last().expect("non-empty script");
+    assert!(save.contains("save_session"), "{save}");
+    for line in setup {
+        let resp = Json::parse(call(line).trim()).expect("json response");
+        assert_eq!(resp["ok"].as_bool(), Some(true), "{resp}");
+    }
+    let mut waits = Vec::new();
+    for _ in 0..5 {
+        let start = Instant::now();
+        let resp = call(save);
+        waits.push(start.elapsed());
+        assert!(resp.len() > 8 * 1024, "the saved session must exceed 8 KiB: {} bytes", resp.len());
+        assert_eq!(Json::parse(resp.trim()).expect("json")["ok"].as_bool(), Some(true));
+    }
+    waits.sort();
+    assert!(
+        waits[2] < Duration::from_millis(20),
+        "median save_session round trip {:?} (all {waits:?})",
+        waits[2]
+    );
+    call("{\"id\":99,\"op\":\"shutdown\"}");
+    serve_thread.join().unwrap().expect("serve exits cleanly");
+}
+
 /// Regression: a client that frames with CRLF (`\r\n`) — telnet, Windows
 /// tooling, half the HTTP-adjacent world — must get the same answers as
 /// a `\n` client, and a final request whose connection closed before the

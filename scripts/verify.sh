@@ -15,6 +15,12 @@ cargo build --release --offline --workspace
 # latency — it runs in well under a second today.
 cargo run --release --offline -q -p copycat-lint -- check --budget-ms 20000
 cargo test -q --offline --workspace
+# Benchmark self-tests (perfbench/ is its own Cargo workspace): seeded
+# request generation, every generated request succeeding on today's
+# server, and the benchmark's correctness checks — hot reads
+# byte-identical, integrate matching its in-process control — catching
+# corrupted responses and recovery mismatches.
+CARGO_TARGET_DIR=.bench_build cargo test --release --offline --manifest-path perfbench/Cargo.toml
 cargo run --release --offline -p copycat-bench --bin harness -- e1
 # Serve smoke: spawn an in-process copycat-serve, round-trip one request
 # of every request class, and drain gracefully. Exits non-zero if any
