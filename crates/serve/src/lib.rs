@@ -15,8 +15,6 @@
 //!   histograms (p50/p99), readable via the `stats` request.
 //! - [`protocol`] — the request/response grammar (see `DESIGN.md`,
 //!   "Serving layer"); parsing borrows the request line (zero-copy).
-//! - [`frame`] — optional length-prefixed binary framing, byte-
-//!   equivalent to the JSON lines.
 //! - [`server`] — admission, dispatch, graceful drain; its
 //!   [`Server::handle_line`] is the in-process transport.
 //! - [`router`] — consistent-hash placement across N in-process
@@ -32,7 +30,6 @@
 //! observable only through the metrics registry.
 
 pub mod deadline;
-pub mod frame;
 pub mod metrics;
 pub mod pool;
 pub mod protocol;
@@ -43,7 +40,6 @@ pub mod smoke;
 pub mod tcp;
 
 pub use deadline::Deadline;
-pub use frame::{FrameCodec, FrameError};
 pub use metrics::{ClassMetrics, Metrics};
 pub use pool::{Job, Pool, SubmitError};
 pub use protocol::{err_response, ok_response, ErrorKind, Op, Request};

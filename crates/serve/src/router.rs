@@ -41,7 +41,7 @@ use crate::protocol::{ok_response, Op, Request};
 use crate::server::{Server, ServerConfig};
 use copycat_store::{Fs, RecoveryReport, SessionStore, StoreStats};
 use copycat_util::hash::{FxHashMap, FxHasher};
-use copycat_util::json::{self, Json};
+use copycat_util::json::{self, FromJson, Json, JsonError};
 use copycat_util::sync::Mutex;
 use copycat_util::zjson::{ZDoc, ZRef};
 use std::cell::RefCell;
@@ -275,15 +275,10 @@ fn checkpoint_payload(history: &[String]) -> String {
     Json::Arr(history.iter().map(|l| Json::str(l.as_str())).collect()).to_string()
 }
 
-fn parse_checkpoint(payload: &str) -> Vec<String> {
-    Json::parse(payload)
-        .ok()
-        .and_then(|j| {
-            j.as_array().map(|items| {
-                items.iter().filter_map(|v| v.as_str().map(str::to_string)).collect()
-            })
-        })
-        .unwrap_or_default()
+/// The history back out of a snapshot payload. Anything but a JSON
+/// array of strings is an error, never an empty or partial history.
+fn parse_checkpoint(payload: &str) -> Result<Vec<String>, JsonError> {
+    Vec::<String>::from_json(&Json::parse(payload)?)
 }
 
 /// On-disk directory for one session: a sanitized prefix for humans
@@ -378,8 +373,18 @@ impl Router {
                     continue;
                 }
             };
-            let mut history: Vec<String> =
-                recovery.snapshot.as_deref().map(parse_checkpoint).unwrap_or_default();
+            // A snapshot that passed its checksum but does not decode is
+            // as fatal as a wrong sidecar: replaying only the WAL tail
+            // would resurrect a session that was never created.
+            let mut history = match recovery.snapshot.as_deref().map(parse_checkpoint) {
+                None => Vec::new(),
+                Some(Ok(history)) => history,
+                Some(Err(_)) => {
+                    // relaxed: monotone recovery counter, stats() only
+                    router.recovery_failures.fetch_add(1, Ordering::Relaxed);
+                    continue;
+                }
+            };
             history.extend(recovery.tail.iter().cloned());
             let report = recovery.report;
             // relaxed: monotone recovery counters, read only by stats()
@@ -600,13 +605,6 @@ impl Router {
                 self.snapshot_failures.fetch_add(1, Ordering::Relaxed);
             }
         }
-    }
-
-    /// Handle one binary-framed request (see [`crate::frame`]) with
-    /// placement and durability layered on, returning the framed
-    /// response.
-    pub fn handle_frame(&self, frame: &[u8]) -> Vec<u8> {
-        crate::frame::handle_with(frame, |line| self.handle_line(line))
     }
 
     /// [`handle_line`](Router::handle_line) plus response parsing.
@@ -946,7 +944,32 @@ mod tests {
             r#"{"op":"create_session","session":"s"}"#.to_string(),
             r#"{"op":"paste","session":"s","values":["a","b"]}"#.to_string(),
         ];
-        assert_eq!(parse_checkpoint(&checkpoint_payload(&history)), history);
-        assert_eq!(parse_checkpoint("not json"), Vec::<String>::new());
+        assert_eq!(parse_checkpoint(&checkpoint_payload(&history)).unwrap(), history);
+        for bad in ["not json", "{}", r#"["ok", 3]"#] {
+            assert!(parse_checkpoint(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn undecodable_checkpoint_is_counted_not_resurrected() {
+        let root = temp_root("bad-checkpoint");
+        let config = RouterConfig::durable(2, root.clone());
+        let dir = session_dir(&root, "rotten");
+        let mut store = SessionStore::create(&config.fs, &dir).unwrap();
+        config.fs.write_sync(&dir.join(NAME_FILE), b"rotten").unwrap();
+        store.append(r#"{"id":1,"op":"create_session","session":"rotten"}"#);
+        // Checksummed on disk, but not a JSON array of strings.
+        store.snapshot(r#"["{\"id\":1}", 3]"#).unwrap();
+        store.append(r#"{"id":2,"op":"open_doc","session":"rotten","name":"D","headers":["A"],"rows":[["x"]]}"#);
+        store.sync().unwrap();
+        drop(store);
+        let router = Router::recover(config).unwrap();
+        assert_eq!(router.stats()["durability"]["recovery_failures"].as_f64(), Some(1.0));
+        assert!(router.journal_history("rotten").is_none());
+        let resp = router.handle_line(r#"{"id":3,"op":"render","session":"rotten"}"#);
+        assert!(!response_ok(&resp), "{resp}");
+        assert!(dir.join(NAME_FILE).exists(), "state stays on disk for inspection");
+        router.shutdown();
+        let _ = std::fs::remove_dir_all(root);
     }
 }

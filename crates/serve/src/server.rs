@@ -271,14 +271,6 @@ impl Server {
         }
     }
 
-    /// Handle one binary-framed request (see [`crate::frame`]),
-    /// returning the binary-framed response. Semantics are identical to
-    /// [`handle_line`](Server::handle_line) — the frame decodes to the
-    /// same canonical line and rides the same path.
-    pub fn handle_frame(&self, frame: &[u8]) -> Vec<u8> {
-        crate::frame::handle_with(frame, |line| self.handle_line(line))
-    }
-
     /// [`handle_line`](Server::handle_line) plus response parsing, for
     /// tests and scripts.
     pub fn handle(&self, line: &str) -> Json {

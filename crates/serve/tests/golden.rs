@@ -144,46 +144,6 @@ fn golden_wire_transcript() {
     assert_golden("wire_transcript.txt", &transcript);
 }
 
-/// The binary framing against the committed transcript: every request
-/// in the golden fixture, driven through [`Server::handle_frame`], must
-/// produce exactly `encode_frame(parse(fixture_response))` — the two
-/// framings are byte-equivalent views of one protocol.
-#[test]
-fn golden_frame_equivalence() {
-    use copycat_serve::frame::{decode_frame, encode_frame};
-    let fixture = std::fs::read_to_string(fixture_path("wire_transcript.txt"))
-        .expect("committed wire transcript");
-    let lines: Vec<&str> = fixture.lines().collect();
-    let server = Server::with_defaults();
-    let mut checked = 0;
-    for (i, line) in lines.iter().enumerate() {
-        let Some(request) = line.strip_prefix(">> ") else { continue };
-        // Unparseable request lines exercise the JSON lexer; they have
-        // no frame representation. Drive them down the line path so the
-        // framed server visits every state the fixture's server did.
-        let Ok(req_value) = Json::parse(request) else {
-            let _ = server.handle_line(request);
-            continue;
-        };
-        let frame_resp = server.handle_frame(&encode_frame(&req_value));
-        let (decoded, used) = decode_frame(&frame_resp).expect("response frame decodes");
-        assert_eq!(used, frame_resp.len(), "one frame per response");
-        let Some(expected) = lines.get(i + 1).and_then(|l| l.strip_prefix("<< ")) else {
-            continue;
-        };
-        if expected.starts_with("stats (") {
-            // Shape-only in the fixture (values carry timing).
-            assert_eq!(decoded["ok"].as_bool(), Some(true), "stats over frames");
-            continue;
-        }
-        assert_eq!(decoded.to_string(), expected, "frame response diverged for {request}");
-        let expected_frame = encode_frame(&Json::parse(expected).expect("fixture response parses"));
-        assert_eq!(frame_resp, expected_frame, "frame bytes diverged for {request}");
-        checked += 1;
-    }
-    assert!(checked >= 25, "transcript exercised over frames ({checked} exchanges)");
-}
-
 /// The `SavedSession` document — now carrying `health` (breaker and
 /// retry state) and `probes` (fault-injection counters) — pinned
 /// byte-for-byte. This is the durability format: WAL checkpoints and

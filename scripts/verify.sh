@@ -6,6 +6,13 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# UPDATE_GOLDEN makes the golden tests rewrite their fixtures instead of
+# checking them, so the gate would pass by construction. Refuse it.
+if [[ -n "${UPDATE_GOLDEN+set}" ]]; then
+    echo "verify.sh: UPDATE_GOLDEN is set; unset it to check the golden fixtures" >&2
+    exit 1
+fi
+
 cargo build --release --offline --workspace
 # Invariant lint: zero non-baselined findings (wall-clock reads, random
 # hasher state, panics on request paths, lock-order cycles, protocol
