@@ -27,7 +27,7 @@ use copycat_services::{
     Flaky, HealthRegistry, HealthSnapshot, Resilient, RetryPolicy, SavedFlakyState,
     SavedServiceHealth,
 };
-use copycat_semantic::{Program, TransformLearner, TypeRegistry};
+use copycat_semantic::TypeRegistry;
 use std::sync::Arc;
 
 /// The two interaction modes of §2.1.
@@ -103,11 +103,11 @@ pub struct CopyCat {
 }
 
 /// A transform column's learned program plus its accumulated examples.
-type TransformState = (Program, Vec<(Vec<String>, String)>);
+type TransformState = (copycat_transform::Program, Vec<(Vec<String>, String)>);
 
 /// A restorable view-state snapshot. Catalog contents are append-only
-/// and are not rolled back; the workspace, the active query, and the
-/// learned edge costs are.
+/// and are not rolled back; the workspace, its transform columns, the
+/// active query, and the learned edge costs are.
 struct Snapshot {
     workspace: Workspace,
     current_plan: Option<Plan>,
@@ -117,6 +117,7 @@ struct Snapshot {
     /// transform edges) are removed again by undo.
     edge_count: usize,
     tab_queries: copycat_util::hash::FxHashMap<usize, (Plan, Vec<NodeId>)>,
+    transform_columns: copycat_util::hash::FxHashMap<usize, TransformState>,
     mode: Mode,
 }
 
@@ -169,7 +170,7 @@ pub struct LearnedTransform {
 #[derive(Debug, Clone)]
 pub struct TransformSuggestion {
     /// The learned program.
-    pub program: Program,
+    pub program: copycat_transform::Program,
     /// The program's output for every committed row (empty when it does
     /// not apply).
     pub values: Vec<String>,
@@ -254,6 +255,7 @@ impl CopyCat {
             edge_costs: self.graph.edge_ids().map(|e| self.graph.cost(e)).collect(),
             edge_count: self.graph.edge_count(),
             tab_queries: self.tab_queries.clone(),
+            transform_columns: self.transform_columns.clone(),
             mode: self.mode,
         };
         self.undo_stack.push(snap);
@@ -262,10 +264,10 @@ impl CopyCat {
         }
     }
 
-    /// Undo the last user action: restores the workspace, the active
-    /// query, and the learned edge costs. Catalog contents (committed
-    /// sources) are append-only and stay. Returns false when there is
-    /// nothing to undo.
+    /// Undo the last user action: restores the workspace with its
+    /// transform columns, the active query, and the learned edge costs.
+    /// Catalog contents (committed sources) are append-only and stay.
+    /// Returns false when there is nothing to undo.
     pub fn undo(&mut self) -> bool {
         let Some(snap) = self.undo_stack.pop() else {
             return false;
@@ -274,6 +276,7 @@ impl CopyCat {
         self.current_plan = snap.current_plan;
         self.current_nodes = snap.current_nodes;
         self.tab_queries = snap.tab_queries;
+        self.transform_columns = snap.transform_columns;
         self.mode = snap.mode;
         // Edges added since the checkpoint (learned transform edges,
         // association edges of later commits) are removed outright —
@@ -876,31 +879,22 @@ impl CopyCat {
 
     // --- Transforms (§5 "complex functions / transforms") --------------
 
-    /// Learn derived-column programs from typed examples: the user fills
-    /// in the new column's value for a few rows and the system searches
-    /// for a function explaining them. `examples` pairs a committed-row
-    /// index with the typed output. Ranked simplest-first.
-    pub fn suggest_transform(&self, examples: &[(usize, &str)]) -> Vec<TransformSuggestion> {
+    /// Learn a derived-column program from typed examples: the user
+    /// fills in the new column's value for a few rows and the system
+    /// searches for the lowest-cost function of the row explaining them.
+    /// `examples` pairs a committed-row index with the typed output.
+    pub fn suggest_transform(&self, examples: &[(usize, &str)]) -> Option<TransformSuggestion> {
         let rows = self.workspace.active().committed_rows();
         let labeled: Vec<(Vec<String>, String)> = examples
             .iter()
             .filter_map(|&(i, out)| rows.get(i).map(|r| (r.clone(), out.to_string())))
             .collect();
-        if labeled.is_empty() {
-            return Vec::new();
-        }
-        TransformLearner::new()
-            .learn(&labeled)
-            .into_iter()
-            .take(3)
-            .map(|program| {
-                let values: Vec<String> = rows
-                    .iter()
-                    .map(|r| program.apply(r).unwrap_or_default())
-                    .collect();
-                TransformSuggestion { program, values, examples: labeled.clone() }
-            })
-            .collect()
+        let program = copycat_transform::learn(&labeled)?;
+        let values = rows
+            .iter()
+            .map(|r| program.apply(r).unwrap_or_default())
+            .collect();
+        Some(TransformSuggestion { program, values, examples: labeled })
     }
 
     /// Accept a transform suggestion as a new named column. The program
@@ -1097,8 +1091,7 @@ impl CopyCat {
             return EditEffect::Local;
         };
         examples.push((inputs, value.to_string()));
-        let programs = TransformLearner::new().learn(examples);
-        let Some(program) = programs.into_iter().next() else {
+        let Some(program) = copycat_transform::learn(examples) else {
             // No consistent program any more: the edit was a one-off
             // correction; drop back to local semantics.
             return EditEffect::Local;
@@ -1551,9 +1544,10 @@ mod tests {
         // The user types "Name (City)" labels for two rows.
         let out0 = format!("{} ({})", rows[0][0], rows[0][2]);
         let out1 = format!("{} ({})", rows[1][0], rows[1][2]);
-        let suggs = cc.suggest_transform(&[(0, &out0), (1, &out1)]);
-        assert!(!suggs.is_empty(), "a label template is learnable");
-        let top = suggs[0].clone();
+        let top = cc
+            .suggest_transform(&[(0, &out0), (1, &out1)])
+            .expect("a label template is learnable");
+        assert_eq!(top.program.to_string(), "concat(input, \" (\", col2, \")\")");
         // Every other row is filled consistently.
         for (i, r) in rows.iter().enumerate() {
             assert_eq!(top.values[i], format!("{} ({})", r[0], r[2]));
@@ -1570,7 +1564,7 @@ mod tests {
         let rows = cc.workspace().active().committed_rows();
         let out0 = format!("{}!", rows[0][0]);
         let out1 = format!("{}!", rows[1][0]);
-        let sugg = cc.suggest_transform(&[(0, &out0), (1, &out1)])[0].clone();
+        let sugg = cc.suggest_transform(&[(0, &out0), (1, &out1)]).expect("learnable");
         let col = cc.columns().len();
         cc.accept_transform("Shout", &sugg);
         // Cleaning mode: a one-off fix does not re-teach the program.
@@ -1588,7 +1582,7 @@ mod tests {
         let rows = cc.workspace().active().committed_rows();
         let out0 = format!("{}!", rows[0][0]);
         let out1 = format!("{}!", rows[1][0]);
-        let sugg = cc.suggest_transform(&[(0, &out0), (1, &out1)])[0].clone();
+        let sugg = cc.suggest_transform(&[(0, &out0), (1, &out1)]).expect("learnable");
         let col = cc.columns().len();
         cc.accept_transform("Shout", &sugg);
         // The user edits row 2 to a *different but learnable* shape:
@@ -1599,7 +1593,7 @@ mod tests {
         // But an edit consistent with a refinement generalizes: extend
         // the program's examples coherently.
         let (_, mut cc2) = imported_engine();
-        let sugg2 = cc2.suggest_transform(&[(0, &out0)])[0].clone();
+        let sugg2 = cc2.suggest_transform(&[(0, &out0)]).expect("learnable");
         let col2 = cc2.columns().len();
         cc2.accept_transform("Shout", &sugg2);
         let effect2 = cc2.edit_cell(1, col2, &format!("{}!", rows[1][0]));

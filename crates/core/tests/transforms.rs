@@ -2,7 +2,7 @@
 //! learned programs surface as column suggestions, MIRA rejection bans
 //! them, and undo removes the edge entirely.
 
-use copycat_core::{CopyCat, Scenario, ScenarioConfig};
+use copycat_core::{CopyCat, EditEffect, Scenario, ScenarioConfig};
 use copycat_services::World;
 use copycat_util::check::check;
 use copycat_util::{prop_ensure, prop_ensure_eq};
@@ -129,4 +129,30 @@ fn transform_join_recovers_directory_values() {
         answered as f64 >= 0.95 * rows as f64,
         "transform join answered {answered}/{rows} rows"
     );
+}
+
+/// Undo rolls back a derived column's program together with the column:
+/// a later column that lands at the same index is not re-taught by the
+/// undone program.
+#[test]
+fn undo_forgets_the_transform_column_it_removes() {
+    let mut s = Scenario::build(&ScenarioConfig { venues: 8, ..Default::default() });
+    s.import_shelters(1);
+    let rows = s.engine.workspace().active().committed_rows();
+    let shout = |r: usize| format!("{}!", rows[r][0]);
+    let sugg = s.engine.suggest_transform(&[(0, &shout(0)), (1, &shout(1))]).expect("learnable");
+    let col = s.engine.columns().len();
+    s.engine.accept_transform("Shout", &sugg);
+    assert!(s.engine.undo());
+    assert_eq!(s.engine.columns().len(), col, "undo removes the column");
+    let zip = s.engine.column_suggestions().swap_remove(0);
+    assert!(zip.new_fields.iter().any(|f| f.name == "Zip"), "{}", zip.label);
+    s.engine.accept_column(&zip);
+    let column = |s: &Scenario| -> Vec<String> {
+        s.engine.workspace().active().rows.iter().map(|r| r.cells[col].clone()).collect()
+    };
+    let zips = column(&s);
+    assert_eq!(s.engine.edit_cell(2, col, &shout(2)), EditEffect::Local, "nothing to re-teach");
+    let after = column(&s);
+    assert!((0..zips.len()).filter(|&i| i != 2).all(|i| after[i] == zips[i]), "{after:?}");
 }

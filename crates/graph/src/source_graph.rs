@@ -40,7 +40,7 @@ pub struct Node {
 }
 
 /// How an edge connects two nodes.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum EdgeKind {
     /// Equi-join on the conjunction of these column-name pairs (§4.1's
     /// default: "the conjunction of all possible join predicates").

@@ -18,17 +18,16 @@
 //!
 //! The [`registry::TypeRegistry`] is the session-scoped catalog: a type
 //! learned from the first source "will be immediately available in the
-//! same user session" for recognizing later sources.
+//! same user session" for recognizing later sources. Value transforms
+//! learned from examples (§5) belong to `copycat-transform`.
 
 pub mod function;
 pub mod pattern;
 pub mod recognize;
 pub mod registry;
 pub mod token;
-pub mod transform;
 
 pub use function::{FunctionLearner, IoExample, KnownFunction, SourceDescription};
-pub use transform::{Program, TransformLearner};
 pub use pattern::{Pattern, PatternSet, PatternToken};
 pub use recognize::{recognize, RecognitionScore};
 pub use registry::{SemanticType, TypeRegistry};

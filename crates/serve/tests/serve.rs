@@ -512,6 +512,36 @@ fn typed_errors_cover_the_protocol_taxonomy() {
     server.shutdown();
 }
 
+/// A client-supplied snapshot whose transform program carries a hostile
+/// token index or a non-bool `rev` answers a typed `bad_request`; it is
+/// never cast into a program that panics or wraps when it runs.
+#[test]
+fn hostile_transform_programs_in_snapshots_are_bad_requests() {
+    let mut s = copycat_core::Scenario::build(&copycat_core::ScenarioConfig::default());
+    s.import_directory();
+    s.import_contacts();
+    let phone = |r: &Vec<String>| (r[1].clone(), copycat_services::World::directory_phone(&r[1]));
+    let examples: Vec<(String, String)> = s.contact_rows.iter().take(3).map(phone).collect();
+    s.engine.learn_transform("Contacts", "Phone", "Directory", "Phone", &examples).expect("learnable");
+    // Compact, so the hostile edits below are plain substring swaps.
+    let saved = Json::parse(&s.engine.save_session_json()).expect("saved JSON").to_string();
+    let piece = "\"index\":0,\"rev\":true";
+    assert!(saved.contains(piece), "the saved program extracts word[-1]");
+    let server = Server::new(ServerConfig::default());
+    let load = |snapshot: &str| {
+        let snapshot = Json::str(snapshot);
+        server.handle(&format!("{{\"id\":1,\"op\":\"load_session\",\"session\":\"s\",\"snapshot\":{snapshot}}}"))
+    };
+    assert_eq!(load(&saved)["ok"].as_bool(), Some(true), "the untampered snapshot loads");
+    let hostile = ["-3,\"rev\":true", "0.5,\"rev\":true", "1e20,\"rev\":true", "0,\"rev\":\"yes\""];
+    for (hostile, field) in hostile.into_iter().zip(["index", "index", "index", "rev"]) {
+        let resp = load(&saved.replace(piece, &format!("\"index\":{hostile}")));
+        assert_eq!(resp["error"]["kind"].as_str(), Some("bad_request"), "{hostile}: {resp}");
+        assert!(resp["error"]["message"].as_str().is_some_and(|m| m.contains(field)), "{resp}");
+    }
+    server.shutdown();
+}
+
 /// When every service that could complete a column is breaker-open and
 /// no replacement exists, `column_suggestions` answers the typed
 /// `unavailable` error instead of an empty (indistinguishable) list.

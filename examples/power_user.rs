@@ -19,10 +19,13 @@ fn main() {
     let rows = s.engine.workspace().active().committed_rows();
     let ex0 = format!("{} ({})", rows[0][0], rows[0][2]);
     let ex1 = format!("{} ({})", rows[1][0], rows[1][2]);
-    let suggs = s.engine.suggest_transform(&[(0, &ex0), (1, &ex1)]);
-    println!("Transform learned from 2 typed cells: {}", suggs[0].program);
+    let sugg = s
+        .engine
+        .suggest_transform(&[(0, &ex0), (1, &ex1)])
+        .expect("a label template is learnable");
+    println!("Transform learned from 2 typed cells: {}", sugg.program);
     let label_col = s.engine.columns().len();
-    s.engine.accept_transform("Label", &suggs[0].clone());
+    s.engine.accept_transform("Label", &sugg);
     println!("  row 5 auto-filled: {:?}\n", s.engine.workspace().active().rows[5].cells[label_col]);
 
     // --- Cleaning mode: a one-off fix stays local ---

@@ -28,6 +28,12 @@ cargo test -q --offline --workspace
 # byte-identical, integrate matching its in-process control — catching
 # corrupted responses and recovery mismatches.
 CARGO_TARGET_DIR=.bench_build cargo test --release --offline --manifest-path perfbench/Cargo.toml
+# Examples: `cargo test` only compiles them. Each runs end to end and
+# exits non-zero on a failed assert; power_user is the only end-to-end
+# user of suggest_transform / accept_transform / edit_cell / undo.
+for example in explain_provenance feedback_learning hurricane_mashup power_user quickstart wrapper_induction; do
+    cargo run -q --release --offline --example "$example" >/dev/null
+done
 cargo run --release --offline -p copycat-bench --bin harness -- e1
 # Serve smoke: spawn an in-process copycat-serve, round-trip one request
 # of every request class, and drain gracefully. Exits non-zero if any
