@@ -27,6 +27,7 @@ use copycat_services::{
     Flaky, HealthRegistry, HealthSnapshot, Resilient, RetryPolicy, SavedFlakyState,
     SavedServiceHealth,
 };
+use copycat_semantic::registry::DEFAULT_RECOGNITION_THRESHOLD;
 use copycat_semantic::TypeRegistry;
 use std::sync::Arc;
 
@@ -211,9 +212,7 @@ impl CopyCat {
     }
 
     /// The shared constructor body: everything except the three
-    /// shareable parts. Kept separate so [`CopyCat::with_base`] never
-    /// builds (then drops) the flat built-in registry — overlay session
-    /// creation must stay allocation-light.
+    /// shareable parts.
     fn with_parts(catalog: Catalog, registry: TypeRegistry, graph: SourceGraph) -> Self {
         Self {
             clipboard: Clipboard::new(),
@@ -410,13 +409,14 @@ impl CopyCat {
         let all = self.workspace.active().all_rows();
         let arity = all.iter().map(Vec::len).max().unwrap_or(0);
         for col in 0..arity {
-            let col_values: Vec<String> = all
+            let col_values: Vec<&str> = all
                 .iter()
                 .filter_map(|r| r.get(col))
                 .filter(|v| !v.is_empty())
-                .cloned()
+                .map(String::as_str)
                 .collect();
-            if let Some((ty, _)) = self.registry.best(&col_values, 0.35) {
+            let best = self.registry.best(&col_values, DEFAULT_RECOGNITION_THRESHOLD);
+            if let Some((ty, _)) = best {
                 let label = ty.strip_prefix("PR-").unwrap_or(&ty).to_string();
                 self.workspace
                     .active_mut()

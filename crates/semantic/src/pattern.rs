@@ -10,7 +10,7 @@
 //! like street names, exactly the "constants + generalized tokens" mix the
 //! paper describes (§3.2).
 
-use crate::token::{tokenize_value, TokenClass, ValueToken};
+use crate::token::{split_tokens, TokenClass};
 use copycat_util::json::{FromJson, Json, JsonError, ToJson};
 use std::fmt;
 
@@ -24,10 +24,10 @@ pub enum PatternToken {
 }
 
 impl PatternToken {
-    fn matches(&self, tok: &ValueToken) -> bool {
+    fn matches(&self, text: &str) -> bool {
         match self {
-            PatternToken::Const(s) => *s == tok.text,
-            PatternToken::Class(c) => c.matches(&tok.text),
+            PatternToken::Const(s) => s == text,
+            PatternToken::Class(c) => c.matches(text),
         }
     }
 
@@ -112,16 +112,14 @@ impl Pattern {
     /// The fully-constant pattern of a value. Returns `None` for values
     /// that tokenize to nothing (empty / all-whitespace).
     pub fn from_value(value: &str) -> Option<Pattern> {
-        let toks = tokenize_value(value);
-        if toks.is_empty() {
-            return None;
-        }
-        Some(Pattern {
-            tokens: toks
-                .into_iter()
-                .map(|t| PatternToken::Const(t.text))
-                .collect(),
-        })
+        let mut toks = Vec::new();
+        split_tokens(value, &mut toks);
+        (!toks.is_empty()).then(|| Pattern::constant(&toks))
+    }
+
+    /// The fully-constant pattern of a value's token texts.
+    fn constant(toks: &[&str]) -> Pattern {
+        Pattern { tokens: toks.iter().map(|t| PatternToken::Const(t.to_string())).collect() }
     }
 
     /// The pattern's positions.
@@ -131,13 +129,16 @@ impl Pattern {
 
     /// Whether the pattern matches a raw value (token-count and per-token).
     pub fn matches(&self, value: &str) -> bool {
-        let toks = tokenize_value(value);
+        let mut toks = Vec::new();
+        split_tokens(value, &mut toks);
+        self.matches_tokens(&toks)
+    }
+
+    /// Whether the pattern matches a value already split into token texts
+    /// (see [`split_tokens`]).
+    pub fn matches_tokens(&self, toks: &[&str]) -> bool {
         toks.len() == self.tokens.len()
-            && self
-                .tokens
-                .iter()
-                .zip(toks.iter())
-                .all(|(p, t)| p.matches(t))
+            && self.tokens.iter().zip(toks).all(|(p, t)| p.matches(t))
     }
 
     /// Least general generalization; `None` when token counts differ.
@@ -242,19 +243,22 @@ impl PatternSet {
     /// Online refinement: absorb one more training value ("patterns can be
     /// refined over time as additional training data becomes available").
     pub fn add(&mut self, value: &str) {
-        let Some(constant) = Pattern::from_value(value) else {
+        let mut toks = Vec::new();
+        split_tokens(value, &mut toks);
+        if toks.is_empty() {
             return;
-        };
+        }
         self.total += 1;
         // 1. An existing pattern already matches: bump its support.
         if let Some((_, support)) = self
             .patterns
             .iter_mut()
-            .find(|(p, _)| p.matches(value))
+            .find(|(p, _)| p.matches_tokens(&toks))
         {
             *support += 1;
             return;
         }
+        let constant = Pattern::constant(&toks);
         // 2. Merge with the structurally closest pattern when the merged
         //    pattern stays discriminative enough: the lgg must retain at
         //    least MERGE_SPECIFICITY_RATIO of the constant pattern's
@@ -357,45 +361,31 @@ impl PatternSet {
 
     /// Which pattern (by index) first matches `value`, if any.
     pub fn match_index(&self, value: &str) -> Option<usize> {
-        self.patterns.iter().position(|(p, _)| p.matches(value))
+        let mut toks = Vec::new();
+        split_tokens(value, &mut toks);
+        self.match_index_tokens(&toks)
     }
 
-    /// Fraction of `values` matched by any pattern.
-    pub fn coverage<S: AsRef<str>>(&self, values: &[S]) -> f64 {
-        if values.is_empty() {
-            return 0.0;
+    /// Which pattern (by index) first matches a value already split into
+    /// token texts, if any.
+    pub fn match_index_tokens(&self, toks: &[&str]) -> Option<usize> {
+        self.patterns.iter().position(|(p, _)| p.matches_tokens(toks))
+    }
+
+    /// The training share of a pattern with `support` (its fraction of
+    /// the absorbed training values; `0` before any training).
+    pub(crate) fn training_share(&self, support: usize) -> f64 {
+        if self.total == 0 {
+            0.0
+        } else {
+            support as f64 / self.total as f64
         }
-        let hit = values
-            .iter()
-            .filter(|v| self.match_index(v.as_ref()).is_some())
-            .count();
-        hit as f64 / values.len() as f64
     }
 
     /// The training distribution over patterns (plus no implicit unmatched
     /// mass — training values always matched something).
     pub fn training_distribution(&self) -> Vec<f64> {
-        if self.total == 0 {
-            return vec![0.0; self.patterns.len()];
-        }
-        self.patterns
-            .iter()
-            .map(|(_, s)| *s as f64 / self.total as f64)
-            .collect()
-    }
-
-    /// The distribution of `values` over this set's patterns; the final
-    /// element is the unmatched fraction.
-    pub fn match_distribution<S: AsRef<str>>(&self, values: &[S]) -> Vec<f64> {
-        let mut counts = vec![0usize; self.patterns.len() + 1];
-        for v in values {
-            match self.match_index(v.as_ref()) {
-                Some(i) => counts[i] += 1,
-                None => *counts.last_mut().expect("non-empty") += 1,
-            }
-        }
-        let n = values.len().max(1) as f64;
-        counts.into_iter().map(|c| c as f64 / n).collect()
+        self.patterns.iter().map(|(_, s)| self.training_share(*s)).collect()
     }
 }
 
@@ -467,7 +457,7 @@ mod tests {
             .collect();
         let set = PatternSet::learn(&values);
         assert!(set.patterns().len() <= DEFAULT_PATTERN_BUDGET);
-        assert!((set.coverage(&values) - 1.0).abs() < 1e-9);
+        assert!((crate::recognize(&set, &values).coverage - 1.0).abs() < 1e-9);
         // Novel street with a seen suffix matches; novel suffix should not.
         assert!(set.match_index("9999 Banyan Ave").is_some());
         assert!(set.match_index("9999 Banyan Parkway").is_none());
@@ -488,9 +478,11 @@ mod tests {
         let set = PatternSet::learn(&["33063", "33441", "33302"]);
         let d = set.training_distribution();
         assert!((d.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        let m = set.match_distribution(&["33000", "hello"]);
-        assert!((m.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        assert!((m.last().unwrap() - 0.5).abs() < 1e-9, "one of two unmatched");
+        // One of two values unmatched: half the column's mass sits in the
+        // unmatched bucket, which the training distribution never has.
+        let s = crate::recognize(&set, &["33000", "hello"]);
+        assert!((s.coverage - 0.5).abs() < 1e-9, "one of two unmatched");
+        assert!((s.similarity - 0.5).abs() < 1e-9, "{s:?}");
     }
 
     #[test]

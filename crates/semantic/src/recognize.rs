@@ -8,6 +8,7 @@
 //! type's training distribution (1 − total-variation distance).
 
 use crate::pattern::PatternSet;
+use crate::token::split_tokens;
 
 /// Score breakdown for one (type, column) recognition test.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -21,22 +22,78 @@ pub struct RecognitionScore {
     pub score: f64,
 }
 
+/// A column of values tokenized once, so every candidate type is scored
+/// against the same token texts (borrowed from the values).
+#[derive(Debug)]
+pub(crate) struct TokenizedColumn<'a> {
+    /// Every value's token texts, back to back.
+    texts: Vec<&'a str>,
+    /// End offset into `texts` of each value.
+    ends: Vec<usize>,
+}
+
+impl<'a> TokenizedColumn<'a> {
+    /// Tokenize each value of a column.
+    pub(crate) fn new<S: AsRef<str>>(values: &'a [S]) -> Self {
+        let mut col = TokenizedColumn { texts: Vec::new(), ends: Vec::with_capacity(values.len()) };
+        for v in values {
+            split_tokens(v.as_ref(), &mut col.texts);
+            col.ends.push(col.texts.len());
+        }
+        col
+    }
+
+    /// Number of values.
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// True for a column without values.
+    fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Each value's token texts, in column order.
+    fn values(&self) -> impl Iterator<Item = &[&'a str]> {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts.zip(&self.ends).map(|(s, &e)| &self.texts[s..e])
+    }
+}
+
 /// Score a column of values against one type's pattern set.
 pub fn recognize<S: AsRef<str>>(set: &PatternSet, values: &[S]) -> RecognitionScore {
-    if values.is_empty() || set.patterns().is_empty() {
+    recognize_tokens(set, &TokenizedColumn::new(values), &mut Vec::new())
+}
+
+/// Score a tokenized column against one type's pattern set in a single
+/// pass: each value is matched once, and its first matching pattern (or
+/// the unmatched bucket) is counted in `counts`, a scratch buffer reused
+/// across types.
+pub(crate) fn recognize_tokens(
+    set: &PatternSet,
+    column: &TokenizedColumn<'_>,
+    counts: &mut Vec<usize>,
+) -> RecognitionScore {
+    let patterns = set.patterns();
+    if column.is_empty() || patterns.is_empty() {
         return RecognitionScore { coverage: 0.0, similarity: 0.0, score: 0.0 };
     }
-    let coverage = set.coverage(values);
-    // Training distribution, extended with a zero "unmatched" bucket so the
-    // two vectors align.
-    let mut train = set.training_distribution();
-    train.push(0.0);
-    let observed = set.match_distribution(values);
-    debug_assert_eq!(train.len(), observed.len());
+    // Per-pattern match counts, then the unmatched count last.
+    counts.clear();
+    counts.resize(patterns.len() + 1, 0);
+    for toks in column.values() {
+        let bucket = set.match_index_tokens(toks).unwrap_or(patterns.len());
+        counts[bucket] += 1;
+    }
+    let unmatched = counts[patterns.len()];
+    let coverage = (column.len() - unmatched) as f64 / column.len() as f64;
+    // Total-variation distance between the training distribution,
+    // extended with a zero "unmatched" share, and the column's.
+    let n = column.len() as f64;
+    let train = patterns.iter().map(|(_, s)| set.training_share(*s)).chain([0.0]);
     let tv: f64 = train
-        .iter()
-        .zip(observed.iter())
-        .map(|(a, b)| (a - b).abs())
+        .zip(counts.iter())
+        .map(|(a, &c)| (a - c as f64 / n).abs())
         .sum::<f64>()
         / 2.0;
     let similarity = 1.0 - tv;

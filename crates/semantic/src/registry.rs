@@ -7,10 +7,12 @@
 //! then "immediately available in the same user session".
 //!
 //! Built-in types use the paper's `PR-` naming from Figure 1 (`PR-Street`,
-//! `PR-City`, …) and are trained from deterministic synthetic samples.
+//! `PR-City`, …) and are trained from deterministic synthetic samples,
+//! once per process: every registry layers over the same trained list.
 
 use crate::pattern::PatternSet;
-use crate::recognize::{recognize, RecognitionScore};
+use crate::recognize::{recognize_tokens, RecognitionScore, TokenizedColumn};
+use std::sync::{Arc, OnceLock};
 
 /// A named semantic type with its learned pattern model.
 #[derive(Debug, Clone)]
@@ -25,10 +27,10 @@ pub struct SemanticType {
 
 /// Registry of all semantic types known in this session.
 ///
-/// A registry is either *flat* (it owns every type — the default) or
-/// *layered* over a shared immutable base ([`TypeRegistry::with_base`]):
+/// A registry is either *flat* (it owns every type — [`TypeRegistry::empty`])
+/// or *layered* over a shared immutable base ([`TypeRegistry::with_base`]):
 /// the trained built-in models live once in an `Arc` shared by every
-/// tenant session, and a session stores only the types it defined plus
+/// session, and a session stores only the types it defined plus
 /// copy-on-write clones of any base type it refined. Iteration order is
 /// identical either way — base types in base order (refined copies
 /// substituted in place), then session-local types — so recognition
@@ -37,7 +39,7 @@ pub struct SemanticType {
 #[derive(Debug, Clone, Default)]
 pub struct TypeRegistry {
     /// The shared immutable prefix, if layered.
-    base: Option<std::sync::Arc<Vec<SemanticType>>>,
+    base: Option<Arc<Vec<SemanticType>>>,
     /// Copy-on-write clones of refined base types, keyed by base index.
     /// Sparse — a session rarely touches a built-in — so a Vec beats a
     /// map.
@@ -58,14 +60,14 @@ impl TypeRegistry {
     /// A registry layered over a shared frozen type list (see
     /// [`TypeRegistry::freeze`]). Reads see the base until this session
     /// refines a type; writes copy the touched entry locally.
-    pub fn with_base(base: std::sync::Arc<Vec<SemanticType>>) -> Self {
+    pub fn with_base(base: Arc<Vec<SemanticType>>) -> Self {
         Self { base: Some(base), ..Self::default() }
     }
 
     /// Freeze the current (merged) type list into a shareable base for
     /// [`TypeRegistry::with_base`].
-    pub fn freeze(&self) -> std::sync::Arc<Vec<SemanticType>> {
-        std::sync::Arc::new(self.iter().cloned().collect())
+    pub fn freeze(&self) -> Arc<Vec<SemanticType>> {
+        Arc::new(self.iter().cloned().collect())
     }
 
     /// Whether this registry layers over a shared base.
@@ -104,32 +106,11 @@ impl TypeRegistry {
         self.types.iter_mut().find(|t| t.name == name)
     }
 
-    /// A registry pre-trained with the built-in `PR-*` types.
-    ///
-    /// Most built-ins are learned from deterministic samples; `PR-City`
-    /// and `PR-Person` use curated pattern models instead, because both
-    /// are capitalized-word sequences and only their *distributions*
-    /// (persons are always two tokens; city names are one to three)
-    /// separate them — exactly the distribution-similarity test of §3.2.
+    /// A registry with the built-in `PR-*` types, layered over the
+    /// process-wide trained list (see [`builtin_types`]): refinements
+    /// stay session-local, exactly as on a shared world.
     pub fn with_builtins() -> Self {
-        use crate::pattern::{Pattern, PatternToken};
-        use crate::token::TokenClass;
-        let mut reg = Self::empty();
-        for (name, samples) in builtin_samples() {
-            reg.types.push(SemanticType {
-                name: name.to_string(),
-                patterns: PatternSet::learn(&samples),
-                builtin: true,
-            });
-        }
-        let cap = || PatternToken::Class(TokenClass::CapWord);
-        let caps = |n: usize| Pattern::new((0..n).map(|_| cap()).collect());
-        reg.set_curated(
-            "PR-City",
-            PatternSet::from_weighted(vec![(caps(2), 65), (caps(1), 20), (caps(3), 15)]),
-        );
-        reg.set_curated("PR-Person", PatternSet::from_weighted(vec![(caps(2), 100)]));
-        reg
+        Self::with_base(Arc::clone(builtin_types()))
     }
 
     /// Install a curated pattern model under a type name (replacing any
@@ -177,10 +158,14 @@ impl TypeRegistry {
     /// Rank every known type against a column of values, best first. Ties
     /// break on type name for determinism. Types scoring `0` are omitted.
     pub fn recognize_column<S: AsRef<str>>(&self, values: &[S]) -> Vec<(String, RecognitionScore)> {
+        let column = TokenizedColumn::new(values);
+        let mut counts = Vec::new();
         let mut scored: Vec<(String, RecognitionScore)> = self
             .iter()
-            .map(|t| (t.name.clone(), recognize(&t.patterns, values)))
-            .filter(|(_, s)| s.score > 0.0)
+            .filter_map(|t| {
+                let s = recognize_tokens(&t.patterns, &column, &mut counts);
+                (s.score > 0.0).then(|| (t.name.clone(), s))
+            })
             .collect();
         scored.sort_by(|(an, a), (bn, b)| {
             b.score
@@ -229,6 +214,38 @@ impl TypeRegistry {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+}
+
+/// The built-in `PR-*` types, trained on first use and shared by every
+/// registry in the process.
+///
+/// Most built-ins are learned from deterministic samples; `PR-City`
+/// and `PR-Person` use curated pattern models instead, because both
+/// are capitalized-word sequences and only their *distributions*
+/// (persons are always two tokens; city names are one to three)
+/// separate them — exactly the distribution-similarity test of §3.2.
+fn builtin_types() -> &'static Arc<Vec<SemanticType>> {
+    static BUILTINS: OnceLock<Arc<Vec<SemanticType>>> = OnceLock::new();
+    BUILTINS.get_or_init(|| {
+        use crate::pattern::{Pattern, PatternToken};
+        use crate::token::TokenClass;
+        let mut reg = TypeRegistry::empty();
+        for (name, samples) in builtin_samples() {
+            reg.types.push(SemanticType {
+                name: name.to_string(),
+                patterns: PatternSet::learn(&samples),
+                builtin: true,
+            });
+        }
+        let cap = || PatternToken::Class(TokenClass::CapWord);
+        let caps = |n: usize| Pattern::new((0..n).map(|_| cap()).collect());
+        reg.set_curated(
+            "PR-City",
+            PatternSet::from_weighted(vec![(caps(2), 65), (caps(1), 20), (caps(3), 15)]),
+        );
+        reg.set_curated("PR-Person", PatternSet::from_weighted(vec![(caps(2), 100)]));
+        Arc::new(reg.types)
+    })
 }
 
 /// Deterministic training samples for each built-in type.
@@ -347,6 +364,25 @@ mod tests {
     }
 
     #[test]
+    fn builtins_are_trained_once_and_shared() {
+        let (a, b) = (reg(), reg());
+        assert!(a.has_base() && b.has_base());
+        assert!(Arc::ptr_eq(a.base.as_ref().unwrap(), b.base.as_ref().unwrap()));
+        assert!(a.iter().all(|t| t.builtin));
+        assert!(a.user_types().is_empty());
+    }
+
+    #[test]
+    fn learned_type_recognizes_non_ascii_training_data() {
+        let mut r = reg();
+        let train = ["12 m²", "40 km²", "7 cm²", "300 mm²"];
+        r.learn_type("Area", &train);
+        let (name, score) = r.best(&train, DEFAULT_RECOGNITION_THRESHOLD).expect("recognized");
+        assert_eq!(name, "Area");
+        assert_eq!(score.coverage, 1.0);
+    }
+
+    #[test]
     fn recognizes_zip_column() {
         let r = reg();
         let (name, score) = r.best(&["33063", "33441", "33302"], 0.3).expect("recognized");
@@ -418,7 +454,8 @@ mod tests {
 
     #[test]
     fn layered_registry_is_indistinguishable_from_flat() {
-        let flat = reg();
+        let flat = TypeRegistry { types: reg().iter().cloned().collect(), ..TypeRegistry::empty() };
+        assert!(!flat.has_base());
         let layered = TypeRegistry::with_base(flat.freeze());
         assert!(layered.has_base());
         assert_eq!(layered.len(), flat.len());
@@ -432,8 +469,8 @@ mod tests {
     #[test]
     fn layered_refinements_stay_session_local() {
         let base = reg().freeze();
-        let mut a = TypeRegistry::with_base(std::sync::Arc::clone(&base));
-        let b = TypeRegistry::with_base(std::sync::Arc::clone(&base));
+        let mut a = TypeRegistry::with_base(Arc::clone(&base));
+        let b = TypeRegistry::with_base(Arc::clone(&base));
         // Session A refines a built-in and defines its own type.
         let before = a.get("PR-Zip").unwrap().patterns.total();
         a.learn_type("PR-Zip", &["99999-1234"]);

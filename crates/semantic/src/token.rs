@@ -40,15 +40,23 @@ impl TokenClass {
         debug_assert!(!text.is_empty(), "tokens are non-empty by construction");
         let mut has_alpha = false;
         let mut has_digit = false;
+        let mut has_other = false;
         for c in text.chars() {
             if c.is_alphabetic() {
                 has_alpha = true;
             } else if c.is_ascii_digit() {
                 has_digit = true;
+            } else if c.is_alphanumeric() {
+                // Numeric but not an ASCII digit (`²`, `١`): the run is
+                // alphanumeric without being a word or a number.
+                has_other = true;
             } else {
                 // Punctuation tokens are single chars by tokenizer rule.
                 return TokenClass::Punct(c);
             }
+        }
+        if has_other {
+            return TokenClass::AlphaNum;
         }
         match (has_alpha, has_digit) {
             (true, true) => TokenClass::AlphaNum,
@@ -210,30 +218,33 @@ pub struct ValueToken {
 /// Split a value into tokens: maximal runs of alphanumerics, plus single
 /// punctuation characters. Whitespace separates but is not kept.
 pub fn tokenize_value(value: &str) -> Vec<ValueToken> {
-    let mut out = Vec::new();
-    let mut cur = String::new();
-    let flush = |cur: &mut String, out: &mut Vec<ValueToken>| {
-        if !cur.is_empty() {
-            let text = std::mem::take(cur);
-            let class = TokenClass::of(&text);
-            out.push(ValueToken { text, class });
-        }
-    };
-    for c in value.chars() {
+    let mut texts = Vec::new();
+    split_tokens(value, &mut texts);
+    texts
+        .into_iter()
+        .map(|text| ValueToken { text: text.to_string(), class: TokenClass::of(text) })
+        .collect()
+}
+
+/// The token texts of `value` (see [`tokenize_value`]), appended to `out`
+/// as slices of `value`: tokenizing allocates nothing beyond `out`.
+pub fn split_tokens<'a>(value: &'a str, out: &mut Vec<&'a str>) {
+    let mut run: Option<usize> = None;
+    for (i, c) in value.char_indices() {
         if c.is_alphanumeric() {
-            cur.push(c);
-        } else {
-            flush(&mut cur, &mut out);
-            if !c.is_whitespace() {
-                out.push(ValueToken {
-                    text: c.to_string(),
-                    class: TokenClass::Punct(c),
-                });
-            }
+            run.get_or_insert(i);
+            continue;
+        }
+        if let Some(start) = run.take() {
+            out.push(&value[start..i]);
+        }
+        if !c.is_whitespace() {
+            out.push(&value[i..i + c.len_utf8()]);
         }
     }
-    flush(&mut cur, &mut out);
-    out
+    if let Some(start) = run {
+        out.push(&value[start..]);
+    }
 }
 
 #[cfg(test)]
@@ -306,7 +317,7 @@ mod tests {
     fn matches_respects_generalization() {
         // Whatever class a token gets, that class must match the token, and
         // so must any generalization of it.
-        for text in ["Creek", "FL", "of", "123", "A1", "-", "McArthur"] {
+        for text in ["Creek", "FL", "of", "123", "A1", "-", "McArthur", "m²", "١٢٣"] {
             let c = TokenClass::of(text);
             assert!(c.matches(text), "{c:?} should match {text:?}");
             assert!(c.generalize(TokenClass::Any).matches(text));

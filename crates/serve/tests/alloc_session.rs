@@ -1,0 +1,125 @@
+//! Counting-allocator pin for the import path: a flat `create_session`,
+//! the second `paste` of the paste-to-export loop (the step that runs
+//! structure learning and type recognition), and `load_session` of the
+//! loop's saved snapshot each stay within a fixed allocation budget.
+//! The script mirrors the `integrate` benchmark workload on a 10-venue
+//! world. This file holds exactly one test because the global allocator
+//! counts every thread in the process.
+
+use copycat_serve::server::{Server, ServerConfig};
+use copycat_services::{World, WorldConfig};
+use copycat_util::bench::CountingAlloc;
+use copycat_util::json::Json;
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc::new();
+
+const WORLD_SEED: u64 = 3;
+const VENUES: usize = 10;
+/// Allocations a flat `create_session` may make once the process has
+/// trained the built-in types.
+const CREATE_BUDGET: u64 = 64;
+/// Allocations the second shelter `paste` may make.
+const PASTE_BUDGET: u64 = 600;
+/// Allocations `load_session` of the loop's snapshot may make.
+const LOAD_BUDGET: u64 = 1_500;
+
+/// Answer `line`, asserting success; returns the result and the
+/// allocations the request made.
+fn counted(server: &Server, line: &str) -> (Json, u64) {
+    let before = ALLOC.snapshot();
+    let resp = server.handle_line(line);
+    let allocs = ALLOC.snapshot().allocs_since(&before);
+    let j = Json::parse(&resp).expect("json response");
+    assert_eq!(j["ok"].as_bool(), Some(true), "request failed: {line} -> {resp}");
+    (j["result"].clone(), allocs)
+}
+
+fn rows_json(rows: &[Vec<String>]) -> String {
+    Json::Arr(rows.iter().map(|r| row_json(r)).collect()).to_string()
+}
+
+fn row_json(row: &[String]) -> Json {
+    Json::Arr(row.iter().map(|c| Json::str(c.as_str())).collect())
+}
+
+#[test]
+fn import_path_allocation_budget() {
+    let world = World::generate(&WorldConfig { seed: WORLD_SEED, venues: VENUES, ..WorldConfig::default() });
+    let (shelters, contacts) = (world.shelter_rows(), world.contact_rows());
+    let server = Server::new(ServerConfig::default());
+    let req = |id: u32, op: &str, rest: &str| {
+        format!(r#"{{"id":{id},"op":"{op}","session":"s"{rest}}}"#)
+    };
+
+    // The first flat session in the process trains the built-ins.
+    counted(&server, r#"{"id":0,"op":"create_session","session":"warm"}"#);
+    let (_, create) = counted(&server, &req(1, "create_session", ""));
+    counted(&server, &req(2, "register_world", &format!(r#","seed":{WORLD_SEED},"venues":{VENUES}"#)));
+    counted(
+        &server,
+        &req(
+            3,
+            "open_doc",
+            &format!(
+                r#","name":"ShelterSheet","headers":["Name","Street","City"],"rows":{}"#,
+                rows_json(&shelters)
+            ),
+        ),
+    );
+    counted(&server, &req(4, "paste", &format!(r#","doc":0,"values":{}"#, row_json(&shelters[0]))));
+    let (_, paste) =
+        counted(&server, &req(5, "paste", &format!(r#","doc":0,"values":{}"#, row_json(&shelters[1]))));
+    counted(&server, &req(6, "accept_rows", ""));
+    counted(&server, &req(7, "name_column", r#","col":0,"name":"Name""#));
+    counted(&server, &req(8, "set_column_type", r#","col":2,"type":"PR-City""#));
+    counted(&server, &req(9, "commit_source", r#","name":"Shelters""#));
+    counted(&server, &req(10, "column_suggestions", ""));
+    counted(&server, &req(11, "accept_column", r#","index":0"#));
+    counted(
+        &server,
+        &req(
+            12,
+            "open_doc",
+            &format!(
+                r#","name":"ContactSheet","headers":["Person","Phone","Venue"],"rows":{}"#,
+                rows_json(&contacts)
+            ),
+        ),
+    );
+    counted(&server, &req(13, "paste", &format!(r#","doc":1,"values":{}"#, row_json(&contacts[0]))));
+    counted(&server, &req(14, "accept_rows", ""));
+    counted(&server, &req(15, "name_column", r#","col":2,"name":"Name""#));
+    counted(&server, &req(16, "commit_source", r#","name":"Contacts""#));
+    let values = Json::Arr(vec![Json::str(shelters[2][1].as_str()), Json::str(contacts[3][1].as_str())]);
+    counted(&server, &req(17, "autocomplete", &format!(r#","values":{values},"k":3"#)));
+    counted(&server, &req(18, "feedback", r#","accept":0"#));
+    let examples: Vec<Json> = contacts
+        .iter()
+        .take(3)
+        .map(|r| Json::Arr(vec![Json::str(r[2].as_str()), Json::str(r[2].as_str())]))
+        .collect();
+    counted(
+        &server,
+        &req(
+            19,
+            "learn_transform",
+            &format!(
+                r#","from":"Contacts","from_col":"Name","to":"Shelters","to_col":"Name","examples":{}"#,
+                Json::Arr(examples)
+            ),
+        ),
+    );
+    let (saved, _) = counted(&server, &req(20, "save_session", ""));
+    let snapshot = saved["snapshot"].as_str().expect("snapshot string").to_string();
+    counted(&server, &req(21, "close_session", ""));
+    let load = req(22, "load_session", &format!(r#","snapshot":{}"#, Json::str(snapshot.as_str())));
+    let (loaded, load) = counted(&server, &load);
+    server.shutdown();
+
+    assert_eq!(loaded["relations"].as_f64(), Some(2.0), "both sources restored: {loaded}");
+    assert!(create <= CREATE_BUDGET, "flat create_session: {create} allocations > {CREATE_BUDGET}");
+    assert!(paste <= PASTE_BUDGET, "second paste: {paste} allocations > {PASTE_BUDGET}");
+    assert!(load <= LOAD_BUDGET, "load_session: {load} allocations > {LOAD_BUDGET}");
+    eprintln!("allocations: create_session {create}, paste {paste}, load_session {load}");
+}

@@ -338,6 +338,75 @@ fn concurrent_fault_injected_sessions_are_deterministic() {
 
 // ------------------------------------------------------- graceful drain
 
+// ------------------------------------------------ shared built-in types
+
+/// A zip column as one session's registry ranks it.
+fn zip_ranking(server: &Server, session: &str) -> String {
+    let zips = ["33063", "33441", "FL", "33302"];
+    let s = server.registry().get(session).expect("session exists");
+    let state = s.state.lock();
+    format!("{:?}", state.engine.registry().recognize_column(&zips))
+}
+
+/// Every flat session layers over one process-wide list of trained
+/// built-in types. Replacing `PR-Zip` from a loaded snapshot's user
+/// types, or refining it with `learn_type`, stays inside that session:
+/// siblings created before and after, on other threads, still rank a
+/// zip column exactly as a fresh engine does.
+#[test]
+fn shared_builtin_types_stay_session_local() {
+    use copycat_util::json::ToJson;
+    let server = Server::new(ServerConfig { workers: 4, queue_depth: 64, shards: 4 });
+    let create = |name: &str| {
+        let resp = server.handle(&format!(r#"{{"id":1,"op":"create_session","session":"{name}"}}"#));
+        assert_eq!(resp["ok"].as_bool(), Some(true), "{resp}");
+    };
+    create("fresh");
+    let expected = zip_ranking(&server, "fresh");
+    assert!(expected.starts_with(r#"[("PR-Zip", RecognitionScore { coverage: 0.75"#), "{expected}");
+    create("before");
+
+    // A snapshot whose user types replace PR-Zip with PR-Street's model.
+    let mut saved = copycat_core::CopyCat::new().save_session();
+    let street = copycat_core::CopyCat::new().registry().get("PR-Street").expect("built-in").patterns.clone();
+    saved.user_types = vec![("PR-Zip".to_string(), street)];
+    let snapshot = Json::str(saved.to_json().to_string());
+
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let resp = server.handle(&format!(
+                r#"{{"id":2,"op":"load_session","session":"loader","snapshot":{snapshot}}}"#
+            ));
+            assert_eq!(resp["ok"].as_bool(), Some(true), "{resp}");
+            assert_ne!(zip_ranking(&server, "loader"), expected, "the snapshot replaced PR-Zip");
+        });
+        scope.spawn(|| {
+            create("refiner");
+            let s = server.registry().get("refiner").expect("session exists");
+            s.state.lock().engine.registry_mut().learn_type("PR-Zip", &["FL", "GA"]);
+            drop(s);
+            assert_ne!(zip_ranking(&server, "refiner"), expected, "learn_type refined PR-Zip");
+        });
+        scope.spawn(|| {
+            for _ in 0..50 {
+                assert_eq!(zip_ranking(&server, "before"), expected);
+            }
+        });
+        scope.spawn(|| {
+            for i in 0..20 {
+                let name = format!("during-{i}");
+                create(&name);
+                assert_eq!(zip_ranking(&server, &name), expected);
+            }
+        });
+    });
+
+    create("after");
+    assert_eq!(zip_ranking(&server, "before"), expected);
+    assert_eq!(zip_ranking(&server, "after"), expected);
+    server.shutdown();
+}
+
 /// Shutdown while clients are mid-flight: every sent request receives a
 /// response (ok or shutting_down), nothing hangs, and the metrics
 /// reconcile.

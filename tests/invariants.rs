@@ -9,7 +9,7 @@ use copycat::linkage::{Metric, TfIdfIndex};
 use copycat::provenance::expr::{BoolSemiring, CountSemiring, TropicalSemiring};
 use copycat::provenance::{witnesses, Provenance};
 use copycat::query::Value;
-use copycat::semantic::{tokenize_value, PatternSet, TokenClass};
+use copycat::semantic::{recognize, tokenize_value, PatternSet, TokenClass};
 use copycat::util::check::{check, Gen, DEFAULT_CASES};
 use copycat::{prop_ensure, prop_ensure_eq};
 
@@ -213,9 +213,9 @@ fn patterns_cover_training() {
         }
         let set = PatternSet::learn(&non_empty);
         prop_ensure!(
-            (set.coverage(&non_empty) - 1.0).abs() < 1e-9,
+            (recognize(&set, &non_empty).coverage - 1.0).abs() < 1e-9,
             "coverage {} on {:?}",
-            set.coverage(&non_empty),
+            recognize(&set, &non_empty).coverage,
             non_empty
         );
         Ok(())
@@ -232,9 +232,9 @@ fn patterns_cover_training_regression() {
     ];
     let set = PatternSet::learn(&values);
     assert!(
-        (set.coverage(&values) - 1.0).abs() < 1e-9,
+        (recognize(&set, &values).coverage - 1.0).abs() < 1e-9,
         "coverage {} over {:?}; patterns: {:?}",
-        set.coverage(&values),
+        recognize(&set, &values).coverage,
         values,
         set.patterns().iter().map(|(p, s)| (p.to_string(), *s)).collect::<Vec<_>>()
     );
