@@ -4,7 +4,7 @@
 //! index records, per file, every `fn` definition (with its body token
 //! range), every `enum` definition (with its variant list), and — per
 //! function — the lock acquisitions, lock-guard bindings with their
-//! liveness ranges, blocking channel/thread calls, and plain call
+//! liveness ranges, blocking channel/thread/condvar calls, and plain call
 //! sites. Cross-file rules ([`crate::rules::TreeRule`]) consume it via
 //! the conservative name-based call graph in [`crate::callgraph`].
 //!
@@ -21,8 +21,11 @@ use crate::lex::TokKind;
 
 /// Method tails that acquire a lock guard.
 pub const ACQUIRERS: [&str; 3] = ["lock", "read", "write"];
-/// Method names that can block on peer progress (channel/thread).
-pub const BLOCKERS: [&str; 4] = ["send", "try_send", "recv", "join"];
+/// Method names that can block on peer progress (channel, thread or
+/// condition variable). The `wait*` ones take a lock guard as their
+/// first argument and release it while they block.
+pub const BLOCKERS: [&str; 7] =
+    ["send", "try_send", "recv", "join", "wait", "wait_while", "wait_timeout"];
 
 /// Idents that look like calls but never resolve to an in-crate `fn`.
 const NON_CALLS: [&str; 13] = [
@@ -89,7 +92,7 @@ pub struct FnDef {
     pub locks: Vec<LockSite>,
     /// `let`-bound guards with liveness.
     pub guards: Vec<GuardSite>,
-    /// Direct blocking calls (`.send(`/`.try_send(`/`.recv(`/`.join(`).
+    /// Direct blocking calls (a `.` then one of [`BLOCKERS`] then `(`).
     pub blocking: Vec<CallSite>,
     /// Every plain call site, for the call graph.
     pub calls: Vec<CallSite>,

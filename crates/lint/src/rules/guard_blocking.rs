@@ -1,29 +1,27 @@
 //! `guard-across-blocking` — no lock guard held across a blocking
-//! channel/thread call.
+//! channel/thread/condvar call.
 //!
-//! The serving layer's backpressure design makes this the deadlock
-//! shape: `util::channel::send`/`recv` block on a condvar until a peer
-//! makes progress, and a worker that blocks while holding a
+//! A thread that blocks until a peer makes progress while holding a
 //! `Mutex`/`RwLock` guard can be the very thing preventing that peer
-//! from progressing (e.g. holding a session lock while `send`ing into a
-//! full queue whose drainer needs the same session). The rule flags a
-//! guard *binding* — a `let` whose initializer ends in `.lock()`,
-//! `.read()` or `.write()` — that is still live in the same block when a
-//! `.send(` / `.try_send(` / `.recv(` / `.join(` call appears. An
-//! explicit `drop(guard)` before the call ends the guard's liveness.
+//! from progressing (e.g. holding a session lock while waiting on the
+//! serving layer's admission gate for a permit whose holder needs the
+//! same session). The rule flags a guard *binding* — a `let` whose
+//! initializer ends in `.lock()`, `.read()` or `.write()` — that is
+//! still live in the same block when a call to one of
+//! [`BLOCKERS`](crate::index::BLOCKERS) appears. An explicit
+//! `drop(guard)` before the call ends the guard's liveness, and so does
+//! a condvar wait that takes the guard itself as its first argument
+//! (`cv.wait(g)`, `cv.wait_while(g, …)`): the condvar releases that
+//! guard while it blocks.
 //!
 //! Temporary guards (`map.read().get(..)` chains that end the statement)
 //! are not bindings and are not flagged.
 
 use crate::file::FileCtx;
 use crate::findings::Finding;
+use crate::index::{ACQUIRERS, BLOCKERS};
 use crate::lex::TokKind;
 use crate::rules::Rule;
-
-/// Method tails that acquire a guard when they end a `let` initializer.
-const ACQUIRERS: [&str; 3] = ["lock", "read", "write"];
-/// Method names that can block on peer progress.
-const BLOCKERS: [&str; 4] = ["send", "try_send", "recv", "join"];
 
 /// The rule. Test code is exempt (tests routinely hold guards across
 /// `join` on purpose, with the full schedule in view).
@@ -81,14 +79,23 @@ impl Rule for GuardAcrossBlocking {
                     && toks.get(k + 1).is_some_and(|t| BLOCKERS.contains(&t.text.as_str()))
                     && text(k + 2) == Some("(")
                 {
+                    let releases_guard = toks[k + 1].text.starts_with("wait")
+                        && text(k + 3) == Some(guard_name.as_str())
+                        && matches!(text(k + 4), Some(",") | Some(")"));
+                    if releases_guard {
+                        // Released while blocked, held again on return:
+                        // keep scanning.
+                        k += 1;
+                        continue;
+                    }
                     ctx.report(
                         out,
                         self.name(),
                         toks[k + 1].line,
                         format!(
                             ".{}( while guard `{}` (acquired line {acquired_line}) is live — \
-                             a blocking call under a lock can deadlock against channel \
-                             backpressure; drop the guard first",
+                             a blocking call under a lock can deadlock against the peer \
+                             it waits for; drop the guard first",
                             toks[k + 1].text, guard_name
                         ),
                     );

@@ -55,6 +55,12 @@ const FIXTURES: &[(&str, &str, &str, &str)] = &[
         include_str!("fixtures/guard_blocking_neg.rs"),
     ),
     (
+        "guard-across-blocking",
+        "crates/query/src/fixture.rs",
+        include_str!("fixtures/guard_blocking_wait_pos.rs"),
+        include_str!("fixtures/guard_blocking_wait_neg.rs"),
+    ),
+    (
         "spawn-discipline",
         "crates/services/src/fixture.rs",
         include_str!("fixtures/spawn_discipline_pos.rs"),

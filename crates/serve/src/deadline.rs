@@ -1,11 +1,11 @@
 //! Per-request deadlines with wall *and* virtual time.
 //!
-//! A request's budget starts at admission, so queue wait counts: a
-//! request that sat behind an overload misses its deadline even if its
-//! handler would have been fast. Handlers check the deadline at
-//! *operator boundaries* — dequeue, after session lookup, and after the
-//! engine operation — never mid-operator, so session state is always a
-//! consistent prefix of the request's effects.
+//! A request's budget starts at admission, so the wait for an execution
+//! permit counts: a request that sat behind an overload misses its
+//! deadline even if its handler would have been fast. Handlers check the
+//! deadline at *operator boundaries* — permit acquired, after session
+//! lookup, and after the engine operation — never mid-operator, so
+//! session state is always a consistent prefix of the request's effects.
 //!
 //! Besides the wall clock, a deadline can be charged **virtual
 //! latency**: [`copycat_services::Flaky`] accrues per-call latency as a

@@ -7,16 +7,16 @@
 //!
 //! - [`registry`] — FxHash-sharded session registry; per-session mutex,
 //!   per-shard `RwLock`, cross-tenant concurrency.
-//! - [`pool`] — bounded worker pool: `try_send` admission, explicit
-//!   `overloaded` rejection, drain-on-shutdown.
 //! - [`deadline`] — per-request budgets spanning wall time *and* the
 //!   virtual latency of fault-injected services.
 //! - [`metrics`] — per-class counters + fixed-bucket latency
 //!   histograms (p50/p99), readable via the `stats` request.
 //! - [`protocol`] — the request/response grammar (see `DESIGN.md`,
 //!   "Serving layer"); parsing borrows the request line (zero-copy).
-//! - [`server`] — admission, dispatch, graceful drain; its
-//!   [`Server::handle_line`] is the in-process transport.
+//! - [`server`] — the admission gate (bounded permits and waiters,
+//!   explicit `overloaded` rejection), dispatch on the caller's thread,
+//!   graceful drain; its [`Server::handle_line`] is the in-process
+//!   transport.
 //! - [`router`] — consistent-hash placement across N in-process
 //!   shards, per-session WAL + snapshot durability (via
 //!   `copycat-store`), kill-and-recover by deterministic replay, and
@@ -31,7 +31,6 @@
 
 pub mod deadline;
 pub mod metrics;
-pub mod pool;
 pub mod protocol;
 pub mod registry;
 pub mod router;
@@ -41,7 +40,6 @@ pub mod tcp;
 
 pub use deadline::Deadline;
 pub use metrics::{ClassMetrics, Metrics};
-pub use pool::{Job, Pool, SubmitError};
 pub use protocol::{err_response, ok_response, ErrorKind, Op, Request};
 pub use registry::{RegistryError, Session, SessionRegistry, SessionState};
 pub use router::{MigrationReport, Router, RouterConfig};

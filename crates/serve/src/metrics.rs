@@ -1,16 +1,17 @@
 //! The server's metrics registry: counters and latency histograms per
 //! request class, aggregated once and read by the `stats` request.
 //!
-//! Everything is lock-free after construction — workers record with
-//! Release increments, the stats reader reconciles with Acquire loads
-//! ([`copycat_util::hist::Histogram`] underneath), and the snapshot
-//! walks the fixed [`Op::ALL`] table. The orderings matter because the
-//! drain invariant (`responses <= total`, with equality at quiescence)
-//! is checked by reconciling counters written by different threads: a
-//! request's `total` increment happens-before its outcome increment
-//! via the job channel, so a snapshot that reads outcomes *first* and
-//! totals *second* (see [`snapshot_json`](Metrics::snapshot_json)) can
-//! never observe a response without its admission.
+//! Everything is lock-free after construction — request threads record
+//! with Release increments, the stats reader reconciles with Acquire
+//! loads ([`copycat_util::hist::Histogram`] underneath), and the
+//! snapshot walks the fixed [`Op::ALL`] table. The orderings matter
+//! because the drain invariant (`responses <= total`, with equality at
+//! quiescence) is checked by a reader on another thread: a request's
+//! `total` increment and its outcome increment happen on the one thread
+//! that runs the request, so the first is sequenced-before the second.
+//! A snapshot that reads outcomes *first* and totals *second* (see
+//! [`snapshot_json`](Metrics::snapshot_json)) therefore never observes a
+//! response without its admission.
 //!
 //! Latency is recorded for
 //! *executed* requests; `overloaded` rejections are counted but not
@@ -75,8 +76,8 @@ impl Metrics {
 
     /// Count a success and record its latency. Outcome increments are
     /// Release so an Acquire reader that observes one also observes
-    /// everything the worker published before it (the latency record,
-    /// and — via the job channel's edges — the admission increment).
+    /// everything sequenced before it on the request's thread: the
+    /// latency record and the admission increment.
     pub fn ok(&self, op: Op, us: u64) {
         let c = self.class(op);
         c.latency.record_us(us);
@@ -135,10 +136,10 @@ impl Metrics {
     /// zero traffic omitted.
     pub fn snapshot_json(&self) -> Json {
         // Read outcomes before totals: an outcome's Release increment
-        // happened-after its admission's (via the job channel), so the
-        // later Acquire load of `total` sees every admission behind an
-        // observed response — `responses <= total` holds even while
-        // workers are racing the snapshot.
+        // is sequenced-after its admission's on the request's thread,
+        // so the later Acquire load of `total` sees every admission
+        // behind an observed response — `responses <= total` holds even
+        // while requests are racing the snapshot.
         let responses = self.grand_responses();
         let grand_total = self.grand_total();
         let mut classes = Vec::new();

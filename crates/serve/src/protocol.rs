@@ -13,7 +13,8 @@
 //! `deadline_ms` is an optional per-request budget: queue wait, lock
 //! wait, execution, and any *virtual* service latency accrued by
 //! [`copycat_services::Flaky`] probes all draw from it, and the server
-//! checks it at operator boundaries (dequeue, post-lookup, post-engine).
+//! checks it at operator boundaries (permit acquired, post-lookup,
+//! post-engine).
 //!
 //! A response is `{"id": …, "ok": true, "result": {…}}` or
 //! `{"id": …, "ok": false, "error": {"kind": "…", "message": "…"}}`.
@@ -26,10 +27,10 @@
 //! parameters are slices of the line (or of the parse arena, when they
 //! contained escapes); the id is echoed as the verbatim input slice; a
 //! warm parse of a hot-path request performs no heap allocation. The
-//! backing `(ZDoc, line)` pair is owned by whoever carries the request
-//! across threads (see [`crate::pool::Job`]) and pooled for reuse by
-//! the server's front door. Responses are assembled in a thread-local
-//! scratch buffer and copied out once at exact size.
+//! backing [`ZDoc`] is pooled for reuse by the server's front door,
+//! and the request runs on the caller's thread while it borrows the
+//! caller's line. Responses are assembled in a thread-local scratch
+//! buffer and copied out once at exact size.
 
 use copycat_util::json::{self, Json, JsonError};
 use copycat_util::zjson::{ZDoc, ZRef};
@@ -318,8 +319,8 @@ impl<'d> Request<'d> {
     }
 
     /// Rebuild the borrowed view over a doc + line pair that already
-    /// parsed successfully — e.g. after both were moved (owned) across
-    /// a worker queue. Re-slices the flat DOM; no re-parse. Returns
+    /// parsed successfully — e.g. after both were moved (owned) to
+    /// another thread. Re-slices the flat DOM; no re-parse. Returns
     /// `None` if the pair never held a parsed request.
     pub fn rejoin(doc: &'d ZDoc, line: &'d str) -> Option<Request<'d>> {
         let body = doc.root(line)?;
@@ -380,9 +381,9 @@ impl<'d> Request<'d> {
 // Response serialization: pooled scratch in, one exact-size copy out.
 // lint:hotpath(begin)
 thread_local! {
-    /// Per-worker response assembly buffer: responses are serialized
-    /// here, then copied out once at exact size, so steady-state
-    /// serialization never grows a fresh buffer.
+    /// Per-connection-thread response assembly buffer: responses are
+    /// serialized here, then copied out once at exact size, so
+    /// steady-state serialization never grows a fresh buffer.
     static RESPONSE_SCRATCH: RefCell<String> = const { RefCell::new(String::new()) };
 }
 

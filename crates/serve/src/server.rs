@@ -1,19 +1,24 @@
-//! The session server: admission → bounded pool → per-session engine
-//! dispatch → metrics, with graceful drain.
+//! The session server: admission gate → per-session engine dispatch →
+//! metrics, with graceful drain.
 //!
 //! [`Server::handle_line`] *is* the in-process transport: callers hand
 //! it one request line and block for the one response line. The TCP
 //! listener ([`crate::tcp`]) is a thin byte pump over the same method,
 //! so tests and benches exercise exactly the code a socket client hits.
+//! The request runs on the caller's own thread; there is no worker
+//! pool and no hand-off.
 //!
 //! Request lifecycle and where deadlines are checked:
 //!
 //! 1. **Parse** — failures are counted under the synthetic `invalid`
 //!    class and answered `bad_request` inline.
-//! 2. **Admission** — draining servers answer `shutting_down`; a full
-//!    queue answers `overloaded`. The deadline starts here, so time
-//!    spent queued counts against the budget.
-//! 3. **Dequeue** (worker) — expired requests answer `timeout` without
+//! 2. **Admission** — draining servers answer `shutting_down`. The
+//!    deadline starts here, then the caller takes one of `workers`
+//!    permits from the [`Gate`], waiting for one if all are out and
+//!    fewer than `queue_depth` callers already wait; otherwise it is
+//!    answered `overloaded`. Time spent waiting counts against the
+//!    budget.
+//! 3. **Permit acquired** — expired requests answer `timeout` without
 //!    touching any session.
 //! 4. **Post-lookup** — after the session lock is taken but before the
 //!    engine runs.
@@ -28,7 +33,6 @@
 
 use crate::deadline::Deadline;
 use crate::metrics::Metrics;
-use crate::pool::{Job, Pool, SubmitError};
 use crate::protocol::{err_response, ok_response, ErrorKind, Op, Request};
 use crate::registry::{SessionRegistry, SessionState};
 use copycat_core::{explain, export, CopyCat, WorldBase};
@@ -45,15 +49,15 @@ use copycat_util::sync::Mutex;
 use copycat_util::zjson::ZDoc;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::sync_channel;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, PoisonError};
 
-/// Pool and registry sizing.
+/// Admission and registry sizing.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads executing requests.
+    /// Requests executing at once (permits of the admission gate).
     pub workers: usize,
-    /// Admission queue depth; beyond it requests are `overloaded`.
+    /// Callers that may wait for a permit; beyond it requests are
+    /// `overloaded`.
     pub queue_depth: usize,
     /// Registry shard count (rounded up to a power of two).
     pub shards: usize,
@@ -65,32 +69,92 @@ impl Default for ServerConfig {
     }
 }
 
-/// A pooled line buffer larger than this is dropped instead of
-/// returned, so one pathological request cannot pin megabytes.
-const MAX_POOLED_LINE_CAPACITY: usize = 64 * 1024;
+/// The parse index of a line longer than this is dropped instead of
+/// pooled, so one pathological request cannot pin megabytes.
+const MAX_POOLED_LINE_LEN: usize = 64 * 1024;
 
-/// State shared between the front door and the workers.
-pub(crate) struct Inner {
-    registry: SessionRegistry,
-    metrics: Metrics,
-    accepting: AtomicBool,
-    /// Reusable `(parse index, line buffer)` pairs: taken at admission,
-    /// returned by the worker after the response is rendered. Warm,
-    /// request handling performs no parse-side allocations.
-    scratch: Mutex<Vec<(ZDoc, String)>>,
-    /// Upper bound on pooled pairs — enough for every queue slot plus
-    /// every in-flight worker.
-    scratch_cap: usize,
-    /// Shared world bases, memoized by `(seed, venues)`: every
-    /// `create_session {"world": …}` naming the same config overlays the
-    /// same frozen base (see [`WorldBase`]).
-    worlds: Mutex<FxHashMap<(u64, usize), Arc<WorldBase>>>,
+/// The admission gate: at most `permits` requests execute at once and
+/// at most `max_waiting` more wait for a permit. Beyond that a request
+/// is turned away *now* instead of joining a backlog whose every entry
+/// would miss its deadline anyway. Waiters are not served in arrival
+/// order; deadlines bound how long any one of them waits.
+struct Gate {
+    /// `(running, waiting)`.
+    occupancy: Mutex<(usize, usize)>,
+    /// Signalled when a permit is returned while someone waits.
+    freed: Condvar,
+    permits: usize,
+    max_waiting: usize,
+}
+
+/// One execution slot. Dropping it returns the slot — on unwind too, so
+/// a panicking handler leaks no permit.
+struct Permit<'g>(&'g Gate);
+
+impl Gate {
+    fn new(permits: usize, max_waiting: usize) -> Gate {
+        Gate {
+            occupancy: Mutex::new((0, 0)),
+            freed: Condvar::new(),
+            permits: permits.max(1),
+            max_waiting,
+        }
+    }
+
+    /// Take a permit, waiting for one if all are out and the waiting
+    /// room has space; `None` if it has none.
+    fn enter(&self) -> Option<Permit<'_>> {
+        let mut occupancy = self.occupancy.lock();
+        if occupancy.0 >= self.permits {
+            if occupancy.1 >= self.max_waiting {
+                return None;
+            }
+            occupancy.1 += 1;
+            occupancy = self
+                .freed
+                .wait_while(occupancy, |(running, _)| *running >= self.permits)
+                .unwrap_or_else(PoisonError::into_inner);
+            occupancy.1 -= 1;
+        }
+        occupancy.0 += 1;
+        Some(Permit(self))
+    }
+
+    /// Callers currently waiting for a permit.
+    fn waiting(&self) -> usize {
+        self.occupancy.lock().1
+    }
+}
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        let mut occupancy = self.0.occupancy.lock();
+        occupancy.0 -= 1;
+        let wake = occupancy.1 > 0;
+        drop(occupancy);
+        if wake {
+            self.0.freed.notify_one();
+        }
+    }
 }
 
 /// The multi-tenant session server.
 pub struct Server {
-    inner: Arc<Inner>,
-    pool: Pool,
+    registry: SessionRegistry,
+    metrics: Metrics,
+    accepting: AtomicBool,
+    gate: Gate,
+    /// Reusable parse indexes: taken per request, returned after the
+    /// response is rendered. Warm, request handling performs no
+    /// parse-side allocations.
+    docs: Mutex<Vec<ZDoc>>,
+    /// Upper bound on pooled docs — enough for every permit holder and
+    /// every waiter.
+    docs_cap: usize,
+    /// Shared world bases, memoized by `(seed, venues)`: every
+    /// `create_session {"world": …}` naming the same config overlays the
+    /// same frozen base (see [`WorldBase`]).
+    worlds: Mutex<FxHashMap<(u64, usize), Arc<WorldBase>>>,
 }
 
 type OpResult = Result<Json, (ErrorKind, String)>;
@@ -149,21 +213,15 @@ fn jhealth(snap: &HealthSnapshot) -> Json {
 impl Server {
     /// A server with the given sizing.
     pub fn new(config: ServerConfig) -> Server {
-        let inner = Arc::new(Inner {
+        Server {
             registry: SessionRegistry::new(config.shards),
             metrics: Metrics::new(),
             accepting: AtomicBool::new(true),
-            scratch: Mutex::new(Vec::new()),
-            scratch_cap: config.workers + config.queue_depth + 1,
+            gate: Gate::new(config.workers, config.queue_depth),
+            docs: Mutex::new(Vec::new()),
+            docs_cap: config.workers + config.queue_depth + 1,
             worlds: Mutex::new(FxHashMap::default()),
-        });
-        let worker_inner = Arc::clone(&inner);
-        let pool = Pool::new(
-            config.workers,
-            config.queue_depth,
-            Arc::new(move |job| worker_inner.handle_job(job)),
-        );
-        Server { inner, pool }
+        }
     }
 
     /// A server with default sizing.
@@ -173,100 +231,101 @@ impl Server {
 
     /// The metrics registry (test/bench introspection).
     pub fn metrics(&self) -> &Metrics {
-        &self.inner.metrics
+        &self.metrics
     }
 
     /// The session registry (test introspection).
     pub fn registry(&self) -> &SessionRegistry {
-        &self.inner.registry
+        &self.registry
     }
 
     /// Whether the server has begun draining.
     pub fn draining(&self) -> bool {
-        !self.inner.accepting.load(Ordering::SeqCst)
+        !self.accepting.load(Ordering::SeqCst)
     }
 
-    /// Jobs currently queued.
+    /// Callers currently waiting for an execution permit.
     pub fn queued(&self) -> usize {
-        self.pool.queued()
+        self.gate.waiting()
     }
 
-    /// Handle one request line, blocking until its response line.
+    /// Handle one request line on the calling thread, blocking until its
+    /// response line.
     ///
     /// This is the in-process transport: every transport funnels here.
     pub fn handle_line(&self, line: &str) -> String {
-        let metrics = &self.inner.metrics;
-        let (mut doc, mut buf) = self.inner.take_scratch();
-        buf.push_str(line);
-        // Parsed fields borrow `doc`/`buf`; extract the `Copy` envelope
-        // (or render an inline response) so the borrows end before both
-        // move into the job.
-        enum Parsed {
-            Admit { op: Op, id_span: Option<(u32, u32)>, deadline_ms: Option<u64> },
-            Inline(String),
-        }
-        let parsed = match Request::parse(&mut doc, &buf) {
-            Ok(req) => {
-                let op = req.op;
-                metrics.admitted(op);
-                // `shutdown` is handled inline: it must work even when
-                // the queue is full, and it is what closes the front
-                // door.
-                if op == Op::Shutdown {
-                    self.inner.accepting.store(false, Ordering::SeqCst);
-                    metrics.ok(op, 0);
-                    Parsed::Inline(ok_response(req.id, &obj(vec![("draining", Json::Bool(true))])))
-                } else if self.draining() {
-                    metrics.shed(op);
-                    Parsed::Inline(err_response(req.id, ErrorKind::ShuttingDown, "server is draining"))
-                } else {
-                    Parsed::Admit {
-                        op,
-                        id_span: req.body.get("id").map(|v| v.raw_span()),
-                        deadline_ms: req.deadline_ms,
-                    }
-                }
+        let mut doc = self.docs.lock().pop().unwrap_or_default();
+        let resp = self.respond(&mut doc, line);
+        // The doc's node/arena capacity is the whole point of pooling:
+        // a warm doc parses the next request without allocating.
+        if line.len() <= MAX_POOLED_LINE_LEN {
+            let mut docs = self.docs.lock();
+            if docs.len() < self.docs_cap {
+                docs.push(doc);
             }
+        }
+        resp
+    }
+
+    fn respond(&self, doc: &mut ZDoc, line: &str) -> String {
+        let metrics = &self.metrics;
+        let req = match Request::parse(doc, line) {
+            Ok(req) => req,
             Err((id, msg)) => {
                 metrics.admitted(Op::Invalid);
                 metrics.error(Op::Invalid, 0);
-                Parsed::Inline(err_response(id, ErrorKind::BadRequest, &msg))
+                return err_response(id, ErrorKind::BadRequest, &msg);
             }
         };
-        let (op, id_span, deadline_ms) = match parsed {
-            Parsed::Inline(resp) => {
-                self.inner.put_scratch(doc, buf);
-                return resp;
-            }
-            Parsed::Admit { op, id_span, deadline_ms } => (op, id_span, deadline_ms),
+        let op = req.op;
+        metrics.admitted(op);
+        // `shutdown` is handled inline: it must work even when every
+        // permit is out, and it is what closes the front door.
+        if op == Op::Shutdown {
+            self.accepting.store(false, Ordering::SeqCst);
+            metrics.ok(op, 0);
+            return ok_response(req.id, &obj(vec![("draining", Json::Bool(true))]));
+        }
+        if self.draining() {
+            metrics.shed(op);
+            return err_response(req.id, ErrorKind::ShuttingDown, "server is draining");
+        }
+        let mut deadline = Deadline::starting_now(req.deadline_ms);
+        let Some(permit) = self.gate.enter() else {
+            metrics.overloaded(op);
+            return err_response(req.id, ErrorKind::Overloaded, "admission queue full; retry");
         };
-        let deadline = Deadline::starting_now(deadline_ms);
-        let (reply, reply_rx) = sync_channel(1);
-        let job = Job { line: buf, doc, op, id_span, deadline, reply };
-        match self.pool.submit(job) {
-            Ok(()) => match reply_rx.recv() {
-                Ok(resp) => resp,
-                Err(_) => {
-                    // Unreachable by construction (workers always reply,
-                    // even for drained jobs) — but never hang a client.
-                    metrics.error(op, 0);
-                    err_response("null", ErrorKind::Internal, "worker dropped the reply")
+        if deadline.expired() {
+            drop(permit);
+            metrics.timeout(op, deadline.spent_us());
+            return err_response(req.id, ErrorKind::Timeout, "deadline exceeded while queued");
+        }
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            let _permit = permit;
+            self.dispatch(&req, &mut deadline)
+        }));
+        let spent = deadline.spent_us();
+        match result {
+            Ok(Ok(json)) => {
+                if deadline.expired() {
+                    metrics.timeout(op, spent);
+                    err_response(req.id, ErrorKind::Timeout, "deadline exceeded during execution")
+                } else {
+                    metrics.ok(op, spent);
+                    ok_response(req.id, &json)
                 }
-            },
-            Err((job, SubmitError::Full)) => {
-                metrics.overloaded(op);
-                let resp =
-                    err_response(job.id_raw(), ErrorKind::Overloaded, "admission queue full; retry");
-                let Job { line, doc, .. } = job;
-                self.inner.put_scratch(doc, line);
-                resp
             }
-            Err((job, SubmitError::Closed)) => {
-                metrics.shed(op);
-                let resp = err_response(job.id_raw(), ErrorKind::ShuttingDown, "server is draining");
-                let Job { line, doc, .. } = job;
-                self.inner.put_scratch(doc, line);
-                resp
+            Ok(Err((kind, msg))) => {
+                if kind == ErrorKind::Timeout {
+                    metrics.timeout(op, spent);
+                } else {
+                    metrics.error(op, spent);
+                }
+                err_response(req.id, kind, &msg)
+            }
+            Err(_) => {
+                metrics.error(op, spent);
+                err_response(req.id, ErrorKind::Internal, "handler panicked")
             }
         }
     }
@@ -278,35 +337,11 @@ impl Server {
         Json::parse(&self.handle_line(line)).expect("server responses are valid JSON")
     }
 
-    /// Graceful shutdown: stop admitting, drain queued work, join the
-    /// workers. Every already-admitted request still gets its response.
+    /// Graceful shutdown: stop admitting. Consuming the server proves no
+    /// `handle_line` call is still running, so every admitted request
+    /// has already had its response.
     pub fn shutdown(self) {
-        self.inner.accepting.store(false, Ordering::SeqCst);
-        self.pool.shutdown();
-    }
-}
-
-impl Inner {
-    /// A `(doc, line)` scratch pair, pooled or fresh.
-    fn take_scratch(&self) -> (ZDoc, String) {
-        self.scratch
-            .lock()
-            .pop()
-            .unwrap_or_else(|| (ZDoc::new(), String::new()))
-    }
-
-    /// Return a scratch pair for reuse. The doc's node/arena capacity is
-    /// the whole point — a warm pair parses the next request without
-    /// allocating.
-    fn put_scratch(&self, doc: ZDoc, mut line: String) {
-        if line.capacity() > MAX_POOLED_LINE_CAPACITY {
-            return;
-        }
-        line.clear();
-        let mut pool = self.scratch.lock();
-        if pool.len() < self.scratch_cap {
-            pool.push((doc, line));
-        }
+        self.accepting.store(false, Ordering::SeqCst);
     }
 
     /// The memoized shared base for one world config. Built under the
@@ -318,61 +353,6 @@ impl Inner {
                 .entry((config.seed, config.venues))
                 .or_insert_with(|| Arc::new(WorldBase::synthetic(config))),
         )
-    }
-
-    fn handle_job(&self, job: Job) {
-        let Job { line, doc, op, id_span, mut deadline, reply } = job;
-        if deadline.expired() {
-            self.metrics.timeout(op, deadline.spent_us());
-            let id = match id_span {
-                Some((start, end)) => &line[start as usize..end as usize],
-                None => "null",
-            };
-            let _ = reply.send(err_response(id, ErrorKind::Timeout, "deadline exceeded while queued"));
-            self.put_scratch(doc, line);
-            return;
-        }
-        let resp = match Request::rejoin(&doc, &line) {
-            // Unreachable by construction: every admitted job carries
-            // the doc its line parsed into.
-            None => {
-                self.metrics.error(op, deadline.spent_us());
-                err_response("null", ErrorKind::Internal, "request line lost in transit")
-            }
-            Some(req) => {
-                let result = catch_unwind(AssertUnwindSafe(|| self.dispatch(&req, &mut deadline)));
-                let spent = deadline.spent_us();
-                match result {
-                    Ok(Ok(json)) => {
-                        if deadline.expired() {
-                            self.metrics.timeout(op, spent);
-                            err_response(
-                                req.id,
-                                ErrorKind::Timeout,
-                                "deadline exceeded during execution",
-                            )
-                        } else {
-                            self.metrics.ok(op, spent);
-                            ok_response(req.id, &json)
-                        }
-                    }
-                    Ok(Err((kind, msg))) => {
-                        if kind == ErrorKind::Timeout {
-                            self.metrics.timeout(op, spent);
-                        } else {
-                            self.metrics.error(op, spent);
-                        }
-                        err_response(req.id, kind, &msg)
-                    }
-                    Err(_) => {
-                        self.metrics.error(op, spent);
-                        err_response(req.id, ErrorKind::Internal, "handler panicked")
-                    }
-                }
-            }
-        };
-        let _ = reply.send(resp);
-        self.put_scratch(doc, line);
     }
 
     /// Run a session-scoped op under the session lock, charging any
@@ -670,10 +650,10 @@ impl Inner {
                     s.engine.list_transforms().iter().map(jtransform).collect();
                 Ok(obj(vec![("transforms", Json::Arr(listed))]))
             }),
-            // Handled inline at admission; a worker never sees them.
+            // Handled inline at admission; dispatch never sees them.
             Op::Shutdown | Op::Invalid => Err((
                 ErrorKind::Internal,
-                format!("{:?} must not reach the pool", req.op),
+                format!("{:?} must not reach dispatch", req.op),
             )),
         }
     }
@@ -918,4 +898,26 @@ fn rows_param(req: &Request, key: &str) -> Result<Vec<Vec<String>>, (ErrorKind, 
                 .collect()
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Gate;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    #[test]
+    fn a_panicking_permit_holder_returns_its_permit() {
+        // No waiting room: a leaked permit would turn the next caller
+        // away instead of letting it wait forever.
+        let gate = Gate::new(1, 0);
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            let _permit = gate.enter().expect("a free permit");
+            panic!("injected handler failure");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(*gate.occupancy.lock(), (0, 0));
+        let permit = gate.enter();
+        assert!(permit.is_some(), "the permit came back");
+        assert!(gate.enter().is_none(), "one permit, no waiting room");
+    }
 }

@@ -14,7 +14,8 @@ use std::net::{TcpListener, TcpStream};
 use std::thread;
 
 /// Serve `listener` until a client issues `shutdown`, then drain and
-/// return. Consumes the server (shutdown joins its workers).
+/// return. Consumes the server, which needs every connection thread
+/// joined first.
 pub fn serve(listener: TcpListener, server: Server) -> std::io::Result<()> {
     let addr = listener.local_addr()?;
     // A scope (rather than detached spawns) guarantees every connection

@@ -1,7 +1,8 @@
 //! Counting-allocator pin for the import path: a flat `create_session`,
 //! the second `paste` of the paste-to-export loop (the step that runs
 //! structure learning and type recognition), and `load_session` of the
-//! loop's saved snapshot each stay within a fixed allocation budget.
+//! loop's saved snapshot each stay within a fixed allocation budget, as
+//! does a warm `ping` — the admission and dispatch path alone.
 //! The script mirrors the `integrate` benchmark workload on a 10-venue
 //! world. This file holds exactly one test because the global allocator
 //! counts every thread in the process.
@@ -23,6 +24,8 @@ const CREATE_BUDGET: u64 = 64;
 const PASTE_BUDGET: u64 = 600;
 /// Allocations `load_session` of the loop's snapshot may make.
 const LOAD_BUDGET: u64 = 1_500;
+/// Allocations a warm `ping` may make.
+const PING_BUDGET: u64 = 5;
 
 /// Answer `line`, asserting success; returns the result and the
 /// allocations the request made.
@@ -115,11 +118,16 @@ fn import_path_allocation_budget() {
     counted(&server, &req(21, "close_session", ""));
     let load = req(22, "load_session", &format!(r#","snapshot":{}"#, Json::str(snapshot.as_str())));
     let (loaded, load) = counted(&server, &load);
+    counted(&server, r#"{"id":23,"op":"ping"}"#);
+    let (_, ping) = counted(&server, r#"{"id":24,"op":"ping"}"#);
     server.shutdown();
 
     assert_eq!(loaded["relations"].as_f64(), Some(2.0), "both sources restored: {loaded}");
     assert!(create <= CREATE_BUDGET, "flat create_session: {create} allocations > {CREATE_BUDGET}");
     assert!(paste <= PASTE_BUDGET, "second paste: {paste} allocations > {PASTE_BUDGET}");
     assert!(load <= LOAD_BUDGET, "load_session: {load} allocations > {LOAD_BUDGET}");
-    eprintln!("allocations: create_session {create}, paste {paste}, load_session {load}");
+    assert!(ping <= PING_BUDGET, "warm ping: {ping} allocations > {PING_BUDGET}");
+    eprintln!(
+        "allocations: create_session {create}, paste {paste}, load_session {load}, ping {ping}"
+    );
 }

@@ -2,7 +2,7 @@
 //!
 //! The contract under test: a [`Router`] with a durable store that is
 //! *dropped without shutdown* (the crash simulation — buffered journal
-//! records and worker pools die abruptly) and then rebuilt with
+//! records and in-memory sessions die abruptly) and then rebuilt with
 //! [`Router::recover`] serves **byte-identical** responses to a control
 //! router that never crashed. Determinism of the protocol (responses
 //! carry no timing, engines are seeded) is what makes replay a correct

@@ -459,6 +459,101 @@ fn shutdown_drains_in_flight_requests_without_dropping_responses() {
     server.shutdown();
 }
 
+/// Poll until `n` callers wait at the admission gate. With every permit
+/// out, a waiter is what proves the permit holders are parked.
+fn await_waiters(server: &Server, n: usize) {
+    let start = std::time::Instant::now();
+    while server.queued() < n {
+        assert!(start.elapsed().as_secs() < 10, "only {} of {n} waiters arrived", server.queued());
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+}
+
+/// One permit, one waiting slot: A parks holding the permit (the test
+/// holds its session's lock), B waits for the permit, and C is turned
+/// away `overloaded` at once, counted under its class. After release, A
+/// and B both answer ok.
+#[test]
+fn full_gate_answers_overloaded_and_counts_it() {
+    let server = Server::new(ServerConfig { workers: 1, queue_depth: 1, shards: 2 });
+    let created = server.handle("{\"id\":0,\"op\":\"create_session\",\"session\":\"s\"}");
+    assert_eq!(created["ok"].as_bool(), Some(true), "{created}");
+    let session = server.registry().get("s").expect("session exists");
+    let held = session.state.lock();
+    std::thread::scope(|scope| {
+        let parked: Vec<_> = ["a", "b"]
+            .into_iter()
+            .map(|id| {
+                let server = &server;
+                scope.spawn(move || {
+                    server.handle(&format!("{{\"id\":\"{id}\",\"op\":\"render\",\"session\":\"s\"}}"))
+                })
+            })
+            .collect();
+        await_waiters(&server, 1);
+        let c = server.handle("{\"id\":\"c\",\"op\":\"ping\"}");
+        assert_eq!(c["error"]["kind"].as_str(), Some("overloaded"), "{c}");
+        assert_eq!(c["id"].as_str(), Some("c"), "{c}");
+        assert_eq!(server.metrics().class(Op::Ping).overloaded.load(std::sync::atomic::Ordering::Acquire), 1);
+        drop(held);
+        for handle in parked {
+            let resp = handle.join().expect("client thread");
+            assert_eq!(resp["ok"].as_bool(), Some(true), "{resp}");
+        }
+    });
+    let stats = server.handle("{\"id\":9,\"op\":\"stats\"}");
+    let classes = &stats["result"]["server"]["classes"];
+    assert_eq!(classes["ping"]["overloaded"].as_f64(), Some(1.0), "{stats}");
+    assert_eq!(classes["render"]["ok"].as_f64(), Some(2.0), "{stats}");
+    server.shutdown();
+}
+
+/// Shutdown while callers are parked at the admission gate: each one was
+/// admitted before the drain, so each still gets exactly one response;
+/// a request after the drain is shed; the metrics reconcile.
+#[test]
+fn shutdown_with_parked_waiters_answers_every_request_once() {
+    const PARKED: usize = 5;
+    let server = Server::new(ServerConfig { workers: 1, queue_depth: 8, shards: 2 });
+    let created = server.handle("{\"id\":0,\"op\":\"create_session\",\"session\":\"s\"}");
+    assert_eq!(created["ok"].as_bool(), Some(true), "{created}");
+    let session = server.registry().get("s").expect("session exists");
+    let held = session.state.lock();
+    let responses: Vec<Json> = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..PARKED)
+            .map(|i| {
+                let server = &server;
+                scope.spawn(move || {
+                    server.handle(&format!("{{\"id\":{i},\"op\":\"render\",\"session\":\"s\"}}"))
+                })
+            })
+            .collect();
+        // One caller holds the permit, parked on the session lock; the
+        // rest wait for it.
+        await_waiters(&server, PARKED - 1);
+        let drain = server.handle("{\"id\":\"drain\",\"op\":\"shutdown\"}");
+        assert_eq!(drain["result"]["draining"].as_bool(), Some(true), "{drain}");
+        let late = server.handle("{\"id\":\"late\",\"op\":\"ping\"}");
+        assert_eq!(late["error"]["kind"].as_str(), Some("shutting_down"), "{late}");
+        drop(held);
+        clients.into_iter().map(|c| c.join().expect("client thread")).collect()
+    });
+    let mut ids: Vec<usize> = responses
+        .iter()
+        .map(|r| {
+            assert_eq!(r["ok"].as_bool(), Some(true), "{r}");
+            r["id"].as_f64().expect("numeric id") as usize
+        })
+        .collect();
+    ids.sort_unstable();
+    assert_eq!(ids, (0..PARKED).collect::<Vec<_>>(), "one response per request");
+    // create + parked + shutdown + late.
+    let sent = PARKED as u64 + 3;
+    assert_eq!(server.metrics().grand_total(), sent);
+    assert_eq!(server.metrics().grand_responses(), sent);
+    server.shutdown();
+}
+
 // ------------------------------------------- deadlines + fault injection
 
 fn setup_session_with_flaky(server: &Server, latency_ms: u64) {
@@ -534,7 +629,8 @@ fn virtual_service_latency_trips_deadlines_deterministically() {
 }
 
 /// Deadlines also fire while queued: a request admitted with an already
-/// elapsed budget times out at dequeue without touching the session.
+/// elapsed budget times out once it holds a permit, without touching the
+/// session.
 #[test]
 fn zero_budget_requests_time_out_at_dequeue() {
     let server = Server::new(ServerConfig::default());

@@ -1,7 +1,7 @@
 //! Fixed-bucket latency histograms with lock-free recording.
 //!
 //! The serving layer's metrics registry wants per-request-class latency
-//! quantiles that many worker threads can record into without
+//! quantiles that many request threads can record into without
 //! coordination. [`Histogram`] uses a fixed bucket ladder over
 //! microseconds (1µs … 10s, plus an overflow bucket) and atomic
 //! counters, so `record` is a single `fetch_add` and quantiles are a

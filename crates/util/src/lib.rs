@@ -20,9 +20,6 @@
 //!   median/p95 reporting (replaces `criterion`).
 //! - [`sync`] — non-poisoning `Mutex`/`RwLock` wrappers over `std`
 //!   (replaces `parking_lot`).
-//! - [`channel`] — a bounded MPMC channel with non-blocking
-//!   backpressure (`try_send` → `Full`) and drain-on-close semantics
-//!   (replaces `crossbeam-channel` for the serving layer's pools).
 //! - [`hist`] — lock-free fixed-bucket latency histograms with
 //!   p50/p99 estimates (the metrics registry's primitive).
 //! - [`checksum`] — CRC-32 (IEEE) for WAL records and snapshots
@@ -39,7 +36,6 @@
 //! same machine.
 
 pub mod bench;
-pub mod channel;
 pub mod check;
 pub mod checksum;
 pub mod hash;
