@@ -19,7 +19,7 @@ use copycat_document::{Clipboard, Document, DocumentId};
 use copycat_extract::{execute as run_wrapper, refine, ScoredWrapper, StructureLearner, Wrapper};
 use copycat_graph::{
     discover_associations, AssocOptions, EdgeId, EdgeKind, Mira, NodeId, SourceGraph,
-    SUGGESTION_COST_THRESHOLD,
+    SteinerTree, SUGGESTION_COST_THRESHOLD,
 };
 use copycat_linkage::{LabeledPair, MatchLearner, Matcher, TfIdfIndex};
 use copycat_query::{Catalog, Field, Plan, Relation, Schema, Service};
@@ -724,6 +724,24 @@ impl CopyCat {
     /// query, and promote the chosen edge over the alternatives that were
     /// shown (MIRA constraint per §4.2).
     pub fn accept_column(&mut self, sugg: &ColumnSuggestion) {
+        let shown = std::mem::take(&mut self.last_shown);
+        self.accept_among(sugg, &shown);
+    }
+
+    /// [`Self::accept_column`] for the `i`th suggestion of the last
+    /// [`Self::column_suggestions`] list. False when there is none.
+    pub fn accept_shown_column(&mut self, i: usize) -> bool {
+        if i >= self.last_shown.len() {
+            return false;
+        }
+        let shown = std::mem::take(&mut self.last_shown);
+        self.accept_among(&shown[i], &shown);
+        true
+    }
+
+    /// Accept `sugg` over the `shown` list it came from (which the
+    /// caller has already taken out of `last_shown`).
+    fn accept_among(&mut self, sugg: &ColumnSuggestion, shown: &[ColumnSuggestion]) {
         self.checkpoint();
         let tab = self.workspace.active_mut();
         for (i, field) in sugg.new_fields.iter().enumerate() {
@@ -752,25 +770,40 @@ impl CopyCat {
             (sugg.plan.clone(), self.current_nodes.clone()),
         );
         // Promote over the alternatives shown alongside.
-        let alternatives: Vec<Vec<copycat_graph::EdgeId>> = self
-            .last_shown
+        let alternatives: Vec<[EdgeId; 1]> = shown
             .iter()
             .filter(|s| s.edge != sugg.edge)
-            .map(|s| vec![s.edge])
+            .map(|s| [s.edge])
             .collect();
         self.mira
             .rank_above(&mut self.graph, &[sugg.edge], &alternatives);
-        self.last_shown.clear();
     }
 
     /// Reject a column suggestion: its edge is demoted below the
     /// relevance threshold ("these should be given a rank below the
     /// relevance threshold", §4.2).
     pub fn reject_column(&mut self, sugg: &ColumnSuggestion) {
+        self.demote_edge(sugg.edge);
+    }
+
+    /// [`Self::reject_column`] for the `i`th suggestion of the last
+    /// [`Self::column_suggestions`] list, which stays shown. False when
+    /// there is none.
+    pub fn reject_shown_column(&mut self, i: usize) -> bool {
+        match self.last_shown.get(i) {
+            Some(sugg) => {
+                self.demote_edge(sugg.edge);
+                true
+            }
+            None => false,
+        }
+    }
+
+    fn demote_edge(&mut self, edge: EdgeId) {
         self.checkpoint();
         let demoted = (SUGGESTION_COST_THRESHOLD + self.mira.margin)
-            .max(self.graph.cost(sugg.edge) + self.mira.margin);
-        self.graph.set_cost(sugg.edge, demoted);
+            .max(self.graph.cost(edge) + self.mira.margin);
+        self.graph.set_cost(edge, demoted);
     }
 
     /// Discover ranked queries covering the sources that mention the
@@ -816,13 +849,14 @@ impl CopyCat {
         self.query_cache.stats()
     }
 
-    /// Feedback on discovered queries: the accepted one is constrained to
-    /// rank above each rejected alternative (the Q-style learning of E2).
-    pub fn prefer_query(&mut self, accepted: &ScoredQuery, rejected: &[&ScoredQuery]) -> usize {
-        let rejected_trees: Vec<Vec<copycat_graph::EdgeId>> =
-            rejected.iter().map(|q| q.tree.edges.clone()).collect();
+    /// Feedback on discovered queries: the accepted query's Steiner tree
+    /// is constrained to rank above each rejected alternative's (the
+    /// Q-style learning of E2). MIRA reads only the trees' edges, so a
+    /// caller keeps the trees of the queries it showed, not their answers.
+    pub fn prefer_query(&mut self, accepted: &SteinerTree, rejected: &[&SteinerTree]) -> usize {
+        let rejected_trees: Vec<&[EdgeId]> = rejected.iter().map(|t| &t.edges[..]).collect();
         self.mira
-            .rank_above(&mut self.graph, &accepted.tree.edges, &rejected_trees)
+            .rank_above(&mut self.graph, &accepted.edges, &rejected_trees)
     }
 
     /// Declare a record-link association between two sources' columns —
@@ -1505,7 +1539,7 @@ mod tests {
         }
         if first.len() >= 2 {
             // Feedback on the ranking bumps the graph version …
-            let updates = cc.prefer_query(&first[1], &[&first[0]]);
+            let updates = cc.prefer_query(&first[1].tree, &[&first[0].tree]);
             assert!(updates > 0, "preferring a costlier query must adjust edges");
             // … so the next discovery recomputes and matches a cold search.
             let after = cc.discover_queries_for_tuple(&values, 3);

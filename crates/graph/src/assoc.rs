@@ -85,8 +85,25 @@ pub fn discover_associations(g: &mut SourceGraph, opts: &AssocOptions) -> usize 
 }
 
 fn discover_pair(g: &mut SourceGraph, a: NodeId, b: NodeId, opts: &AssocOptions) -> usize {
-    let (na, nb) = (g.node(a).clone(), g.node(b).clone());
-    let mut added = 0;
+    let edges = pair_edges(g, a, b, opts);
+    let added = edges.len();
+    for (x, y, kind, cost) in edges {
+        g.add_edge_with_cost(x, y, kind, cost);
+    }
+    added
+}
+
+/// The edges discovery adds between `a` and `b`, as `(from, to, kind,
+/// cost)` in insertion order. Computed under a shared borrow, so no
+/// node is cloned; most pairs yield none and allocate nothing.
+fn pair_edges(
+    g: &SourceGraph,
+    a: NodeId,
+    b: NodeId,
+    opts: &AssocOptions,
+) -> Vec<(NodeId, NodeId, EdgeKind, f64)> {
+    let (na, nb) = (g.node(a), g.node(b));
+    let mut out = Vec::new();
     match (&na.kind, &nb.kind) {
         (NodeKind::Relation, NodeKind::Relation) => {
             // Join edges on compatible shared columns.
@@ -100,17 +117,10 @@ fn discover_pair(g: &mut SourceGraph, a: NodeId, b: NodeId, opts: &AssocOptions)
             }
             if !pairs.is_empty() {
                 if opts.conjunction_of_all {
-                    g.add_edge_with_cost(a, b, EdgeKind::Join { pairs }, opts.join_cost);
-                    added += 1;
+                    out.push((a, b, EdgeKind::Join { pairs }, opts.join_cost));
                 } else {
                     for p in pairs {
-                        g.add_edge_with_cost(
-                            a,
-                            b,
-                            EdgeKind::Join { pairs: vec![p] },
-                            opts.join_cost,
-                        );
-                        added += 1;
+                        out.push((a, b, EdgeKind::Join { pairs: vec![p] }, opts.join_cost));
                     }
                 }
             }
@@ -119,15 +129,14 @@ fn discover_pair(g: &mut SourceGraph, a: NodeId, b: NodeId, opts: &AssocOptions)
                 for fa in na.schema.fields() {
                     for fb in nb.schema.fields() {
                         if link_compatible(fa, fb) {
-                            g.add_edge_with_cost(
+                            out.push((
                                 a,
                                 b,
                                 EdgeKind::Link {
                                     pairs: vec![(fa.name.clone(), fb.name.clone())],
                                 },
                                 opts.link_cost,
-                            );
-                            added += 1;
+                            ));
                         }
                     }
                 }
@@ -135,17 +144,16 @@ fn discover_pair(g: &mut SourceGraph, a: NodeId, b: NodeId, opts: &AssocOptions)
         }
         (NodeKind::Relation, NodeKind::Service) | (NodeKind::Service, NodeKind::Relation) => {
             let (rel, rel_id, svc, svc_id) = if na.kind == NodeKind::Relation {
-                (&na, a, &nb, b)
+                (na, a, nb, b)
             } else {
-                (&nb, b, &na, a)
+                (nb, b, na, a)
             };
             // Bind: every service input must be satisfiable from one
             // relation column, matched by semantic type first, then by
             // case-insensitive name.
-            let inputs: Vec<&copycat_query::Field> =
-                svc.schema.fields()[..svc.input_arity].iter().collect();
+            let inputs = &svc.schema.fields()[..svc.input_arity];
             let mut bindings = Vec::with_capacity(inputs.len());
-            for inp in &inputs {
+            for inp in inputs {
                 let by_type = inp.sem_type.as_ref().and_then(|t| {
                     rel.schema
                         .fields()
@@ -159,25 +167,23 @@ fn discover_pair(g: &mut SourceGraph, a: NodeId, b: NodeId, opts: &AssocOptions)
                     .find(|f| f.name.eq_ignore_ascii_case(&inp.name));
                 match by_type.or(by_name) {
                     Some(col) => bindings.push(col.name.clone()),
-                    None => return added, // an input cannot be bound
+                    None => return out, // an input cannot be bound
                 }
             }
             if !bindings.is_empty() {
-                g.add_edge_with_cost(
+                out.push((
                     rel_id,
                     svc_id,
                     EdgeKind::Bind { bindings },
                     opts.bind_cost * svc.cost_hint,
-                );
-                added += 1;
+                ));
             }
         }
         (NodeKind::Service, NodeKind::Service) => {
             // Service-service composition edges: one service's outputs can
             // bind another's inputs (by semantic type). Cost slightly
             // above bind (two invocations).
-            let (sa, sb) = (&na, &nb);
-            for (x, xid, y, yid) in [(sa, a, sb, b), (sb, b, sa, a)] {
+            for (x, xid, y, yid) in [(na, a, nb, b), (nb, b, na, a)] {
                 let outputs = &x.schema.fields()[x.input_arity..];
                 let inputs = &y.schema.fields()[..y.input_arity];
                 if inputs.is_empty() {
@@ -200,18 +206,17 @@ fn discover_pair(g: &mut SourceGraph, a: NodeId, b: NodeId, opts: &AssocOptions)
                                 .clone()
                         })
                         .collect();
-                    g.add_edge_with_cost(
+                    out.push((
                         xid,
                         yid,
                         EdgeKind::Bind { bindings },
                         opts.bind_cost * 1.2 * y.cost_hint,
-                    );
-                    added += 1;
+                    ));
                 }
             }
         }
     }
-    added
+    out
 }
 
 /// Build the Figure-4 style source graph for a catalog: one node per

@@ -85,15 +85,15 @@ impl Mira {
     /// Apply a batch of constraints: the accepted tree is preferred over
     /// every rejected alternative. Returns the number of constraints that
     /// required an update.
-    pub fn rank_above(
+    pub fn rank_above<R: AsRef<[EdgeId]>>(
         &self,
         g: &mut SourceGraph,
         accepted: &[EdgeId],
-        rejected_alternatives: &[Vec<EdgeId>],
+        rejected_alternatives: &[R],
     ) -> usize {
         rejected_alternatives
             .iter()
-            .filter(|rej| self.apply(g, accepted, rej) > 0.0)
+            .filter(|rej| self.apply(g, accepted, rej.as_ref()) > 0.0)
             .count()
     }
 }

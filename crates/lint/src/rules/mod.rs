@@ -16,7 +16,7 @@
 //! | `protocol-exhaustiveness` | yes | the `Op` enum and its companion artifacts |
 //! | `relaxed-atomics` | no | non-test code, all crates |
 //! | `guard-across-blocking` | no | non-test code, all crates (single-block and interprocedural) |
-//! | `spawn-discipline` | no | non-test code except `serve::pool` |
+//! | `spawn-discipline` | no | non-test code, all crates |
 //! | `stale-suppression` | yes | every `lint:allow` that silences nothing |
 //!
 //! *Strict* rules may never appear in the baseline: a finding is fixed

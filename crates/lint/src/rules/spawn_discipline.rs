@@ -1,19 +1,16 @@
-//! `spawn-discipline` — free-running threads only come from the pool.
+//! `spawn-discipline` — no free-running threads outside tests.
 //!
 //! `thread::spawn` creates a detached thread unless someone remembers
 //! its `JoinHandle`; a forgotten handle is a thread that outlives
-//! shutdown, races drains, and turns deterministic tests flaky. The
-//! workspace has exactly one place allowed to own long-lived threads —
-//! `crates/serve/src/pool.rs`, whose whole contract is spawning, naming
-//! and joining workers. Everything else uses `std::thread::scope`, whose
-//! `scope.spawn` is structurally joined (and, not being `thread::spawn`,
-//! does not trip this rule).
+//! shutdown, races drains, and turns deterministic tests flaky. No
+//! non-test code owns long-lived threads: requests run on their
+//! caller's thread, and everything that fans out uses
+//! `std::thread::scope`, whose `scope.spawn` is structurally joined
+//! (and, not being `thread::spawn`, does not trip this rule).
 
 use crate::file::FileCtx;
 use crate::findings::Finding;
 use crate::rules::Rule;
-
-const ALLOWED_FILES: [&str; 1] = ["crates/serve/src/pool.rs"];
 
 /// The rule. Test code is exempt — tests spawn throwaway clients and
 /// join them in view of the assertion.
@@ -25,9 +22,6 @@ impl Rule for SpawnDiscipline {
     }
 
     fn check(&self, ctx: &FileCtx, out: &mut Vec<Finding>) {
-        if ALLOWED_FILES.contains(&ctx.path.as_str()) {
-            return;
-        }
         for needle in [&["thread", "::", "spawn"][..], &["thread", "::", "Builder"][..]] {
             for i in ctx.find_all(needle) {
                 if ctx.in_test(i) {
@@ -38,8 +32,8 @@ impl Rule for SpawnDiscipline {
                     self.name(),
                     ctx.toks[i].line,
                     format!(
-                        "thread::{} outside serve::pool — use std::thread::scope \
-                         (structurally joined) or route the work through the worker pool",
+                        "thread::{} in non-test code — use std::thread::scope \
+                         (structurally joined)",
                         needle[2]
                     ),
                 );
@@ -64,8 +58,9 @@ mod tests {
 
     #[test]
     fn pool_scoped_spawns_and_tests_pass() {
+        // The deleted worker pool's path is no longer exempt.
         let src = "fn f() { std::thread::spawn(|| work()); }";
-        assert!(run_at("crates/serve/src/pool.rs", src).is_empty());
+        assert_eq!(run_at("crates/serve/src/pool.rs", src).len(), 1);
         let scoped = "fn f() { std::thread::scope(|s| { s.spawn(|| work()); }); }";
         assert!(run_at("crates/graph/src/x.rs", scoped).is_empty());
         let test = "#[test]\nfn t() { std::thread::spawn(|| work()).join(); }";

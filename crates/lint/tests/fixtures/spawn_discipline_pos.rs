@@ -1,4 +1,4 @@
-//! Fixture: free-range thread spawns outside the worker pool.
+//! Fixture: free-range thread spawns in non-test code.
 
 pub fn fire_and_forget() {
     std::thread::spawn(|| {});

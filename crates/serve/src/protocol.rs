@@ -292,13 +292,6 @@ pub struct Request<'d> {
 
 // The borrowed-view request parse: everything here slices the input
 // line or the parse arena. lint:hotpath(begin)
-fn envelope<'d>(body: ZRef<'d>) -> (&'d str, Option<&'d str>, Option<u64>) {
-    let id = body.get("id").map(|v| v.raw()).unwrap_or("null");
-    let session = body.get("session").and_then(|v| v.as_str());
-    let deadline_ms = body.get("deadline_ms").and_then(|v| v.as_f64()).map(|v| v as u64);
-    (id, session, deadline_ms)
-}
-
 impl<'d> Request<'d> {
     /// Parse one request line into `doc`. The error carries the raw id
     /// slice (for the response envelope) and the message.
@@ -308,7 +301,9 @@ impl<'d> Request<'d> {
             // lint:allow(hot-path-alloc) cold arm: malformed input only
             Err(e) => return Err(("null", format!("{e}"))),
         };
-        let (id, session, deadline_ms) = envelope(body);
+        let id = body.get("id").map(|v| v.raw()).unwrap_or("null");
+        let session = body.get("session").and_then(|v| v.as_str());
+        let deadline_ms = body.get("deadline_ms").and_then(|v| v.as_f64()).map(|v| v as u64);
         let Some(op_name) = body.get("op").and_then(|v| v.as_str()) else {
             return Err((id, "missing \"op\"".to_string())); // lint:allow(hot-path-alloc) cold arm: rejected request
         };
@@ -318,16 +313,6 @@ impl<'d> Request<'d> {
         Ok(Request { id, op, session, deadline_ms, body })
     }
 
-    /// Rebuild the borrowed view over a doc + line pair that already
-    /// parsed successfully — e.g. after both were moved (owned) to
-    /// another thread. Re-slices the flat DOM; no re-parse. Returns
-    /// `None` if the pair never held a parsed request.
-    pub fn rejoin(doc: &'d ZDoc, line: &'d str) -> Option<Request<'d>> {
-        let body = doc.root(line)?;
-        let (id, session, deadline_ms) = envelope(body);
-        let op = Op::parse(body.get("op").and_then(|v| v.as_str())?)?;
-        Some(Request { id, op, session, deadline_ms, body })
-    }
     // lint:hotpath(end)
 
     fn required(&self, key: &str) -> Result<ZRef<'d>, JsonError> {
@@ -480,22 +465,6 @@ mod tests {
         let values = req.strings_param("values").unwrap();
         assert_eq!(values, vec!["x"]);
         assert!(within(line, values[0]), "payload strings must borrow the line");
-    }
-
-    #[test]
-    fn rejoin_rebuilds_the_view_after_an_owned_move() {
-        let mut doc = ZDoc::new();
-        let line = r#"{"id":7,"op":"render","session":"s"}"#.to_string();
-        assert!(Request::parse(&mut doc, &line).is_ok());
-        // Simulate a move across a queue: the doc and line travel as
-        // owned values, then the view is re-joined without re-parsing.
-        let (doc, line) = (doc, line);
-        let req = Request::rejoin(&doc, &line).unwrap();
-        assert_eq!(req.id, "7");
-        assert_eq!(req.op, Op::Render);
-        assert_eq!(req.session, Some("s"));
-        // A never-parsed doc has no root.
-        assert!(Request::rejoin(&ZDoc::new(), "").is_none());
     }
 
     #[test]

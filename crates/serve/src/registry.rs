@@ -7,8 +7,8 @@
 //! two tenants never contend and one tenant's requests apply in
 //! arrival order (the property the determinism test pins).
 
-use copycat_core::autocomplete::{ColumnSuggestion, ScoredQuery};
 use copycat_core::CopyCat;
+use copycat_graph::SteinerTree;
 use copycat_services::{Flaky, World};
 use copycat_util::hash::{FxHashMap, FxHasher};
 use copycat_util::sync::{Mutex, RwLock};
@@ -16,17 +16,18 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// Everything one tenant owns. Guarded by the session mutex as a unit:
-/// the engine plus the request/response continuity state (the
-/// suggestion and query lists the client refers back to by index).
+/// the engine plus the request/response continuity state (the query
+/// list the client refers back to by index; the shown column
+/// suggestions are the engine's own).
 pub struct SessionState {
     /// The tenant's engine.
     pub engine: CopyCat,
     /// The world backing `register_world` services, if any.
     pub world: Option<Arc<World>>,
-    /// Column suggestions from the last `column_suggestions` response.
-    pub last_suggestions: Vec<ColumnSuggestion>,
-    /// Queries from the last `autocomplete` response.
-    pub last_queries: Vec<ScoredQuery>,
+    /// The Steiner trees of the queries in the last `autocomplete`
+    /// response, by index — all `feedback` reads. Their executed
+    /// answers are not kept.
+    pub last_queries: Vec<SteinerTree>,
     /// Fault-injected services whose *virtual* latency is charged to
     /// request deadlines (see [`crate::deadline::Deadline`]).
     pub probes: Vec<Arc<Flaky>>,
@@ -37,7 +38,6 @@ impl SessionState {
         SessionState {
             engine,
             world: None,
-            last_suggestions: Vec::new(),
             last_queries: Vec::new(),
             probes: Vec::new(),
         }

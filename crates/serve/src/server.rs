@@ -163,6 +163,10 @@ fn bad(e: JsonError) -> (ErrorKind, String) {
     (ErrorKind::BadRequest, e.to_string())
 }
 
+fn no_suggestion(i: usize) -> (ErrorKind, String) {
+    (ErrorKind::BadRequest, format!("no suggestion at index {i}"))
+}
+
 fn obj(fields: Vec<(&str, Json)>) -> Json {
     Json::obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
@@ -414,16 +418,15 @@ impl Server {
             Op::RegisterWorld => self.with_session(req, deadline, |s| register_world(req, s)),
             Op::RegisterFlaky => self.with_session(req, deadline, |s| register_flaky(req, s)),
             Op::ColumnSuggestions => self.with_session(req, deadline, |s| {
-                s.last_suggestions = s.engine.column_suggestions();
+                let suggestions = s.engine.column_suggestions();
                 let tripped = s.engine.health().tripped_services();
-                if s.last_suggestions.is_empty() && !tripped.is_empty() {
+                if suggestions.is_empty() && !tripped.is_empty() {
                     return Err((
                         ErrorKind::Unavailable,
                         format!("no completions; services down: {}", tripped.join(", ")),
                     ));
                 }
-                let listed: Vec<Json> = s
-                    .last_suggestions
+                let listed: Vec<Json> = suggestions
                     .iter()
                     .enumerate()
                     .map(|(i, sg)| {
@@ -453,27 +456,23 @@ impl Server {
             }),
             Op::AcceptColumn => self.with_session(req, deadline, |s| {
                 let i = req.usize_param("index").map_err(bad)?;
-                let sugg = s.last_suggestions.get(i).cloned().ok_or_else(|| {
-                    (ErrorKind::BadRequest, format!("no suggestion at index {i}"))
-                })?;
-                s.engine.accept_column(&sugg);
-                s.last_suggestions.clear();
+                if !s.engine.accept_shown_column(i) {
+                    return Err(no_suggestion(i));
+                }
                 Ok(obj(vec![("accepted", jnum(i))]))
             }),
             Op::RejectColumn => self.with_session(req, deadline, |s| {
                 let i = req.usize_param("index").map_err(bad)?;
-                let sugg = s.last_suggestions.get(i).cloned().ok_or_else(|| {
-                    (ErrorKind::BadRequest, format!("no suggestion at index {i}"))
-                })?;
-                s.engine.reject_column(&sugg);
+                if !s.engine.reject_shown_column(i) {
+                    return Err(no_suggestion(i));
+                }
                 Ok(obj(vec![("rejected", jnum(i))]))
             }),
             Op::Autocomplete => self.with_session(req, deadline, |s| {
                 let values = req.strings_param("values").map_err(bad)?;
                 let k = req.body.field("k").as_f64().map_or(3, |v| v as usize);
-                s.last_queries = s.engine.discover_queries_for_tuple(&values, k);
-                let listed: Vec<Json> = s
-                    .last_queries
+                let queries = s.engine.discover_queries_for_tuple(&values, k);
+                let listed: Vec<Json> = queries
                     .iter()
                     .enumerate()
                     .map(|(i, q)| {
@@ -507,6 +506,10 @@ impl Server {
                         ])
                     })
                     .collect();
+                // Feedback reads only the shown trees: each executed
+                // answer is dropped here, in the request that made it.
+                s.last_queries.clear();
+                s.last_queries.extend(queries.into_iter().map(|q| q.tree));
                 Ok(obj(vec![("queries", Json::Arr(listed))]))
             }),
             Op::Feedback => self.with_session(req, deadline, |s| {
@@ -525,7 +528,7 @@ impl Server {
                         return Err((ErrorKind::BadRequest, "\"reject\" must be an array".into()))
                     }
                 };
-                let accepted = s.last_queries.get(accept).cloned().ok_or_else(|| {
+                let accepted = s.last_queries.get(accept).ok_or_else(|| {
                     (ErrorKind::BadRequest, format!("no query at index {accept}"))
                 })?;
                 let rejected: Vec<_> = reject
@@ -533,7 +536,7 @@ impl Server {
                     .filter(|&&i| i != accept)
                     .filter_map(|&i| s.last_queries.get(i))
                     .collect();
-                let constraints = s.engine.prefer_query(&accepted, &rejected);
+                let constraints = s.engine.prefer_query(accepted, &rejected);
                 Ok(obj(vec![("constraints", jnum(constraints))]))
             }),
             Op::Explain => self.with_session(req, deadline, |s| {

@@ -677,6 +677,53 @@ fn typed_errors_cover_the_protocol_taxonomy() {
     server.shutdown();
 }
 
+/// `accept_column`, `reject_column` and `feedback` index the lists the
+/// session's last `column_suggestions` and `autocomplete` showed:
+/// rejecting keeps the column list, accepting clears it, and an index
+/// outside the shown list is a typed `bad_request` with a stable text.
+#[test]
+fn shown_lists_answer_by_index_until_replaced() {
+    let server = Server::new(ServerConfig::default());
+    // The golden transcript's import of Shelters, up to its first
+    // `column_suggestions` (id 11).
+    let setup = include_str!("golden/wire_transcript.txt")
+        .lines()
+        .filter_map(|l| l.strip_prefix(">> "))
+        .skip(1)
+        .take(10);
+    for line in setup {
+        assert_eq!(server.handle(line)["ok"].as_bool(), Some(true), "{line}");
+    }
+    let s = "\"session\":\"smoke\"";
+    let call = |body: &str| server.handle(&format!("{{\"id\":1,{s},{body}}}"));
+    let message = |resp: Json| {
+        assert_eq!(resp["error"]["kind"].as_str(), Some("bad_request"), "{resp:?}");
+        resp["error"]["message"].as_str().unwrap_or("?").to_string()
+    };
+
+    let shown = call("\"op\":\"column_suggestions\"");
+    assert!(shown["result"]["suggestions"].as_array().map_or(0, <[Json]>::len) >= 2);
+    assert_eq!(call("\"op\":\"reject_column\",\"index\":1")["ok"].as_bool(), Some(true));
+    assert_eq!(call("\"op\":\"accept_column\",\"index\":1")["ok"].as_bool(), Some(true));
+    for op in ["accept_column", "reject_column"] {
+        assert_eq!(
+            message(call(&format!("\"op\":\"{op}\",\"index\":0"))),
+            "no suggestion at index 0"
+        );
+    }
+
+    assert_eq!(message(call("\"op\":\"feedback\",\"accept\":0")), "no query at index 0");
+    assert_eq!(
+        message(call("\"op\":\"feedback\",\"accept\":0,\"reject\":1")),
+        "\"reject\" must be an array"
+    );
+    assert_eq!(
+        message(call("\"op\":\"feedback\",\"accept\":0,\"reject\":[\"a\"]")),
+        "\"reject\" must hold numbers"
+    );
+    server.shutdown();
+}
+
 /// A client-supplied snapshot whose transform program carries a hostile
 /// token index or a non-bool `rev` answers a typed `bad_request`; it is
 /// never cast into a program that panics or wraps when it runs.

@@ -157,13 +157,13 @@ impl Json {
         let nl = |out: &mut String, d: usize| {
             if let Some(w) = indent {
                 out.push('\n');
-                out.push_str(&" ".repeat(w * d));
+                out.extend(std::iter::repeat_n(' ', w * d));
             }
         };
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => out.push_str(&format_number(*n)),
+            Json::Num(n) => write_number(out, *n),
             Json::Str(s) => write_escaped(out, s),
             Json::Arr(items) => {
                 if items.is_empty() {
@@ -220,11 +220,14 @@ impl Json {
 /// cast-to-`i64` fast path — keeps the sign of `-0.0` (`-0`), so
 /// serialize→parse→serialize is byte-identical for every finite
 /// number. WAL replay and snapshot diffing rely on that fixpoint.
-pub(crate) fn format_number(n: f64) -> String {
-    if !n.is_finite() {
-        return "null".to_string();
+/// Formats straight into `out`: no intermediate heap string.
+pub(crate) fn write_number(out: &mut String, n: f64) {
+    if n.is_finite() {
+        // Writing into a `String` cannot fail.
+        let _ = fmt::Write::write_fmt(out, format_args!("{n}"));
+    } else {
+        out.push_str("null");
     }
-    format!("{n}")
 }
 
 /// Append the canonical JSON string literal for `s` (quotes included)

@@ -20,8 +20,7 @@
 //! Steady state, a warm `ZDoc` parses an escape-free request with
 //! **zero** heap allocations (pinned by a counting-allocator test in
 //! the serve crate). Spans are byte offsets, not pointers, so a doc
-//! and the line it was parsed from can move (e.g. into a worker-pool
-//! job) and be re-joined later with [`ZDoc::root`].
+//! holds no borrow of its line between parses and can be pooled.
 //!
 //! Reads go through [`ZRef`], a `Copy` cursor pairing the doc with the
 //! line. `ZRef::write` re-serializes canonically — byte-identical to
@@ -113,17 +112,6 @@ impl ZDoc {
         }
         Ok(ZRef { doc: self, line, idx: root })
     }
-
-    /// Re-join a previously parsed doc with its line (both moved, e.g.
-    /// across a worker queue) without re-parsing. `line` must be
-    /// content-identical to the string [`ZDoc::parse`] succeeded on —
-    /// spans are byte offsets into it.
-    pub fn root<'d>(&'d self, line: &'d str) -> Option<ZRef<'d>> {
-        if self.nodes.is_empty() {
-            return None;
-        }
-        Some(ZRef { doc: self, line, idx: 0 })
-    }
 }
 
 impl<'d> ZRef<'d> {
@@ -144,9 +132,9 @@ impl<'d> ZRef<'d> {
         self.line.get(a as usize..b as usize).unwrap_or("")
     }
 
-    /// The byte span of [`ZRef::raw`] in the source line — for callers
-    /// that must carry the location across an owned move of the line
-    /// (e.g. a worker queue) and re-slice on the other side.
+    /// The byte span of [`ZRef::raw`] in the source line, for callers
+    /// that keep a location rather than a borrow and re-slice the line
+    /// later.
     pub fn raw_span(&self) -> (u32, u32) {
         self.node().raw
     }
@@ -242,7 +230,7 @@ impl<'d> ZRef<'d> {
             Kind::Null => out.push_str("null"),
             Kind::Bool(true) => out.push_str("true"),
             Kind::Bool(false) => out.push_str("false"),
-            Kind::Num(n) => out.push_str(&json::format_number(n)),
+            Kind::Num(n) => json::write_number(out, n),
             Kind::Str(_) => json::write_escaped(out, self.as_str().unwrap_or("")),
             Kind::Arr => {
                 out.push('[');
@@ -726,19 +714,6 @@ mod tests {
         assert_eq!(root.get("id").unwrap().raw(), "1.50");
         assert_eq!(root.get("arr").unwrap().raw(), "[1, 2]");
         assert_eq!(root.raw(), line.trim());
-    }
-
-    #[test]
-    fn doc_and_line_survive_a_move() {
-        let line = r#"{"op":"render","session":"bob"}"#.to_string();
-        let mut doc = ZDoc::new();
-        doc.parse(&line).unwrap();
-        // Simulate shipping both across a queue.
-        let moved: Vec<(ZDoc, String)> = vec![(doc, line)];
-        let (doc, line) = &moved[0];
-        let root = doc.root(line).unwrap();
-        assert_eq!(root.get("session").unwrap().as_str(), Some("bob"));
-        assert!(ZDoc::new().root("x").is_none());
     }
 
     #[test]
