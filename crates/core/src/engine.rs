@@ -676,16 +676,18 @@ impl CopyCat {
 
     /// Ranked column auto-completions for the active integration query
     /// (Figure 2). The list is remembered so feedback can compare the
-    /// accepted suggestion against the alternatives shown.
+    /// accepted suggestion against the alternatives shown, and the
+    /// answer borrows that list; callers that go on to edit the engine
+    /// take an owned copy with `.to_vec()`.
     ///
     /// Completions degraded by service failures rank below healthy
     /// ones, and when a circuit breaker is open the list additionally
     /// carries failover proposals that re-plan through equivalent
     /// replacement sources with the tripped service's edges banned.
-    pub fn column_suggestions(&mut self) -> Vec<ColumnSuggestion> {
+    pub fn column_suggestions(&mut self) -> &[ColumnSuggestion] {
         self.refresh_service_costs();
         let Some(plan) = self.current_plan.clone() else {
-            return Vec::new();
+            return &[];
         };
         let rows = self.workspace.active().committed_rows();
         let mut suggs = autocomplete::column_suggestions(
@@ -716,8 +718,8 @@ impl CopyCat {
             }
             autocomplete::sort_suggestions(&mut suggs);
         }
-        self.last_shown = suggs.clone();
-        suggs
+        self.last_shown = suggs;
+        &self.last_shown
     }
 
     /// Accept a column suggestion: extend the tab, adopt the extended
@@ -1390,7 +1392,7 @@ mod tests {
         cc.set_column_type(2, "PR-City"); // dropdown correction (see above)
         cc.commit_source("Shelters");
         cc.register_service(Arc::new(ZipResolver::new(Arc::clone(&w))));
-        let suggs = cc.column_suggestions();
+        let suggs = cc.column_suggestions().to_vec();
         assert!(!suggs.is_empty(), "zip suggestion expected");
         let zip = suggs
             .iter()
@@ -1740,7 +1742,7 @@ mod tests {
             42,
         );
         cc.register_service(Arc::new(flaky));
-        let suggs = cc.column_suggestions();
+        let suggs = cc.column_suggestions().to_vec();
         let zip = suggs
             .iter()
             .find(|c| c.new_fields.iter().any(|f| f.name == "Zip"))

@@ -359,7 +359,7 @@ mod tests {
             // A feedback history: accept/reject some of the shown column
             // suggestions so edge costs move off their defaults.
             for _ in 0..g.usize_in(0..3) {
-                let suggs = s.engine.column_suggestions();
+                let suggs = s.engine.column_suggestions().to_vec();
                 if suggs.is_empty() {
                     break;
                 }

@@ -126,7 +126,7 @@ fn breaker_trips_and_failover_matches_healthy_run() {
         Arc::new(ZipResolver::new(Arc::clone(&w))),
     )));
 
-    let suggs = chaos.column_suggestions();
+    let suggs = chaos.column_suggestions().to_vec();
     let zips: Vec<_> = suggs
         .iter()
         .filter(|s| s.new_fields.iter().any(|f| f.name == "Zip"))

@@ -51,8 +51,9 @@ fn banned_transform_edge_never_reappears_at_same_graph_version() {
         let banned = s
             .engine
             .column_suggestions()
-            .into_iter()
+            .iter()
             .find(|c| c.label.starts_with("T:"))
+            .cloned()
             .expect("present per the check above");
         s.engine.reject_column(&banned);
         let version = s.engine.graph().version();
@@ -145,7 +146,7 @@ fn undo_forgets_the_transform_column_it_removes() {
     s.engine.accept_transform("Shout", &sugg);
     assert!(s.engine.undo());
     assert_eq!(s.engine.columns().len(), col, "undo removes the column");
-    let zip = s.engine.column_suggestions().swap_remove(0);
+    let zip = s.engine.column_suggestions()[0].clone();
     assert!(zip.new_fields.iter().any(|f| f.name == "Zip"), "{}", zip.label);
     s.engine.accept_column(&zip);
     let column = |s: &Scenario| -> Vec<String> {

@@ -8,9 +8,9 @@
 //! [`ErrorKind`] taxonomy instead.
 //!
 //! Scope: all non-test code under `crates/serve/src/` **except**
-//! `smoke.rs` — the smoke subcommand is a client-side checker whose job
-//! is to abort loudly when a response is malformed; it runs no requests,
-//! it issues them.
+//! `smoke.rs` — the scenario replay and the crash-storm and herd smokes
+//! are client-side checkers whose job is to abort loudly when a response
+//! is malformed; they run no requests, they issue them.
 
 use crate::file::FileCtx;
 use crate::findings::Finding;

@@ -2,39 +2,33 @@
 //!
 //! ```text
 //! copycat-serve [--addr 127.0.0.1:7878] [--workers N] [--queue N] [--shards N]
-//! copycat-serve smoke
-//! copycat-serve chaos
-//! copycat-serve recover
+//! copycat-serve replay FILE...
 //! copycat-serve crash-storm [seed] [stride]
-//! copycat-serve transforms
 //! copycat-serve herd [sessions]
 //! ```
 //!
 //! The default mode binds a TCP listener and serves line-delimited JSON
-//! until a client issues `{"op":"shutdown"}`. `smoke` runs one request
-//! of every class through an in-process server and exits non-zero if a
-//! required class fails — the hook `scripts/verify.sh` uses. `chaos`
-//! runs the fault-injection script (hard-down primary, retries, breaker
-//! trip, failover to a replacement alias) and exits non-zero if the
-//! failover path misbehaves. `recover` runs the kill-and-recover smoke:
-//! durable router, injected traffic, crash (no shutdown), recovery from
-//! snapshot + WAL, and a byte-for-byte diff against a never-crashed
-//! control. `crash-storm` runs the storage-fault sweep: every fault
+//! until a client issues `{"op":"shutdown"}`. `replay` replays each
+//! scenario transcript (`>>` requests, `<<` answers, `-- crash`; see
+//! `copycat_serve::smoke`) and exits non-zero, naming the file, the
+//! line and the expected and actual text, at the first one whose
+//! answers differ from the file or whose recovered router diverges from
+//! its never-crashed control — the hook `scripts/verify.sh` uses.
+//! `crash-storm` runs the storage-fault sweep: every fault
 //! kind (short writes, torn appends, failed/lying fsyncs, bit flips,
-//! partial reads, ENOSPC) injected at every I/O operation of a seeded
-//! workload on the simulated filesystem, each followed by kill,
-//! recovery, and the no-silent-loss property check.
-//! `transforms` learns a string-transform program bridging two
-//! incompatibly formatted sources, accepts the resulting edge, crashes,
-//! and requires the recovered session to answer byte-identically.
+//! partial reads, ENOSPC) injected at every I/O operation of the
+//! `storm.txt` scenario on the simulated filesystem, each followed by
+//! kill, recovery, and the no-silent-loss property check.
 //! `herd` creates 10k copy-on-write sessions over one shared
 //! world, probes a sample end to end, and exits non-zero if the
 //! marginal memory cost falls below the sessions-per-GiB floor.
 
 use copycat_serve::server::{Server, ServerConfig};
 use copycat_serve::{smoke, tcp};
+use copycat_store::Fs;
 use copycat_util::bench::CountingAlloc;
 use std::net::TcpListener;
+use std::path::Path;
 use std::process::ExitCode;
 
 /// Counting allocator so `herd` can measure live-byte growth; the
@@ -50,22 +44,13 @@ const HERD_SESSIONS_PER_GB_FLOOR: f64 = 100_000.0;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("smoke") {
-        return run_smoke();
-    }
-    if args.first().map(String::as_str) == Some("chaos") {
-        return run_chaos();
-    }
-    if args.first().map(String::as_str) == Some("recover") {
-        return run_recover();
+    if args.first().map(String::as_str) == Some("replay") {
+        return run_replay(&args[1..]);
     }
     if args.first().map(String::as_str) == Some("crash-storm") {
         let seed = args.get(1).and_then(|v| v.parse().ok()).unwrap_or(0xC1D9);
         let stride = args.get(2).and_then(|v| v.parse().ok()).unwrap_or(1);
         return run_crash_storm(seed, stride);
-    }
-    if args.first().map(String::as_str) == Some("transforms") {
-        return run_transforms();
     }
     if args.first().map(String::as_str) == Some("herd") {
         let sessions = args.get(1).and_then(|v| v.parse().ok()).unwrap_or(10_000);
@@ -112,39 +97,29 @@ fn main() -> ExitCode {
     }
 }
 
-fn run_smoke() -> ExitCode {
-    match smoke::run_default() {
-        Ok(log) => {
-            for x in &log {
-                println!("{} {}", if x.ok { "ok " } else { "err" }, x.op);
+fn run_replay(files: &[String]) -> ExitCode {
+    if files.is_empty() {
+        eprintln!("usage: copycat-serve replay FILE...");
+        return ExitCode::from(2);
+    }
+    for file in files {
+        let checked = Fs::real()
+            .read(Path::new(file))
+            .map_err(|e| e.to_string())
+            .and_then(|bytes| String::from_utf8(bytes).map_err(|e| e.to_string()))
+            .and_then(|text| smoke::check(&text).map(|()| text));
+        match checked {
+            Ok(text) => {
+                let requests = text.lines().filter(|l| l.starts_with(">> ")).count();
+                println!("replay {file}: {requests} requests, byte-identical");
             }
-            println!("smoke: {} exchanges, all required classes ok", log.len());
-            ExitCode::SUCCESS
-        }
-        Err(failed) => {
-            eprintln!("smoke FAILED at {}:\n  request:  {}\n  response: {}",
-                failed.op, failed.request, failed.response);
-            ExitCode::from(1)
+            Err(e) => {
+                eprintln!("replay FAILED: {file}: {e}");
+                return ExitCode::from(1);
+            }
         }
     }
-}
-
-fn run_recover() -> ExitCode {
-    match smoke::run_recover_default() {
-        Ok(s) => {
-            println!(
-                "recover: {} journaled, crash, {} replayed ({} torn bytes, \
-                 {} quarantined, {} generations skipped), {} probes byte-identical",
-                s.journaled, s.replayed, s.torn_bytes, s.quarantined,
-                s.generations_skipped, s.probes
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("recover FAILED: {e}");
-            ExitCode::from(1)
-        }
-    }
+    ExitCode::SUCCESS
 }
 
 fn run_crash_storm(seed: u64, stride: u64) -> ExitCode {
@@ -161,23 +136,6 @@ fn run_crash_storm(seed: u64, stride: u64) -> ExitCode {
         }
         Err(e) => {
             eprintln!("crash-storm FAILED: {e}");
-            ExitCode::from(1)
-        }
-    }
-}
-
-fn run_transforms() -> ExitCode {
-    match smoke::run_transforms_default() {
-        Ok(s) => {
-            println!(
-                "transforms: learned {}, accepted, {} journaled, crash, {} replayed, \
-                 {} probes byte-identical",
-                s.program, s.journaled, s.replayed, s.probes
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("transforms FAILED: {e}");
             ExitCode::from(1)
         }
     }
@@ -203,23 +161,6 @@ fn run_herd(sessions: usize) -> ExitCode {
         }
         Err(e) => {
             eprintln!("herd FAILED: {e}");
-            ExitCode::from(1)
-        }
-    }
-}
-
-fn run_chaos() -> ExitCode {
-    match smoke::run_chaos_default() {
-        Ok(log) => {
-            for x in &log {
-                println!("{} {}", if x.ok { "ok " } else { "err" }, x.op);
-            }
-            println!("chaos: {} exchanges, breaker tripped, failover served", log.len());
-            ExitCode::SUCCESS
-        }
-        Err(failed) => {
-            eprintln!("chaos FAILED at {}:\n  request:  {}\n  response: {}",
-                failed.op, failed.request, failed.response);
             ExitCode::from(1)
         }
     }

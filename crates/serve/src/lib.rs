@@ -22,8 +22,11 @@
 //!   `copycat-store`), kill-and-recover by deterministic replay, and
 //!   live session migration by checkpoint handoff.
 //! - [`tcp`] — the socket transport (`copycat-serve` binary).
-//! - [`smoke`] — one scripted request per request class, used by the
-//!   verify pipeline.
+//! - [`smoke`] — the scenario runner: replays `>>`/`<<` transcripts
+//!   (with `-- crash` killing and recovering a durable router against a
+//!   never-crashed control) and requires them byte for byte; plus the
+//!   crash-storm and herd smokes. `copycat-serve replay` and the golden
+//!   test drive it.
 //!
 //! Responses carry no timing, so a request script is byte-deterministic
 //! whether sessions are driven sequentially or concurrently; latency is

@@ -418,15 +418,9 @@ impl Server {
             Op::RegisterWorld => self.with_session(req, deadline, |s| register_world(req, s)),
             Op::RegisterFlaky => self.with_session(req, deadline, |s| register_flaky(req, s)),
             Op::ColumnSuggestions => self.with_session(req, deadline, |s| {
-                let suggestions = s.engine.column_suggestions();
-                let tripped = s.engine.health().tripped_services();
-                if suggestions.is_empty() && !tripped.is_empty() {
-                    return Err((
-                        ErrorKind::Unavailable,
-                        format!("no completions; services down: {}", tripped.join(", ")),
-                    ));
-                }
-                let listed: Vec<Json> = suggestions
+                let listed: Vec<Json> = s
+                    .engine
+                    .column_suggestions()
                     .iter()
                     .enumerate()
                     .map(|(i, sg)| {
@@ -452,6 +446,13 @@ impl Server {
                         ])
                     })
                     .collect();
+                let tripped = s.engine.health().tripped_services();
+                if listed.is_empty() && !tripped.is_empty() {
+                    return Err((
+                        ErrorKind::Unavailable,
+                        format!("no completions; services down: {}", tripped.join(", ")),
+                    ));
+                }
                 Ok(obj(vec![("suggestions", Json::Arr(listed))]))
             }),
             Op::AcceptColumn => self.with_session(req, deadline, |s| {

@@ -1,673 +1,246 @@
-//! An end-to-end smoke script: one request per request class through
-//! the in-process transport, ending in a graceful shutdown.
+//! Scenario replay, plus the two smokes a transcript cannot express.
 //!
-//! Used three ways: `copycat-serve smoke` (the verify-script hook), the
-//! serve test suite (asserts every class round-trips), and as living
-//! documentation of a full client conversation.
+//! A scenario is a transcript of one client conversation:
+//!
+//! ```text
+//! >> {"id":1,"op":"ping"}                  a request, sent verbatim
+//! << {"id":1,"ok":true,"result":{...}}     the answer it must get
+//! -- crash                                 kill the server, recover
+//! ```
+//!
+//! A `stats` answer is written as its key shape only (its values carry
+//! timing). [`replay`] reads nothing but the `>>` and `-- crash` lines
+//! and renders the transcript again; [`check`] requires the rendering
+//! to reproduce the file byte for byte: if observed behavior differs
+//! from the file, the behavior is a bug. A scenario without `-- crash`
+//! runs on [`Server::with_defaults`]. One with it runs twice on
+//! [`crash_config`]: on an ephemeral control router that ignores the
+//! crash, and on a durable router over a fault-free simulated disk that
+//! is killed at each `-- crash` (dropped without shutdown, disk
+//! crashed, recovered from snapshot + WAL); both must render alike.
+//! The scenarios are `tests/golden/wire_transcript.txt` and the files
+//! under `tests/scenarios/`; `copycat-serve replay FILE...` checks them.
+//!
+//! [`run_crash_storm`] injects every storage fault at every I/O
+//! operation of the `storm.txt` scenario; [`run_herd`] measures the
+//! memory of 10k copy-on-write sessions.
 
-use crate::protocol::Op;
+use crate::router::{Router, RouterConfig};
 use crate::server::{Server, ServerConfig};
 use copycat_store::{FaultKind, FaultPlan, Fs, SimFs};
 use copycat_util::json::Json;
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-/// One request/response exchange from the smoke run.
-#[derive(Debug, Clone)]
-pub struct Exchange {
-    /// The request class exercised.
-    pub op: &'static str,
-    /// The request line sent.
-    pub request: String,
-    /// The response line received.
-    pub response: String,
-    /// Whether the response was `ok:true`.
-    pub ok: bool,
-}
+/// The crash-storm scenario: two sessions' journaled traffic, sized so
+/// `snapshot_every: 4` crosses two snapshot generations on `storm-a`,
+/// then a `-- crash` and read-only probes of both sessions.
+pub const STORM: &str = include_str!("../tests/scenarios/storm.txt");
 
-fn esc(s: &str) -> String {
-    Json::str(s).to_string()
-}
+const CRASH: &str = "-- crash";
 
-fn row_json(row: &[String]) -> String {
-    let cells: Vec<String> = row.iter().map(|c| esc(c)).collect();
-    format!("[{}]", cells.join(","))
-}
+/// Seed of the fault-free simulated disk a crash scenario's durable
+/// side runs on.
+const REPLAY_SEED: u64 = 0x5EED;
 
-fn rows_json(rows: &[Vec<String>]) -> String {
-    let rendered: Vec<String> = rows.iter().map(|r| row_json(r)).collect();
-    format!("[{}]", rendered.join(","))
-}
-
-/// Drive one request of every class through `server`, in a realistic
-/// order (import two sources, learn, autocomplete, save/load, drain).
-///
-/// Returns the exchanges; `Err` carries the first exchange that failed
-/// when it was required to succeed. The `invalid` class is exercised
-/// with a garbage line and is *expected* to fail with `bad_request`.
-pub fn run(server: &Server) -> Result<Vec<Exchange>, Box<Exchange>> {
-    let mut log: Vec<Exchange> = Vec::new();
-    let mut next_id = 0u64;
-    let mut call = |op: Op, line: String, must_ok: bool| -> Result<Json, Box<Exchange>> {
-        let response = server.handle_line(&line);
-        let parsed = Json::parse(&response).expect("server responses parse");
-        let ok = parsed["ok"].as_bool() == Some(true);
-        let exchange = Exchange { op: op.as_str(), request: line, response, ok };
-        let failed = must_ok && !ok;
-        log.push(exchange.clone());
-        if failed {
-            return Err(Box::new(exchange));
-        }
-        Ok(parsed)
-    };
-    let mut id = || {
-        next_id += 1;
-        next_id
-    };
-    let s = "\"session\":\"smoke\"";
-
-    call(Op::Ping, format!("{{\"id\":{},\"op\":\"ping\"}}", id()), true)?;
-    call(
-        Op::CreateSession,
-        format!("{{\"id\":{},\"op\":\"create_session\",{s}}}", id()),
-        true,
-    )?;
-    let world = call(
-        Op::RegisterWorld,
-        format!(
-            "{{\"id\":{},\"op\":\"register_world\",{s},\"seed\":2009,\"venues\":10}}",
-            id()
-        ),
-        true,
-    )?;
-    let shelters = rows_of(&world["result"]["shelters"]);
-    let contacts = rows_of(&world["result"]["contacts"]);
-
-    // Import source 1: shelters.
-    let doc = call(
-        Op::OpenDoc,
-        format!(
-            "{{\"id\":{},\"op\":\"open_doc\",{s},\"name\":\"ShelterSheet\",\
-             \"headers\":[\"Name\",\"Street\",\"City\"],\"rows\":{}}}",
-            id(),
-            rows_json(&shelters)
-        ),
-        true,
-    )?;
-    let doc_id = doc["result"]["doc"].as_f64().expect("doc id") as u64;
-    call(
-        Op::Paste,
-        format!(
-            "{{\"id\":{},\"op\":\"paste\",{s},\"doc\":{doc_id},\"values\":{}}}",
-            id(),
-            row_json(&shelters[0])
-        ),
-        true,
-    )?;
-    call(Op::AcceptRows, format!("{{\"id\":{},\"op\":\"accept_rows\",{s}}}", id()), true)?;
-    call(
-        Op::NameColumn,
-        format!("{{\"id\":{},\"op\":\"name_column\",{s},\"col\":0,\"name\":\"Name\"}}", id()),
-        true,
-    )?;
-    call(
-        Op::SetColumnType,
-        format!(
-            "{{\"id\":{},\"op\":\"set_column_type\",{s},\"col\":2,\"type\":\"PR-City\"}}",
-            id()
-        ),
-        true,
-    )?;
-    call(
-        Op::CommitSource,
-        format!("{{\"id\":{},\"op\":\"commit_source\",{s},\"name\":\"Shelters\"}}", id()),
-        true,
-    )?;
-
-    // Wrap a service in (healthy) fault injection; its virtual latency
-    // is charged to deadlines from here on.
-    call(
-        Op::RegisterFlaky,
-        format!(
-            "{{\"id\":{},\"op\":\"register_flaky\",{s},\"service\":\"zip_resolver\",\
-             \"failure_rate\":0,\"latency_ms\":1,\"seed\":1}}",
-            id()
-        ),
-        true,
-    )?;
-
-    // Column auto-completion on the committed source.
-    let suggs = call(
-        Op::ColumnSuggestions,
-        format!("{{\"id\":{},\"op\":\"column_suggestions\",{s}}}", id()),
-        true,
-    )?;
-    let n_suggs = suggs["result"]["suggestions"].as_array().map_or(0, |a| a.len());
-    call(
-        Op::AcceptColumn,
-        format!("{{\"id\":{},\"op\":\"accept_column\",{s},\"index\":0}}", id()),
-        n_suggs > 0,
-    )?;
-    // A fresh suggestion round to reject from.
-    call(
-        Op::ColumnSuggestions,
-        format!("{{\"id\":{},\"op\":\"column_suggestions\",{s}}}", id()),
-        true,
-    )?;
-    call(
-        Op::RejectColumn,
-        format!("{{\"id\":{},\"op\":\"reject_column\",{s},\"index\":0}}", id()),
-        false, // ok only when the second round was non-empty
-    )?;
-
-    // Import source 2: contacts (shares venue names with shelters).
-    let doc2 = call(
-        Op::OpenDoc,
-        format!(
-            "{{\"id\":{},\"op\":\"open_doc\",{s},\"name\":\"ContactSheet\",\
-             \"headers\":[\"Person\",\"Phone\",\"Venue\"],\"rows\":{}}}",
-            id(),
-            rows_json(&contacts)
-        ),
-        true,
-    )?;
-    let doc2_id = doc2["result"]["doc"].as_f64().expect("doc id") as u64;
-    call(
-        Op::Paste,
-        format!(
-            "{{\"id\":{},\"op\":\"paste\",{s},\"doc\":{doc2_id},\"values\":{}}}",
-            id(),
-            row_json(&contacts[0])
-        ),
-        true,
-    )?;
-    call(Op::AcceptRows, format!("{{\"id\":{},\"op\":\"accept_rows\",{s}}}", id()), true)?;
-    call(
-        Op::NameColumn,
-        format!("{{\"id\":{},\"op\":\"name_column\",{s},\"col\":2,\"name\":\"Name\"}}", id()),
-        true,
-    )?;
-    call(
-        Op::CommitSource,
-        format!("{{\"id\":{},\"op\":\"commit_source\",{s},\"name\":\"Contacts\"}}", id()),
-        true,
-    )?;
-
-    // Query discovery across both sources + feedback on the ranking.
-    let queries = call(
-        Op::Autocomplete,
-        format!(
-            "{{\"id\":{},\"op\":\"autocomplete\",{s},\"values\":[{},{}],\"k\":3}}",
-            id(),
-            esc(&shelters[0][1]),
-            esc(&contacts[0][1]),
-        ),
-        true,
-    )?;
-    let n_queries = queries["result"]["queries"].as_array().map_or(0, |a| a.len());
-    call(
-        Op::Feedback,
-        format!("{{\"id\":{},\"op\":\"feedback\",{s},\"accept\":0}}", id()),
-        n_queries > 0,
-    )?;
-
-    call(
-        Op::Explain,
-        format!("{{\"id\":{},\"op\":\"explain\",{s},\"row\":0}}", id()),
-        true,
-    )?;
-    call(
-        Op::Export,
-        format!("{{\"id\":{},\"op\":\"export\",{s},\"format\":\"csv\"}}", id()),
-        true,
-    )?;
-    call(Op::Render, format!("{{\"id\":{},\"op\":\"render\",{s}}}", id()), true)?;
-    call(
-        Op::Health,
-        format!("{{\"id\":{},\"op\":\"health\",{s}}}", id()),
-        true,
-    )?;
-    call(
-        Op::SessionStats,
-        format!("{{\"id\":{},\"op\":\"session_stats\",{s}}}", id()),
-        true,
-    )?;
-
-    // Snapshot, drop, restore, list.
-    let saved = call(
-        Op::SaveSession,
-        format!("{{\"id\":{},\"op\":\"save_session\",{s}}}", id()),
-        true,
-    )?;
-    let snapshot = saved["result"]["snapshot"].as_str().expect("snapshot").to_string();
-    call(
-        Op::CloseSession,
-        format!("{{\"id\":{},\"op\":\"close_session\",{s}}}", id()),
-        true,
-    )?;
-    call(
-        Op::LoadSession,
-        format!(
-            "{{\"id\":{},\"op\":\"load_session\",{s},\"snapshot\":{}}}",
-            id(),
-            esc(&snapshot)
-        ),
-        true,
-    )?;
-    call(
-        Op::ListSessions,
-        format!("{{\"id\":{},\"op\":\"list_sessions\"}}", id()),
-        true,
-    )?;
-
-    // Example-driven transform synthesis: learn a program mapping the
-    // contact sheet's venue spelling onto the shelter source, then list
-    // the learned edges. These ride at fixed ids past the sequential
-    // counter so the exchanges before them keep their identifiers.
-    call(
-        Op::LearnTransform,
-        format!(
-            "{{\"id\":96,\"op\":\"learn_transform\",{s},\"from\":\"Contacts\",\
-             \"from_col\":\"Name\",\"to\":\"Shelters\",\"to_col\":\"Name\",\
-             \"examples\":[[{v0},{v0}],[{v1},{v1}],[{v2},{v2}]]}}",
-            v0 = esc(&contacts[0][2]),
-            v1 = esc(&contacts[1][2]),
-            v2 = esc(&contacts[2][2]),
-        ),
-        true,
-    )?;
-    call(
-        Op::ListTransforms,
-        format!("{{\"id\":97,\"op\":\"list_transforms\",{s}}}"),
-        true,
-    )?;
-
-    // The synthetic class: garbage must answer bad_request, not hang.
-    call(Op::Invalid, "this is not json".to_string(), false)?;
-
-    call(Op::Stats, format!("{{\"id\":{},\"op\":\"stats\"}}", id()), true)?;
-    call(Op::Shutdown, format!("{{\"id\":{},\"op\":\"shutdown\"}}", id()), true)?;
-
-    Ok(log)
-}
-
-/// Build a default-sized server, run the smoke script, shut down.
-pub fn run_default() -> Result<Vec<Exchange>, Box<Exchange>> {
-    let server = Server::new(ServerConfig::default());
-    let result = run(&server);
-    server.shutdown();
-    result
-}
-
-/// The chaos smoke: a fault-injected session with retries, a circuit
-/// breaker, and an equivalent replacement source, proving the serve
-/// layer's failover path end to end.
-///
-/// The zip resolver is made *hard down* so its breaker trips, yet
-/// `column_suggestions` must still offer a healthy (non-degraded) Zip
-/// completion through the replacement alias, and `health` must report
-/// the trip with virtual (never wallclock) backoff.
-pub fn run_chaos(server: &Server) -> Result<Vec<Exchange>, Box<Exchange>> {
-    let mut log: Vec<Exchange> = Vec::new();
-    let mut next_id = 0u64;
-    let mut call = |op: Op, line: String, must_ok: bool| -> Result<Json, Box<Exchange>> {
-        let response = server.handle_line(&line);
-        let parsed = Json::parse(&response).expect("server responses parse");
-        let ok = parsed["ok"].as_bool() == Some(true);
-        let exchange = Exchange { op: op.as_str(), request: line, response, ok };
-        let failed = must_ok && !ok;
-        log.push(exchange.clone());
-        if failed {
-            return Err(Box::new(exchange));
-        }
-        Ok(parsed)
-    };
-    let mut id = || {
-        next_id += 1;
-        next_id
-    };
-    let s = "\"session\":\"chaos\"";
-
-    call(
-        Op::CreateSession,
-        format!("{{\"id\":{},\"op\":\"create_session\",{s}}}", id()),
-        true,
-    )?;
-    let world = call(
-        Op::RegisterWorld,
-        format!(
-            "{{\"id\":{},\"op\":\"register_world\",{s},\"seed\":2009,\"venues\":10}}",
-            id()
-        ),
-        true,
-    )?;
-    let shelters = rows_of(&world["result"]["shelters"]);
-    let doc = call(
-        Op::OpenDoc,
-        format!(
-            "{{\"id\":{},\"op\":\"open_doc\",{s},\"name\":\"ShelterSheet\",\
-             \"headers\":[\"Name\",\"Street\",\"City\"],\"rows\":{}}}",
-            id(),
-            rows_json(&shelters)
-        ),
-        true,
-    )?;
-    let doc_id = doc["result"]["doc"].as_f64().expect("doc id") as u64;
-    call(
-        Op::Paste,
-        format!(
-            "{{\"id\":{},\"op\":\"paste\",{s},\"doc\":{doc_id},\"values\":{}}}",
-            id(),
-            row_json(&shelters[0])
-        ),
-        true,
-    )?;
-    call(Op::AcceptRows, format!("{{\"id\":{},\"op\":\"accept_rows\",{s}}}", id()), true)?;
-    call(
-        Op::SetColumnType,
-        format!(
-            "{{\"id\":{},\"op\":\"set_column_type\",{s},\"col\":2,\"type\":\"PR-City\"}}",
-            id()
-        ),
-        true,
-    )?;
-    call(
-        Op::CommitSource,
-        format!("{{\"id\":{},\"op\":\"commit_source\",{s},\"name\":\"Shelters\"}}", id()),
-        true,
-    )?;
-    // Hard-down primary behind retry + breaker, with a healthy alias.
-    call(
-        Op::RegisterFlaky,
-        format!(
-            "{{\"id\":{},\"op\":\"register_flaky\",{s},\"service\":\"zip_resolver\",\
-             \"failure_rate\":1,\"latency_ms\":5,\"seed\":7,\"retries\":3,\
-             \"breaker_threshold\":4,\"cooldown_ms\":400,\
-             \"replacement\":\"zip_backup\"}}",
-            id()
-        ),
-        true,
-    )?;
-    let suggs = call(
-        Op::ColumnSuggestions,
-        format!("{{\"id\":{},\"op\":\"column_suggestions\",{s}}}", id()),
-        true,
-    )?;
-    let listed = suggs["result"]["suggestions"].as_array().unwrap_or(&[]);
-    let healthy_backup = listed
-        .first()
-        .map(|e| e["degraded"] == Json::Null && format!("{}", e["label"]).contains("zip_backup"))
-        .unwrap_or(false);
-    if !healthy_backup {
-        return Err(Box::new(log.last().expect("at least one exchange").clone()));
-    }
-    call(
-        Op::AcceptColumn,
-        format!("{{\"id\":{},\"op\":\"accept_column\",{s},\"index\":0}}", id()),
-        true,
-    )?;
-    let health = call(
-        Op::Health,
-        format!("{{\"id\":{},\"op\":\"health\",{s}}}", id()),
-        true,
-    )?;
-    let tripped = health["result"]["tripped"].as_array().map_or(0, |a| a.len());
-    let trips = health["result"]["trips"].as_f64().unwrap_or(0.0);
-    let backoff = health["result"]["backoff_virtual_ms"].as_f64().unwrap_or(0.0);
-    if tripped == 0 || trips < 1.0 || backoff <= 0.0 {
-        return Err(Box::new(log.last().expect("health exchange").clone()));
-    }
-    call(Op::Stats, format!("{{\"id\":{},\"op\":\"stats\"}}", id()), true)?;
-    Ok(log)
-}
-
-/// Build a default-sized server, run the chaos script, shut down.
-pub fn run_chaos_default() -> Result<Vec<Exchange>, Box<Exchange>> {
-    let server = Server::new(ServerConfig::default());
-    let result = run_chaos(&server);
-    server.shutdown();
-    result
-}
-
-/// Summary of the kill-and-recover smoke.
-#[derive(Debug, Clone)]
-pub struct RecoverSummary {
-    /// Effectful requests journaled before the crash.
-    pub journaled: u64,
-    /// Records replayed during recovery.
-    pub replayed: u64,
-    /// Torn WAL tail bytes the recovery discarded (and reported).
-    pub torn_bytes: u64,
-    /// Interior WAL records quarantined during recovery.
-    pub quarantined: u64,
-    /// Snapshot generations skipped as corrupt during recovery.
-    pub generations_skipped: u64,
-    /// Probe requests compared byte-for-byte against the control.
-    pub probes: usize,
-}
-
-/// The kill-and-recover smoke: start a durable router in a scratch
-/// directory, inject traffic, **crash it** (drop without shutdown),
-/// recover from disk, and diff the recovered session's answers against
-/// a never-crashed control — byte for byte. The verify-script hook for
-/// the durability layer (`copycat-serve recover`).
-pub fn run_recover_default() -> Result<RecoverSummary, String> {
-    use crate::router::{Router, RouterConfig};
-    let fs = Fs::real();
-    let root = std::env::temp_dir().join(format!("copycat-recover-smoke-{}", std::process::id()));
-    let _ = fs.remove_dir_all(&root);
-    let config = || RouterConfig {
-        shards: 2,
-        snapshot_every: 4, // force snapshot + WAL-tail recovery
+/// The one durable configuration: one router shard over a single-permit
+/// server, a snapshot every four records and an fsync on every record,
+/// so a short scenario crosses snapshot generations and every acked
+/// effect survives a crash. `root: None` is the ephemeral control.
+pub fn crash_config(fs: &Fs, root: Option<PathBuf>) -> RouterConfig {
+    RouterConfig {
+        shards: 1,
+        server: ServerConfig { workers: 1, queue_depth: 32, shards: 2 },
+        snapshot_every: 4,
         sync_every: 1,
-        store_root: Some(root.clone()),
+        store_root: root,
+        fs: fs.clone(),
         ..RouterConfig::default()
-    };
-    let s = "\"session\":\"smoke\"";
-    let mut lines = vec![
-        format!("{{\"id\":1,\"op\":\"create_session\",{s}}}"),
-        format!(
-            "{{\"id\":2,\"op\":\"open_doc\",{s},\"name\":\"Sheet\",\
-             \"headers\":[\"Venue\",\"Street\",\"City\"],\
-             \"rows\":[[\"V-0\",\"0 Oak St\",\"CityA\"],[\"V-1\",\"1 Oak St\",\"CityB\"],\
-             [\"V-2\",\"2 Oak St\",\"CityA\"]]}}"
-        ),
-        format!("{{\"id\":3,\"op\":\"paste\",{s},\"doc\":0,\"values\":[\"V-0\",\"0 Oak St\",\"CityA\"]}}"),
-        format!("{{\"id\":4,\"op\":\"accept_rows\",{s}}}"),
-        format!("{{\"id\":5,\"op\":\"name_column\",{s},\"col\":0,\"name\":\"Venue\"}}"),
-        format!("{{\"id\":6,\"op\":\"commit_source\",{s},\"name\":\"Shelters\"}}"),
-    ];
-    for i in 0..4 {
-        lines.push(format!(
-            "{{\"id\":{},\"op\":\"autocomplete\",{s},\"values\":[\"0 Oak St\"],\"k\":2}}",
-            7 + i
-        ));
     }
-    let probes = [
-        format!("{{\"id\":90,\"op\":\"render\",{s}}}"),
-        format!("{{\"id\":91,\"op\":\"export\",{s},\"format\":\"csv\"}}"),
-        format!("{{\"id\":92,\"op\":\"session_stats\",{s}}}"),
-        format!("{{\"id\":93,\"op\":\"save_session\",{s}}}"),
-    ];
-
-    let durable = Router::new(config());
-    for line in &lines {
-        let resp = durable.handle_line(line);
-        if !resp.contains("\"ok\":true") {
-            let _ = fs.remove_dir_all(&root);
-            return Err(format!("traffic refused before crash: {line} -> {resp}"));
-        }
-    }
-    let journaled = durable.stats()["durability"]["appends"].as_f64().unwrap_or(0.0) as u64;
-    drop(durable); // crash: no shutdown, no flush
-
-    let recovered =
-        Router::recover(config()).map_err(|e| format!("recovery failed: {e}"))?;
-    let stats = recovered.stats();
-    let durability = &stats["durability"];
-    let field = |k: &str| durability[k].as_f64().unwrap_or(0.0) as u64;
-    let replayed = field("replayed_records");
-    let summary = RecoverSummary {
-        journaled,
-        replayed,
-        torn_bytes: field("torn_bytes"),
-        quarantined: field("quarantined_records"),
-        generations_skipped: field("generations_skipped"),
-        probes: probes.len(),
-    };
-    let control = Router::new(RouterConfig { shards: 2, ..RouterConfig::default() });
-    for line in &lines {
-        control.handle_line(line);
-    }
-    for probe in &probes {
-        let got = recovered.handle_line(probe);
-        let want = control.handle_line(probe);
-        if got != want {
-            let _ = fs.remove_dir_all(&root);
-            return Err(format!(
-                "recovered session diverged on {probe}:\n  recovered: {got}\n  control:   {want}"
-            ));
-        }
-    }
-    recovered.shutdown();
-    control.shutdown();
-    let _ = fs.remove_dir_all(&root);
-    if replayed == 0 {
-        return Err("recovery replayed nothing; the WAL never made it to disk".to_string());
-    }
-    Ok(summary)
 }
 
-/// Summary of the transform kill-and-recover smoke.
-#[derive(Debug, Clone)]
-pub struct TransformSummary {
-    /// The learned program, rendered.
-    pub program: String,
-    /// Effectful requests journaled before the crash.
-    pub journaled: u64,
-    /// Records replayed during recovery.
-    pub replayed: u64,
-    /// Probe requests compared byte-for-byte against the control.
-    pub probes: usize,
+/// One line of a scenario the runner acts on.
+#[derive(Clone, Copy, PartialEq)]
+enum Step<'a> {
+    Send(&'a str),
+    Crash,
 }
 
-/// The transforms smoke: two sources whose phone columns disagree on
-/// format (so value-overlap association discovery finds nothing), a
-/// `learn_transform` that bridges them, the resulting transform edge
-/// surfacing as the top column suggestion, an `accept_column` that
-/// executes the derive-then-join plan — then a **crash** and a recovery
-/// that must answer every probe byte-for-byte like a never-crashed
-/// control. The verify-script hook for transform synthesis
-/// (`copycat-serve transforms`).
-pub fn run_transforms_default() -> Result<TransformSummary, String> {
-    use crate::router::{Router, RouterConfig};
-    let fs = Fs::real();
-    let root =
-        std::env::temp_dir().join(format!("copycat-transform-smoke-{}", std::process::id()));
-    let _ = fs.remove_dir_all(&root);
-    let config = || RouterConfig {
-        shards: 2,
-        snapshot_every: 6,
-        sync_every: 1,
-        store_root: Some(root.clone()),
-        ..RouterConfig::default()
-    };
-    let s = "\"session\":\"transforms\"";
-    let lines = vec![
-        format!("{{\"id\":1,\"op\":\"create_session\",{s}}}"),
-        // Directory first: its phones are dashed, the contacts' phones
-        // are parenthesized, so no Link edge can bridge them by value.
-        format!(
-            "{{\"id\":2,\"op\":\"open_doc\",{s},\"name\":\"DirectorySheet\",\
-             \"headers\":[\"Venue\",\"Line\"],\
-             \"rows\":[[\"V-0\",\"555-010-1000\"],[\"V-1\",\"555-010-1001\"],\
-             [\"V-2\",\"555-010-1002\"]]}}"
-        ),
-        format!("{{\"id\":3,\"op\":\"paste\",{s},\"doc\":0,\"values\":[\"V-0\",\"555-010-1000\"]}}"),
-        format!("{{\"id\":4,\"op\":\"accept_rows\",{s}}}"),
-        format!("{{\"id\":5,\"op\":\"name_column\",{s},\"col\":1,\"name\":\"Line\"}}"),
-        format!("{{\"id\":6,\"op\":\"commit_source\",{s},\"name\":\"Directory\"}}"),
-        format!(
-            "{{\"id\":7,\"op\":\"open_doc\",{s},\"name\":\"ContactSheet\",\
-             \"headers\":[\"Person\",\"Phone\"],\
-             \"rows\":[[\"Ada\",\"(555) 010-1000\"],[\"Grace\",\"(555) 010-1001\"],\
-             [\"Edsger\",\"(555) 010-1002\"]]}}"
-        ),
-        format!(
-            "{{\"id\":8,\"op\":\"paste\",{s},\"doc\":1,\"values\":[\"Ada\",\"(555) 010-1000\"]}}"
-        ),
-        format!("{{\"id\":9,\"op\":\"accept_rows\",{s}}}"),
-        format!("{{\"id\":10,\"op\":\"name_column\",{s},\"col\":1,\"name\":\"Phone\"}}"),
-        format!("{{\"id\":11,\"op\":\"commit_source\",{s},\"name\":\"Contacts\"}}"),
-        format!(
-            "{{\"id\":12,\"op\":\"learn_transform\",{s},\"from\":\"Contacts\",\
-             \"from_col\":\"Phone\",\"to\":\"Directory\",\"to_col\":\"Line\",\
-             \"examples\":[[\"(555) 010-1000\",\"555-010-1000\"],\
-             [\"(555) 010-1001\",\"555-010-1001\"]]}}"
-        ),
-    ];
-    let probes = [
-        format!("{{\"id\":90,\"op\":\"list_transforms\",{s}}}"),
-        format!("{{\"id\":91,\"op\":\"render\",{s}}}"),
-        format!("{{\"id\":92,\"op\":\"export\",{s},\"format\":\"csv\"}}"),
-        format!("{{\"id\":93,\"op\":\"session_stats\",{s}}}"),
-    ];
+/// The `>>` and `-- crash` lines of `text`, in order. A text without a
+/// request is refused, so an empty or misnamed scenario cannot pass.
+fn steps(text: &str) -> Result<Vec<Step<'_>>, String> {
+    let steps: Vec<Step> = text
+        .lines()
+        .filter_map(|l| match l.strip_prefix(">> ") {
+            Some(request) => Some(Step::Send(request)),
+            None => (l == CRASH).then_some(Step::Crash),
+        })
+        .collect();
+    if !steps.iter().any(|s| matches!(s, Step::Send(_))) {
+        return Err("no `>>` request line: nothing to replay".to_string());
+    }
+    Ok(steps)
+}
 
-    let durable = Router::new(config());
-    let mut program = String::new();
-    for line in &lines {
-        let resp = durable.handle_line(line);
-        if !resp.contains("\"ok\":true") {
-            let _ = fs.remove_dir_all(&root);
-            return Err(format!("traffic refused before crash: {line} -> {resp}"));
-        }
-        if line.contains("learn_transform") {
-            let parsed = Json::parse(&resp).expect("responses parse");
-            program = parsed["result"]["program"].as_str().unwrap_or("").to_string();
-        }
-    }
-    // The learned edge must surface as the top-ranked column suggestion
-    // and its derive-then-join plan must execute on acceptance.
-    let suggest =
-        durable.handle_line(&format!("{{\"id\":13,\"op\":\"column_suggestions\",{s}}}"));
-    if !suggest.contains("\"ok\":true") || !suggest.contains("T:Contacts+Directory") {
-        let _ = fs.remove_dir_all(&root);
-        return Err(format!("transform edge missing from suggestions: {suggest}"));
-    }
-    let accept = durable.handle_line(&format!("{{\"id\":14,\"op\":\"accept_column\",{s},\"index\":0}}"));
-    if !accept.contains("\"ok\":true") {
-        let _ = fs.remove_dir_all(&root);
-        return Err(format!("accepting the transform suggestion failed: {accept}"));
-    }
-    let journaled = durable.stats()["durability"]["appends"].as_f64().unwrap_or(0.0) as u64;
-    drop(durable); // crash: no shutdown, no flush
+fn requests<'a>(steps: &'a [Step<'a>]) -> impl Iterator<Item = &'a str> + 'a {
+    steps.iter().filter_map(|s| match s {
+        Step::Send(line) => Some(*line),
+        Step::Crash => None,
+    })
+}
 
-    let recovered = Router::recover(config()).map_err(|e| format!("recovery failed: {e}"))?;
-    let replayed =
-        recovered.stats()["durability"]["replayed_records"].as_f64().unwrap_or(0.0) as u64;
-    let control = Router::new(RouterConfig { shards: 2, ..RouterConfig::default() });
-    for line in &lines {
-        control.handle_line(line);
-    }
-    control.handle_line(&format!("{{\"id\":13,\"op\":\"column_suggestions\",{s}}}"));
-    control.handle_line(&format!("{{\"id\":14,\"op\":\"accept_column\",{s},\"index\":0}}"));
-    for probe in &probes {
-        let got = recovered.handle_line(probe);
-        let want = control.handle_line(probe);
-        if got != want {
-            let _ = fs.remove_dir_all(&root);
-            return Err(format!(
-                "recovered session diverged on {probe}:\n  recovered: {got}\n  control:   {want}"
-            ));
-        }
-    }
-    recovered.shutdown();
+/// The never-crashed control's answers, one per request: an ephemeral
+/// router on [`crash_config`] that ignores `-- crash`.
+fn control_answers(steps: &[Step]) -> Vec<String> {
+    let control = Router::new(crash_config(&Fs::real(), None));
+    let answers = requests(steps).map(|line| control.handle_line(line)).collect();
     control.shutdown();
-    let _ = fs.remove_dir_all(&root);
-    if replayed == 0 {
-        return Err("recovery replayed nothing; the WAL never made it to disk".to_string());
+    answers
+}
+
+/// The durable side's answers: a router on a fault-free simulated disk,
+/// killed and recovered at every `-- crash`.
+fn durable_answers(steps: &[Step]) -> Result<Vec<String>, String> {
+    let sim = Arc::new(SimFs::new(REPLAY_SEED));
+    let fs = Fs::sim(Arc::clone(&sim));
+    let root = PathBuf::from("/replay");
+    let mut router = Router::new(crash_config(&fs, Some(root.clone())));
+    let mut answers = Vec::new();
+    for step in steps {
+        match step {
+            Step::Send(line) => answers.push(router.handle_line(line)),
+            Step::Crash => {
+                drop(router); // kill: no shutdown, no flush
+                sim.crash();
+                router = Router::recover(crash_config(&fs, Some(root.clone())))
+                    .map_err(|e| format!("recovery failed: {e}"))?;
+            }
+        }
     }
-    Ok(TransformSummary { program, journaled, replayed, probes: probes.len() })
+    router.shutdown();
+    Ok(answers)
+}
+
+/// The transcript of `steps` with one answer per request.
+fn render(steps: &[Step], answers: &[String]) -> String {
+    let mut out = String::new();
+    let mut answers = answers.iter();
+    for step in steps {
+        let Step::Send(line) = step else {
+            out.push_str(CRASH);
+            out.push('\n');
+            continue;
+        };
+        let answer = answers.next().map_or("", String::as_str);
+        out.push_str(">> ");
+        out.push_str(line);
+        out.push('\n');
+        let is_stats = Json::parse(line).is_ok_and(|j| j["op"].as_str() == Some("stats"));
+        match Json::parse(answer) {
+            Ok(j) if is_stats => {
+                out.push_str("<< stats (shape only; values carry timing)\n");
+                for path in shape(&j).lines() {
+                    out.push_str("   ");
+                    out.push_str(path);
+                    out.push('\n');
+                }
+            }
+            _ => {
+                out.push_str("<< ");
+                out.push_str(answer);
+                out.push('\n');
+            }
+        }
+    }
+    out
+}
+
+/// Replay a scenario and render its transcript from the answers
+/// received. `Err` when the text holds no request, or when a crash
+/// scenario's recovered router answers differently from the control
+/// (naming the first differing line).
+pub fn replay(text: &str) -> Result<String, String> {
+    let steps = steps(text)?;
+    if !steps.contains(&Step::Crash) {
+        let server = Server::with_defaults();
+        let answers: Vec<String> = requests(&steps).map(|l| server.handle_line(l)).collect();
+        server.shutdown();
+        return Ok(render(&steps, &answers));
+    }
+    let control = render(&steps, &control_answers(&steps));
+    let durable = render(&steps, &durable_answers(&steps)?);
+    match first_difference(&control, &durable) {
+        None => Ok(control),
+        Some((n, want, got)) => Err(format!(
+            "recovered router diverged from the never-crashed control at line {n}:\n  \
+             control:   {want}\n  recovered: {got}"
+        )),
+    }
+}
+
+/// Replay `text` and require the rendering to reproduce it byte for
+/// byte; `Err` names the first differing line, expected and actual.
+pub fn check(text: &str) -> Result<(), String> {
+    let actual = replay(text)?;
+    match first_difference(text, &actual) {
+        None => Ok(()),
+        Some((n, want, got)) => {
+            Err(format!("line {n} differs:\n  expected: {want}\n  actual:   {got}"))
+        }
+    }
+}
+
+/// The first line (1-based) at which `a` and `b` differ, with both
+/// lines (`<eof>` past the end); `None` when they are byte-identical.
+pub fn first_difference<'a>(a: &'a str, b: &'a str) -> Option<(usize, &'a str, &'a str)> {
+    if a == b {
+        return None;
+    }
+    let (mut left, mut right) = (a.split('\n'), b.split('\n'));
+    let mut n = 1;
+    loop {
+        match (left.next(), right.next()) {
+            (Some(l), Some(r)) if l == r => n += 1,
+            (l, r) => return Some((n, l.unwrap_or("<eof>"), r.unwrap_or("<eof>"))),
+        }
+    }
+}
+
+/// Sorted key paths with leaf type tags, one per line: the *shape* of
+/// a JSON value, independent of its (possibly timing-dependent) values.
+pub fn shape(j: &Json) -> String {
+    fn walk(j: &Json, prefix: &str, out: &mut BTreeSet<String>) {
+        let tag = match j {
+            Json::Obj(fields) => {
+                for (k, v) in fields {
+                    walk(v, &format!("{prefix}.{k}"), out);
+                }
+                if !fields.is_empty() {
+                    return;
+                }
+                ":obj"
+            }
+            Json::Arr(items) => {
+                for v in items {
+                    walk(v, &format!("{prefix}[]"), out);
+                }
+                "[]"
+            }
+            Json::Str(_) => ":str",
+            Json::Num(_) => ":num",
+            Json::Bool(_) => ":bool",
+            Json::Null => ":null",
+        };
+        out.insert(format!("{prefix}{tag}"));
+    }
+    let mut out = BTreeSet::new();
+    walk(j, "", &mut out);
+    let mut s: String = out.into_iter().map(|p| format!("{p}\n")).collect();
+    if s.is_empty() {
+        s.push('\n');
+    }
+    s
 }
 
 /// Summary of a [`run_herd`] sweep: many shared-world sessions on one
@@ -698,6 +271,7 @@ pub fn run_herd(
     floor_sessions_per_gb: f64,
     snap: &dyn Fn() -> copycat_util::bench::AllocSnapshot,
 ) -> Result<HerdReport, String> {
+    let esc = |s: &str| Json::str(s).to_string();
     let world = "\"world\":{\"seed\":2009,\"venues\":6}";
     let create = |name: &str| {
         let resp = server
@@ -745,6 +319,9 @@ pub fn run_herd(
     Ok(HerdReport { sessions, marginal_bytes_per_session: marginal, sessions_per_gb, probes_ok })
 }
 
+/// The sessions [`STORM`] journals to.
+const STORM_SESSIONS: [&str; 2] = ["storm-a", "storm-b"];
+
 /// Summary of a [`run_crash_storm`] sweep.
 #[derive(Debug, Clone)]
 pub struct CrashStormReport {
@@ -773,6 +350,7 @@ pub struct CrashStormReport {
 }
 
 /// What one kill-and-recover run under a fault plan observed.
+#[derive(Default)]
 struct StormRun {
     acked: u64,
     recovered: u64,
@@ -783,81 +361,6 @@ struct StormRun {
     /// reported, or recovered bytes that differ from what was acked.
     silent: Vec<String>,
     probe_responses: Vec<String>,
-}
-
-/// The storm's mutation workload: two sessions, all-journaled request
-/// classes, sized so `snapshot_every: 4` crosses two snapshot
-/// generations on `storm-a` (compaction + generational fallback are in
-/// play at every injection point). Lines are canonical (no whitespace,
-/// no `deadline_ms`), so the journaled form is byte-identical to what
-/// was sent.
-fn storm_workload() -> Vec<String> {
-    let a = "\"session\":\"storm-a\"";
-    let b = "\"session\":\"storm-b\"";
-    let mut lines = vec![
-        format!("{{\"id\":1,\"op\":\"create_session\",{a}}}"),
-        format!(
-            "{{\"id\":2,\"op\":\"open_doc\",{a},\"name\":\"Sheet\",\
-             \"headers\":[\"Venue\",\"Street\",\"City\"],\
-             \"rows\":[[\"V-0\",\"0 Oak St\",\"CityA\"],[\"V-1\",\"1 Oak St\",\"CityB\"],\
-             [\"V-2\",\"2 Oak St\",\"CityA\"]]}}"
-        ),
-        format!(
-            "{{\"id\":3,\"op\":\"paste\",{a},\"doc\":0,\"values\":[\"V-0\",\"0 Oak St\",\"CityA\"]}}"
-        ),
-        format!("{{\"id\":4,\"op\":\"accept_rows\",{a}}}"),
-        format!("{{\"id\":5,\"op\":\"name_column\",{a},\"col\":0,\"name\":\"Venue\"}}"),
-        format!("{{\"id\":6,\"op\":\"commit_source\",{a},\"name\":\"Shelters\"}}"),
-    ];
-    for i in 0..3 {
-        lines.push(format!(
-            "{{\"id\":{},\"op\":\"autocomplete\",{a},\"values\":[\"{i} Oak St\"],\"k\":2}}",
-            7 + i,
-        ));
-    }
-    lines.extend([
-        format!("{{\"id\":20,\"op\":\"create_session\",{b}}}"),
-        format!(
-            "{{\"id\":21,\"op\":\"open_doc\",{b},\"name\":\"ContactSheet\",\
-             \"headers\":[\"Person\",\"Venue\"],\
-             \"rows\":[[\"Ada\",\"V-0\"],[\"Grace\",\"V-1\"]]}}"
-        ),
-        format!("{{\"id\":22,\"op\":\"paste\",{b},\"doc\":0,\"values\":[\"Ada\",\"V-0\"]}}"),
-        format!("{{\"id\":23,\"op\":\"accept_rows\",{b}}}"),
-        format!("{{\"id\":24,\"op\":\"name_column\",{b},\"col\":1,\"name\":\"Venue\"}}"),
-        format!("{{\"id\":25,\"op\":\"commit_source\",{b},\"name\":\"People\"}}"),
-        format!("{{\"id\":26,\"op\":\"autocomplete\",{b},\"values\":[\"Ada\"],\"k\":2}}"),
-    ]);
-    lines
-}
-
-/// Read-only probes against both storm sessions (deterministic
-/// responses, byte-comparable to a never-crashed control).
-fn storm_probes() -> Vec<String> {
-    ["storm-a", "storm-b"]
-        .iter()
-        .flat_map(|name| {
-            let s = format!("\"session\":\"{name}\"");
-            [
-                format!("{{\"id\":90,\"op\":\"render\",{s}}}"),
-                format!("{{\"id\":91,\"op\":\"export\",{s},\"format\":\"csv\"}}"),
-                format!("{{\"id\":92,\"op\":\"session_stats\",{s}}}"),
-                format!("{{\"id\":93,\"op\":\"save_session\",{s}}}"),
-            ]
-        })
-        .collect()
-}
-
-fn storm_config(fs: &Fs, root: Option<PathBuf>) -> crate::router::RouterConfig {
-    crate::router::RouterConfig {
-        shards: 1,
-        server: ServerConfig { workers: 1, queue_depth: 32, shards: 2 },
-        snapshot_every: 4,
-        sync_every: 1,
-        store_root: root,
-        fs: fs.clone(),
-        ..crate::router::RouterConfig::default()
-    }
 }
 
 /// One kill-and-recover run under `plan`: drive the workload through a
@@ -872,39 +375,29 @@ fn storm_config(fs: &Fs, root: Option<PathBuf>) -> crate::router::RouterConfig {
 fn storm_run(
     seed: u64,
     plan: Vec<FaultPlan>,
-    workload: &[String],
-    probes: &[String],
-    sessions: &[&str],
+    workload: &[&str],
+    probes: &[&str],
 ) -> Result<(StormRun, u64), String> {
-    use crate::router::Router;
     let sim = Arc::new(SimFs::with_faults(seed, plan));
     let fs = Fs::sim(Arc::clone(&sim));
     let root = PathBuf::from("/storm");
-    let router = Router::new(storm_config(&fs, Some(root.clone())));
+    let router = Router::new(crash_config(&fs, Some(root.clone())));
     for line in workload {
         // Under an armed fault a request may legitimately fail; what
         // matters is what got *acked*, captured from the journal below.
         let _ = router.handle_line(line);
     }
-    let pre: Vec<(String, Vec<String>)> = sessions
+    let pre: Vec<(String, Vec<String>)> = STORM_SESSIONS
         .iter()
         .map(|s| (s.to_string(), router.journal_history(s).unwrap_or_default()))
         .collect();
     drop(router); // kill: no shutdown, no flush
     let ops = sim.op_count();
     sim.crash();
-    let recovered = Router::recover(storm_config(&fs, Some(root)))
+    let recovered = Router::recover(crash_config(&fs, Some(root)))
         .map_err(|e| format!("recovery failed: {e}"))?;
     let reports = recovered.recovery_reports();
-    let mut out = StormRun {
-        acked: 0,
-        recovered: 0,
-        quarantined: 0,
-        tail_lost: 0,
-        fired: sim.fired().len() as u64,
-        silent: Vec::new(),
-        probe_responses: Vec::new(),
-    };
+    let mut out = StormRun { fired: sim.fired().len() as u64, ..StormRun::default() };
     for (name, acked_lines) in &pre {
         // No report = nothing recovered for the session (e.g. its store
         // never materialized, or its name sidecar was corrupt): every
@@ -965,32 +458,21 @@ fn storm_run(
 /// `stride: 1` (the `copycat-serve crash-storm` smoke) covers every
 /// injection point; tests use a coarser stride.
 pub fn run_crash_storm(seed: u64, stride: u64) -> Result<CrashStormReport, String> {
-    use crate::router::Router;
-    let sessions = ["storm-a", "storm-b"];
-    let workload = storm_workload();
-    let probes = storm_probes();
+    let steps = steps(STORM)?;
+    let crash =
+        steps.iter().position(|s| *s == Step::Crash).ok_or("storm.txt has no `-- crash`")?;
+    let workload: Vec<&str> = requests(&steps[..crash]).collect();
+    let probes: Vec<&str> = requests(&steps[crash + 1..]).collect();
     let stride = stride.max(1);
 
-    // The never-crashed control: same workload, ephemeral router.
-    let control = Router::new(storm_config(&Fs::real(), None));
-    for line in &workload {
-        let resp = control.handle_line(line);
-        if !resp.contains("\"ok\":true") {
-            return Err(format!("control refused workload line: {line} -> {resp}"));
-        }
-    }
-    let control_probes: Vec<String> = probes.iter().map(|p| control.handle_line(p)).collect();
-    control.shutdown();
+    // The never-crashed control's probe answers: the replay's control side.
+    let control_probes = control_answers(&steps).split_off(workload.len());
 
     // Fault-free baseline: defines the sweep domain (op count) and must
-    // recover everything, byte-identical to the control.
-    let (base, ops) = storm_run(seed, Vec::new(), &workload, &probes, &sessions)?;
+    // ack and recover everything, byte-identical to the control.
+    let (base, ops) = storm_run(seed, Vec::new(), &workload, &probes)?;
     if base.acked != workload.len() as u64 {
-        return Err(format!(
-            "baseline acked {} of {} workload lines",
-            base.acked,
-            workload.len()
-        ));
+        return Err(format!("baseline acked {} of {} workload lines", base.acked, workload.len()));
     }
     if !base.silent.is_empty() || base.quarantined + base.tail_lost != 0 {
         return Err(format!(
@@ -1018,13 +500,8 @@ pub fn run_crash_storm(seed: u64, stride: u64) -> Result<CrashStormReport, Strin
     for kind in FaultKind::ALL {
         let mut at = 1u64;
         while at <= ops {
-            let (run, _) = storm_run(
-                seed,
-                vec![FaultPlan { at_op: at, kind }],
-                &workload,
-                &probes,
-                &sessions,
-            )?;
+            let plan = vec![FaultPlan { at_op: at, kind }];
+            let (run, _) = storm_run(seed, plan, &workload, &probes)?;
             report.runs += 1;
             report.faults_fired += run.fired;
             report.acked += run.acked;
@@ -1049,30 +526,8 @@ pub fn run_crash_storm(seed: u64, stride: u64) -> Result<CrashStormReport, Strin
     }
     report.silent_losses = silent.len() as u64;
     if !silent.is_empty() {
-        return Err(format!(
-            "{} silent loss(es) across the storm; first: {}",
-            silent.len(),
-            silent[0]
-        ));
+        let first = &silent[0];
+        return Err(format!("{} silent loss(es) across the storm; first: {first}", silent.len()));
     }
     Ok(report)
-}
-
-fn rows_of(j: &Json) -> Vec<Vec<String>> {
-    j.as_array()
-        .map(|rows| {
-            rows.iter()
-                .map(|r| {
-                    r.as_array()
-                        .map(|cells| {
-                            cells
-                                .iter()
-                                .filter_map(|c| c.as_str().map(str::to_string))
-                                .collect()
-                        })
-                        .unwrap_or_default()
-                })
-                .collect()
-        })
-        .unwrap_or_default()
 }

@@ -1,8 +1,9 @@
 //! Counting-allocator pin for the import path: a flat `create_session`,
 //! the second `paste` of the paste-to-export loop (the step that runs
-//! structure learning and type recognition), and `load_session` of the
-//! loop's saved snapshot each stay within a fixed allocation budget, as
-//! does a warm `ping` — the admission and dispatch path alone.
+//! structure learning and type recognition), a warm `column_suggestions`,
+//! and `load_session` of the loop's saved snapshot each stay within a
+//! fixed allocation budget, as does a warm `ping` — the admission and
+//! dispatch path alone.
 //! The script mirrors the `integrate` benchmark workload on a 10-venue
 //! world. This file holds exactly one test because the global allocator
 //! counts every thread in the process.
@@ -22,6 +23,11 @@ const VENUES: usize = 10;
 const CREATE_BUDGET: u64 = 64;
 /// Allocations the second shelter `paste` may make.
 const PASTE_BUDGET: u64 = 600;
+/// Allocations a second `column_suggestions` on the committed shelters
+/// may make. It made 925 while the engine cloned the whole list, row
+/// values and provenance included, on every call; 745 since it lends
+/// the list it keeps.
+const SUGGEST_BUDGET: u64 = 800;
 /// Allocations `load_session` of the loop's snapshot may make.
 const LOAD_BUDGET: u64 = 1_500;
 /// Allocations a warm `ping` may make.
@@ -78,11 +84,12 @@ fn import_path_allocation_budget() {
     counted(&server, &req(8, "set_column_type", r#","col":2,"type":"PR-City""#));
     counted(&server, &req(9, "commit_source", r#","name":"Shelters""#));
     counted(&server, &req(10, "column_suggestions", ""));
-    counted(&server, &req(11, "accept_column", r#","index":0"#));
+    let (_, suggest) = counted(&server, &req(11, "column_suggestions", ""));
+    counted(&server, &req(12, "accept_column", r#","index":0"#));
     counted(
         &server,
         &req(
-            12,
+            13,
             "open_doc",
             &format!(
                 r#","name":"ContactSheet","headers":["Person","Phone","Venue"],"rows":{}"#,
@@ -90,13 +97,13 @@ fn import_path_allocation_budget() {
             ),
         ),
     );
-    counted(&server, &req(13, "paste", &format!(r#","doc":1,"values":{}"#, row_json(&contacts[0]))));
-    counted(&server, &req(14, "accept_rows", ""));
-    counted(&server, &req(15, "name_column", r#","col":2,"name":"Name""#));
-    counted(&server, &req(16, "commit_source", r#","name":"Contacts""#));
+    counted(&server, &req(14, "paste", &format!(r#","doc":1,"values":{}"#, row_json(&contacts[0]))));
+    counted(&server, &req(15, "accept_rows", ""));
+    counted(&server, &req(16, "name_column", r#","col":2,"name":"Name""#));
+    counted(&server, &req(17, "commit_source", r#","name":"Contacts""#));
     let values = Json::Arr(vec![Json::str(shelters[2][1].as_str()), Json::str(contacts[3][1].as_str())]);
-    counted(&server, &req(17, "autocomplete", &format!(r#","values":{values},"k":3"#)));
-    counted(&server, &req(18, "feedback", r#","accept":0"#));
+    counted(&server, &req(18, "autocomplete", &format!(r#","values":{values},"k":3"#)));
+    counted(&server, &req(19, "feedback", r#","accept":0"#));
     let examples: Vec<Json> = contacts
         .iter()
         .take(3)
@@ -105,7 +112,7 @@ fn import_path_allocation_budget() {
     counted(
         &server,
         &req(
-            19,
+            20,
             "learn_transform",
             &format!(
                 r#","from":"Contacts","from_col":"Name","to":"Shelters","to_col":"Name","examples":{}"#,
@@ -113,21 +120,26 @@ fn import_path_allocation_budget() {
             ),
         ),
     );
-    let (saved, _) = counted(&server, &req(20, "save_session", ""));
+    let (saved, _) = counted(&server, &req(21, "save_session", ""));
     let snapshot = saved["snapshot"].as_str().expect("snapshot string").to_string();
-    counted(&server, &req(21, "close_session", ""));
-    let load = req(22, "load_session", &format!(r#","snapshot":{}"#, Json::str(snapshot.as_str())));
+    counted(&server, &req(22, "close_session", ""));
+    let load = req(23, "load_session", &format!(r#","snapshot":{}"#, Json::str(snapshot.as_str())));
     let (loaded, load) = counted(&server, &load);
-    counted(&server, r#"{"id":23,"op":"ping"}"#);
-    let (_, ping) = counted(&server, r#"{"id":24,"op":"ping"}"#);
+    counted(&server, r#"{"id":24,"op":"ping"}"#);
+    let (_, ping) = counted(&server, r#"{"id":25,"op":"ping"}"#);
     server.shutdown();
 
     assert_eq!(loaded["relations"].as_f64(), Some(2.0), "both sources restored: {loaded}");
     assert!(create <= CREATE_BUDGET, "flat create_session: {create} allocations > {CREATE_BUDGET}");
     assert!(paste <= PASTE_BUDGET, "second paste: {paste} allocations > {PASTE_BUDGET}");
+    assert!(
+        suggest <= SUGGEST_BUDGET,
+        "warm column_suggestions: {suggest} allocations > {SUGGEST_BUDGET}"
+    );
     assert!(load <= LOAD_BUDGET, "load_session: {load} allocations > {LOAD_BUDGET}");
     assert!(ping <= PING_BUDGET, "warm ping: {ping} allocations > {PING_BUDGET}");
     eprintln!(
-        "allocations: create_session {create}, paste {paste}, load_session {load}, ping {ping}"
+        "allocations: create_session {create}, paste {paste}, warm column_suggestions {suggest}, \
+         load_session {load}, ping {ping}"
     );
 }

@@ -7,9 +7,8 @@
 //! crash-storm` verify smoke; these tests cover every fault kind at a
 //! spread of injection points and across seeds.
 
-use copycat_serve::router::{Router, RouterConfig};
-use copycat_serve::server::ServerConfig;
-use copycat_serve::smoke::run_crash_storm;
+use copycat_serve::router::Router;
+use copycat_serve::smoke::{crash_config, run_crash_storm, STORM};
 use copycat_store::{Fs, SimFs};
 use copycat_util::check::{check, Gen};
 use copycat_util::prop_ensure_eq;
@@ -46,69 +45,35 @@ fn prop_crash_storm_across_seeds() {
     });
 }
 
-fn fallback_config(fs: &Fs, root: Option<PathBuf>) -> RouterConfig {
-    RouterConfig {
-        shards: 1,
-        server: ServerConfig { workers: 1, queue_depth: 32, shards: 2 },
-        snapshot_every: 4,
-        sync_every: 1,
-        store_root: root,
-        fs: fs.clone(),
-        ..RouterConfig::default()
-    }
+/// `storm.txt`'s requests to `storm-a`, before and after its
+/// `-- crash`: nine journaled records, which with `snapshot_every: 4`
+/// cross two snapshot generations (seq 4 and seq 8), so the newest
+/// generation has a fallback below it; then four read-only probes.
+fn storm_a() -> (Vec<&'static str>, Vec<&'static str>) {
+    let (workload, probes) = STORM.split_once("\n-- crash\n").expect("storm.txt crashes once");
+    let requests = |part: &'static str| -> Vec<&'static str> {
+        part.lines()
+            .filter_map(|l| l.strip_prefix(">> "))
+            .filter(|l| l.contains("\"session\":\"storm-a\""))
+            .collect()
+    };
+    (requests(workload), requests(probes))
 }
 
-/// Nine journaled records for one session: with `snapshot_every: 4`
-/// this crosses two snapshot generations (seq 4 and seq 8), so the
-/// newest generation has a fallback below it.
-fn fallback_workload() -> Vec<String> {
-    let s = "\"session\":\"gen\"";
-    let mut lines = vec![
-        format!("{{\"id\":1,\"op\":\"create_session\",{s}}}"),
-        format!(
-            "{{\"id\":2,\"op\":\"open_doc\",{s},\"name\":\"Sheet\",\
-             \"headers\":[\"Venue\",\"Street\",\"City\"],\
-             \"rows\":[[\"V-0\",\"0 Oak St\",\"CityA\"],[\"V-1\",\"1 Oak St\",\"CityB\"],\
-             [\"V-2\",\"2 Oak St\",\"CityA\"]]}}"
-        ),
-        format!(
-            "{{\"id\":3,\"op\":\"paste\",{s},\"doc\":0,\"values\":[\"V-0\",\"0 Oak St\",\"CityA\"]}}"
-        ),
-        format!("{{\"id\":4,\"op\":\"accept_rows\",{s}}}"),
-        format!("{{\"id\":5,\"op\":\"name_column\",{s},\"col\":0,\"name\":\"Venue\"}}"),
-        format!("{{\"id\":6,\"op\":\"commit_source\",{s},\"name\":\"Shelters\"}}"),
-    ];
-    for i in 0..3 {
-        lines.push(format!(
-            "{{\"id\":{},\"op\":\"autocomplete\",{s},\"values\":[\"{i} Oak St\"],\"k\":2}}",
-            7 + i,
-        ));
-    }
-    lines
-}
-
-fn fallback_probes() -> Vec<String> {
-    let s = "\"session\":\"gen\"";
-    vec![
-        format!("{{\"id\":90,\"op\":\"render\",{s}}}"),
-        format!("{{\"id\":91,\"op\":\"export\",{s},\"format\":\"csv\"}}"),
-        format!("{{\"id\":92,\"op\":\"session_stats\",{s}}}"),
-        format!("{{\"id\":93,\"op\":\"save_session\",{s}}}"),
-    ]
-}
-
-/// Satellite property: flip a byte in the newest snapshot generation,
-/// recover, and the router must fall back one generation — replaying a
-/// longer WAL tail — and answer every probe byte-identically to a
-/// never-crashed control, with the fallback explicitly reported.
+/// Flip a byte in the newest snapshot generation, recover, and the
+/// router must fall back one generation — replaying a longer WAL tail —
+/// and answer every probe byte-identically to a never-crashed control,
+/// with the fallback explicitly reported.
 #[test]
 fn corrupt_newest_snapshot_generation_falls_back_byte_identically() {
     let sim = Arc::new(SimFs::new(0xFA11));
     let fs = Fs::sim(Arc::clone(&sim));
     let root = PathBuf::from("/fallback");
-    let router = Router::new(fallback_config(&fs, Some(root.clone())));
-    for line in fallback_workload() {
-        let resp = router.handle_line(&line);
+    let (workload, probes) = storm_a();
+    assert_eq!((workload.len(), probes.len()), (9, 4));
+    let router = Router::new(crash_config(&fs, Some(root.clone())));
+    for line in &workload {
+        let resp = router.handle_line(line);
         assert!(resp.contains("\"ok\":true"), "{line} -> {resp}");
     }
     router.shutdown(); // graceful: everything on disk is durable
@@ -129,9 +94,9 @@ fn corrupt_newest_snapshot_generation_falls_back_byte_identically() {
     // Lexicographic order == generation order (zero-padded names).
     assert!(sim.corrupt_file(generations.last().unwrap()));
 
-    let recovered = Router::recover(fallback_config(&fs, Some(root))).unwrap();
+    let recovered = Router::recover(crash_config(&fs, Some(root))).unwrap();
     let reports = recovered.recovery_reports();
-    let (_, rep) = reports.iter().find(|(n, _)| n == "gen").expect("session recovered");
+    let (_, rep) = reports.iter().find(|(n, _)| n == "storm-a").expect("session recovered");
     assert_eq!(rep.generations_skipped, 1, "{rep:?}");
     assert_eq!(rep.snapshot_generation, 1, "{rep:?}");
     assert!(rep.quarantined.is_empty(), "fallback loses nothing: {rep:?}");
@@ -143,13 +108,13 @@ fn corrupt_newest_snapshot_generation_falls_back_byte_identically() {
     let remaining = fs.list_files(&dirs[0]).unwrap();
     assert!(!remaining.contains(generations.last().unwrap()), "{remaining:?}");
 
-    let control = Router::new(fallback_config(&Fs::real(), None));
-    for line in fallback_workload() {
-        control.handle_line(&line);
+    let control = Router::new(crash_config(&Fs::real(), None));
+    for line in &workload {
+        control.handle_line(line);
     }
-    for probe in fallback_probes() {
-        let got = recovered.handle_line(&probe);
-        let want = control.handle_line(&probe);
+    for probe in &probes {
+        let got = recovered.handle_line(probe);
+        let want = control.handle_line(probe);
         assert_eq!(got, want, "probe diverged after generational fallback: {probe}");
     }
     recovered.shutdown();

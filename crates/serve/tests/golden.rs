@@ -1,13 +1,18 @@
 //! Golden wire-schema tests.
 //!
-//! The fixtures under `tests/golden/` are committed snapshots of the
-//! protocol's observable surface: a full request/response transcript,
-//! the `SavedSession` JSON document, and the key-shape of the two
-//! stats documents (whose *values* carry real timing and therefore
-//! cannot be byte-pinned). Any unversioned change to the wire format —
-//! a renamed field, a dropped key, a reordered object — fails here.
+//! The fixtures are committed snapshots of the protocol's observable
+//! surface: the scenario transcripts (`golden/wire_transcript.txt`, a
+//! full conversation with one request of every class, and the files
+//! under `scenarios/`), the `SavedSession` JSON document, and the key
+//! shape of the router `stats` document. A transcript pins every answer
+//! byte for byte, except `stats`, whose values carry real timing and
+//! are pinned by key shape (the wire transcript's `stats` block is the
+//! server stats shape). Any unversioned change to the wire format — a
+//! renamed field, a dropped key, a reordered object — fails here.
 //!
-//! To version a deliberate change, regenerate and commit the fixtures:
+//! To version a deliberate change, regenerate and commit the fixtures
+//! (a crash scenario is rewritten from its never-crashed control, and
+//! only once its recovered router agrees):
 //!
 //! ```sh
 //! UPDATE_GOLDEN=1 cargo test -p copycat-serve --test golden
@@ -15,11 +20,11 @@
 
 use copycat_serve::{smoke, Router, RouterConfig, Server};
 use copycat_util::json::Json;
-use std::collections::BTreeSet;
 use std::path::PathBuf;
 
+/// `name` under the crate's `tests/` directory.
 fn fixture_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(name)
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests").join(name)
 }
 
 /// Compare `actual` to the committed fixture, or rewrite the fixture
@@ -37,111 +42,65 @@ fn assert_golden(name: &str, actual: &str) {
              run UPDATE_GOLDEN=1 cargo test -p copycat-serve --test golden"
         )
     });
-    if expected != actual {
-        // Locate the first differing line for a readable failure.
-        let diff_line = expected
-            .lines()
-            .zip(actual.lines())
-            .position(|(e, a)| e != a)
-            .map(|i| {
-                let e = expected.lines().nth(i).unwrap_or("<eof>");
-                let a = actual.lines().nth(i).unwrap_or("<eof>");
-                format!("first difference at line {}:\n  fixture: {e}\n  actual : {a}", i + 1)
-            })
-            .unwrap_or_else(|| {
-                format!(
-                    "line counts differ: fixture {} vs actual {}",
-                    expected.lines().count(),
-                    actual.lines().count()
-                )
-            });
+    if let Some((n, want, got)) = smoke::first_difference(&expected, actual) {
         panic!(
-            "wire schema drifted from golden fixture {name} — {diff_line}\n\
+            "wire schema drifted from golden fixture {name} at line {n}:\n  \
+             fixture: {want}\n  actual : {got}\n\
              If this change is intentional, version it: regenerate with \
              UPDATE_GOLDEN=1 and commit the new fixture."
         );
     }
 }
 
-/// Sorted key paths with leaf type tags: the *shape* of a JSON value,
-/// independent of the (possibly timing-dependent) values.
-fn shape(j: &Json) -> String {
-    fn walk(j: &Json, prefix: &str, out: &mut BTreeSet<String>) {
-        match j {
-            Json::Obj(fields) => {
-                if fields.is_empty() {
-                    out.insert(format!("{prefix}:obj"));
-                }
-                for (k, v) in fields {
-                    walk(v, &format!("{prefix}.{k}"), out);
-                }
-            }
-            Json::Arr(items) => {
-                out.insert(format!("{prefix}[]"));
-                for v in items {
-                    walk(v, &format!("{prefix}[]"), out);
-                }
-            }
-            Json::Str(_) => {
-                out.insert(format!("{prefix}:str"));
-            }
-            Json::Num(_) => {
-                out.insert(format!("{prefix}:num"));
-            }
-            Json::Bool(_) => {
-                out.insert(format!("{prefix}:bool"));
-            }
-            Json::Null => {
-                out.insert(format!("{prefix}:null"));
-            }
-        }
-    }
-    let mut out = BTreeSet::new();
-    walk(j, "", &mut out);
-    let mut s: String = out.into_iter().map(|p| format!("{p}\n")).collect();
-    if s.is_empty() {
-        s.push('\n');
-    }
-    s
+/// The scenario transcripts: the wire transcript and every file under
+/// `tests/scenarios/`.
+fn scenarios() -> Vec<String> {
+    let dir = fixture_path("scenarios");
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap_or_else(|e| panic!("scenario dir {dir:?}: {e}"))
+        .map(|entry| {
+            format!("scenarios/{}", entry.expect("dir entry").file_name().to_string_lossy())
+        })
+        .collect();
+    names.sort();
+    names.insert(0, "golden/wire_transcript.txt".to_string());
+    names
 }
 
-/// The full smoke conversation — one request of every class — as a
-/// committed transcript. Responses are deterministic by protocol
-/// design (no timing on the wire); the one exception, `stats`, is
-/// normalized to its key shape.
+/// Every scenario replays to its committed transcript byte for byte:
+/// the full wire conversation (one request of every class), the chaos
+/// failover, and the crash scenarios, whose recovered router must also
+/// answer exactly like its never-crashed control. Responses carry no
+/// timing by protocol design; `stats` is pinned by its key shape.
 #[test]
 fn golden_wire_transcript() {
-    let server = Server::with_defaults();
-    let log = smoke::run(&server).unwrap_or_else(|e| panic!("smoke failed at {e:?}"));
-    let mut transcript = String::new();
-    for x in &log {
-        transcript.push_str(">> ");
-        transcript.push_str(&x.request);
-        transcript.push('\n');
-        if x.op == "stats" {
-            let j = Json::parse(&x.response).expect("stats parses");
-            transcript.push_str("<< stats (shape only; values carry timing)\n");
-            for line in shape(&j).lines() {
-                transcript.push_str("   ");
-                transcript.push_str(line);
-                transcript.push('\n');
-            }
-        } else {
-            transcript.push_str("<< ");
-            transcript.push_str(&x.response);
-            transcript.push('\n');
-        }
+    for name in scenarios() {
+        let text = std::fs::read_to_string(fixture_path(&name)).expect("scenario file");
+        let rendered = smoke::replay(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_golden(&name, &rendered);
     }
-    // The transcript must be reproducible before it is comparable:
-    // a second fresh server must produce the identical conversation.
-    let server2 = Server::with_defaults();
-    let log2 = smoke::run(&server2).expect("second smoke run");
-    for (a, b) in log.iter().zip(log2.iter()) {
-        if a.op != "stats" {
-            assert_eq!(a.response, b.response, "nondeterministic response for {}", a.op);
-        }
+}
+
+/// An altered answer fails the replay and names its line.
+#[test]
+fn replay_names_the_first_altered_line() {
+    let text = smoke::replay(">> {\"id\":1,\"op\":\"ping\"}\n>> {\"id\":2,\"op\":\"ping\"}\n")
+        .expect("two pings replay");
+    assert!(smoke::check(&text).is_ok(), "{text}");
+    let altered = text.replacen("{\"id\":2,\"ok\":true", "{\"id\":2,\"ok\":false", 1);
+    assert_ne!(altered, text);
+    let err = smoke::check(&altered).expect_err("an altered answer must fail");
+    assert!(err.starts_with("line 4 differs"), "{err}");
+    assert!(err.contains("expected: << {\"id\":2,\"ok\":false"), "{err}");
+}
+
+/// A text without a `>>` line is refused rather than passing empty.
+#[test]
+fn replay_refuses_a_file_without_requests() {
+    for text in ["", "<< {\"id\":1,\"ok\":true}\n", "-- crash\n"] {
+        let err = smoke::check(text).expect_err("nothing to replay must fail");
+        assert!(err.contains("no `>>` request line"), "{text:?}: {err}");
     }
-    assert_golden("wire_transcript.txt", &transcript);
 }
 
 /// The `SavedSession` document — now carrying `health` (breaker and
@@ -150,13 +109,13 @@ fn golden_wire_transcript() {
 /// `save_session` both rest on it surviving unchanged.
 #[test]
 fn golden_saved_session_document() {
-    let server = Server::with_defaults();
-    let log = smoke::run(&server).unwrap_or_else(|e| panic!("smoke failed at {e:?}"));
-    let saved = log
-        .iter()
-        .find(|x| x.op == "save_session")
-        .expect("smoke script saves the session");
-    let snapshot = Json::parse(&saved.response).expect("json")["result"]["snapshot"]
+    let text =
+        std::fs::read_to_string(fixture_path("golden/wire_transcript.txt")).expect("transcript");
+    let rendered = smoke::replay(&text).expect("replay");
+    let mut lines = rendered.lines();
+    lines.find(|l| l.starts_with(">> ") && l.contains("\"op\":\"save_session\""));
+    let answer = lines.next().and_then(|l| l.strip_prefix("<< ")).expect("save_session answer");
+    let snapshot = Json::parse(answer).expect("json")["result"]["snapshot"]
         .as_str()
         .expect("snapshot string")
         .to_string();
@@ -171,7 +130,7 @@ fn golden_saved_session_document() {
     }
     let mut doc = snapshot;
     doc.push('\n');
-    assert_golden("saved_session.json", &doc);
+    assert_golden("golden/saved_session.json", &doc);
 }
 
 /// Backward compatibility: the committed `SavedSession` fixture —
@@ -181,7 +140,7 @@ fn golden_saved_session_document() {
 #[test]
 fn pre_cow_saved_session_fixture_loads() {
     let snapshot =
-        std::fs::read_to_string(fixture_path("saved_session.json")).expect("committed fixture");
+        std::fs::read_to_string(fixture_path("golden/saved_session.json")).expect("fixture");
     let server = Server::with_defaults();
     let request = Json::obj(vec![
         ("id".to_string(), Json::Num(1.0)),
@@ -204,16 +163,6 @@ fn pre_cow_saved_session_fixture_loads() {
         "loaded session carries its relations: {stats}"
     );
     server.shutdown();
-}
-
-/// The server `stats` document's key shape (values are timing).
-#[test]
-fn golden_server_stats_shape() {
-    let server = Server::with_defaults();
-    let log = smoke::run(&server).unwrap_or_else(|e| panic!("smoke failed at {e:?}"));
-    let stats = log.iter().find(|x| x.op == "stats").expect("smoke script calls stats");
-    let j = Json::parse(&stats.response).expect("json");
-    assert_golden("server_stats_shape.txt", &shape(&j["result"]));
 }
 
 /// The router `stats` document's key shape — placement and durability
@@ -240,7 +189,7 @@ fn golden_router_stats_shape() {
         let resp = router.handle_line(line);
         assert!(resp.contains("\"ok\":true"), "{resp}");
     }
-    assert_golden("router_stats_shape.txt", &shape(&router.stats()));
+    assert_golden("golden/router_stats_shape.txt", &smoke::shape(&router.stats()));
     router.shutdown();
     let _ = std::fs::remove_dir_all(&root);
 }

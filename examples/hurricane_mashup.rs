@@ -82,7 +82,7 @@ fn main() {
         let ws_index = 0;
         assert!(workspace_switch(engine, ws_index));
     }
-    let suggestions = s.engine.column_suggestions();
+    let suggestions = s.engine.column_suggestions().to_vec();
     println!("Completions offered on the Shelters query:");
     for c in &suggestions {
         let names: Vec<&str> = c.new_fields.iter().map(|f| f.name.as_str()).collect();
@@ -103,7 +103,7 @@ fn main() {
         s.shelter_rows.len()
     );
 
-    let suggestions = s.engine.column_suggestions();
+    let suggestions = s.engine.column_suggestions().to_vec();
     let geo = suggestions
         .iter()
         .find(|c| c.new_fields.iter().any(|f| f.name == "Lat"))

@@ -22,7 +22,7 @@ fn main() {
 
     // Integration mode: CopyCat offers column auto-completions from its
     // source graph. The zip resolver is the most promising.
-    let suggestions = s.engine.column_suggestions();
+    let suggestions = s.engine.column_suggestions().to_vec();
     println!("Column auto-completions on offer:");
     for c in &suggestions {
         let names: Vec<&str> = c.new_fields.iter().map(|f| f.name.as_str()).collect();

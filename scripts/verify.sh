@@ -35,29 +35,23 @@ for example in explain_provenance feedback_learning hurricane_mashup power_user 
     cargo run -q --release --offline --example "$example" >/dev/null
 done
 cargo run --release --offline -p copycat-bench --bin harness -- e1
-# Serve smoke: spawn an in-process copycat-serve, round-trip one request
-# of every request class, and drain gracefully. Exits non-zero if any
-# required class fails.
-cargo run --release --offline -p copycat-serve -- smoke
-# Chaos smoke: hard-down primary behind retry + circuit breaker fails
-# over to a healthy replacement alias; health reports the trip with
-# virtual (never wallclock) backoff. Exits non-zero on any regression.
-cargo run --release --offline -p copycat-serve -- chaos
-# Recover smoke: durable router journals traffic, crashes (dropped
-# without shutdown), recovers from snapshot + WAL, and must answer
-# byte-identically to a never-crashed control.
-cargo run --release --offline -p copycat-serve -- recover
+# Scenario replay: every transcript (`>>` requests, `<<` answers) is
+# replayed and must reproduce its file byte for byte — the full wire
+# conversation (one request of every class), the chaos failover
+# (hard-down primary, breaker trip, healthy replacement alias), and the
+# crash scenarios (transform synthesis, the storm workload), whose
+# durable router is killed at `-- crash`, recovered from snapshot + WAL,
+# and must answer exactly like a never-crashed control.
+cargo run --release --offline -p copycat-serve -- replay \
+    crates/serve/tests/golden/wire_transcript.txt crates/serve/tests/scenarios/*.txt
 # Crash-storm smoke: the storage-fault sweep on the simulated
 # filesystem — every fault kind (short writes, torn appends,
 # failed/lying fsyncs, bit flips, partial reads, ENOSPC) injected at
-# every I/O operation of a seeded workload, each run killed, recovered,
+# every I/O operation of the storm scenario (tests/scenarios/storm.txt),
+# each run killed, recovered,
 # and checked for the no-silent-loss property: every acked effect is
 # byte-identically present or explicitly reported lost.
 cargo run --release --offline -p copycat-serve -- crash-storm
-# Transforms smoke: learn a string-transform program bridging two
-# incompatibly formatted sources, accept the suggested transform edge,
-# crash, and require the recovered session to answer byte-identically.
-cargo run --release --offline -p copycat-serve -- transforms
 # Herd smoke: 10k copy-on-write sessions over one shared world on one
 # server; probes a sample end to end and asserts the marginal memory
 # cost keeps >=100k sessions per GiB.

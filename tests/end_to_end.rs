@@ -59,7 +59,7 @@ fn demo_on_multipage_tier() {
 #[test]
 fn geocode_accept_then_export_kml() {
     let mut s = run_demo(Tier::Clean, 12, 1);
-    let suggs = s.engine.column_suggestions();
+    let suggs = s.engine.column_suggestions().to_vec();
     let geo = suggs
         .iter()
         .find(|c| c.new_fields.iter().any(|f| f.name == "Lat"))
