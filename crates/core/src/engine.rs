@@ -91,10 +91,10 @@ pub struct CopyCat {
     /// ([`CopyCat::register_resilient`]): breaker states, retry/trip
     /// counters, and observed failure rates feeding failover.
     health: HealthRegistry,
-    /// Health state restored from a [`crate::session::SavedSession`] but
-    /// not yet re-attached: services persist their runtime health (breaker
+    /// Health state restored by [`CopyCat::load_session_json`] but not
+    /// yet re-attached: services persist their runtime health (breaker
     /// status, counters, injected-fault attempt maps) by name, and the
-    /// caller re-registers the implementations *after* `load_session`.
+    /// caller re-registers the implementations *after* the load.
     /// Each entry is consumed by the matching
     /// [`CopyCat::register_resilient`] call.
     pending_health: copycat_util::hash::FxHashMap<String, SavedServiceHealth>,
@@ -557,7 +557,7 @@ impl CopyCat {
     /// Register an external service (catalog + graph + associations).
     ///
     /// If a saved session restored fault-injection state for a probe of
-    /// this name ([`crate::session::SavedSession::probes`]), it is
+    /// this name (the snapshot's `probes` member), it is
     /// re-applied here so a restored [`Flaky`] continues the exact roll
     /// sequence it was saved mid-way through.
     pub fn register_service(&mut self, svc: Arc<dyn Service>) {
@@ -608,15 +608,13 @@ impl CopyCat {
     /// health does).
     pub(crate) fn stash_saved_health(
         &mut self,
-        services: &[SavedServiceHealth],
-        probes: &[(String, SavedFlakyState)],
+        services: Vec<SavedServiceHealth>,
+        probes: Vec<(String, SavedFlakyState)>,
     ) {
         for s in services {
-            self.pending_health.insert(s.service.clone(), s.clone());
+            self.pending_health.insert(s.service.clone(), s);
         }
-        for (name, s) in probes {
-            self.pending_probes.insert(name.clone(), s.clone());
-        }
+        self.pending_probes.extend(probes);
     }
 
     /// The engine's service-health registry (breaker states, retry and
@@ -1268,8 +1266,13 @@ impl CopyCat {
     }
 
     /// Re-register a saved wrapper without a live document.
-    pub(crate) fn restore_wrapper(&mut self, name: &str, wrapper: Wrapper) {
-        self.wrappers.push((name.to_string(), None, wrapper));
+    pub(crate) fn restore_wrapper(&mut self, name: String, wrapper: Wrapper) {
+        self.wrappers.push((name, None, wrapper));
+    }
+
+    /// The learned wrappers by source name, borrowed (session save).
+    pub(crate) fn wrapper_entries(&self) -> impl Iterator<Item = (&str, &Wrapper)> {
+        self.wrappers.iter().map(|(n, _, w)| (n.as_str(), w))
     }
 
     /// Reattach a live document to a restored wrapper, re-extract, and

@@ -43,7 +43,6 @@ pub use engine::{CopyCat, EditEffect, LearnedTransform, Mode, TransformSuggestio
 pub use explain::{explain, explain_row, Explanation};
 pub use formsvc::FormService;
 pub use scenario::{Scenario, ScenarioConfig};
-pub use session::{SavedRelation, SavedSession};
 pub use simulator::{ActionLog, ColumnOrigin, CostModel, TaskShape};
 pub use workspace::{Row, RowState, Tab, Workspace};
 pub use world_base::WorldBase;

@@ -3,11 +3,20 @@
 //! Example 1 ends with two options for the assembled table: a one-off
 //! query, or "it could be persistently saved as an integrated, mediated
 //! view of the data, enabling user or application queries over a unified
-//! representation." A [`SavedSession`] captures everything re-usable
+//! representation." A session snapshot captures everything re-usable
 //! across sessions: the imported relations, the source graph with its
 //! *learned edge costs*, the learned wrappers (so sources can be
-//! re-extracted when their documents are reopened), and the user-defined
-//! semantic types.
+//! re-extracted when their documents are reopened), the user-defined
+//! semantic types, and the runtime health of every resilient service
+//! and fault-injection probe.
+//!
+//! The snapshot is one pretty-printed JSON object with the members
+//! `relations`, `graph_nodes`, `graph_edges`, `wrappers`, `user_types`,
+//! `health` and `probes`, in that order. Saving streams it straight
+//! from the engine's catalog, graph, wrappers, registry and health
+//! through a [`JsonWriter`]; loading walks one parsed [`ZDoc`] and moves
+//! each value into a fresh engine. Neither side builds an owned `Json`
+//! tree or an intermediate copy of the session.
 //!
 //! Live documents and service closures are deliberately not serialized —
 //! they are reattached on load ([`CopyCat::attach_wrapper_document`],
@@ -16,164 +25,104 @@
 use crate::engine::CopyCat;
 use copycat_extract::Wrapper;
 use copycat_graph::{Edge, Node, SourceGraph};
-use copycat_query::{Relation, Schema};
+use copycat_query::{Relation, Schema, Value};
 use copycat_semantic::PatternSet;
 use copycat_services::{Flaky, SavedFlakyState, SavedServiceHealth};
-use copycat_util::json::{FromJson, Json, JsonError, ToJson};
-
-/// One saved relation.
-#[derive(Debug, Clone)]
-pub struct SavedRelation {
-    /// Catalog name.
-    pub name: String,
-    /// Schema (with semantic types).
-    pub schema: Schema,
-    /// Rows as text (base provenance is re-derived on load).
-    pub rows: Vec<Vec<String>>,
-}
-
-impl ToJson for SavedRelation {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("name".into(), self.name.to_json()),
-            ("schema".into(), self.schema.to_json()),
-            ("rows".into(), self.rows.to_json()),
-        ])
-    }
-}
-
-impl FromJson for SavedRelation {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(SavedRelation {
-            name: String::from_json(j.field("name")?)?,
-            schema: Schema::from_json(j.field("schema")?)?,
-            rows: Vec::from_json(j.field("rows")?)?,
-        })
-    }
-}
-
-/// A saved session.
-#[derive(Debug, Clone)]
-pub struct SavedSession {
-    /// Imported relations.
-    pub relations: Vec<SavedRelation>,
-    /// Source-graph nodes (relations *and* services; service nodes let
-    /// edge ids stay stable even before services are re-registered).
-    pub graph_nodes: Vec<Node>,
-    /// Source-graph edges with their learned costs.
-    pub graph_edges: Vec<Edge>,
-    /// Learned wrappers by source name (documents reattach on load).
-    pub wrappers: Vec<(String, Wrapper)>,
-    /// User-defined semantic types.
-    pub user_types: Vec<(String, PatternSet)>,
-    /// Runtime health of every resilient service: breaker status, retry
-    /// and trip counters, and (for fault-injected inners) attempt maps.
-    /// Without this a restore silently forgets tripped breakers — the
-    /// restored engine would happily route through a service the saved
-    /// one had already failed over from.
-    pub health: Vec<SavedServiceHealth>,
-    /// Fault-injection state of probes registered *without* the
-    /// resilient layer, by service name.
-    pub probes: Vec<(String, SavedFlakyState)>,
-}
-
-impl ToJson for SavedSession {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("relations".into(), self.relations.to_json()),
-            ("graph_nodes".into(), self.graph_nodes.to_json()),
-            ("graph_edges".into(), self.graph_edges.to_json()),
-            ("wrappers".into(), self.wrappers.to_json()),
-            ("user_types".into(), self.user_types.to_json()),
-            ("health".into(), self.health.to_json()),
-            ("probes".into(), self.probes.to_json()),
-        ])
-    }
-}
-
-impl FromJson for SavedSession {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(SavedSession {
-            relations: Vec::from_json(j.field("relations")?)?,
-            graph_nodes: Vec::from_json(j.field("graph_nodes")?)?,
-            graph_edges: Vec::from_json(j.field("graph_edges")?)?,
-            wrappers: Vec::from_json(j.field("wrappers")?)?,
-            user_types: Vec::from_json(j.field("user_types")?)?,
-            // Absent in sessions saved before health persisted: treat as
-            // "no resilient services had been registered".
-            health: match j.get("health") {
-                Some(h) => Vec::from_json(h)?,
-                None => Vec::new(),
-            },
-            probes: match j.get("probes") {
-                Some(p) => Vec::from_json(p)?,
-                None => Vec::new(),
-            },
-        })
-    }
-}
+use copycat_util::json::{FromJson, JsonError, JsonWriter, ToJson};
+use copycat_util::zjson::{ZDoc, ZRef};
 
 impl CopyCat {
-    /// Capture the persistent state of this session.
-    pub fn save_session(&self) -> SavedSession {
-        let relations = self
-            .catalog()
-            .relation_names()
-            .into_iter()
-            .filter_map(|name| self.catalog().relation(&name))
-            // Derived link-index relations are rebuilt on demand.
-            .filter(|r| !r.name().contains('≈'))
-            .map(|r| SavedRelation {
-                name: r.name().to_string(),
-                schema: r.schema().clone(),
-                rows: r.as_texts(),
-            })
-            .collect();
-        let graph_nodes = self.graph().node_ids().map(|n| self.graph().node(n).clone()).collect();
-        let graph_edges = self.graph().edge_ids().map(|e| self.graph().edge(e).clone()).collect();
-        // Direct (non-resilient) fault-injection probes in the catalog.
-        // Resilient-wrapped inners are carried by their wrapper's
-        // SavedServiceHealth instead; `Service::as_any` is None for the
-        // wrapper, so each stateful instance is captured exactly once.
-        let probes = self
-            .catalog()
-            .service_names()
-            .into_iter()
-            .filter_map(|name| {
-                let svc = self.catalog().service(&name)?;
-                let flaky = svc.as_any()?.downcast_ref::<Flaky>()?;
-                Some((name, flaky.saved_state()))
-            })
-            .collect();
-        SavedSession {
-            relations,
-            graph_nodes,
-            graph_edges,
-            wrappers: self.saved_wrappers(),
-            user_types: self
-                .registry()
-                .user_types()
-                .into_iter()
-                .map(|t| (t.name.clone(), t.patterns.clone()))
-                .collect(),
-            health: self.health().saved(),
-            probes,
-        }
-    }
-
-    /// Serialize to JSON.
+    /// Serialize the persistent state of this session to JSON.
     pub fn save_session_json(&self) -> String {
-        self.save_session().to_json().to_string_pretty()
+        let mut out = String::new();
+        self.write_session(&mut JsonWriter::pretty(&mut out));
+        out
     }
 
-    /// Restore a session into a fresh engine: relations re-materialize,
-    /// the graph returns with its learned costs, wrappers await document
-    /// reattachment, user types re-register. Services must be
-    /// re-registered by the caller (their closures are not serializable);
-    /// existing graph nodes are reused so learned costs survive, and
-    /// saved runtime health (tripped breakers, retry/trip counters,
-    /// fault-injection attempt maps) re-attaches to each service as it
-    /// is re-registered.
+    fn write_session(&self, w: &mut JsonWriter<'_>) {
+        let catalog = self.catalog();
+        let graph = self.graph();
+        w.obj(|w| {
+            w.key("relations");
+            w.arr(|w| {
+                for name in catalog.relation_names() {
+                    // Derived link-index relations are rebuilt on demand.
+                    let Some(r) = catalog.relation(&name).filter(|r| !r.name().contains('≈'))
+                    else {
+                        continue;
+                    };
+                    w.obj(|w| {
+                        w.field("name", r.name());
+                        w.field("schema", r.schema());
+                        // Rows as text (base provenance is re-derived on load).
+                        w.key("rows");
+                        w.arr(|w| {
+                            for t in r.tuples() {
+                                w.arr(|w| t.values.iter().for_each(|v| write_text(w, v)));
+                            }
+                        });
+                    });
+                }
+            });
+            // Service nodes ride along with relation nodes, so edge ids
+            // stay stable even before services are re-registered.
+            w.key("graph_nodes");
+            w.arr(|w| graph.node_ids().for_each(|n| graph.node(n).write_json(w)));
+            w.key("graph_edges");
+            w.arr(|w| graph.edge_ids().for_each(|e| graph.edge(e).write_json(w)));
+            w.key("wrappers");
+            w.arr(|w| {
+                for (name, wrapper) in self.wrapper_entries() {
+                    w.arr(|w| {
+                        w.str(name);
+                        wrapper.write_json(w);
+                    });
+                }
+            });
+            w.key("user_types");
+            w.arr(|w| {
+                for t in self.registry().user_types() {
+                    w.arr(|w| {
+                        w.str(&t.name);
+                        t.patterns.write_json(w);
+                    });
+                }
+            });
+            // Without health a restore would silently forget tripped
+            // breakers and route through a service the saved engine had
+            // already failed over from.
+            w.field("health", &self.health().saved());
+            // Direct (non-resilient) fault-injection probes in the
+            // catalog. Resilient-wrapped inners are carried by their
+            // wrapper's health entry instead; `Service::as_any` is None
+            // for the wrapper, so each stateful instance is captured
+            // exactly once.
+            w.key("probes");
+            w.arr(|w| {
+                for name in catalog.service_names() {
+                    let Some(svc) = catalog.service(&name) else { continue };
+                    let Some(flaky) = svc.as_any().and_then(|a| a.downcast_ref::<Flaky>()) else {
+                        continue;
+                    };
+                    w.arr(|w| {
+                        w.str(&name);
+                        flaky.saved_state().write_json(w);
+                    });
+                }
+            });
+        });
+    }
+
+    /// Restore a session from JSON into a fresh engine: relations
+    /// re-materialize, the graph returns with its learned costs,
+    /// wrappers await document reattachment, user types re-register.
+    /// Services must be re-registered by the caller (their closures are
+    /// not serializable); existing graph nodes are reused so learned
+    /// costs survive, and saved runtime health (tripped breakers,
+    /// retry/trip counters, fault-injection attempt maps) re-attaches to
+    /// each service as it is re-registered. Snapshots saved before
+    /// health persisted (no `health` / `probes` members) load as "no
+    /// resilient services had been registered".
     ///
     /// The restored engine's query cache is guaranteed cold: the graph
     /// swap replaces the [`crate::cache::QueryCache`] wholesale and the
@@ -181,32 +130,83 @@ impl CopyCat {
     /// cached Steiner result from any earlier engine can be served
     /// against the restored graph (see
     /// `loaded_session_never_serves_stale_cached_queries`).
-    pub fn load_session(saved: &SavedSession) -> CopyCat {
-        let mut cc = CopyCat::new();
-        for r in &saved.relations {
-            cc.catalog()
-                .add_relation(Relation::from_strings(&r.name, r.schema.clone(), &r.rows));
-        }
-        cc.restore_graph(SourceGraph::from_parts(
-            saved.graph_nodes.clone(),
-            saved.graph_edges.clone(),
-        ));
-        for (name, w) in &saved.wrappers {
-            cc.restore_wrapper(name, w.clone());
-        }
-        for (name, patterns) in &saved.user_types {
-            cc.registry_mut().install_user_type(name, patterns.clone());
-        }
-        cc.stash_saved_health(&saved.health, &saved.probes);
-        cc
-    }
-
-    /// Restore from JSON.
+    ///
+    /// Members are read in document order and the first malformed one
+    /// is the error, so a damaged snapshot names the same problem
+    /// whichever engine state it would have produced.
     pub fn load_session_json(json: &str) -> Result<CopyCat, JsonError> {
-        Ok(Self::load_session(&SavedSession::from_json(&Json::parse(
-            json,
-        )?)?))
+        let mut doc = ZDoc::new();
+        let root = doc.parse(json)?;
+        let mut cc = CopyCat::new();
+        for_each(root.require("relations")?, |r| {
+            let name = String::from_json(r.require("name")?)?;
+            let schema = Schema::from_json(r.require("schema")?)?;
+            let rows = text_rows(r.require("rows")?)?;
+            cc.catalog().add_relation(Relation::from_rows(name, schema, rows));
+            Ok(())
+        })?;
+        let nodes = Vec::<Node>::from_json(root.require("graph_nodes")?)?;
+        let edges = Vec::<Edge>::from_json(root.require("graph_edges")?)?;
+        cc.restore_graph(SourceGraph::from_parts(nodes, edges));
+        for_each(root.require("wrappers")?, |pair| {
+            let (name, wrapper) = <(String, Wrapper)>::from_json(pair)?;
+            cc.restore_wrapper(name, wrapper);
+            Ok(())
+        })?;
+        for_each(root.require("user_types")?, |pair| {
+            let (name, patterns) = <(String, PatternSet)>::from_json(pair)?;
+            cc.registry_mut().install_user_type(&name, patterns);
+            Ok(())
+        })?;
+        let health = match root.get("health") {
+            Some(h) => Vec::<SavedServiceHealth>::from_json(h)?,
+            None => Vec::new(),
+        };
+        let probes = match root.get("probes") {
+            Some(p) => Vec::<(String, SavedFlakyState)>::from_json(p)?,
+            None => Vec::new(),
+        };
+        cc.stash_saved_health(health, probes);
+        Ok(cc)
     }
+}
+
+/// A cell as the text the snapshot stores (null is the empty string).
+fn write_text(w: &mut JsonWriter<'_>, v: &Value) {
+    match v {
+        Value::Null => w.str(""),
+        Value::Str(s) => w.str(s),
+        Value::Num(_) => w.str(&v.as_text()),
+    }
+}
+
+/// Visit each element of a JSON array, stopping at the first error.
+fn for_each<'d>(
+    j: ZRef<'d>,
+    mut f: impl FnMut(ZRef<'d>) -> Result<(), JsonError>,
+) -> Result<(), JsonError> {
+    if !j.is_arr() {
+        return Err(JsonError::expected("array", j));
+    }
+    j.items().try_for_each(&mut f)
+}
+
+/// Text rows straight into cell values: the same [`Value::parse`] a
+/// relation built from strings applies, without the intermediate
+/// `Vec<Vec<String>>`.
+fn text_rows(j: ZRef<'_>) -> Result<Vec<Vec<Value>>, JsonError> {
+    let mut rows = Vec::with_capacity(j.len());
+    for_each(j, |row| {
+        let mut cells = Vec::with_capacity(row.len());
+        for_each(row, |cell| {
+            let text = cell.as_str().ok_or_else(|| JsonError::expected("string", cell))?;
+            cells.push(Value::parse(text));
+            Ok(())
+        })?;
+        rows.push(cells);
+        Ok(())
+    })?;
+    Ok(rows)
 }
 
 #[cfg(test)]
@@ -428,7 +428,7 @@ mod tests {
     fn restore_preserves_tripped_breakers_and_fault_state() {
         use copycat_query::{Service, Value};
         use copycat_services::{BreakerState, Flaky, Geocoder, RetryPolicy};
-        use copycat_util::json::ToJson;
+        use copycat_util::json::to_string;
         let mut s = Scenario::build(&ScenarioConfig { venues: 8, ..Default::default() });
         s.import_shelters(1);
         let policy = RetryPolicy {
@@ -476,8 +476,8 @@ mod tests {
         // The tripped breaker is still tripped, with every counter intact.
         assert_eq!(resilient2.breaker_state(), BreakerState::Open, "restore kept the trip");
         assert_eq!(
-            resilient2.saved_health().to_json().to_string(),
-            resilient.saved_health().to_json().to_string(),
+            to_string(&resilient2.saved_health()),
+            to_string(&resilient.saved_health()),
             "restored health is byte-identical"
         );
         assert_eq!(restored.health_snapshots().len(), 1);
@@ -501,22 +501,15 @@ mod tests {
                 "probe roll diverged at call {i}"
             );
         }
-        assert_eq!(
-            probe.saved_state().to_json().to_string(),
-            probe2.saved_state().to_json().to_string()
-        );
+        assert_eq!(to_string(&probe.saved_state()), to_string(&probe2.saved_state()));
     }
 
     /// Sessions saved before health persistence (no `health` / `probes`
     /// fields) still load: absent fields mean "no resilient services".
     #[test]
     fn pre_health_sessions_still_load() {
-        use copycat_util::json::ToJson;
         let s = trained_scenario();
-        let mut saved = s.engine.save_session();
-        saved.health.clear();
-        saved.probes.clear();
-        let json = saved.to_json();
+        let json = copycat_util::json::Json::parse(&s.engine.save_session_json()).expect("parses");
         // Strip the new fields entirely to mimic an old on-disk file.
         let copycat_util::json::Json::Obj(fields) = &json else {
             panic!("session serializes as an object")

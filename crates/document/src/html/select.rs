@@ -6,7 +6,8 @@
 //! structure learner generalizes over when it turns two pasted example rows
 //! into "all the rows of this table" (§3.1).
 
-use copycat_util::json::{FromJson, Json, JsonError, ToJson};
+use copycat_util::json::{FromJson, JsonError, JsonWriter, ToJson};
+use copycat_util::zjson::ZRef;
 use std::fmt;
 
 /// Sibling-index constraint of a [`TagStep`].
@@ -68,13 +69,13 @@ pub struct TagPath {
 impl ToJson for TagPath {
     /// A path serializes as its `Display` syntax (`table[0]/tr[*]`),
     /// which [`TagPath::parse`] round-trips.
-    fn to_json(&self) -> Json {
-        Json::Str(self.to_string())
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.str(&self.to_string());
     }
 }
 
 impl FromJson for TagPath {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
+    fn from_json(j: ZRef<'_>) -> Result<Self, JsonError> {
         let s = j
             .as_str()
             .ok_or_else(|| JsonError::expected("tag-path string", j))?;
@@ -232,11 +233,11 @@ mod tests {
     fn json_roundtrip() {
         for s in ["table[0]/tr[*]/td[1]", ""] {
             let path = p(s);
-            let back =
-                TagPath::from_json(&Json::parse(&path.to_json().to_string()).unwrap()).unwrap();
+            let back: TagPath =
+                copycat_util::json::from_str(&copycat_util::json::to_string(&path)).unwrap();
             assert_eq!(back, path);
         }
-        assert!(TagPath::from_json(&Json::str("not[a]path[")).is_err());
+        assert!(copycat_util::json::from_str::<TagPath>("\"not[a]path[\"").is_err());
     }
 
     #[test]

@@ -16,13 +16,13 @@ pub struct Url(String);
 
 impl copycat_util::json::ToJson for Url {
     /// A URL serializes as its raw string.
-    fn to_json(&self) -> copycat_util::Json {
-        copycat_util::Json::Str(self.0.clone())
+    fn write_json(&self, w: &mut copycat_util::json::JsonWriter<'_>) {
+        w.str(&self.0);
     }
 }
 
 impl copycat_util::json::FromJson for Url {
-    fn from_json(j: &copycat_util::Json) -> Result<Self, copycat_util::JsonError> {
+    fn from_json(j: copycat_util::zjson::ZRef<'_>) -> Result<Self, copycat_util::JsonError> {
         Ok(Url(String::from_json(j)?))
     }
 }

@@ -11,7 +11,8 @@
 //! covering counterpart of the paper's most-general-consistent search.
 
 use copycat_document::TextDocument;
-use copycat_util::json::{FromJson, Json, JsonError, ToJson};
+use copycat_util::json::{FromJson, JsonError, JsonWriter, ToJson};
+use copycat_util::zjson::ZRef;
 
 /// Maximum landmark length retained from each example's context.
 const MAX_CONTEXT: usize = 24;
@@ -28,19 +29,19 @@ pub struct LandmarkRule {
 }
 
 impl ToJson for LandmarkRule {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("prefix".into(), self.prefix.to_json()),
-            ("suffix".into(), self.suffix.to_json()),
-        ])
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.obj(|w| {
+            w.field("prefix", &self.prefix);
+            w.field("suffix", &self.suffix);
+        });
     }
 }
 
 impl FromJson for LandmarkRule {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
+    fn from_json(j: ZRef<'_>) -> Result<Self, JsonError> {
         Ok(LandmarkRule {
-            prefix: String::from_json(j.field("prefix")?)?,
-            suffix: String::from_json(j.field("suffix")?)?,
+            prefix: String::from_json(j.require("prefix")?)?,
+            suffix: String::from_json(j.require("suffix")?)?,
         })
     }
 }

@@ -6,7 +6,8 @@
 
 use copycat_document::html::{HtmlDocument, NodeId, StepIndex, TagPath, TagStep};
 use copycat_document::{Document, Page, Sheet, Website};
-use copycat_util::json::{FromJson, Json, JsonError, ToJson};
+use copycat_util::json::{FromJson, JsonError, JsonWriter, ToJson};
+use copycat_util::zjson::ZRef;
 
 /// How one output field is obtained from a record node.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -21,18 +22,16 @@ pub enum FieldRule {
 }
 
 impl ToJson for FieldRule {
-    fn to_json(&self) -> Json {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
         match self {
-            FieldRule::Relative(p) => Json::obj(vec![("Relative".into(), p.to_json())]),
-            FieldRule::PrecedingHeading(t) => {
-                Json::obj(vec![("PrecedingHeading".into(), t.to_json())])
-            }
+            FieldRule::Relative(p) => w.tagged("Relative", |w| p.write_json(w)),
+            FieldRule::PrecedingHeading(t) => w.tagged("PrecedingHeading", |w| w.str(t)),
         }
     }
 }
 
 impl FromJson for FieldRule {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
+    fn from_json(j: ZRef<'_>) -> Result<Self, JsonError> {
         if let Some(p) = j.get("Relative") {
             return Ok(FieldRule::Relative(TagPath::from_json(p)?));
         }
@@ -77,42 +76,37 @@ pub enum RecordFilter {
 }
 
 impl ToJson for RecordFilter {
-    fn to_json(&self) -> Json {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
         match self {
-            RecordFilter::AttrNotEquals { attr, value } => Json::obj(vec![(
-                "AttrNotEquals".into(),
-                Json::obj(vec![
-                    ("attr".into(), attr.to_json()),
-                    ("value".into(), value.to_json()),
-                ]),
-            )]),
-            RecordFilter::MinNonEmptyFields(k) => {
-                Json::obj(vec![("MinNonEmptyFields".into(), k.to_json())])
-            }
-            RecordFilter::ChildCount { tag, count } => Json::obj(vec![(
-                "ChildCount".into(),
-                Json::obj(vec![
-                    ("tag".into(), tag.to_json()),
-                    ("count".into(), count.to_json()),
-                ]),
-            )]),
-            RecordFilter::FieldEquals { field, value } => Json::obj(vec![(
-                "FieldEquals".into(),
-                Json::obj(vec![
-                    ("field".into(), field.to_json()),
-                    ("value".into(), value.to_json()),
-                ]),
-            )]),
+            RecordFilter::AttrNotEquals { attr, value } => w.tagged("AttrNotEquals", |w| {
+                w.obj(|w| {
+                    w.field("attr", attr);
+                    w.field("value", value);
+                })
+            }),
+            RecordFilter::MinNonEmptyFields(k) => w.tagged("MinNonEmptyFields", |w| k.write_json(w)),
+            RecordFilter::ChildCount { tag, count } => w.tagged("ChildCount", |w| {
+                w.obj(|w| {
+                    w.field("tag", tag);
+                    w.field("count", count);
+                })
+            }),
+            RecordFilter::FieldEquals { field, value } => w.tagged("FieldEquals", |w| {
+                w.obj(|w| {
+                    w.field("field", field);
+                    w.field("value", value);
+                })
+            }),
         }
     }
 }
 
 impl FromJson for RecordFilter {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
+    fn from_json(j: ZRef<'_>) -> Result<Self, JsonError> {
         if let Some(body) = j.get("AttrNotEquals") {
             return Ok(RecordFilter::AttrNotEquals {
-                attr: String::from_json(body.field("attr")?)?,
-                value: String::from_json(body.field("value")?)?,
+                attr: String::from_json(body.require("attr")?)?,
+                value: String::from_json(body.require("value")?)?,
             });
         }
         if let Some(k) = j.get("MinNonEmptyFields") {
@@ -120,14 +114,14 @@ impl FromJson for RecordFilter {
         }
         if let Some(body) = j.get("ChildCount") {
             return Ok(RecordFilter::ChildCount {
-                tag: String::from_json(body.field("tag")?)?,
-                count: usize::from_json(body.field("count")?)?,
+                tag: String::from_json(body.require("tag")?)?,
+                count: usize::from_json(body.require("count")?)?,
             });
         }
         if let Some(body) = j.get("FieldEquals") {
             return Ok(RecordFilter::FieldEquals {
-                field: usize::from_json(body.field("field")?)?,
-                value: String::from_json(body.field("value")?)?,
+                field: usize::from_json(body.require("field")?)?,
+                value: String::from_json(body.require("value")?)?,
             });
         }
         Err(JsonError::expected("record filter", j))
@@ -144,16 +138,16 @@ pub enum PageScope {
 }
 
 impl ToJson for PageScope {
-    fn to_json(&self) -> Json {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
         match self {
-            PageScope::SinglePage(u) => Json::obj(vec![("SinglePage".into(), u.to_json())]),
-            PageScope::AllPages => Json::str("AllPages"),
+            PageScope::SinglePage(u) => w.tagged("SinglePage", |w| u.write_json(w)),
+            PageScope::AllPages => w.str("AllPages"),
         }
     }
 }
 
 impl FromJson for PageScope {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
+    fn from_json(j: ZRef<'_>) -> Result<Self, JsonError> {
         if j.as_str() == Some("AllPages") {
             return Ok(PageScope::AllPages);
         }
@@ -194,50 +188,45 @@ pub enum Wrapper {
 }
 
 impl ToJson for Wrapper {
-    fn to_json(&self) -> Json {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
         match self {
-            Wrapper::Html { record_path, fields, filters, scope } => Json::obj(vec![(
-                "Html".into(),
-                Json::obj(vec![
-                    ("record_path".into(), record_path.to_json()),
-                    ("fields".into(), fields.to_json()),
-                    ("filters".into(), filters.to_json()),
-                    ("scope".into(), scope.to_json()),
-                ]),
-            )]),
-            Wrapper::Sheet { columns, skip_rows } => Json::obj(vec![(
-                "Sheet".into(),
-                Json::obj(vec![
-                    ("columns".into(), columns.to_json()),
-                    ("skip_rows".into(), skip_rows.to_json()),
-                ]),
-            )]),
-            Wrapper::Text { rules } => Json::obj(vec![(
-                "Text".into(),
-                Json::obj(vec![("rules".into(), rules.to_json())]),
-            )]),
+            Wrapper::Html { record_path, fields, filters, scope } => w.tagged("Html", |w| {
+                w.obj(|w| {
+                    w.field("record_path", record_path);
+                    w.field("fields", fields);
+                    w.field("filters", filters);
+                    w.field("scope", scope);
+                })
+            }),
+            Wrapper::Sheet { columns, skip_rows } => w.tagged("Sheet", |w| {
+                w.obj(|w| {
+                    w.field("columns", columns);
+                    w.field("skip_rows", skip_rows);
+                })
+            }),
+            Wrapper::Text { rules } => w.tagged("Text", |w| w.obj(|w| w.field("rules", rules))),
         }
     }
 }
 
 impl FromJson for Wrapper {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
+    fn from_json(j: ZRef<'_>) -> Result<Self, JsonError> {
         if let Some(body) = j.get("Html") {
             return Ok(Wrapper::Html {
-                record_path: TagPath::from_json(body.field("record_path")?)?,
-                fields: Vec::from_json(body.field("fields")?)?,
-                filters: Vec::from_json(body.field("filters")?)?,
-                scope: PageScope::from_json(body.field("scope")?)?,
+                record_path: TagPath::from_json(body.require("record_path")?)?,
+                fields: Vec::from_json(body.require("fields")?)?,
+                filters: Vec::from_json(body.require("filters")?)?,
+                scope: PageScope::from_json(body.require("scope")?)?,
             });
         }
         if let Some(body) = j.get("Sheet") {
             return Ok(Wrapper::Sheet {
-                columns: Vec::from_json(body.field("columns")?)?,
-                skip_rows: usize::from_json(body.field("skip_rows")?)?,
+                columns: Vec::from_json(body.require("columns")?)?,
+                skip_rows: usize::from_json(body.require("skip_rows")?)?,
             });
         }
         if let Some(body) = j.get("Text") {
-            return Ok(Wrapper::Text { rules: Vec::from_json(body.field("rules")?)? });
+            return Ok(Wrapper::Text { rules: Vec::from_json(body.require("rules")?)? });
         }
         Err(JsonError::expected("wrapper", j))
     }
@@ -594,8 +583,8 @@ mod tests {
             },
         ];
         for w in wrappers {
-            let text = w.to_json().to_string();
-            let back = Wrapper::from_json(&Json::parse(&text).unwrap()).unwrap();
+            let text = copycat_util::json::to_string(&w);
+            let back: Wrapper = copycat_util::json::from_str(&text).unwrap();
             assert_eq!(back, w, "round-trip through {text}");
         }
     }

@@ -2,7 +2,8 @@
 
 use copycat_query::Schema;
 use copycat_util::hash::FxHashMap;
-use copycat_util::json::{FromJson, Json, JsonError, ToJson};
+use copycat_util::json::{FromJson, JsonError, JsonWriter, ToJson};
+use copycat_util::zjson::ZRef;
 use std::fmt;
 
 /// Node handle.
@@ -88,40 +89,40 @@ pub struct Edge {
 }
 
 impl ToJson for NodeId {
-    fn to_json(&self) -> Json {
-        self.0.to_json()
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        self.0.write_json(w);
     }
 }
 
 impl FromJson for NodeId {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
+    fn from_json(j: ZRef<'_>) -> Result<Self, JsonError> {
         Ok(NodeId(u32::from_json(j)?))
     }
 }
 
 impl ToJson for EdgeId {
-    fn to_json(&self) -> Json {
-        self.0.to_json()
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        self.0.write_json(w);
     }
 }
 
 impl FromJson for EdgeId {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
+    fn from_json(j: ZRef<'_>) -> Result<Self, JsonError> {
         Ok(EdgeId(u32::from_json(j)?))
     }
 }
 
 impl ToJson for NodeKind {
-    fn to_json(&self) -> Json {
-        match self {
-            NodeKind::Relation => Json::str("Relation"),
-            NodeKind::Service => Json::str("Service"),
-        }
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.str(match self {
+            NodeKind::Relation => "Relation",
+            NodeKind::Service => "Service",
+        });
     }
 }
 
 impl FromJson for NodeKind {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
+    fn from_json(j: ZRef<'_>) -> Result<Self, JsonError> {
         match j.as_str() {
             Some("Relation") => Ok(NodeKind::Relation),
             Some("Service") => Ok(NodeKind::Service),
@@ -131,72 +132,64 @@ impl FromJson for NodeKind {
 }
 
 impl ToJson for Node {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("name".into(), self.name.to_json()),
-            ("kind".into(), self.kind.to_json()),
-            ("schema".into(), self.schema.to_json()),
-            ("input_arity".into(), self.input_arity.to_json()),
-            ("cost_hint".into(), self.cost_hint.to_json()),
-        ])
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.obj(|w| {
+            w.field("name", &self.name);
+            w.field("kind", &self.kind);
+            w.field("schema", &self.schema);
+            w.field("input_arity", &self.input_arity);
+            w.field("cost_hint", &self.cost_hint);
+        });
     }
 }
 
 impl FromJson for Node {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
+    fn from_json(j: ZRef<'_>) -> Result<Self, JsonError> {
         Ok(Node {
-            name: String::from_json(j.field("name")?)?,
-            kind: NodeKind::from_json(j.field("kind")?)?,
-            schema: Schema::from_json(j.field("schema")?)?,
-            input_arity: usize::from_json(j.field("input_arity")?)?,
-            cost_hint: f64::from_json(j.field("cost_hint")?)?,
+            name: String::from_json(j.require("name")?)?,
+            kind: NodeKind::from_json(j.require("kind")?)?,
+            schema: Schema::from_json(j.require("schema")?)?,
+            input_arity: usize::from_json(j.require("input_arity")?)?,
+            cost_hint: f64::from_json(j.require("cost_hint")?)?,
         })
     }
 }
 
 impl ToJson for EdgeKind {
-    fn to_json(&self) -> Json {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
         match self {
-            EdgeKind::Join { pairs } => Json::obj(vec![(
-                "Join".into(),
-                Json::obj(vec![("pairs".into(), pairs.to_json())]),
-            )]),
-            EdgeKind::Bind { bindings } => Json::obj(vec![(
-                "Bind".into(),
-                Json::obj(vec![("bindings".into(), bindings.to_json())]),
-            )]),
-            EdgeKind::Link { pairs } => Json::obj(vec![(
-                "Link".into(),
-                Json::obj(vec![("pairs".into(), pairs.to_json())]),
-            )]),
-            EdgeKind::Transform { from, to, program } => Json::obj(vec![(
-                "Transform".into(),
-                Json::obj(vec![
-                    ("from".into(), from.to_json()),
-                    ("to".into(), to.to_json()),
-                    ("program".into(), program.to_json()),
-                ]),
-            )]),
+            EdgeKind::Join { pairs } => w.tagged("Join", |w| w.obj(|w| w.field("pairs", pairs))),
+            EdgeKind::Bind { bindings } => {
+                w.tagged("Bind", |w| w.obj(|w| w.field("bindings", bindings)))
+            }
+            EdgeKind::Link { pairs } => w.tagged("Link", |w| w.obj(|w| w.field("pairs", pairs))),
+            EdgeKind::Transform { from, to, program } => w.tagged("Transform", |w| {
+                w.obj(|w| {
+                    w.field("from", from);
+                    w.field("to", to);
+                    w.field("program", program);
+                })
+            }),
         }
     }
 }
 
 impl FromJson for EdgeKind {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
+    fn from_json(j: ZRef<'_>) -> Result<Self, JsonError> {
         if let Some(body) = j.get("Join") {
-            return Ok(EdgeKind::Join { pairs: Vec::from_json(body.field("pairs")?)? });
+            return Ok(EdgeKind::Join { pairs: Vec::from_json(body.require("pairs")?)? });
         }
         if let Some(body) = j.get("Bind") {
-            return Ok(EdgeKind::Bind { bindings: Vec::from_json(body.field("bindings")?)? });
+            return Ok(EdgeKind::Bind { bindings: Vec::from_json(body.require("bindings")?)? });
         }
         if let Some(body) = j.get("Link") {
-            return Ok(EdgeKind::Link { pairs: Vec::from_json(body.field("pairs")?)? });
+            return Ok(EdgeKind::Link { pairs: Vec::from_json(body.require("pairs")?)? });
         }
         if let Some(body) = j.get("Transform") {
             return Ok(EdgeKind::Transform {
-                from: String::from_json(body.field("from")?)?,
-                to: String::from_json(body.field("to")?)?,
-                program: copycat_transform::Program::from_json(body.field("program")?)?,
+                from: String::from_json(body.require("from")?)?,
+                to: String::from_json(body.require("to")?)?,
+                program: copycat_transform::Program::from_json(body.require("program")?)?,
             });
         }
         Err(JsonError::expected("edge kind", j))
@@ -204,23 +197,23 @@ impl FromJson for EdgeKind {
 }
 
 impl ToJson for Edge {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("a".into(), self.a.to_json()),
-            ("b".into(), self.b.to_json()),
-            ("kind".into(), self.kind.to_json()),
-            ("weight".into(), self.weight.to_json()),
-        ])
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.obj(|w| {
+            w.field("a", &self.a);
+            w.field("b", &self.b);
+            w.field("kind", &self.kind);
+            w.field("weight", &self.weight);
+        });
     }
 }
 
 impl FromJson for Edge {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
+    fn from_json(j: ZRef<'_>) -> Result<Self, JsonError> {
         Ok(Edge {
-            a: NodeId::from_json(j.field("a")?)?,
-            b: NodeId::from_json(j.field("b")?)?,
-            kind: EdgeKind::from_json(j.field("kind")?)?,
-            weight: f64::from_json(j.field("weight")?)?,
+            a: NodeId::from_json(j.require("a")?)?,
+            b: NodeId::from_json(j.require("b")?)?,
+            kind: EdgeKind::from_json(j.require("kind")?)?,
+            weight: f64::from_json(j.require("weight")?)?,
         })
     }
 }
@@ -765,12 +758,13 @@ mod tests {
     #[test]
     fn json_roundtrip() {
         let (g, _, _, _) = tiny();
+        use copycat_util::json;
         let nodes_json =
-            g.node_ids().map(|n| g.node(n).clone()).collect::<Vec<_>>().to_json().to_string();
+            json::to_string(&g.node_ids().map(|n| g.node(n).clone()).collect::<Vec<_>>());
         let edges_json =
-            g.edge_ids().map(|e| g.edge(e).clone()).collect::<Vec<_>>().to_json().to_string();
-        let nodes: Vec<Node> = Vec::from_json(&Json::parse(&nodes_json).unwrap()).unwrap();
-        let edges: Vec<Edge> = Vec::from_json(&Json::parse(&edges_json).unwrap()).unwrap();
+            json::to_string(&g.edge_ids().map(|e| g.edge(e).clone()).collect::<Vec<_>>());
+        let nodes: Vec<Node> = json::from_str(&nodes_json).unwrap();
+        let edges: Vec<Edge> = json::from_str(&edges_json).unwrap();
         let back = SourceGraph::from_parts(nodes, edges);
         assert_eq!(back.node_count(), g.node_count());
         assert_eq!(back.edge_count(), g.edge_count());
@@ -868,7 +862,8 @@ mod tests {
         let ser = |g: &SourceGraph| {
             let nodes: Vec<Node> = g.node_ids().map(|n| g.node(n).clone()).collect();
             let edges: Vec<Edge> = g.edge_ids().map(|e| g.edge(e).clone()).collect();
-            format!("{}{}", nodes.to_json(), edges.to_json())
+            use copycat_util::json::to_string;
+            format!("{}{}", to_string(&nodes), to_string(&edges))
         };
         assert_eq!(ser(&flat), ser(&overlay));
         assert_eq!(flat.version(), overlay.version());

@@ -29,6 +29,7 @@ use copycat_util::hash::{FxHashSet, FxHasher};
 use std::collections::BinaryHeap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// A Steiner tree: the chosen edges, the spanned nodes, and total cost.
 #[derive(Debug, Clone, PartialEq)]
@@ -520,10 +521,19 @@ fn edge_key(edges: &[EdgeId]) -> u64 {
 /// Whether a banned-child solve is big enough to pay for worker threads:
 /// the DP table is `2^k * n` cells, and thread startup costs ~tens of µs.
 /// On a single-core host there is nothing to win, so never spawn there.
+/// The size test runs first: it is false for every interactive-sized
+/// graph, and the core count is a cached read besides.
 fn parallel_worthwhile(g: &SourceGraph, terminals: &[NodeId]) -> bool {
-    std::thread::available_parallelism().map_or(false, |p| p.get() > 1)
-        && terminals.len() <= MAX_EXACT_TERMINALS
+    terminals.len() <= MAX_EXACT_TERMINALS
         && g.node_count().saturating_mul(1usize << terminals.len()) >= 1 << 14
+        && cores() > 1
+}
+
+/// The host's available parallelism, asked of the OS once per process
+/// (the query can read cgroup files and cost tens of µs per call).
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
 }
 
 /// Solve every child subproblem (one banned set each) on scoped worker
@@ -534,10 +544,7 @@ fn solve_children_parallel(
     terminals: &[NodeId],
     children: &[Vec<EdgeId>],
 ) -> Vec<Option<SteinerTree>> {
-    let workers = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .min(children.len());
+    let workers = cores().min(children.len());
     let next = AtomicUsize::new(0);
     let mut out: Vec<Option<SteinerTree>> = vec![None; children.len()];
     std::thread::scope(|scope| {

@@ -1,6 +1,7 @@
 //! Schemas: named, optionally semantically-typed columns.
 
-use copycat_util::json::{FromJson, Json, JsonError, ToJson};
+use copycat_util::json::{FromJson, JsonError, JsonWriter, ToJson};
+use copycat_util::zjson::ZRef;
 use std::fmt;
 
 /// One column of a schema.
@@ -26,19 +27,19 @@ impl Field {
 }
 
 impl ToJson for Field {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("name".into(), self.name.to_json()),
-            ("sem_type".into(), self.sem_type.to_json()),
-        ])
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.obj(|w| {
+            w.field("name", &self.name);
+            w.field("sem_type", &self.sem_type);
+        });
     }
 }
 
 impl FromJson for Field {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
+    fn from_json(j: ZRef<'_>) -> Result<Self, JsonError> {
         Ok(Field {
-            name: String::from_json(j.field("name")?)?,
-            sem_type: Option::from_json(j.field("sem_type")?)?,
+            name: String::from_json(j.require("name")?)?,
+            sem_type: Option::from_json(j.require("sem_type")?)?,
         })
     }
 }
@@ -127,13 +128,13 @@ impl Schema {
 
 impl ToJson for Schema {
     /// A schema serializes as its field array.
-    fn to_json(&self) -> Json {
-        self.fields.to_json()
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        self.fields.write_json(w);
     }
 }
 
 impl FromJson for Schema {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
+    fn from_json(j: ZRef<'_>) -> Result<Self, JsonError> {
         Ok(Schema { fields: Vec::from_json(j)? })
     }
 }
@@ -202,7 +203,7 @@ mod tests {
     #[test]
     fn json_roundtrip() {
         let s = Schema::new(vec![Field::new("A"), Field::typed("B", "PR-Zip")]);
-        let back = Schema::from_json(&Json::parse(&s.to_json().to_string()).unwrap()).unwrap();
+        let back: Schema = copycat_util::json::from_str(&copycat_util::json::to_string(&s)).unwrap();
         assert_eq!(back, s);
     }
 }

@@ -4,7 +4,8 @@
 //! value — and with it a tuple, a join output row or a query result —
 //! bumps a reference count instead of copying text.
 
-use copycat_util::json::{FromJson, Json, JsonError, ToJson};
+use copycat_util::json::{FromJson, JsonError, JsonWriter, ToJson};
+use copycat_util::zjson::ZRef;
 use std::fmt::{self, Write};
 use std::sync::Arc;
 
@@ -192,23 +193,26 @@ impl From<f64> for Value {
 impl ToJson for Value {
     /// Null ↔ `null`, strings ↔ JSON strings, numbers ↔ JSON numbers —
     /// the three variants map onto distinct JSON scalar kinds.
-    fn to_json(&self) -> Json {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
         match self {
-            Value::Null => Json::Null,
-            Value::Str(s) => Json::Str(s.to_string()),
-            Value::Num(n) => Json::Num(*n),
+            Value::Null => w.null(),
+            Value::Str(s) => w.str(s),
+            Value::Num(n) => w.num(*n),
         }
     }
 }
 
 impl FromJson for Value {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        match j {
-            Json::Null => Ok(Value::Null),
-            Json::Str(s) => Ok(Value::Str(s.as_str().into())),
-            Json::Num(n) => Ok(Value::Num(*n)),
-            other => Err(JsonError::expected("null, string, or number", other)),
+    fn from_json(j: ZRef<'_>) -> Result<Self, JsonError> {
+        if j.is_null() {
+            return Ok(Value::Null);
         }
+        if let Some(s) = j.as_str() {
+            return Ok(Value::Str(s.into()));
+        }
+        j.as_f64()
+            .map(Value::Num)
+            .ok_or_else(|| JsonError::expected("null, string, or number", j))
     }
 }
 
@@ -346,7 +350,7 @@ mod tests {
     #[test]
     fn json_roundtrip() {
         for v in [Value::Null, Value::str("Margate"), Value::Num(-1.5)] {
-            let back = Value::from_json(&Json::parse(&v.to_json().to_string()).unwrap()).unwrap();
+            let back: Value = copycat_util::json::from_str(&copycat_util::json::to_string(&v)).unwrap();
             assert_eq!(back, v);
         }
     }

@@ -11,7 +11,8 @@
 //! paper describes (§3.2).
 
 use crate::token::{split_tokens, TokenClass};
-use copycat_util::json::{FromJson, Json, JsonError, ToJson};
+use copycat_util::json::{FromJson, JsonError, JsonWriter, ToJson};
+use copycat_util::zjson::ZRef;
 use std::fmt;
 
 /// One position of a [`Pattern`].
@@ -76,16 +77,16 @@ impl fmt::Display for PatternToken {
 }
 
 impl ToJson for PatternToken {
-    fn to_json(&self) -> Json {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
         match self {
-            PatternToken::Const(s) => Json::obj(vec![("Const".into(), s.to_json())]),
-            PatternToken::Class(c) => Json::obj(vec![("Class".into(), c.to_json())]),
+            PatternToken::Const(s) => w.tagged("Const", |w| w.str(s)),
+            PatternToken::Class(c) => w.tagged("Class", |w| c.write_json(w)),
         }
     }
 }
 
 impl FromJson for PatternToken {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
+    fn from_json(j: ZRef<'_>) -> Result<Self, JsonError> {
         if let Some(s) = j.get("Const") {
             return Ok(PatternToken::Const(String::from_json(s)?));
         }
@@ -176,13 +177,13 @@ impl fmt::Display for Pattern {
 
 impl ToJson for Pattern {
     /// A pattern serializes as its token array.
-    fn to_json(&self) -> Json {
-        self.tokens.to_json()
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        self.tokens.write_json(w);
     }
 }
 
 impl FromJson for Pattern {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
+    fn from_json(j: ZRef<'_>) -> Result<Self, JsonError> {
         Ok(Pattern { tokens: Vec::from_json(j)? })
     }
 }
@@ -390,21 +391,21 @@ impl PatternSet {
 }
 
 impl ToJson for PatternSet {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("patterns".into(), self.patterns.to_json()),
-            ("total".into(), self.total.to_json()),
-            ("budget".into(), self.budget.to_json()),
-        ])
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.obj(|w| {
+            w.field("patterns", &self.patterns);
+            w.field("total", &self.total);
+            w.field("budget", &self.budget);
+        });
     }
 }
 
 impl FromJson for PatternSet {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
+    fn from_json(j: ZRef<'_>) -> Result<Self, JsonError> {
         Ok(PatternSet {
-            patterns: Vec::from_json(j.field("patterns")?)?,
-            total: usize::from_json(j.field("total")?)?,
-            budget: usize::from_json(j.field("budget")?)?,
+            patterns: Vec::from_json(j.require("patterns")?)?,
+            total: usize::from_json(j.require("total")?)?,
+            budget: usize::from_json(j.require("budget")?)?,
         })
     }
 }
@@ -515,8 +516,8 @@ mod tests {
     #[test]
     fn json_roundtrip() {
         let set = PatternSet::learn(&["4213 Palmetto Ave", "88 Oak St", "33063", "(954) 555-0142"]);
-        let back =
-            PatternSet::from_json(&Json::parse(&set.to_json().to_string()).unwrap()).unwrap();
+        let back: PatternSet =
+            copycat_util::json::from_str(&copycat_util::json::to_string(&set)).unwrap();
         assert_eq!(back.patterns(), set.patterns());
         assert_eq!(back.total(), set.total());
         // A semantically interesting check: the round-tripped model still

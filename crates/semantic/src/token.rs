@@ -138,28 +138,23 @@ impl TokenClass {
 impl copycat_util::json::ToJson for TokenClass {
     /// Unit variants serialize as their name; `Digits(n)` and
     /// `Punct(c)` as single-field objects.
-    fn to_json(&self) -> copycat_util::Json {
-        use copycat_util::Json;
+    fn write_json(&self, w: &mut copycat_util::json::JsonWriter<'_>) {
         match self {
-            TokenClass::Digits(n) => {
-                Json::obj(vec![("Digits".into(), Json::Num(*n as f64))])
-            }
-            TokenClass::Punct(c) => {
-                Json::obj(vec![("Punct".into(), Json::str(c.to_string()))])
-            }
-            TokenClass::AnyDigits => Json::str("AnyDigits"),
-            TokenClass::CapWord => Json::str("CapWord"),
-            TokenClass::UpperWord => Json::str("UpperWord"),
-            TokenClass::LowerWord => Json::str("LowerWord"),
-            TokenClass::MixedWord => Json::str("MixedWord"),
-            TokenClass::AlphaNum => Json::str("AlphaNum"),
-            TokenClass::Any => Json::str("Any"),
+            TokenClass::Digits(n) => w.tagged("Digits", |w| w.num(f64::from(*n))),
+            TokenClass::Punct(c) => w.tagged("Punct", |w| w.str(c.encode_utf8(&mut [0; 4]))),
+            TokenClass::AnyDigits => w.str("AnyDigits"),
+            TokenClass::CapWord => w.str("CapWord"),
+            TokenClass::UpperWord => w.str("UpperWord"),
+            TokenClass::LowerWord => w.str("LowerWord"),
+            TokenClass::MixedWord => w.str("MixedWord"),
+            TokenClass::AlphaNum => w.str("AlphaNum"),
+            TokenClass::Any => w.str("Any"),
         }
     }
 }
 
 impl copycat_util::json::FromJson for TokenClass {
-    fn from_json(j: &copycat_util::Json) -> Result<Self, copycat_util::JsonError> {
+    fn from_json(j: copycat_util::zjson::ZRef<'_>) -> Result<Self, copycat_util::JsonError> {
         use copycat_util::JsonError;
         if let Some(name) = j.as_str() {
             return match name {

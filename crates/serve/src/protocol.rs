@@ -372,13 +372,21 @@ thread_local! {
     static RESPONSE_SCRATCH: RefCell<String> = const { RefCell::new(String::new()) };
 }
 
+/// The copy-out reserves this many bytes past the response, so a
+/// transport appending its `\n` terminator never reallocates.
+const RESPONSE_TERMINATOR_SLACK: usize = 1;
+
 fn with_response_scratch(f: impl FnOnce(&mut String)) -> String {
     RESPONSE_SCRATCH.with(|cell| {
         match cell.try_borrow_mut() {
             Ok(mut out) => {
                 out.clear();
                 f(&mut out);
-                out.as_str().to_owned() // lint:allow(hot-path-alloc) the one exact-size copy-out the scratch design pays for
+                // The one copy-out the scratch design pays for, sized to
+                // the response plus its terminator.
+                let mut copy = String::with_capacity(out.len() + RESPONSE_TERMINATOR_SLACK);
+                copy.push_str(&out);
+                copy
             }
             // Re-entrant serialization (impossible today): fall back to
             // a fresh buffer rather than failing the response.
@@ -420,6 +428,18 @@ pub fn err_response(id: &str, kind: ErrorKind, message: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn responses_leave_room_for_the_line_terminator() {
+        let mut ok = ok_response("7", &Json::Bool(true));
+        let mut err = err_response("7", ErrorKind::BadRequest, "no");
+        for resp in [&mut ok, &mut err] {
+            let (ptr, cap) = (resp.as_ptr(), resp.capacity());
+            resp.push('\n');
+            assert_eq!((resp.as_ptr(), resp.capacity()), (ptr, cap), "terminator reallocated");
+        }
+        assert_eq!(ok, "{\"id\":7,\"ok\":true,\"result\":true}\n");
+    }
 
     #[test]
     fn op_index_matches_all_order() {

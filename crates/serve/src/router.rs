@@ -41,7 +41,7 @@ use crate::protocol::{ok_response, Op, Request};
 use crate::server::{Server, ServerConfig};
 use copycat_store::{Fs, RecoveryReport, SessionStore, StoreStats};
 use copycat_util::hash::{FxHashMap, FxHasher};
-use copycat_util::json::{self, FromJson, Json, JsonError};
+use copycat_util::json::{self, Json, JsonError, JsonWriter, ToJson};
 use copycat_util::sync::Mutex;
 use copycat_util::zjson::{ZDoc, ZRef};
 use std::cell::RefCell;
@@ -248,37 +248,28 @@ fn response_is_effectful(resp: &str) -> bool {
 /// line is re-serialized canonically (same bytes `Json` would emit).
 fn logged_line(req: &Request) -> String {
     let mut out = String::with_capacity(req.body.raw().len());
+    let mut w = JsonWriter::compact(&mut out);
     if req.body.is_obj() {
-        out.push('{');
-        let mut first = true;
-        for (k, v) in req.body.entries() {
-            if k == "deadline_ms" {
-                continue;
+        w.obj(|w| {
+            for (k, v) in req.body.entries().filter(|(k, _)| *k != "deadline_ms") {
+                w.field(k, &v);
             }
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            json::write_escaped(&mut out, k);
-            out.push(':');
-            v.write(&mut out);
-        }
-        out.push('}');
+        });
     } else {
-        req.body.write(&mut out);
+        req.body.write_json(&mut w);
     }
     out
 }
 
 /// The snapshot payload: the journaled history as a JSON string array.
 fn checkpoint_payload(history: &[String]) -> String {
-    Json::Arr(history.iter().map(|l| Json::str(l.as_str())).collect()).to_string()
+    json::to_string(history)
 }
 
 /// The history back out of a snapshot payload. Anything but a JSON
 /// array of strings is an error, never an empty or partial history.
 fn parse_checkpoint(payload: &str) -> Result<Vec<String>, JsonError> {
-    Vec::<String>::from_json(&Json::parse(payload)?)
+    json::from_str(payload)
 }
 
 /// On-disk directory for one session: a sanitized prefix for humans

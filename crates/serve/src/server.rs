@@ -394,7 +394,8 @@ impl Server {
             )])),
             Op::Stats => Ok(self.stats()),
             Op::SaveSession => self.with_session(req, deadline, |s| {
-                Ok(obj(vec![("snapshot", Json::str(&s.engine.save_session_json()))]))
+                // The snapshot moves into the response: no second copy.
+                Ok(obj(vec![("snapshot", Json::Str(s.engine.save_session_json()))]))
             }),
             Op::OpenDoc => self.with_session(req, deadline, |s| open_doc(req, s)),
             Op::Paste => self.with_session(req, deadline, |s| paste(req, s)),

@@ -78,6 +78,8 @@ fn handle_connection(
             continue;
         }
         let mut response = server.handle_line(&text);
+        // The response's copy-out reserved this byte: no reallocation,
+        // and the whole line still goes out in one write.
         response.push('\n');
         writer.write_all(response.as_bytes())?;
         if server.draining() {

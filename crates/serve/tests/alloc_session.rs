@@ -1,7 +1,7 @@
 //! Counting-allocator pin for the import path: a flat `create_session`,
 //! the second `paste` of the paste-to-export loop (the step that runs
 //! structure learning and type recognition), a warm `column_suggestions`,
-//! and `load_session` of the loop's saved snapshot each stay within a
+//! and the loop's `save_session` and `load_session` each stay within a
 //! fixed allocation budget, as does a warm `ping` — the admission and
 //! dispatch path alone.
 //! The script mirrors the `integrate` benchmark workload on a 10-venue
@@ -28,8 +28,15 @@ const PASTE_BUDGET: u64 = 600;
 /// values and provenance included, on every call; 745 since it lends
 /// the list it keeps.
 const SUGGEST_BUDGET: u64 = 800;
-/// Allocations `load_session` of the loop's snapshot may make.
-const LOAD_BUDGET: u64 = 1_500;
+/// Allocations `save_session` may make. It made 681 while the snapshot
+/// was cloned into a `SavedSession`, built as an owned `Json` tree and
+/// copied into the response; 29 since it streams through one writer.
+const SAVE_BUDGET: u64 = 32;
+/// Allocations `load_session` of the loop's snapshot may make. It made
+/// 959 while the snapshot became an owned `Json` tree, then a
+/// `SavedSession`, then cloned engine state; 286 since one `ZDoc` walk
+/// moves each value into the engine.
+const LOAD_BUDGET: u64 = 315;
 /// Allocations a warm `ping` may make.
 const PING_BUDGET: u64 = 5;
 
@@ -120,7 +127,7 @@ fn import_path_allocation_budget() {
             ),
         ),
     );
-    let (saved, _) = counted(&server, &req(21, "save_session", ""));
+    let (saved, save) = counted(&server, &req(21, "save_session", ""));
     let snapshot = saved["snapshot"].as_str().expect("snapshot string").to_string();
     counted(&server, &req(22, "close_session", ""));
     let load = req(23, "load_session", &format!(r#","snapshot":{}"#, Json::str(snapshot.as_str())));
@@ -136,10 +143,11 @@ fn import_path_allocation_budget() {
         suggest <= SUGGEST_BUDGET,
         "warm column_suggestions: {suggest} allocations > {SUGGEST_BUDGET}"
     );
+    assert!(save <= SAVE_BUDGET, "save_session: {save} allocations > {SAVE_BUDGET}");
     assert!(load <= LOAD_BUDGET, "load_session: {load} allocations > {LOAD_BUDGET}");
     assert!(ping <= PING_BUDGET, "warm ping: {ping} allocations > {PING_BUDGET}");
     eprintln!(
         "allocations: create_session {create}, paste {paste}, warm column_suggestions {suggest}, \
-         load_session {load}, ping {ping}"
+         save_session {save}, load_session {load}, ping {ping}"
     );
 }

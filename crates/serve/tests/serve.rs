@@ -329,7 +329,6 @@ fn zip_ranking(server: &Server, session: &str) -> String {
 /// zip column exactly as a fresh engine does.
 #[test]
 fn shared_builtin_types_stay_session_local() {
-    use copycat_util::json::ToJson;
     let server = Server::new(ServerConfig { workers: 4, queue_depth: 64, shards: 4 });
     let create = |name: &str| {
         let resp = server.handle(&format!(r#"{{"id":1,"op":"create_session","session":"{name}"}}"#));
@@ -341,10 +340,10 @@ fn shared_builtin_types_stay_session_local() {
     create("before");
 
     // A snapshot whose user types replace PR-Zip with PR-Street's model.
-    let mut saved = copycat_core::CopyCat::new().save_session();
-    let street = copycat_core::CopyCat::new().registry().get("PR-Street").expect("built-in").patterns.clone();
-    saved.user_types = vec![("PR-Zip".to_string(), street)];
-    let snapshot = Json::str(saved.to_json().to_string());
+    let mut donor = copycat_core::CopyCat::new();
+    let street = donor.registry().get("PR-Street").expect("built-in").patterns.clone();
+    donor.registry_mut().install_user_type("PR-Zip", street);
+    let snapshot = Json::str(Json::parse(&donor.save_session_json()).expect("saved JSON").to_string());
 
     std::thread::scope(|scope| {
         scope.spawn(|| {

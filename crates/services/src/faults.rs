@@ -10,7 +10,8 @@
 
 use copycat_query::{CallOutcome, Service, ServiceError, Signature, Value};
 use copycat_util::hash::FxHashMap;
-use copycat_util::json::{FromJson, Json, JsonError, ToJson};
+use copycat_util::json::{FromJson, JsonError, JsonWriter, ToJson};
+use copycat_util::zjson::ZRef;
 use copycat_util::sync::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -33,45 +34,56 @@ pub struct SavedFlakyState {
 }
 
 impl ToJson for SavedFlakyState {
-    fn to_json(&self) -> Json {
-        // Attempt keys are full-width u64 hashes: above 2^53 a JSON
-        // number would silently round, so they travel as hex strings.
-        let attempts: Vec<Json> = self
-            .attempts
-            .iter()
-            .map(|(k, n)| {
-                Json::Arr(vec![Json::str(format!("{k:016x}")), Json::Num(*n as f64)])
-            })
-            .collect();
-        Json::obj(vec![
-            ("calls".into(), self.calls.to_json()),
-            ("failures".into(), self.failures.to_json()),
-            ("virtual_latency_ms".into(), self.virtual_latency_ms.to_json()),
-            ("attempts".into(), Json::Arr(attempts)),
-        ])
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.obj(|w| {
+            w.field("calls", &self.calls);
+            w.field("failures", &self.failures);
+            w.field("virtual_latency_ms", &self.virtual_latency_ms);
+            w.key("attempts");
+            w.arr(|w| {
+                for &(k, n) in &self.attempts {
+                    w.arr(|w| {
+                        w.str(hex16(k, &mut [0; 16]));
+                        w.num(n as f64);
+                    });
+                }
+            });
+        });
     }
 }
 
+/// Attempt keys are full-width u64 hashes: above 2^53 a JSON number
+/// would silently round, so they travel as 16 lowercase hex digits
+/// (formatted into `buf`, not a heap string).
+fn hex16(k: u64, buf: &mut [u8; 16]) -> &str {
+    for (i, d) in buf.iter_mut().enumerate() {
+        *d = b"0123456789abcdef"[((k >> (60 - 4 * i)) & 0xF) as usize];
+    }
+    std::str::from_utf8(buf).unwrap_or_default()
+}
+
 impl FromJson for SavedFlakyState {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        let attempts_field = j.field("attempts")?;
+    fn from_json(j: ZRef<'_>) -> Result<Self, JsonError> {
+        let attempts_field = j.require("attempts")?;
+        if !attempts_field.is_arr() {
+            return Err(JsonError::expected("array", attempts_field));
+        }
         let attempts = attempts_field
-            .as_array()
-            .ok_or_else(|| JsonError::expected("array", attempts_field))?
-            .iter()
+            .items()
             .map(|pair| {
-                let key = pair[0]
+                let key = pair
+                    .at(0)
                     .as_str()
                     .ok_or_else(|| JsonError::new("attempt key must be a hex string"))?;
                 let k = u64::from_str_radix(key, 16)
                     .map_err(|_| JsonError::new(format!("bad attempt key {key:?}")))?;
-                Ok((k, u64::from_json(&pair[1])?))
+                Ok((k, u64::from_json(pair.at(1))?))
             })
             .collect::<Result<Vec<_>, JsonError>>()?;
         Ok(SavedFlakyState {
-            calls: u64::from_json(j.field("calls")?)?,
-            failures: u64::from_json(j.field("failures")?)?,
-            virtual_latency_ms: u64::from_json(j.field("virtual_latency_ms")?)?,
+            calls: u64::from_json(j.require("calls")?)?,
+            failures: u64::from_json(j.require("failures")?)?,
+            virtual_latency_ms: u64::from_json(j.require("virtual_latency_ms")?)?,
             attempts,
         })
     }
@@ -388,7 +400,6 @@ mod tests {
 
     #[test]
     fn saved_state_restores_the_roll_sequence() {
-        use copycat_util::json::Json;
         let f1 = Flaky::new(echo(), 0.5, 10, 7);
         // Burn in a history with repeated inputs so attempt counters
         // diverge from zero.
@@ -398,10 +409,8 @@ mod tests {
         let saved = f1.saved_state();
         assert!(saved.attempts.iter().any(|&(_, n)| n > 1), "no repeats recorded");
         // JSON round trip is exact (hash keys are full-width u64s).
-        let back = SavedFlakyState::from_json(
-            &Json::parse(&saved.to_json().to_string()).unwrap(),
-        )
-        .unwrap();
+        let back: SavedFlakyState =
+            copycat_util::json::from_str(&copycat_util::json::to_string(&saved)).unwrap();
         assert_eq!(back, saved);
         // A fresh instance with the state restored continues the exact
         // roll sequence the original would have produced.

@@ -16,7 +16,8 @@
 
 use crate::faults::{Flaky, SavedFlakyState};
 use copycat_query::{CallOutcome, Service, ServiceError, Signature, Value};
-use copycat_util::json::{FromJson, Json, JsonError, ToJson};
+use copycat_util::json::{FromJson, JsonError, JsonWriter, ToJson};
+use copycat_util::zjson::ZRef;
 use copycat_util::sync::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -157,42 +158,43 @@ pub struct SavedServiceHealth {
 }
 
 impl ToJson for SavedServiceHealth {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("service".into(), self.service.to_json()),
-            ("state".into(), Json::str(self.state.as_str())),
-            ("consecutive_failures".into(), self.consecutive_failures.to_json()),
-            ("opened_at_ms".into(), self.opened_at_ms.to_json()),
-            ("clock_ms".into(), self.clock_ms.to_json()),
-            ("calls".into(), self.calls.to_json()),
-            ("failures".into(), self.failures.to_json()),
-            ("retries".into(), self.retries.to_json()),
-            ("trips".into(), self.trips.to_json()),
-            ("short_circuits".into(), self.short_circuits.to_json()),
-            ("backoff_ms".into(), self.backoff_ms.to_json()),
-            ("flaky".into(), self.flaky.as_ref().map_or(Json::Null, ToJson::to_json)),
-        ])
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.obj(|w| {
+            w.field("service", &self.service);
+            w.field("state", self.state.as_str());
+            w.field("consecutive_failures", &self.consecutive_failures);
+            w.field("opened_at_ms", &self.opened_at_ms);
+            w.field("clock_ms", &self.clock_ms);
+            w.field("calls", &self.calls);
+            w.field("failures", &self.failures);
+            w.field("retries", &self.retries);
+            w.field("trips", &self.trips);
+            w.field("short_circuits", &self.short_circuits);
+            w.field("backoff_ms", &self.backoff_ms);
+            w.field("flaky", &self.flaky);
+        });
     }
 }
 
 impl FromJson for SavedServiceHealth {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        let state_str = String::from_json(j.field("state")?)?;
-        let state = BreakerState::parse(&state_str)
+    fn from_json(j: ZRef<'_>) -> Result<Self, JsonError> {
+        let state_ref = j.require("state")?;
+        let state_str = state_ref.as_str().ok_or_else(|| JsonError::expected("string", state_ref))?;
+        let state = BreakerState::parse(state_str)
             .ok_or_else(|| JsonError::new(format!("unknown breaker state {state_str:?}")))?;
         Ok(SavedServiceHealth {
-            service: String::from_json(j.field("service")?)?,
+            service: String::from_json(j.require("service")?)?,
             state,
-            consecutive_failures: u32::from_json(j.field("consecutive_failures")?)?,
-            opened_at_ms: u64::from_json(j.field("opened_at_ms")?)?,
-            clock_ms: u64::from_json(j.field("clock_ms")?)?,
-            calls: u64::from_json(j.field("calls")?)?,
-            failures: u64::from_json(j.field("failures")?)?,
-            retries: u64::from_json(j.field("retries")?)?,
-            trips: u64::from_json(j.field("trips")?)?,
-            short_circuits: u64::from_json(j.field("short_circuits")?)?,
-            backoff_ms: u64::from_json(j.field("backoff_ms")?)?,
-            flaky: Option::from_json(j.field("flaky")?)?,
+            consecutive_failures: u32::from_json(j.require("consecutive_failures")?)?,
+            opened_at_ms: u64::from_json(j.require("opened_at_ms")?)?,
+            clock_ms: u64::from_json(j.require("clock_ms")?)?,
+            calls: u64::from_json(j.require("calls")?)?,
+            failures: u64::from_json(j.require("failures")?)?,
+            retries: u64::from_json(j.require("retries")?)?,
+            trips: u64::from_json(j.require("trips")?)?,
+            short_circuits: u64::from_json(j.require("short_circuits")?)?,
+            backoff_ms: u64::from_json(j.require("backoff_ms")?)?,
+            flaky: Option::from_json(j.require("flaky")?)?,
         })
     }
 }
@@ -683,7 +685,6 @@ mod tests {
 
     #[test]
     fn saved_health_restores_a_tripped_breaker_exactly() {
-        use copycat_util::json::Json;
         let policy = RetryPolicy {
             max_attempts: 2,
             breaker_threshold: 2,
@@ -700,10 +701,8 @@ mod tests {
         let saved = r1.saved_health();
         assert!(saved.flaky.is_some(), "wrapped Flaky state captured");
         // JSON round trip is exact.
-        let back = SavedServiceHealth::from_json(
-            &Json::parse(&saved.to_json().to_string()).unwrap(),
-        )
-        .unwrap();
+        let back: SavedServiceHealth =
+            copycat_util::json::from_str(&copycat_util::json::to_string(&saved)).unwrap();
         assert_eq!(back, saved);
         // A fresh wrapper with the state restored: still tripped, and
         // every subsequent outcome (short-circuits, half-open probe

@@ -30,7 +30,8 @@
 
 use crate::io::Fs;
 use copycat_util::checksum::crc32;
-use copycat_util::json::{FromJson, Json, JsonError};
+use copycat_util::json::{self, FromJson, JsonError, JsonWriter, ToJson};
+use copycat_util::zjson::ZRef;
 use std::path::{Path, PathBuf};
 
 /// Snapshot generations retained on disk (newest N).
@@ -75,31 +76,36 @@ fn parse_generation(path: &Path) -> Option<u64> {
     digits.parse().ok()
 }
 
-fn envelope(snap: &Snapshot) -> Json {
-    Json::obj(vec![
-        ("version".into(), Json::Num(VERSION as f64)),
-        ("seq".into(), Json::Num(snap.seq as f64)),
-        ("crc".into(), Json::Num(f64::from(crc32(snap.payload.as_bytes())))),
-        ("payload".into(), Json::str(snap.payload.clone())),
-    ])
+/// A snapshot file is its envelope: version, covered seq, payload CRC
+/// and the payload itself.
+impl ToJson for Snapshot {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.obj(|w| {
+            w.field("version", &VERSION);
+            w.field("seq", &self.seq);
+            w.field("crc", &crc32(self.payload.as_bytes()));
+            w.field("payload", &self.payload);
+        });
+    }
 }
 
-fn open_envelope(j: &Json) -> Result<Snapshot, JsonError> {
-    let version = u64::from_json(j.field("version")?)?;
-    if version != VERSION {
-        return Err(JsonError::new(format!("unknown snapshot version {version}")));
+impl FromJson for Snapshot {
+    fn from_json(j: ZRef<'_>) -> Result<Self, JsonError> {
+        let version = u64::from_json(j.require("version")?)?;
+        if version != VERSION {
+            return Err(JsonError::new(format!("unknown snapshot version {version}")));
+        }
+        let seq = u64::from_json(j.require("seq")?)?;
+        let stored_crc = u32::from_json(j.require("crc")?)?;
+        let payload = j
+            .require("payload")?
+            .as_str()
+            .ok_or_else(|| JsonError::new("snapshot payload is not a string"))?;
+        if crc32(payload.as_bytes()) != stored_crc {
+            return Err(JsonError::new("snapshot payload checksum mismatch"));
+        }
+        Ok(Snapshot { seq, payload: payload.to_string() })
     }
-    let seq = u64::from_json(j.field("seq")?)?;
-    let stored_crc = u32::from_json(j.field("crc")?)?;
-    let payload = j
-        .field("payload")?
-        .as_str()
-        .ok_or_else(|| JsonError::new("snapshot payload is not a string"))?
-        .to_string();
-    if crc32(payload.as_bytes()) != stored_crc {
-        return Err(JsonError::new("snapshot payload checksum mismatch"));
-    }
-    Ok(Snapshot { seq, payload })
 }
 
 /// Generation numbers present in `dir`, ascending.
@@ -120,7 +126,7 @@ pub fn list_generations(fs: &Fs, dir: &Path) -> std::io::Result<Vec<u64>> {
 pub fn write(fs: &Fs, dir: &Path, snap: &Snapshot, generation: u64) -> std::io::Result<()> {
     let tmp = dir.join(TMP_FILE);
     let dst = dir.join(generation_file(generation));
-    fs.write_sync(&tmp, envelope(snap).to_string().as_bytes())?;
+    fs.write_sync(&tmp, json::to_string(snap).as_bytes())?;
     fs.rename(&tmp, &dst)?;
     // Persist the rename: fsync the containing directory.
     fs.sync_dir(dir)?;
@@ -145,11 +151,7 @@ fn try_read(fs: &Fs, path: &Path) -> std::io::Result<Result<Snapshot, String>> {
     let Ok(text) = String::from_utf8(bytes) else {
         return Ok(Err("not utf-8".into()));
     };
-    let j = match Json::parse(&text) {
-        Ok(j) => j,
-        Err(e) => return Ok(Err(e.to_string())),
-    };
-    Ok(open_envelope(&j).map_err(|e| e.to_string()))
+    Ok(json::from_str::<Snapshot>(&text).map_err(|e| e.to_string()))
 }
 
 /// Load the newest snapshot that verifies, walking generations

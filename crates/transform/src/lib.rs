@@ -22,7 +22,8 @@
 //! programs, on any thread count.
 
 use copycat_util::hash::FxHashMap;
-use copycat_util::json::{FromJson, Json, JsonError, ToJson};
+use copycat_util::json::{FromJson, JsonError, JsonWriter, ToJson};
+use copycat_util::zjson::ZRef;
 use std::fmt;
 
 /// A row of input cells; a single string is a one-column row.
@@ -397,43 +398,45 @@ impl fmt::Display for Program {
 }
 
 impl ToJson for Piece {
-    fn to_json(&self) -> Json {
-        let num = |n: usize| Json::Num(n as f64);
-        let (col, mut fields) = match self {
-            Piece::Const(s) => (0, vec![("const", Json::str(s.clone()))]),
-            Piece::Extract { col, tok, index, rev, case } => (
-                *col,
-                vec![
-                    ("tok", Json::str(tok.name())),
-                    ("index", num(*index)),
-                    ("rev", Json::Bool(*rev)),
-                    ("case", Json::str(case.name())),
-                ],
-            ),
-            Piece::Arith { op, col, rhs } => (
-                *col,
-                vec![
-                    ("op", Json::str(op.to_string())),
-                    match rhs {
-                        Operand::Col(c) => ("rhs_col", num(*c)),
-                        Operand::Num(k) => ("k", Json::Num(*k)),
-                    },
-                ],
-            ),
-            Piece::Sum => (0, vec![("op", Json::str("sum"))]),
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.begin_obj();
+        let col = match self {
+            Piece::Const(s) => {
+                w.field("const", s);
+                0
+            }
+            Piece::Extract { col, tok, index, rev, case } => {
+                w.field("tok", tok.name());
+                w.field("index", index);
+                w.field("rev", rev);
+                w.field("case", case.name());
+                *col
+            }
+            Piece::Arith { op, col, rhs } => {
+                w.field("op", op.encode_utf8(&mut [0; 4]));
+                match rhs {
+                    Operand::Col(c) => w.field("rhs_col", c),
+                    Operand::Num(k) => w.field("k", k),
+                }
+                *col
+            }
+            Piece::Sum => {
+                w.field("op", "sum");
+                0
+            }
         };
         // Column 0 stays implicit, so one-column programs keep their shape.
         if col != 0 {
-            fields.push(("col", num(col)));
+            w.field("col", &col);
         }
-        Json::obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+        w.end_obj();
     }
 }
 
 /// A column or token index: an integer in `0..=u32::MAX`. Hostile JSON
 /// (`-3`, `0.5`, `1e20`) is an error, never a saturating cast.
-fn index_field(j: &Json, key: &str) -> Result<usize, JsonError> {
-    let v = j.field(key)?;
+fn index_field(j: ZRef<'_>, key: &str) -> Result<usize, JsonError> {
+    let v = j.require(key)?;
     v.as_f64()
         .filter(|n| *n >= 0.0 && n.fract() == 0.0 && *n <= f64::from(u32::MAX))
         .map(|n| n as usize)
@@ -441,8 +444,8 @@ fn index_field(j: &Json, key: &str) -> Result<usize, JsonError> {
 }
 
 impl FromJson for Piece {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        if let Some(s) = j.get("const").and_then(Json::as_str) {
+    fn from_json(j: ZRef<'_>) -> Result<Self, JsonError> {
+        if let Some(s) = j.get("const").and_then(|c| c.as_str()) {
             return Ok(Piece::Const(s.to_string()));
         }
         let col = if j.get("col").is_some() { index_field(j, "col")? } else { 0 };
@@ -466,15 +469,15 @@ impl FromJson for Piece {
             return Ok(Piece::Arith { op, col, rhs });
         }
         let tok = j
-            .field("tok")?
+            .require("tok")?
             .as_str()
             .and_then(Tok::parse)
             .ok_or_else(|| JsonError::expected("tokenizer name", j))?;
         let index = index_field(j, "index")?;
-        let rev = j.field("rev")?;
+        let rev = j.require("rev")?;
         let rev = rev.as_bool().ok_or_else(|| JsonError::expected("bool \"rev\"", rev))?;
         let case = j
-            .field("case")?
+            .require("case")?
             .as_str()
             .and_then(Case::parse)
             .ok_or_else(|| JsonError::expected("case name", j))?;
@@ -483,23 +486,18 @@ impl FromJson for Piece {
 }
 
 impl ToJson for Program {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![(
-            "pieces".to_string(),
-            Json::Arr(self.pieces.iter().map(ToJson::to_json).collect()),
-        )])
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.obj(|w| w.field("pieces", &self.pieces));
     }
 }
 
 impl FromJson for Program {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        let pieces = j
-            .field("pieces")?
-            .as_array()
-            .ok_or_else(|| JsonError::expected("pieces array", j))?
-            .iter()
-            .map(Piece::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
+    fn from_json(j: ZRef<'_>) -> Result<Self, JsonError> {
+        let pieces = j.require("pieces")?;
+        if !pieces.is_arr() {
+            return Err(JsonError::expected("pieces array", j));
+        }
+        let pieces = pieces.items().map(Piece::from_json).collect::<Result<Vec<_>, _>>()?;
         Ok(Program { pieces })
     }
 }
@@ -727,6 +725,7 @@ pub fn learn<R: Row>(examples: &[(R, String)]) -> Option<Program> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use copycat_util::json;
 
     /// Example sets with their held-out assertions, single-string and
     /// multi-column (the retired multi-column learner's unit tests):
@@ -764,7 +763,7 @@ mod tests {
             let p = learn(&examples).expect("learnable");
             assert!(p.consistent(&examples), "{p}");
             assert_eq!(p.apply(held_out).as_deref(), Some(expected), "{p}");
-            assert_eq!(Program::from_json(&p.to_json()), Ok(p));
+            assert_eq!(json::from_str::<Program>(&json::to_string(&p)), Ok(p));
         }
     }
 
@@ -801,13 +800,13 @@ mod tests {
         assert_eq!(ratio.apply(["3", "1"].as_slice()).as_deref(), Some("0.333333"));
         assert_eq!(Piece::Sum.apply(["1.5", "x", "2"].as_slice()).as_deref(), Some("3.5"));
         for p in [col3, ratio, Piece::Sum, Piece::Arith { op: '-', col: 2, rhs: Operand::Num(0.25) }] {
-            assert_eq!(Piece::from_json(&p.to_json()), Ok(p));
+            assert_eq!(json::from_str::<Piece>(&json::to_string(&p)), Ok(p));
         }
     }
 
     #[test]
     fn hostile_pieces_are_typed_errors() {
-        let piece = |body: &str| Piece::from_json(&Json::parse(body).expect("valid JSON"));
+        let piece = |body: &str| json::from_str::<Piece>(body);
         let extract = |index: &str, rev: &str| {
             piece(&format!(r#"{{"tok":"word","index":{index},"rev":{rev},"case":"keep"}}"#))
         };

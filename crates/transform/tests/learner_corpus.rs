@@ -20,7 +20,7 @@
 //! `UPDATE_GOLDEN=1 cargo test -p copycat-transform --test learner_corpus`.
 
 use copycat_transform::{learn, Piece, Program};
-use copycat_util::json::{FromJson, Json, ToJson};
+use copycat_util::json;
 use std::path::PathBuf;
 
 /// Rows whose held-out output differs from the old learner's, and why.
@@ -32,7 +32,7 @@ const DIVERGENT: &[(&str, &str)] = &[(
 
 fn program_column(p: Option<&Program>) -> String {
     p.map_or("none".to_string(), |p| {
-        Json::Arr(vec![Json::str(p.to_string()), p.to_json()]).to_string()
+        json::to_string(&(p.to_string(), p))
     })
 }
 
@@ -47,9 +47,8 @@ fn learner_matches_the_golden_corpus() {
         else {
             panic!("row without 6 columns: {line}");
         };
-        let parse = |text: &str| Json::parse(text).expect("JSON column");
-        let examples = Vec::<(Vec<String>, String)>::from_json(&parse(examples)).expect("examples");
-        let held_out = Vec::<String>::from_json(&parse(held_out)).expect("held-out row");
+        let examples: Vec<(Vec<String>, String)> = json::from_str(examples).expect("examples");
+        let held_out: Vec<String> = json::from_str(held_out).expect("held-out row");
         let learned = learn(&examples);
         let now = program_column(learned.as_ref());
         let frozen = line.rsplit_once('\t').expect("six columns").0;
@@ -59,7 +58,7 @@ fn learner_matches_the_golden_corpus() {
             fail(format!("program {now} != golden {golden}"));
         }
         if let Some(p) = &learned {
-            if !p.consistent(&examples) || Program::from_json(&p.to_json()).as_ref() != Ok(p) {
+            if !p.consistent(&examples) || json::from_str::<Program>(&json::to_string(p)).as_ref() != Ok(p) {
                 fail(format!("{p} is inconsistent or does not round-trip through JSON"));
             }
         }
@@ -79,7 +78,7 @@ fn learner_matches_the_golden_corpus() {
             fail("the old learner learned, today's learner did not".to_string());
             continue;
         };
-        let held = p.apply(&held_out).to_json().to_string();
+        let held = json::to_string(&p.apply(&held_out));
         if held != old {
             divergent.push(id.to_string());
             if !id.starts_with("seeded/") && single != now {

@@ -1,15 +1,17 @@
-//! JSON values, serialization, parsing, and the derive-free
-//! [`ToJson`]/[`FromJson`] trait pair.
+//! JSON values, the one serializer ([`JsonWriter`]), and the
+//! derive-free [`ToJson`]/[`FromJson`] trait pair.
 //!
 //! This replaces the workspace's `serde`/`serde_json` usage. Types that
 //! persist (session state, source graphs, wrappers, pattern models)
 //! implement the two traits by hand; the representation each type
-//! chooses is part of its session-file format.
+//! chooses is part of its session-file format. Both traits stream:
+//! `ToJson` writes through a [`JsonWriter`] and `FromJson` reads a
+//! borrowed [`ZRef`], so persistence builds no owned [`Json`] tree.
 //!
 //! Objects preserve insertion order, so serialization is deterministic:
 //! the same state always produces byte-identical session files.
 
-use crate::zjson::ZDoc;
+use crate::zjson::{ZDoc, ZRef};
 use std::fmt;
 
 /// A JSON document value.
@@ -42,7 +44,7 @@ impl JsonError {
     }
 
     /// "expected X, got Y" against an actual value.
-    pub fn expected(what: &str, got: &Json) -> Self {
+    pub fn expected(what: &str, got: ZRef<'_>) -> Self {
         Self::new(format!("expected {what}, got {}", got.kind()))
     }
 }
@@ -64,18 +66,6 @@ impl Json {
     /// An object from ordered pairs.
     pub fn obj(pairs: Vec<(String, Json)>) -> Json {
         Json::Obj(pairs)
-    }
-
-    /// Short kind name for error messages.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Json::Null => "null",
-            Json::Bool(_) => "bool",
-            Json::Num(_) => "number",
-            Json::Str(_) => "string",
-            Json::Arr(_) => "array",
-            Json::Obj(_) => "object",
-        }
     }
 
     /// Object field lookup.
@@ -134,75 +124,19 @@ impl Json {
 
     /// Compact serialization.
     pub fn to_string(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, None, 0);
-        out
+        to_string(self)
     }
 
     /// Append the compact serialization to an existing buffer — the
     /// allocation-free form of [`Json::to_string`] for callers that
     /// assemble responses in a reused scratch buffer.
     pub fn write_compact(&self, out: &mut String) {
-        self.write(out, None, 0);
+        self.write_json(&mut JsonWriter::compact(out));
     }
 
     /// Human-readable serialization (2-space indent).
     pub fn to_string_pretty(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, Some(2), 0);
-        out
-    }
-
-    fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
-        let nl = |out: &mut String, d: usize| {
-            if let Some(w) = indent {
-                out.push('\n');
-                out.extend(std::iter::repeat_n(' ', w * d));
-            }
-        };
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => write_number(out, *n),
-            Json::Str(s) => write_escaped(out, s),
-            Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    nl(out, depth + 1);
-                    item.write(out, indent, depth + 1);
-                }
-                nl(out, depth);
-                out.push(']');
-            }
-            Json::Obj(pairs) => {
-                if pairs.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push('{');
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    nl(out, depth + 1);
-                    write_escaped(out, k);
-                    out.push(':');
-                    if indent.is_some() {
-                        out.push(' ');
-                    }
-                    v.write(out, indent, depth + 1);
-                }
-                nl(out, depth);
-                out.push('}');
-            }
-        }
+        to_string_pretty(self)
     }
 
     /// Parse a JSON document. Trailing non-whitespace is an error.
@@ -213,6 +147,162 @@ impl Json {
     }
 }
 
+/// A streaming JSON serializer: values go straight into a `String`,
+/// compact or indented by two spaces per level. Every serialization in
+/// the workspace — [`Json::to_string`], [`ToJson`] impls, re-emitted
+/// [`ZRef`] values — runs through this one writer, so the pretty and
+/// compact formats have exactly one definition.
+///
+/// The writer tracks only its depth, whether the innermost open
+/// container is still empty, and whether a key awaits its value;
+/// commas, newlines and indentation follow from the call sequence. Inside an object every value is preceded by
+/// [`JsonWriter::key`] (or written with [`JsonWriter::field`]).
+#[derive(Debug)]
+pub struct JsonWriter<'a> {
+    out: &'a mut String,
+    pretty: bool,
+    depth: usize,
+    /// The innermost open container has no element yet.
+    first: bool,
+    /// A key was just written: the next value is its member value.
+    after_key: bool,
+}
+
+/// Indentation source: pretty output pushes slices of this, not one
+/// space at a time.
+const SPACES: &str = "                                                                ";
+
+// The writer's primitives run once per token of every snapshot and
+// response, so they must not allocate.
+// lint:hotpath(begin)
+impl<'a> JsonWriter<'a> {
+    /// A writer appending compact JSON (no whitespace) to `out`.
+    pub fn compact(out: &'a mut String) -> Self {
+        JsonWriter { out, pretty: false, depth: 0, first: true, after_key: false }
+    }
+
+    /// A writer appending JSON indented by two spaces per level to
+    /// `out` (`"key": value`, one member or element per line).
+    pub fn pretty(out: &'a mut String) -> Self {
+        JsonWriter { out, pretty: true, depth: 0, first: true, after_key: false }
+    }
+
+    fn newline(&mut self) {
+        if self.pretty {
+            self.out.push('\n');
+            let mut n = 2 * self.depth;
+            while n > 0 {
+                let run = n.min(SPACES.len());
+                self.out.push_str(&SPACES[..run]);
+                n -= run;
+            }
+        }
+    }
+
+    /// Separator and indentation owed before the next key or value.
+    fn element(&mut self) {
+        if self.after_key {
+            self.after_key = false;
+        } else if self.depth > 0 {
+            if !self.first {
+                self.out.push(',');
+            }
+            self.first = false;
+            self.newline();
+        }
+    }
+
+    fn open(&mut self, bracket: char) {
+        self.element();
+        self.out.push(bracket);
+        self.depth += 1;
+        self.first = true;
+    }
+
+    fn close(&mut self, bracket: char) {
+        self.depth -= 1;
+        if !self.first {
+            self.newline();
+        }
+        self.out.push(bracket);
+        self.first = false;
+    }
+
+    /// `null`.
+    pub fn null(&mut self) {
+        self.element();
+        self.out.push_str("null");
+    }
+
+    /// `true` / `false`.
+    pub fn bool(&mut self, b: bool) {
+        self.element();
+        self.out.push_str(if b { "true" } else { "false" });
+    }
+
+    /// A number (non-finite values write `null`; see [`write_number`]).
+    pub fn num(&mut self, n: f64) {
+        self.element();
+        write_number(self.out, n);
+    }
+
+    /// A string literal, escaped canonically.
+    pub fn str(&mut self, s: &str) {
+        self.element();
+        write_escaped(self.out, s);
+    }
+
+    /// An object member's key; the next value written is its value.
+    pub fn key(&mut self, k: &str) {
+        self.element();
+        write_escaped(self.out, k);
+        self.out.push(':');
+        if self.pretty {
+            self.out.push(' ');
+        }
+        self.after_key = true;
+    }
+
+    /// Open an object; close it with [`JsonWriter::end_obj`].
+    pub fn begin_obj(&mut self) {
+        self.open('{');
+    }
+
+    /// Close the innermost object.
+    pub fn end_obj(&mut self) {
+        self.close('}');
+    }
+
+    /// One object member: `key` then `v`.
+    pub fn field<T: ToJson + ?Sized>(&mut self, key: &str, v: &T) {
+        self.key(key);
+        v.write_json(self);
+    }
+
+    /// An object whose members `body` writes.
+    pub fn obj(&mut self, body: impl FnOnce(&mut Self)) {
+        self.begin_obj();
+        body(self);
+        self.end_obj();
+    }
+
+    /// An array whose elements `body` writes.
+    pub fn arr(&mut self, body: impl FnOnce(&mut Self)) {
+        self.open('[');
+        body(self);
+        self.close(']');
+    }
+
+    /// An externally tagged enum variant: `{"tag": <body>}`, where
+    /// `body` writes the one value.
+    pub fn tagged(&mut self, tag: &str, body: impl FnOnce(&mut Self)) {
+        self.begin_obj();
+        self.key(tag);
+        body(self);
+        self.end_obj();
+    }
+}
+
 /// Non-finite values (unrepresentable in JSON) serialize as `null`
 /// like serde_json's lossy float handling; everything else uses Rust's
 /// shortest-round-trip formatting, which prints integral values
@@ -220,9 +310,30 @@ impl Json {
 /// cast-to-`i64` fast path — keeps the sign of `-0.0` (`-0`), so
 /// serialize→parse→serialize is byte-identical for every finite
 /// number. WAL replay and snapshot diffing rely on that fixpoint.
-/// Formats straight into `out`: no intermediate heap string.
-pub(crate) fn write_number(out: &mut String, n: f64) {
-    if n.is_finite() {
+/// Formats straight into `out`: no intermediate heap string. Integers
+/// below 2^53 (counts, ids, hashes' halves) take a digit loop that
+/// prints exactly what `{n}` would.
+pub fn write_number(out: &mut String, n: f64) {
+    const EXACT: f64 = 9_007_199_254_740_992.0; // 2^53
+    if n.fract() == 0.0 && n.abs() < EXACT && !(n == 0.0 && n.is_sign_negative()) {
+        let mut digits = [0u8; 20];
+        let mut at = digits.len();
+        let mut v = n.abs() as u64;
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
+        }
+        if n < 0.0 {
+            out.push('-');
+        }
+        for &d in &digits[at..] {
+            out.push(char::from(d));
+        }
+    } else if n.is_finite() {
         // Writing into a `String` cannot fail.
         let _ = fmt::Write::write_fmt(out, format_args!("{n}"));
     } else {
@@ -230,26 +341,42 @@ pub(crate) fn write_number(out: &mut String, n: f64) {
     }
 }
 
-/// Append the canonical JSON string literal for `s` (quotes included)
-/// — the escaping [`Json::to_string`] uses, exposed for protocol code
-/// that serializes into reused buffers.
+/// Append the canonical JSON string literal for `s` (quotes included).
+/// Runs that need no escaping are copied in bulk; `"`, `\` and control
+/// characters get their short escape or `\u00XX`.
 pub fn write_escaped(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let bytes = s.as_bytes();
+    let mut run = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        let short = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x08 => "\\b",
+            0x0C => "\\f",
+            0x00..=0x1F => "",
+            _ => continue,
+        };
+        // Every byte matched above is ASCII, so `run..i` and `i + 1..`
+        // fall on char boundaries.
+        out.push_str(&s[run..i]);
+        if short.is_empty() {
+            out.push_str("\\u00");
+            out.push(char::from(HEX[usize::from(b >> 4)]));
+            out.push(char::from(HEX[usize::from(b & 0xF)]));
+        } else {
+            out.push_str(short);
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
+// lint:hotpath(end)
 
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -295,40 +422,51 @@ impl PartialEq<Json> for &str {
 
 // --- ToJson / FromJson --------------------------------------------------
 
-/// Hand-written serialization to a [`Json`] value (the derive-free
-/// counterpart of `serde::Serialize`).
+/// Hand-written serialization through a [`JsonWriter`] (the derive-free
+/// counterpart of `serde::Serialize`). Implementations stream: they
+/// write their fields straight into the output, building no [`Json`]
+/// value on the way.
 pub trait ToJson {
-    /// The JSON representation of `self`.
-    fn to_json(&self) -> Json;
+    /// Write the JSON representation of `self`.
+    fn write_json(&self, w: &mut JsonWriter<'_>);
 }
 
-/// Hand-written reconstruction from a [`Json`] value (the derive-free
-/// counterpart of `serde::Deserialize`).
+/// Hand-written reconstruction from a parsed value (the derive-free
+/// counterpart of `serde::Deserialize`). Implementations read a
+/// borrowed [`ZRef`] cursor, so strings are copied once, into the
+/// value being built.
 pub trait FromJson: Sized {
     /// Rebuild from a JSON value.
-    fn from_json(j: &Json) -> Result<Self, JsonError>;
+    fn from_json(j: ZRef<'_>) -> Result<Self, JsonError>;
 }
 
 impl ToJson for Json {
-    fn to_json(&self) -> Json {
-        self.clone()
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        match self {
+            Json::Null => w.null(),
+            Json::Bool(b) => w.bool(*b),
+            Json::Num(n) => w.num(*n),
+            Json::Str(s) => w.str(s),
+            Json::Arr(items) => w.arr(|w| items.iter().for_each(|v| v.write_json(w))),
+            Json::Obj(pairs) => w.obj(|w| pairs.iter().for_each(|(k, v)| w.field(k, v))),
+        }
     }
 }
 
 impl FromJson for Json {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(j.clone())
+    fn from_json(j: ZRef<'_>) -> Result<Self, JsonError> {
+        Ok(j.to_json())
     }
 }
 
 impl ToJson for String {
-    fn to_json(&self) -> Json {
-        Json::Str(self.clone())
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.str(self);
     }
 }
 
 impl FromJson for String {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
+    fn from_json(j: ZRef<'_>) -> Result<Self, JsonError> {
         j.as_str()
             .map(str::to_string)
             .ok_or_else(|| JsonError::expected("string", j))
@@ -336,31 +474,31 @@ impl FromJson for String {
 }
 
 impl ToJson for str {
-    fn to_json(&self) -> Json {
-        Json::Str(self.to_string())
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.str(self);
     }
 }
 
 impl ToJson for bool {
-    fn to_json(&self) -> Json {
-        Json::Bool(*self)
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.bool(*self);
     }
 }
 
 impl FromJson for bool {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
+    fn from_json(j: ZRef<'_>) -> Result<Self, JsonError> {
         j.as_bool().ok_or_else(|| JsonError::expected("bool", j))
     }
 }
 
 impl ToJson for f64 {
-    fn to_json(&self) -> Json {
-        Json::Num(*self)
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.num(*self);
     }
 }
 
 impl FromJson for f64 {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
+    fn from_json(j: ZRef<'_>) -> Result<Self, JsonError> {
         j.as_f64().ok_or_else(|| JsonError::expected("number", j))
     }
 }
@@ -368,13 +506,13 @@ impl FromJson for f64 {
 macro_rules! impl_json_int {
     ($($t:ty),+ $(,)?) => {$(
         impl ToJson for $t {
-            fn to_json(&self) -> Json {
-                Json::Num(*self as f64)
+            fn write_json(&self, w: &mut JsonWriter<'_>) {
+                w.num(*self as f64);
             }
         }
 
         impl FromJson for $t {
-            fn from_json(j: &Json) -> Result<Self, JsonError> {
+            fn from_json(j: ZRef<'_>) -> Result<Self, JsonError> {
                 let n = j.as_f64().ok_or_else(|| JsonError::expected("number", j))?;
                 if n.fract() != 0.0 {
                     return Err(JsonError::new(format!("expected integer, got {n}")));
@@ -399,79 +537,90 @@ macro_rules! impl_json_int {
 impl_json_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
 impl<T: ToJson> ToJson for Option<T> {
-    fn to_json(&self) -> Json {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
         match self {
-            None => Json::Null,
-            Some(v) => v.to_json(),
+            None => w.null(),
+            Some(v) => v.write_json(w),
         }
     }
 }
 
 impl<T: FromJson> FromJson for Option<T> {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        match j {
-            Json::Null => Ok(None),
-            other => Ok(Some(T::from_json(other)?)),
+    fn from_json(j: ZRef<'_>) -> Result<Self, JsonError> {
+        if j.is_null() {
+            Ok(None)
+        } else {
+            Ok(Some(T::from_json(j)?))
         }
     }
 }
 
 impl<T: ToJson> ToJson for Vec<T> {
-    fn to_json(&self) -> Json {
-        Json::Arr(self.iter().map(ToJson::to_json).collect())
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        self.as_slice().write_json(w);
     }
 }
 
 impl<T: FromJson> FromJson for Vec<T> {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        j.as_array()
-            .ok_or_else(|| JsonError::expected("array", j))?
-            .iter()
-            .map(T::from_json)
-            .collect()
+    fn from_json(j: ZRef<'_>) -> Result<Self, JsonError> {
+        if !j.is_arr() {
+            return Err(JsonError::expected("array", j));
+        }
+        let mut out = Vec::with_capacity(j.len());
+        for item in j.items() {
+            out.push(T::from_json(item)?);
+        }
+        Ok(out)
     }
 }
 
 impl<T: ToJson> ToJson for [T] {
-    fn to_json(&self) -> Json {
-        Json::Arr(self.iter().map(ToJson::to_json).collect())
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.arr(|w| self.iter().for_each(|v| v.write_json(w)));
     }
 }
 
 impl<A: ToJson, B: ToJson> ToJson for (A, B) {
-    fn to_json(&self) -> Json {
-        Json::Arr(vec![self.0.to_json(), self.1.to_json()])
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.arr(|w| {
+            self.0.write_json(w);
+            self.1.write_json(w);
+        });
     }
 }
 
 impl<A: FromJson, B: FromJson> FromJson for (A, B) {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        match j.as_array() {
-            Some([a, b]) => Ok((A::from_json(a)?, B::from_json(b)?)),
+    fn from_json(j: ZRef<'_>) -> Result<Self, JsonError> {
+        match (j.is_arr(), j.len()) {
+            (true, 2) => Ok((A::from_json(j.at(0))?, B::from_json(j.at(1))?)),
             _ => Err(JsonError::expected("2-element array", j)),
         }
     }
 }
 
 impl<T: ToJson + ?Sized> ToJson for &T {
-    fn to_json(&self) -> Json {
-        (**self).to_json()
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        (**self).write_json(w);
     }
 }
 
 /// Serialize any [`ToJson`] value compactly.
 pub fn to_string<T: ToJson + ?Sized>(v: &T) -> String {
-    v.to_json().to_string()
+    let mut out = String::new();
+    v.write_json(&mut JsonWriter::compact(&mut out));
+    out
 }
 
 /// Serialize any [`ToJson`] value with indentation.
 pub fn to_string_pretty<T: ToJson + ?Sized>(v: &T) -> String {
-    v.to_json().to_string_pretty()
+    let mut out = String::new();
+    v.write_json(&mut JsonWriter::pretty(&mut out));
+    out
 }
 
-/// Parse and convert in one step.
+/// Parse and convert in one step: one [`ZDoc`] walk, no owned tree.
 pub fn from_str<T: FromJson>(text: &str) -> Result<T, JsonError> {
-    T::from_json(&Json::parse(text)?)
+    T::from_json(ZDoc::new().parse(text)?)
 }
 
 #[cfg(test)]
@@ -549,27 +698,24 @@ mod tests {
         // 2^63 *is* `i64::MAX as f64`: the cast saturates to MAX, which
         // round-trips back to 2^63 — so the old cast-then-compare check
         // accepted the wrong value. Same story for u64 at 2^64.
-        assert!(i64::from_json(&Json::Num(9_223_372_036_854_775_808.0)).is_err());
-        assert!(u64::from_json(&Json::Num(18_446_744_073_709_551_616.0)).is_err());
-        assert!(u64::from_json(&Json::Num(1e300)).is_err());
+        assert!(from_str::<i64>("9223372036854775808").is_err());
+        assert!(from_str::<u64>("18446744073709551616").is_err());
+        assert!(from_str::<u64>("1e300").is_err());
         // The exact boundaries that ARE representable still convert.
-        assert_eq!(
-            i64::from_json(&Json::Num(-9_223_372_036_854_775_808.0)).unwrap(),
-            i64::MIN
-        );
+        assert_eq!(from_str::<i64>("-9223372036854775808").unwrap(), i64::MIN);
         // Largest f64 below 2^63 / 2^64 (2^63 - 1024, 2^64 - 2048).
         assert_eq!(
-            i64::from_json(&Json::Num(9_223_372_036_854_774_784.0)).unwrap(),
+            from_str::<i64>("9223372036854774784").unwrap(),
             9_223_372_036_854_774_784
         );
         assert_eq!(
-            u64::from_json(&Json::Num(18_446_744_073_709_549_568.0)).unwrap(),
+            from_str::<u64>("18446744073709549568").unwrap(),
             18_446_744_073_709_549_568
         );
         // -0.0 is integral zero, not out of range, for every width.
-        assert_eq!(u64::from_json(&Json::Num(-0.0)).unwrap(), 0);
-        assert_eq!(u8::from_json(&Json::Num(255.0)).unwrap(), 255);
-        assert!(u8::from_json(&Json::Num(256.0)).is_err());
+        assert_eq!(from_str::<u64>("-0").unwrap(), 0);
+        assert_eq!(from_str::<u8>("255").unwrap(), 255);
+        assert!(from_str::<u8>("256").is_err());
     }
 
     #[test]
@@ -627,14 +773,10 @@ mod tests {
         check("json_int_roundtrip", 300, &[], |g: &mut Gen| {
             // Every |v| <= 2^53 is exactly representable as f64.
             let v = g.i64_in(-(1i64 << 53)..(1i64 << 53) + 1);
-            let s = v.to_json().to_string();
-            let parsed = Json::parse(&s).map_err(|e| e.to_string())?;
-            prop_ensure_eq!(i64::from_json(&parsed).map_err(|e| e.to_string())?, v);
+            let s = to_string(&v);
+            prop_ensure_eq!(from_str::<i64>(&s).map_err(|e| e.to_string())?, v);
             if v >= 0 {
-                prop_ensure_eq!(
-                    u64::from_json(&parsed).map_err(|e| e.to_string())?,
-                    v as u64
-                );
+                prop_ensure_eq!(from_str::<u64>(&s).map_err(|e| e.to_string())?, v as u64);
             }
             Ok(())
         });
@@ -651,24 +793,73 @@ mod tests {
 
     #[test]
     fn primitive_conversions_roundtrip() {
-        let cases: Vec<(Json, bool)> = vec![
-            (42usize.to_json(), true),
-            ((-7i64).to_json(), true),
-            (1.5f64.to_json(), true),
-            ("hello".to_json(), true),
-            (Some("x".to_string()).to_json(), true),
-            (Option::<String>::None.to_json(), true),
+        let cases = [
+            (to_string(&42usize), "42"),
+            (to_string(&-7i64), "-7"),
+            (to_string(&1.5f64), "1.5"),
+            (to_string("hello"), "\"hello\""),
+            (to_string(&Some("x".to_string())), "\"x\""),
+            (to_string(&Option::<String>::None), "null"),
         ];
-        for (j, _) in cases {
-            assert_eq!(Json::parse(&j.to_string()).unwrap(), j);
+        for (text, want) in cases {
+            assert_eq!(text, want);
         }
-        assert_eq!(usize::from_json(&Json::Num(42.0)).unwrap(), 42);
-        assert!(usize::from_json(&Json::Num(1.5)).is_err());
-        assert!(usize::from_json(&Json::Num(-1.0)).is_err());
-        assert!(u8::from_json(&Json::Num(300.0)).is_err());
+        assert_eq!(from_str::<usize>("42").unwrap(), 42);
+        assert!(from_str::<usize>("1.5").is_err());
+        assert!(from_str::<usize>("-1").is_err());
+        assert!(from_str::<u8>("300").is_err());
+        assert_eq!(from_str::<Option<String>>("null").unwrap(), None);
+        assert_eq!(
+            from_str::<(String, u8)>("[\"a\"]").unwrap_err().to_string(),
+            "json error: expected 2-element array, got array"
+        );
         let pairs: Vec<(String, usize)> =
             from_str(r#"[["a", 1], ["b", 2]]"#).unwrap();
         assert_eq!(pairs, vec![("a".to_string(), 1), ("b".to_string(), 2)]);
+    }
+
+    #[test]
+    fn writer_matches_the_tree_format() {
+        let j = Json::parse(r#"{"a": [1, {"b": []}, {}], "c": "x\u0001\"y\\", "d": null}"#)
+            .unwrap();
+        let mut pretty = String::new();
+        let mut w = JsonWriter::pretty(&mut pretty);
+        w.obj(|w| {
+            w.key("a");
+            w.arr(|w| {
+                w.num(1.0);
+                w.tagged("b", |w| w.arr(|_| {}));
+                w.obj(|_| {});
+            });
+            w.field("c", "x\u{1}\"y\\");
+            w.key("d");
+            w.null();
+        });
+        assert_eq!(pretty, j.to_string_pretty());
+        assert_eq!(
+            pretty,
+            "{\n  \"a\": [\n    1,\n    {\n      \"b\": []\n    },\n    {}\n  ],\n  \
+             \"c\": \"x\\u0001\\\"y\\\\\",\n  \"d\": null\n}"
+        );
+        assert_eq!(j.to_string(), r#"{"a":[1,{"b":[]},{}],"c":"x\u0001\"y\\","d":null}"#);
+    }
+
+    #[test]
+    fn escaping_copies_runs_and_hex_escapes_controls() {
+        let mut out = String::new();
+        write_escaped(&mut out, "café\u{1f}\u{0}é\u{7f}\u{8}\u{c}\r\t\n😀");
+        assert_eq!(out, "\"café\\u001f\\u0000é\u{7f}\\b\\f\\r\\t\\n😀\"");
+    }
+
+    #[test]
+    fn integer_fast_path_prints_what_display_prints() {
+        for n in [0.0, 1.0, -1.0, 10.0, 4_294_967_295.0, 9_007_199_254_740_991.0, -9_007_199_254_740_991.0,
+                  9_007_199_254_740_992.0, 1e17, 123_456_789_012.0]
+        {
+            let mut out = String::new();
+            write_number(&mut out, n);
+            assert_eq!(out, format!("{n}"));
+        }
     }
 
     #[test]

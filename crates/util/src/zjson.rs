@@ -29,7 +29,7 @@
 //! the verbatim input slice (how the server echoes request ids without
 //! re-owning them).
 
-use crate::json::{self, Json, JsonError};
+use crate::json::{Json, JsonError, JsonWriter, ToJson};
 
 /// Nesting depth limit.
 const MAX_DEPTH: usize = 128;
@@ -63,8 +63,8 @@ enum Kind {
 #[derive(Debug, Clone, Copy)]
 struct Node {
     kind: Kind,
-    /// String content span (`Str`), or first child (`Arr`/`Obj` in `a`,
-    /// `NONE` when empty; `b` unused).
+    /// String content span (`Str`), or first child and child count
+    /// (`Arr`/`Obj`: `a` is `NONE` when empty).
     a: u32,
     b: u32,
     /// Key span + location, when this node is an object member.
@@ -74,6 +74,11 @@ struct Node {
     /// Next sibling, `NONE` at the end of a container.
     next: u32,
 }
+
+/// What a cursor past the end of an array reads as: `null`, like
+/// `Json`'s total indexing.
+static ABSENT: Node =
+    Node { kind: Kind::Null, a: NONE, b: 0, key: None, raw: (0, 0), next: NONE };
 
 /// A reusable flat-DOM JSON parser. See the module docs.
 #[derive(Debug, Default)]
@@ -116,7 +121,46 @@ impl ZDoc {
 
 impl<'d> ZRef<'d> {
     fn node(&self) -> &'d Node {
-        &self.doc.nodes[self.idx as usize]
+        self.doc.nodes.get(self.idx as usize).unwrap_or(&ABSENT)
+    }
+
+    /// Short kind name for error messages.
+    pub fn kind(&self) -> &'static str {
+        match self.node().kind {
+            Kind::Null => "null",
+            Kind::Bool(_) => "bool",
+            Kind::Num(_) => "number",
+            Kind::Str(_) => "string",
+            Kind::Arr => "array",
+            Kind::Obj => "object",
+        }
+    }
+
+    /// Number of elements (array) or members (object); 0 otherwise.
+    pub fn len(&self) -> usize {
+        match self.node().kind {
+            Kind::Arr | Kind::Obj => self.node().b as usize,
+            _ => 0,
+        }
+    }
+
+    /// Whether [`ZRef::len`] is 0.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The `i`th array element; `null` when out of range or not an
+    /// array (mirrors `Json`'s total indexing).
+    pub fn at(&self, i: usize) -> ZRef<'d> {
+        let idx = self.items().nth(i).map_or(NONE, |v| v.idx);
+        ZRef { doc: self.doc, line: self.line, idx }
+    }
+
+    /// Object member lookup that errors when the key is absent (for
+    /// `FromJson` impls; mirrors `Json::field`).
+    pub fn require(&self, key: &str) -> Result<ZRef<'d>, JsonError> {
+        self.get(key)
+            .ok_or_else(|| JsonError::new(format!("missing field {key:?}")))
     }
 
     fn span_str(&self, a: u32, b: u32, loc: Loc) -> Option<&'d str> {
@@ -221,40 +265,12 @@ impl<'d> ZRef<'d> {
         }
     }
 
-    /// Append the canonical serialization of this value — byte-for-byte
-    /// what `Json::to_string` emits for the same value (strings are
-    /// re-escaped canonically, numbers use the shortest-round-trip
-    /// fixpoint format).
+    /// Append the canonical compact serialization of this value —
+    /// byte-for-byte what `Json::to_string` emits for the same value
+    /// (strings are re-escaped canonically, numbers use the
+    /// shortest-round-trip fixpoint format).
     pub fn write(&self, out: &mut String) {
-        match self.node().kind {
-            Kind::Null => out.push_str("null"),
-            Kind::Bool(true) => out.push_str("true"),
-            Kind::Bool(false) => out.push_str("false"),
-            Kind::Num(n) => json::write_number(out, n),
-            Kind::Str(_) => json::write_escaped(out, self.as_str().unwrap_or("")),
-            Kind::Arr => {
-                out.push('[');
-                for (i, item) in self.items().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write(out);
-                }
-                out.push(']');
-            }
-            Kind::Obj => {
-                out.push('{');
-                for (i, (k, v)) in self.entries().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    json::write_escaped(out, k);
-                    out.push(':');
-                    v.write(out);
-                }
-                out.push('}');
-            }
-        }
+        self.write_json(&mut JsonWriter::compact(out));
     }
 
     /// An owned [`Json`] copy of this value (for values that must
@@ -269,6 +285,19 @@ impl<'d> ZRef<'d> {
             Kind::Obj => Json::Obj(
                 self.entries().map(|(k, v)| (k.to_string(), v.to_json())).collect(),
             ),
+        }
+    }
+}
+
+impl ToJson for ZRef<'_> {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        match self.node().kind {
+            Kind::Null => w.null(),
+            Kind::Bool(b) => w.bool(b),
+            Kind::Num(n) => w.num(n),
+            Kind::Str(_) => w.str(self.as_str().unwrap_or("")),
+            Kind::Arr => w.arr(|w| self.items().for_each(|v| v.write_json(w))),
+            Kind::Obj => w.obj(|w| self.entries().for_each(|(k, v)| w.field(k, &v))),
         }
     }
 }
@@ -472,6 +501,7 @@ impl P<'_> {
             }
             Some(b'[') => {
                 let idx = self.push(Kind::Arr, self.pos as u32);
+                self.nodes[idx as usize].b = 0;
                 self.pos += 1;
                 self.skip_ws();
                 if self.peek() == Some(b']') {
@@ -488,6 +518,7 @@ impl P<'_> {
                     } else {
                         self.nodes[prev as usize].next = child;
                     }
+                    self.nodes[idx as usize].b += 1;
                     prev = child;
                     self.skip_ws();
                     match self.peek() {
@@ -503,6 +534,7 @@ impl P<'_> {
             }
             Some(b'{') => {
                 let idx = self.push(Kind::Obj, self.pos as u32);
+                self.nodes[idx as usize].b = 0;
                 self.pos += 1;
                 self.skip_ws();
                 if self.peek() == Some(b'}') {
@@ -524,6 +556,7 @@ impl P<'_> {
                     } else {
                         self.nodes[prev as usize].next = child;
                     }
+                    self.nodes[idx as usize].b += 1;
                     prev = child;
                     self.skip_ws();
                     match self.peek() {
