@@ -1,6 +1,9 @@
 //! The experiment harness: regenerates every table of EXPERIMENTS.md.
 //!
-//! Usage: `cargo run --release -p copycat-bench --bin harness [e1|e2|…|a3|all]`
+//! Usage: `cargo run --release -p copycat-bench --bin harness [SECTION…|all]`,
+//! where a section is `e1`…`e8`, `faults`, `transforms` or `a1`…`a3`;
+//! `e3-json`, `faults-json` or `transforms-json` instead prints one
+//! `BENCH_*.json` document (see `scripts/bench_json.sh`).
 //!
 //! Selected sections run concurrently on scoped threads (they share no
 //! state); outputs are buffered per section and printed in the canonical
@@ -9,17 +12,10 @@
 use copycat_bench::table::{dur, f1, f3, TextTable};
 use copycat_bench::{
     ablations, chaos_sweep, e1_keystrokes, e2_feedback, e3_steiner, e4_structure, e5_column,
-    e6_semantic, e7_linkage, e8_figure4, fault_recovery, serve_load, transform_sweep,
+    e6_semantic, e7_linkage, e8_figure4, fault_recovery, transform_sweep,
 };
 use copycat_util::json::Json;
-use copycat_util::bench::CountingAlloc;
 use std::fmt::Write;
-
-/// Counting allocator for the S4 memory experiment (marginal bytes per
-/// session, allocations per request). Delegates to `System`; the cost
-/// is two relaxed increments per allocation.
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc::new();
 
 fn section_e1() -> String {
     let mut out = String::new();
@@ -198,201 +194,6 @@ fn section_e8() -> String {
     writeln!(out, "rows: {}   zip accuracy: {:.3}", r.rows, r.zip_accuracy).unwrap();
     writeln!(out, "\nsample explanation:\n{}", r.explanation).unwrap();
     out
-}
-
-/// The sweeps behind both the serve section and `BENCH_serve.json`.
-const SERVE_CONCURRENCY: &[usize] = &[1, 2, 4];
-/// Per-point timed requests. 600 (up from 150) so each level's p99
-/// rests on ≥600 samples per client — at 150, the 99th percentile was
-/// one-or-two observations and jittered run to run.
-const SERVE_REQUESTS_PER_CLIENT: usize = 600;
-/// Kill-and-recover levels: (journaled records, snapshot cadence).
-const SERVE_RECOVERY_LEVELS: &[(u64, u64)] = &[(100, 16), (400, 64), (400, 8)];
-/// Cross-shard sweep: shard counts at a fixed client count.
-const SERVE_SHARD_COUNTS: &[usize] = &[1, 2, 4];
-const SERVE_SHARD_CLIENTS: usize = 4;
-/// S4 memory experiment: sessions created inside the measured window.
-const MEM_FLAT_SESSIONS: usize = 64;
-const MEM_SHARED_SESSIONS: usize = 512;
-/// S5 herd: resident copy-on-write sessions, sampled tenants, hot-path
-/// rounds per sampled tenant, and closed-loop clients.
-const HERD_SESSIONS: usize = 10_000;
-const HERD_PROBE_SESSIONS: usize = 256;
-const HERD_ROUNDS: usize = 4;
-const HERD_CLIENTS: usize = 4;
-
-fn section_serve() -> String {
-    let mut out = String::new();
-    writeln!(
-        out,
-        "== S1: copycat-serve throughput/latency (closed-loop clients, in-process) ==\n"
-    )
-    .unwrap();
-    let rows = serve_load::run(SERVE_CONCURRENCY, SERVE_REQUESTS_PER_CLIENT);
-    let mut t = TextTable::new(&["clients", "requests", "throughput rps", "p50", "p99"]);
-    for r in &rows {
-        t.row(vec![
-            r.clients.to_string(),
-            r.requests.to_string(),
-            format!("{:.0}", r.throughput_rps),
-            dur(std::time::Duration::from_micros(r.p50_us)),
-            dur(std::time::Duration::from_micros(r.p99_us)),
-        ]);
-    }
-    writeln!(out, "{}", t.render()).unwrap();
-
-    writeln!(
-        out,
-        "== S2: kill-and-recover (durable router, sync_every=1, crash = drop) ==\n"
-    )
-    .unwrap();
-    let rows = serve_load::run_recovery(SERVE_RECOVERY_LEVELS);
-    let mut t = TextTable::new(&[
-        "records",
-        "snapshot every",
-        "journal time",
-        "recover time",
-        "replayed",
-        "snapshots",
-        "intact",
-    ]);
-    for r in &rows {
-        t.row(vec![
-            r.records.to_string(),
-            r.snapshot_every.to_string(),
-            dur(r.journal_elapsed),
-            dur(r.recover_elapsed),
-            r.replayed.to_string(),
-            r.snapshots.to_string(),
-            if r.intact { "yes".into() } else { "NO".into() },
-        ]);
-    }
-    writeln!(out, "{}", t.render()).unwrap();
-
-    writeln!(
-        out,
-        "== S3: cross-shard routing + live migration ({SERVE_SHARD_CLIENTS} clients) ==\n"
-    )
-    .unwrap();
-    let rows = serve_load::run_cross_shard(
-        SERVE_SHARD_COUNTS,
-        SERVE_SHARD_CLIENTS,
-        SERVE_REQUESTS_PER_CLIENT,
-    );
-    let mut t = TextTable::new(&[
-        "shards",
-        "requests",
-        "throughput rps",
-        "migrate mean",
-        "migrations",
-    ]);
-    for r in &rows {
-        t.row(vec![
-            r.shards.to_string(),
-            r.requests.to_string(),
-            format!("{:.0}", r.throughput_rps),
-            dur(std::time::Duration::from_micros(r.migrate_mean_us)),
-            r.migrations.to_string(),
-        ]);
-    }
-    writeln!(out, "{}", t.render()).unwrap();
-
-    writeln!(
-        out,
-        "== S4: copy-on-write memory (flat private worlds vs shared WorldBase) ==\n"
-    )
-    .unwrap();
-    let rows = serve_load::run_mem(MEM_FLAT_SESSIONS, MEM_SHARED_SESSIONS, &|| ALLOC.snapshot());
-    let mut t = TextTable::new(&[
-        "mode",
-        "sessions",
-        "marginal B/session",
-        "sessions/GiB",
-        "allocs/request",
-    ]);
-    for r in &rows {
-        t.row(vec![
-            r.mode.to_string(),
-            r.sessions.to_string(),
-            format!("{:.0}", r.marginal_bytes_per_session),
-            format!("{:.0}", r.sessions_per_gb),
-            format!("{:.1}", r.allocs_per_request),
-        ]);
-    }
-    writeln!(out, "{}", t.render()).unwrap();
-    writeln!(
-        out,
-        "   (live-byte diffs; run `harness serve` alone for quiescent numbers)\n"
-    )
-    .unwrap();
-
-    writeln!(
-        out,
-        "== S5: {HERD_SESSIONS}-session herd (copy-on-write, {HERD_CLIENTS} clients over a \
-         {HERD_PROBE_SESSIONS}-tenant sample) ==\n"
-    )
-    .unwrap();
-    let h = serve_load::run_herd(
-        HERD_SESSIONS,
-        HERD_PROBE_SESSIONS,
-        HERD_ROUNDS,
-        HERD_CLIENTS,
-        Some(&|| ALLOC.snapshot()),
-    );
-    let mut t = TextTable::new(&[
-        "sessions",
-        "create time",
-        "requests",
-        "throughput rps",
-        "p50",
-        "p99",
-        "B/session",
-    ]);
-    t.row(vec![
-        h.sessions.to_string(),
-        dur(h.create_elapsed),
-        h.requests.to_string(),
-        format!("{:.0}", h.throughput_rps),
-        dur(std::time::Duration::from_micros(h.p50_us)),
-        dur(std::time::Duration::from_micros(h.p99_us)),
-        format!("{:.0}", h.marginal_bytes_per_session),
-    ]);
-    writeln!(out, "{}", t.render()).unwrap();
-    out
-}
-
-/// `harness -- serve-json`: the serve sweeps as machine-readable JSON on
-/// stdout (consumed by `scripts/bench_json.sh` into `BENCH_serve.json`):
-/// `{"load": […], "recovery": […], "cross_shard": […], "mem": {…},
-/// "herd": {…}}`. Runs serially, so the S4/S5 live-byte measurements
-/// are quiescent.
-fn serve_json() -> String {
-    let load = serve_load::run(SERVE_CONCURRENCY, SERVE_REQUESTS_PER_CLIENT);
-    let recovery = serve_load::run_recovery(SERVE_RECOVERY_LEVELS);
-    let cross = serve_load::run_cross_shard(
-        SERVE_SHARD_COUNTS,
-        SERVE_SHARD_CLIENTS,
-        SERVE_REQUESTS_PER_CLIENT,
-    );
-    let mem = serve_load::run_mem(MEM_FLAT_SESSIONS, MEM_SHARED_SESSIONS, &|| ALLOC.snapshot());
-    let herd = serve_load::run_herd(
-        HERD_SESSIONS,
-        HERD_PROBE_SESSIONS,
-        HERD_ROUNDS,
-        HERD_CLIENTS,
-        Some(&|| ALLOC.snapshot()),
-    );
-    copycat_util::json::Json::obj(vec![
-        ("load".into(), serve_load::rows_to_json(&load)),
-        ("recovery".into(), serve_load::recovery_to_json(&recovery)),
-        (
-            "cross_shard".into(),
-            serve_load::cross_shard_to_json(&cross),
-        ),
-        ("mem".into(), serve_load::mem_to_json(&mem)),
-        ("herd".into(), serve_load::herd_to_json(&herd)),
-    ])
-    .to_string()
 }
 
 /// The sweep behind both the F1 table and `BENCH_faults.json`.
@@ -609,10 +410,6 @@ fn main() {
         println!("{}", e3_json());
         return;
     }
-    if which.iter().any(|w| w == "serve-json") {
-        println!("{}", serve_json());
-        return;
-    }
     if which.iter().any(|w| w == "faults-json") {
         println!("{}", faults_json());
         return;
@@ -633,7 +430,6 @@ fn main() {
         ("e6", section_e6),
         ("e7", section_e7),
         ("e8", section_e8),
-        ("serve", section_serve),
         ("faults", section_faults),
         ("transforms", section_transforms),
         ("a1", section_a1),

@@ -18,6 +18,5 @@ pub mod e7_linkage;
 pub mod e8_figure4;
 pub mod fault_recovery;
 pub mod gen;
-pub mod serve_load;
 pub mod table;
 pub mod transform_sweep;

@@ -96,11 +96,13 @@ pub struct CopyCat {
     /// status, counters, injected-fault attempt maps) by name, and the
     /// caller re-registers the implementations *after* the load.
     /// Each entry is consumed by the matching
-    /// [`CopyCat::register_resilient`] call.
-    pending_health: copycat_util::hash::FxHashMap<String, SavedServiceHealth>,
+    /// [`CopyCat::register_resilient`] call; until then a save writes it
+    /// back after the live entries, in the order the snapshot listed it.
+    pending_health: Vec<SavedServiceHealth>,
     /// Saved fault-injection state for probes registered *without* the
-    /// resilient layer; consumed by [`CopyCat::register_service`].
-    pending_probes: copycat_util::hash::FxHashMap<String, SavedFlakyState>,
+    /// resilient layer; consumed by [`CopyCat::register_service`] and
+    /// saved like `pending_health` until then.
+    pending_probes: Vec<(String, SavedFlakyState)>,
 }
 
 /// A transform column's learned program plus its accumulated examples.
@@ -236,8 +238,8 @@ impl CopyCat {
             undo_stack: Vec::new(),
             query_cache: QueryCache::default(),
             health: HealthRegistry::new(),
-            pending_health: copycat_util::hash::FxHashMap::default(),
-            pending_probes: copycat_util::hash::FxHashMap::default(),
+            pending_health: Vec::new(),
+            pending_probes: Vec::new(),
         }
     }
 
@@ -564,7 +566,8 @@ impl CopyCat {
         let sig = svc.signature().clone();
         let name = svc.name().to_string();
         let cost = svc.cost();
-        if let Some(saved) = self.pending_probes.remove(&name) {
+        if let Some(i) = self.pending_probes.iter().position(|(n, _)| *n == name) {
+            let (_, saved) = self.pending_probes.remove(i);
             if let Some(flaky) =
                 svc.as_any().and_then(|a| a.downcast_ref::<Flaky>())
             {
@@ -594,8 +597,8 @@ impl CopyCat {
         // breakers, retry/trip counters, inner fault-injection state)
         // before the service becomes callable: a breaker that was open
         // at save time must still be open after restore.
-        if let Some(saved) = self.pending_health.remove(wrapped.name()) {
-            wrapped.restore_health(&saved);
+        if let Some(i) = self.pending_health.iter().position(|s| s.service == wrapped.name()) {
+            wrapped.restore_health(&self.pending_health.remove(i));
         }
         self.health.register(wrapped.clone());
         self.register_service(wrapped.clone() as Arc<dyn Service>);
@@ -611,10 +614,20 @@ impl CopyCat {
         services: Vec<SavedServiceHealth>,
         probes: Vec<(String, SavedFlakyState)>,
     ) {
-        for s in services {
-            self.pending_health.insert(s.service.clone(), s);
-        }
-        self.pending_probes.extend(probes);
+        self.pending_health = services;
+        self.pending_probes = probes;
+    }
+
+    /// Saved health not yet re-attached by [`CopyCat::register_resilient`],
+    /// snapshot order.
+    pub(crate) fn pending_health(&self) -> &[SavedServiceHealth] {
+        &self.pending_health
+    }
+
+    /// Saved probe state not yet re-attached by
+    /// [`CopyCat::register_service`], snapshot order.
+    pub(crate) fn pending_probes(&self) -> &[(String, SavedFlakyState)] {
+        &self.pending_probes
     }
 
     /// The engine's service-health registry (breaker states, retry and

@@ -90,8 +90,14 @@ impl CopyCat {
             });
             // Without health a restore would silently forget tripped
             // breakers and route through a service the saved engine had
-            // already failed over from.
-            w.field("health", &self.health().saved());
+            // already failed over from. Entries restored by a load but
+            // not yet re-attached follow the live ones, so a load→save
+            // keeps them.
+            w.key("health");
+            w.arr(|w| {
+                self.health().saved().iter().for_each(|h| h.write_json(w));
+                self.pending_health().iter().for_each(|h| h.write_json(w));
+            });
             // Direct (non-resilient) fault-injection probes in the
             // catalog. Resilient-wrapped inners are carried by their
             // wrapper's health entry instead; `Service::as_any` is None
@@ -109,6 +115,7 @@ impl CopyCat {
                         flaky.saved_state().write_json(w);
                     });
                 }
+                self.pending_probes().iter().for_each(|p| p.write_json(w));
             });
         });
     }

@@ -297,17 +297,28 @@ fn snapshots_match_the_golden_corpus() {
     }
 }
 
+/// The corpus's `session/` rows as (label, snapshot).
+fn corpus_sessions() -> Vec<(String, String)> {
+    let corpus = std::fs::read_to_string(golden_path()).expect("committed session corpus");
+    let sessions: Vec<(String, String)> = corpus
+        .lines()
+        .filter(|l| l.starts_with("session/"))
+        .map(|line| {
+            let (label, escaped) = line.split_once('\t').expect("tab-separated row");
+            (label.to_string(), copycat_util::json::from_str(escaped).expect("escaped snapshot"))
+        })
+        .collect();
+    assert_eq!(sessions.len(), 40);
+    sessions
+}
+
 /// Loading any corpus snapshot and saving again reproduces its bytes.
-/// Runtime health re-attaches only as its service re-registers (the
-/// restore contract), so sessions that saved a breaker and a probe get
-/// the same two services registered again before the second save.
+/// Runtime health re-attaches as its service re-registers (the restore
+/// contract), so sessions that saved a breaker and a probe get the same
+/// two services registered again before the second save.
 #[test]
 fn load_then_save_is_a_fixpoint() {
-    let corpus = std::fs::read_to_string(golden_path()).expect("committed session corpus");
-    let mut sessions = 0;
-    for line in corpus.lines().filter(|l| l.starts_with("session/")) {
-        let (label, escaped) = line.split_once('\t').expect("tab-separated row");
-        let snapshot: String = copycat_util::json::from_str(escaped).expect("escaped snapshot");
+    for (label, snapshot) in corpus_sessions() {
         let mut reloaded = CopyCat::load_session_json(&snapshot).expect("corpus snapshot loads");
         if !snapshot.contains("\"health\": []") {
             let world = Arc::new(copycat_services::World::generate(&Default::default()));
@@ -324,7 +335,16 @@ fn load_then_save_is_a_fixpoint() {
             reloaded.register_service(Arc::new(probe));
         }
         assert_eq!(reloaded.save_session_json(), snapshot, "{label}: load→save moved bytes");
-        sessions += 1;
     }
-    assert_eq!(sessions, 40);
+}
+
+/// The same fixpoint with no service registered again: health the load
+/// has not re-attached yet is saved back as it was read, so a tripped
+/// breaker survives any number of load→save round trips.
+#[test]
+fn raw_load_then_save_keeps_unattached_health() {
+    for (label, snapshot) in corpus_sessions() {
+        let reloaded = CopyCat::load_session_json(&snapshot).expect("corpus snapshot loads");
+        assert_eq!(reloaded.save_session_json(), snapshot, "{label}: raw load→save moved bytes");
+    }
 }

@@ -146,11 +146,6 @@ impl Clipboard {
         self.docs.get(id.0 as usize)
     }
 
-    /// Number of registered documents.
-    pub fn document_count(&self) -> usize {
-        self.docs.len()
-    }
-
     /// Copy a selection from a registered document. Returns `None` when the
     /// selection does not resolve (wrong document kind, bad page, bad span).
     pub fn copy(&self, id: DocumentId, selection: Selection) -> Option<CopyEvent> {

@@ -105,15 +105,6 @@ impl Faker {
         rows
     }
 
-    /// `n` contact rows: `[person, phone, venue-name]`, where venue names
-    /// are drawn from `venues` (aligning contacts with shelters).
-    pub fn contacts_for(&mut self, venues: &[String]) -> Vec<Vec<String>> {
-        venues
-            .iter()
-            .map(|v| vec![self.person(), self.phone(), v.clone()])
-            .collect()
-    }
-
     /// Access the underlying RNG (for perturbation passes that should share
     /// the seed stream).
     pub fn rng(&mut self) -> &mut StdRng {

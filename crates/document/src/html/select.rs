@@ -104,14 +104,6 @@ impl TagPath {
         self.steps.is_empty()
     }
 
-    /// Number of wildcarded steps.
-    pub fn wildcard_count(&self) -> usize {
-        self.steps
-            .iter()
-            .filter(|s| s.index == StepIndex::Any)
-            .count()
-    }
-
     /// A copy with step `i` wildcarded.
     pub fn wildcard_step(&self, i: usize) -> TagPath {
         let mut steps = self.steps.clone();

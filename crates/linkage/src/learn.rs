@@ -105,12 +105,6 @@ impl MatchLearner {
         Self { fields, epochs: 12, aggressiveness: 0.5 }
     }
 
-    /// Override the number of training epochs.
-    pub fn with_epochs(mut self, epochs: usize) -> Self {
-        self.epochs = epochs.max(1);
-        self
-    }
-
     /// Train a matcher from labeled pairs. The TF-IDF index should be
     /// built over the values the matcher will see at join time.
     pub fn train(&self, pairs: &[LabeledPair], index: TfIdfIndex) -> Matcher {

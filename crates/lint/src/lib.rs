@@ -91,14 +91,6 @@ pub fn analyze_source(path: &str, src: &str) -> Vec<Finding> {
     analyze_files_with_aux(&[(path, src)], Vec::new())
 }
 
-/// Analyze a pre-loaded set of `(path, source)` files with no
-/// companion files. Output order is independent of input order (the
-/// property the shuffle test pins).
-pub fn analyze_files<S: AsRef<str>>(files: &[(S, S)]) -> Vec<Finding> {
-    let pairs: Vec<(&str, &str)> = files.iter().map(|(p, s)| (p.as_ref(), s.as_ref())).collect();
-    analyze_files_with_aux(&pairs, Vec::new())
-}
-
 /// The testable core of [`analyze_tree`]: the full two-phase pipeline
 /// over pre-loaded files plus raw companion files.
 pub fn analyze_files_with_aux(files: &[(&str, &str)], aux: Vec<AuxFile>) -> Vec<Finding> {

@@ -84,7 +84,7 @@ mod tests {
         let src = "fn f(p: &std::path::Path) { std::fs::write(p, b\"x\").unwrap(); }";
         assert!(run_at("crates/store/src/io.rs", src).is_empty());
         assert!(run_at("crates/lint/src/walk.rs", src).is_empty());
-        assert!(run_at("crates/bench/src/serve_load.rs", src).is_empty());
+        assert!(run_at("crates/bench/src/fault_recovery.rs", src).is_empty());
     }
 
     #[test]

@@ -111,8 +111,8 @@ impl TreeRule for LockOrder {
                                 line: c.line,
                                 message: format!(
                                     "call to {}() while guard `{}` (class `{}`, line {}) is live \
-                                     reaches a blocking send/recv/join down the call chain; \
-                                     drop the guard first",
+                                     reaches a blocking send/recv/join or condvar wait down the \
+                                     call chain; drop the guard first",
                                     c.name, g.name, g.class, g.line
                                 ),
                                 provenance: prov,

@@ -9,10 +9,10 @@
 //!   [`response_is_effectful`]) is journaled to the session's
 //!   [`SessionStore`] — an append-only WAL plus periodic snapshots —
 //!   **before the response is released** to the caller. A response you
-//!   received is a response that survives a crash (when
-//!   `sync_every == 1`); effects whose ack never reached you may be
-//!   lost, which is exactly the at-most-once contract a client must
-//!   already handle.
+//!   received is a response that survives a crash: each record is
+//!   fsynced before its response is released. Effects whose ack never
+//!   reached you may be lost, which is exactly the at-most-once
+//!   contract a client must already handle.
 //! * Recovery ([`Router::recover`]) loads each session's snapshot,
 //!   replays the WAL tail through the owning shard, and resumes. The
 //!   protocol is deterministic by construction (responses carry no
@@ -62,8 +62,6 @@ thread_local! {
 pub struct RouterConfig {
     /// In-process serve shards.
     pub shards: usize,
-    /// Ring vnodes per shard (more = smoother balance).
-    pub vnodes: usize,
     /// Per-shard server sizing.
     pub server: ServerConfig,
     /// Root directory for session stores; `None` = ephemeral (no
@@ -72,11 +70,6 @@ pub struct RouterConfig {
     /// Snapshot + compact the WAL after this many records since the
     /// last checkpoint.
     pub snapshot_every: u64,
-    /// Group-commit width: fsync after this many journaled records.
-    /// `1` = strict ack durability (every acked effect survives a
-    /// crash); larger values trade the tail of un-synced acks for
-    /// fewer fsyncs.
-    pub sync_every: u64,
     /// Snapshot + compact once this many bytes have been synced to a
     /// session's WAL since its last checkpoint — the record-size-blind
     /// bound on log growth (`snapshot_every` alone lets huge records
@@ -91,11 +84,9 @@ impl Default for RouterConfig {
     fn default() -> Self {
         RouterConfig {
             shards: 2,
-            vnodes: 16,
             server: ServerConfig::default(),
             store_root: None,
             snapshot_every: 64,
-            sync_every: 1,
             max_wal_bytes: 1 << 20,
             fs: Fs::real(),
         }
@@ -122,8 +113,6 @@ struct SessionJournal {
     history: Vec<String>,
     /// The on-disk WAL + snapshot pair (`None` on ephemeral routers).
     store: Option<SessionStore>,
-    /// Journaled records not yet fsynced (group commit).
-    pending_sync: u64,
 }
 
 /// What a [`Router::migrate_session`] call moved.
@@ -178,9 +167,11 @@ fn hash64(s: &str) -> u64 {
     h.finish()
 }
 
-fn build_ring(shards: usize, vnodes: usize) -> Vec<(u64, usize)> {
+fn build_ring(shards: usize) -> Vec<(u64, usize)> {
+    /// Ring points per shard: enough for an even spread of tenants.
+    const VNODES: usize = 16;
     let mut ring: Vec<(u64, usize)> = (0..shards)
-        .flat_map(|s| (0..vnodes.max(1)).map(move |v| (hash64(&format!("shard-{s}/vnode-{v}")), s)))
+        .flat_map(|s| (0..VNODES).map(move |v| (hash64(&format!("shard-{s}/vnode-{v}")), s)))
         .collect();
     ring.sort_unstable();
     ring
@@ -296,7 +287,7 @@ impl Router {
         let shards = (0..config.shards.max(1))
             .map(|_| Server::new(config.server.clone()))
             .collect::<Vec<_>>();
-        let ring = build_ring(shards.len(), config.vnodes);
+        let ring = build_ring(shards.len());
         Router {
             shards,
             ring,
@@ -405,11 +396,7 @@ impl Router {
             router.recovery_reports.lock().push((name.clone(), report));
             router.sessions.lock().insert(
                 name,
-                Arc::new(Mutex::new(SessionJournal {
-                    history,
-                    store: Some(store),
-                    pending_sync: 0,
-                })),
+                Arc::new(Mutex::new(SessionJournal { history, store: Some(store) })),
             );
         }
         Ok(router)
@@ -428,11 +415,6 @@ impl Router {
     pub fn journal_history(&self, name: &str) -> Option<Vec<String>> {
         let entry = { self.sessions.lock().get(name).map(Arc::clone) };
         entry.map(|e| e.lock().history.clone())
-    }
-
-    /// Shard count.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// The shards themselves (test/bench introspection).
@@ -461,11 +443,7 @@ impl Router {
     fn journal_entry(&self, name: &str) -> Arc<Mutex<SessionJournal>> {
         let mut map = self.sessions.lock();
         Arc::clone(map.entry(name.to_string()).or_insert_with(|| {
-            Arc::new(Mutex::new(SessionJournal {
-                history: Vec::new(),
-                store: None,
-                pending_sync: 0,
-            }))
+            Arc::new(Mutex::new(SessionJournal { history: Vec::new(), store: None }))
         }))
     }
 
@@ -545,10 +523,10 @@ impl Router {
     }
 
     /// Append one record to the session's store — creating it on the
-    /// first record — group-commit per `sync_every`, and checkpoint
-    /// per `snapshot_every`. Called with the journal lock held, after
-    /// execution, before the response is released: the write-ahead is
-    /// of the *acknowledgment*, not the execution.
+    /// first record — fsync it, and checkpoint per `snapshot_every`.
+    /// Called with the journal lock held, after execution, before the
+    /// response is released: the write-ahead is of the
+    /// *acknowledgment*, not the execution.
     fn journal_durably(
         &self,
         name: &str,
@@ -572,29 +550,19 @@ impl Router {
         }
         let Some(store) = j.store.as_mut() else { return };
         store.append(logged);
-        j.pending_sync += 1;
-        if j.pending_sync >= self.config.sync_every.max(1) {
-            // On failure the batch stays in the WAL's group-commit
-            // buffer and `pending_sync` stays up, so the very next
-            // journaled record retries the whole batch.
-            if store.sync().is_ok() {
-                j.pending_sync = 0;
-            } else {
-                // relaxed: monotone failure counter, stats() only
-                self.sync_failures.fetch_add(1, Ordering::Relaxed);
-            }
+        // On failure the record stays in the WAL's write buffer, so the
+        // next journaled record's fsync retries it too.
+        if store.sync().is_err() {
+            // relaxed: monotone failure counter, stats() only
+            self.sync_failures.fetch_add(1, Ordering::Relaxed);
         }
-        if store.records_since_snapshot() >= self.config.snapshot_every.max(1)
-            || store.wal_bytes_since_snapshot() >= self.config.max_wal_bytes.max(1)
-        {
-            if store.snapshot(&checkpoint_payload(&j.history)).is_ok() {
-                j.pending_sync = 0;
-            } else {
-                // The WAL keeps every record; the next journaled
-                // record re-trips the trigger and retries.
-                // relaxed: monotone failure counter, stats() only
-                self.snapshot_failures.fetch_add(1, Ordering::Relaxed);
-            }
+        let due = store.records_since_snapshot() >= self.config.snapshot_every.max(1)
+            || store.wal_bytes_since_snapshot() >= self.config.max_wal_bytes.max(1);
+        if due && store.snapshot(&checkpoint_payload(&j.history)).is_err() {
+            // The WAL keeps every record; the next journaled record
+            // re-trips the trigger and retries.
+            // relaxed: monotone failure counter, stats() only
+            self.snapshot_failures.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -627,7 +595,6 @@ impl Router {
             store
                 .snapshot(&payload)
                 .map_err(|e| format!("checkpoint failed: {e}"))?;
-            j.pending_sync = 0;
         }
         for line in &j.history {
             // lint:allow(guard-across-blocking) blocks on the shard's admission gate; permit holders never take router journal locks, so no cycle
@@ -772,11 +739,9 @@ impl Router {
         {
             let map = self.sessions.lock();
             for entry in map.values() {
-                let mut j = entry.lock();
-                if let Some(store) = j.store.as_mut() {
+                if let Some(store) = entry.lock().store.as_mut() {
                     let _ = store.sync();
                 }
-                j.pending_sync = 0;
             }
         }
         for s in self.shards {

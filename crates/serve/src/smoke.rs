@@ -53,7 +53,6 @@ pub fn crash_config(fs: &Fs, root: Option<PathBuf>) -> RouterConfig {
         shards: 1,
         server: ServerConfig { workers: 1, queue_depth: 32, shards: 2 },
         snapshot_every: 4,
-        sync_every: 1,
         store_root: root,
         fs: fs.clone(),
         ..RouterConfig::default()

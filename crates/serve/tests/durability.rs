@@ -185,7 +185,6 @@ fn kill_and_recover_is_byte_identical_with_snapshots() {
         server: small_server(),
         store_root: Some(root.clone()),
         snapshot_every: 3,
-        sync_every: 1,
         ..RouterConfig::default()
     });
     for resp in drive(&durable, &lines) {
@@ -199,7 +198,6 @@ fn kill_and_recover_is_byte_identical_with_snapshots() {
         server: small_server(),
         store_root: Some(root.clone()),
         snapshot_every: 3,
-        sync_every: 1,
         ..RouterConfig::default()
     })
     .expect("recovery");
@@ -248,7 +246,6 @@ fn prop_kill_and_recover_preserves_every_acked_prefix() {
             server: small_server(),
             store_root: Some(root.clone()),
             snapshot_every,
-            sync_every: 1,
             ..RouterConfig::default()
         };
 
@@ -338,7 +335,6 @@ fn recovery_preserves_tripped_breakers_under_chaos() {
         server: small_server(),
         store_root: Some(root.clone()),
         snapshot_every: 5,
-        sync_every: 1,
         ..RouterConfig::default()
     };
     let durable = Router::new(config());
@@ -426,7 +422,6 @@ fn recovery_restores_all_tenants_and_survives_torn_tails() {
         server: small_server(),
         store_root: Some(root.clone()),
         snapshot_every: 100, // keep everything in the WAL tail
-        sync_every: 1,
         ..RouterConfig::default()
     };
     let names = ["ann", "bob", "cyd", "dee"];
@@ -530,7 +525,6 @@ fn shared_world_sessions_kill_and_recover_byte_identically() {
         server: small_server(),
         store_root: Some(root.clone()),
         snapshot_every: 3,
-        sync_every: 1,
         ..RouterConfig::default()
     };
     let durable = Router::new(config());
@@ -590,7 +584,6 @@ fn load_session_snapshot_recovers_after_crash() {
         shards: 2,
         server: small_server(),
         store_root: Some(root.clone()),
-        sync_every: 1,
         ..RouterConfig::default()
     };
     let durable = Router::new(config());

@@ -28,6 +28,22 @@ fn smoke_round_trips_every_request_class() {
     }
 }
 
+/// The herd smoke on a small herd: every session is created over the
+/// one shared world and every sampled session answers `render`,
+/// `session_stats` and `autocomplete`. The memory floor is the binary's
+/// (≥ 100k sessions per GiB); this test binary counts no allocations,
+/// so it exercises the floor check without measuring against it.
+#[test]
+fn small_herd_answers_every_probe() {
+    let server = Server::new(ServerConfig::default());
+    let no_counts = copycat_util::bench::AllocSnapshot::default;
+    let report = copycat_serve::smoke::run_herd(&server, 48, 100_000.0, &no_counts)
+        .expect("every herd probe answers ok");
+    assert_eq!(report.sessions, 48);
+    assert_eq!(report.probes_ok, 16 * 3, "every third session x three probes");
+    server.shutdown();
+}
+
 // ------------------------------------------------- deterministic scripts
 
 /// The per-session conversation the determinism test drives: import two
@@ -724,6 +740,26 @@ fn hostile_transform_programs_in_snapshots_are_bad_requests() {
         assert_eq!(resp["error"]["kind"].as_str(), Some("bad_request"), "{hostile}: {resp}");
         assert!(resp["error"]["message"].as_str().is_some_and(|m| m.contains(field)), "{resp}");
     }
+    server.shutdown();
+}
+
+/// A snapshot loaded over the wire and saved again before any service
+/// re-registers keeps the runtime health it carried: the committed
+/// fixture's `zip_resolver` probe comes back in the second snapshot.
+#[test]
+fn load_then_save_keeps_unattached_probe_state() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/saved_session.json");
+    let fixture = std::fs::read_to_string(path).expect("fixture");
+    let server = Server::new(ServerConfig::default());
+    let snapshot = Json::str(fixture.trim_end());
+    let loaded = server
+        .handle(&format!("{{\"id\":1,\"op\":\"load_session\",\"session\":\"s\",\"snapshot\":{snapshot}}}"));
+    assert_eq!(loaded["ok"].as_bool(), Some(true), "{loaded}");
+    let saved = server.handle("{\"id\":2,\"op\":\"save_session\",\"session\":\"s\"}");
+    let resaved = Json::parse(saved["result"]["snapshot"].as_str().expect("snapshot")).expect("json");
+    let original = Json::parse(&fixture).expect("fixture json");
+    assert_eq!(resaved.get("probes"), original.get("probes"), "{saved}");
+    assert!(fixture.contains("\"zip_resolver\""), "the fixture carries a probe");
     server.shutdown();
 }
 

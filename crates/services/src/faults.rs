@@ -153,11 +153,6 @@ impl Flaky {
         }
     }
 
-    /// The configured injection rate.
-    pub fn configured_failure_rate(&self) -> f64 {
-        self.failure_rate
-    }
-
     /// Capture the roll-relevant runtime state (counters and per-input
     /// attempt numbers) for session persistence.
     pub fn saved_state(&self) -> SavedFlakyState {

@@ -157,12 +157,6 @@ impl SessionStore {
         self.seq - self.snapshot_seq
     }
 
-    /// Durable WAL size in bytes (test/bench introspection; costs a
-    /// stat).
-    pub fn wal_bytes(&self) -> u64 {
-        self.wal.file_len().unwrap_or(0)
-    }
-
     /// Bytes group-committed to the WAL since the last snapshot — the
     /// compaction trigger that bounds log growth even when individual
     /// records are huge. Pure arithmetic on sync accounting: no

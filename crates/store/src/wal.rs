@@ -186,14 +186,6 @@ impl Wal {
         Ok(())
     }
 
-    /// Truncate the durable file to `len` bytes (used by recovery to
-    /// cut a torn tail so new appends don't follow garbage).
-    pub fn truncate_to(&mut self, len: u64) -> std::io::Result<()> {
-        self.file.set_len(len)?;
-        self.file.sync_data()?;
-        Ok(())
-    }
-
     /// Atomically replace the log's contents with `records`, re-encoded
     /// clean, and reopen for appending. This is both the compaction
     /// primitive (drop records a fallback snapshot generation no longer
@@ -234,11 +226,6 @@ impl Wal {
     /// The log's path.
     pub fn path(&self) -> &Path {
         &self.path
-    }
-
-    /// Durable size of the log in bytes (buffered appends excluded).
-    pub fn file_len(&self) -> std::io::Result<u64> {
-        self.fs.file_len(&self.path)
     }
 
     /// Read every intact record from the log at `path`, quarantining

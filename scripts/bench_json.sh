@@ -1,25 +1,13 @@
 #!/usr/bin/env bash
-# Emit the machine-readable perf trajectory at the repo root, so every
-# PR leaves numbers the next one can diff against:
+# Emit the experiment sweeps as machine-readable JSON at the repo root.
+# These are in-process, single-trial trajectories: their seeded values
+# (costs, ratios, loss accounting, completeness) are machine-independent,
+# their timings are not. The serving tier (socket, router, WAL, memory)
+# is measured by perfbench/ (see perfbench/README.md), not here.
 #
 #   BENCH_steiner.json — the E3 Steiner scale-up sweep. Rows are
 #     {nodes, terminals, exact_us, spcsh_us, ratio}; exact_us/ratio are
 #     null where the exact solve is out of the sweep's range.
-#   BENCH_serve.json — the serve-layer sweeps as
-#     {"load": …, "recovery": …, "cross_shard": …, "mem": …, "herd": …}.
-#     "load" rows are {clients, requests, ok, elapsed_us,
-#     throughput_rps, p50_us, p99_us}; "recovery" rows are
-#     kill-and-recover timings {records, snapshot_every,
-#     journal_elapsed_us, recover_us, replayed, snapshots, intact};
-#     "cross_shard" rows are router throughput + live-migration cost
-#     {shards, clients, requests, ok, elapsed_us, throughput_rps,
-#     migrate_mean_us, migrations}; "mem" is the copy-on-write memory
-#     experiment {rows: [{mode, sessions, marginal_bytes_per_session,
-#     sessions_per_gb, allocs_per_request}], reduction_x} comparing flat
-#     private worlds to shared-WorldBase overlays; "herd" is the
-#     10k-session sweep {sessions, create_elapsed_us, requests, ok,
-#     elapsed_us, throughput_rps, p50_us, p99_us,
-#     marginal_bytes_per_session, sessions_per_gb}.
 #   BENCH_faults.json — {"f1": …, "recovery_under_fault": …}. "f1" is
 #     the fault-tolerance sweep (failure rate x {no-retry, retry,
 #     retry+failover}); rows are {rate, mode, completeness, degraded,
@@ -41,11 +29,6 @@ cd "$(dirname "$0")/.."
 
 OUT="BENCH_steiner.json"
 cargo run --release --offline -p copycat-bench --bin harness -- e3-json > "$OUT"
-test -s "$OUT" || { echo "bench_json: $OUT is empty" >&2; exit 1; }
-echo "bench_json: wrote $OUT ($(wc -c < "$OUT") bytes)"
-
-OUT="BENCH_serve.json"
-cargo run --release --offline -p copycat-bench --bin harness -- serve-json > "$OUT"
 test -s "$OUT" || { echo "bench_json: $OUT is empty" >&2; exit 1; }
 echo "bench_json: wrote $OUT ($(wc -c < "$OUT") bytes)"
 
