@@ -14,7 +14,7 @@ use copycat_bench::{
     ablations, chaos_sweep, e1_keystrokes, e2_feedback, e3_steiner, e4_structure, e5_column,
     e6_semantic, e7_linkage, e8_figure4, fault_recovery, transform_sweep,
 };
-use copycat_util::json::Json;
+use copycat_util::json::{self, Json};
 use std::fmt::Write;
 
 fn section_e1() -> String {
@@ -95,7 +95,7 @@ fn section_e3() -> String {
 fn e3_json() -> String {
     let (sizes, terms) = e3_steiner::run(E3_SIZES, E3_TERMINALS);
     let all: Vec<e3_steiner::E3Row> = sizes.into_iter().chain(terms).collect();
-    e3_steiner::rows_to_json(&all).to_string()
+    json::to_string(&e3_steiner::rows_to_json(&all))
 }
 
 fn section_e4() -> String {
@@ -295,14 +295,13 @@ fn faults_json() -> String {
     let f1 = chaos_sweep::rows_to_json(&chaos_sweep::run(FAULT_RATES));
     let rows = fault_recovery::run(STORM_SEED, STORM_STRIDES);
     let overhead = fault_recovery::run_overhead(OVERHEAD_RECORDS, OVERHEAD_SYNC_EVERY);
-    Json::obj(vec![
+    json::to_string(&Json::obj(vec![
         ("f1".into(), f1),
         (
             "recovery_under_fault".into(),
             fault_recovery::to_json(&rows, &overhead),
         ),
-    ])
-    .to_string()
+    ]))
 }
 
 /// The sweep behind both the T1 table and `BENCH_transform.json`.
@@ -344,7 +343,7 @@ fn section_transforms() -> String {
 /// on stdout (consumed by `scripts/bench_json.sh` into
 /// `BENCH_transform.json`).
 fn transforms_json() -> String {
-    transform_sweep::rows_to_json(&transform_sweep::run(TRANSFORM_SIZES)).to_string()
+    json::to_string(&transform_sweep::rows_to_json(&transform_sweep::run(TRANSFORM_SIZES)))
 }
 
 fn section_a1() -> String {
@@ -404,6 +403,9 @@ fn section_a3() -> String {
     out
 }
 
+/// A harness section: its CLI name and the function rendering its table.
+type Section = (&'static str, fn() -> String);
+
 fn main() {
     let which: Vec<String> = std::env::args().skip(1).collect();
     if which.iter().any(|w| w == "e3-json") {
@@ -421,7 +423,7 @@ fn main() {
     let all = which.is_empty() || which.iter().any(|w| w == "all");
     let want = |name: &str| all || which.iter().any(|w| w == name);
 
-    const SECTIONS: &[(&str, fn() -> String)] = &[
+    const SECTIONS: &[Section] = &[
         ("e1", section_e1),
         ("e2", section_e2),
         ("e3", section_e3),
@@ -436,8 +438,7 @@ fn main() {
         ("a2", section_a2),
         ("a3", section_a3),
     ];
-    let selected: Vec<&(&str, fn() -> String)> =
-        SECTIONS.iter().filter(|(name, _)| want(name)).collect();
+    let selected: Vec<&Section> = SECTIONS.iter().filter(|(name, _)| want(name)).collect();
 
     let outputs: Vec<String> = std::thread::scope(|scope| {
         let handles: Vec<_> = selected.iter().map(|(_, f)| scope.spawn(f)).collect();

@@ -6,6 +6,12 @@
 //! result plus a `table()` rendering; the `harness` binary prints them,
 //! and the Criterion benches time the hot paths.
 
+#![expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "experiment drivers measure wall time on purpose, and the StoreFs overhead guard times a raw std::fs loop as its baseline"
+)]
+
 pub mod ablations;
 pub mod chaos_sweep;
 pub mod e1_keystrokes;

@@ -326,7 +326,7 @@ fn materialize_link(
         .collect();
     // Left-outer semantics: unlinked left keys keep a padding row so the
     // completion never drops existing workspace rows.
-    let linked_left: std::collections::HashSet<usize> =
+    let linked_left: copycat_util::hash::FxHashSet<usize> =
         links.iter().map(|l| l.left).collect();
     for (i, lr) in left_rows.iter().enumerate() {
         if !linked_left.contains(&i) {

@@ -52,9 +52,10 @@ impl FormService {
     /// page, and induce a wrapper for it (§3.1's generalization, applied
     /// to a form's result pages). Returns `None` when the result page
     /// does not exist or the outputs cannot be located.
-    // One argument per demonstrated artifact; bundling them would only
-    // move the count into a one-use spec struct.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one argument per demonstrated artifact; bundling them would only move the count into a one-use spec struct"
+    )]
     pub fn learn(
         name: impl Into<String>,
         site: Arc<Website>,

@@ -447,7 +447,7 @@ mod tests {
         };
         // Chaos: a zip resolver that always fails, behind retry + breaker…
         let flaky = Flaky::new(Arc::new(ZipResolver::new(Arc::clone(&s.world))), 1.0, 7, 42);
-        let resilient = s.engine.register_resilient(Arc::new(flaky), policy.clone());
+        let resilient = s.engine.register_resilient(Arc::new(flaky), policy);
         // …and a half-failing geocoder probe registered *without* the
         // resilient layer, so its own attempt counters must persist.
         let probe = Arc::new(Flaky::new(

@@ -116,7 +116,7 @@ fn transform_join_recovers_directory_values() {
     let sugg = s
         .engine
         .column_suggestions()
-        .into_iter()
+        .iter()
         .find(|c| c.label.starts_with("T:"))
         .expect("transform suggestion");
     let rows = sugg.values.len();

@@ -230,7 +230,7 @@ mod tests {
     fn shelter_names_unique() {
         let mut f = Faker::new(1);
         let rows = f.shelters(200);
-        let names: std::collections::HashSet<_> = rows.iter().map(|r| &r[0]).collect();
+        let names: copycat_util::hash::FxHashSet<_> = rows.iter().map(|r| &r[0]).collect();
         assert_eq!(names.len(), 200);
     }
 

@@ -333,7 +333,7 @@ mod tests {
         let (spec, rows) = shelter_spec(Tier::Nested);
         let r = render_list(&spec, &rows);
         let page = r.site.get(&r.pages[0].0).unwrap();
-        let cities: std::collections::HashSet<_> = rows.iter().map(|r| r[2].clone()).collect();
+        let cities: copycat_util::hash::FxHashSet<_> = rows.iter().map(|r| r[2].clone()).collect();
         assert_eq!(page.html.elements_by_tag("h2").len(), cities.len());
         assert_eq!(page.html.elements_by_tag("li").len(), rows.len());
         for row in &rows {

@@ -580,7 +580,7 @@ mod tests {
         let rendered = render_list(&spec, &rows);
         let doc = Document::Site(rendered.site);
         let registry = TypeRegistry::with_builtins();
-        let hyps = StructureLearner::new().learn(&doc, &rows[..2].to_vec(), &registry);
+        let hyps = StructureLearner::new().learn(&doc, &rows[..2], &registry);
         let n_creek = rows.iter().filter(|r| r[2] == "Coconut Creek").count();
         // Top hypothesis: the whole list.
         assert_eq!(hyps[0].rows.len(), rows.len());
@@ -604,10 +604,10 @@ mod tests {
         let registry = TypeRegistry::with_builtins();
         let learner = StructureLearner::new();
         // One complete example: blank-street rows are filtered out.
-        let one = learner.learn(&doc, &rows[..1].to_vec(), &registry);
+        let one = learner.learn(&doc, &rows[..1], &registry);
         assert_eq!(one[0].rows.len(), 10);
         // Adding the sparse row as a second example keeps them.
-        let two = learner.learn(&doc, &vec![rows[0].clone(), rows[3].clone()], &registry);
+        let two = learner.learn(&doc, &[rows[0].clone(), rows[3].clone()], &registry);
         assert_eq!(two[0].rows.len(), 12, "{:?}", two[0].wrapper.describe());
     }
 

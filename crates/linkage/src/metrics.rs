@@ -1,7 +1,7 @@
 //! String-similarity heuristics. All return a similarity in `[0, 1]`
 //! (1 = identical). Comparisons are case-insensitive.
 
-use copycat_util::hash::FxHashMap;
+use copycat_util::hash::{FxHashMap, FxHashSet};
 
 /// The metric inventory (feature identifiers for the learner and the E7
 /// experiment table).
@@ -171,8 +171,8 @@ pub fn jaro_winkler(a: &str, b: &str) -> f64 {
 
 /// Jaccard overlap of word-token sets.
 pub fn token_jaccard(a: &str, b: &str) -> f64 {
-    let ta: std::collections::HashSet<String> = tokens(a).into_iter().collect();
-    let tb: std::collections::HashSet<String> = tokens(b).into_iter().collect();
+    let ta: FxHashSet<String> = tokens(a).into_iter().collect();
+    let tb: FxHashSet<String> = tokens(b).into_iter().collect();
     if ta.is_empty() && tb.is_empty() {
         return 1.0;
     }

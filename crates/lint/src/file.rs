@@ -241,7 +241,7 @@ mod tests {
     use super::*;
 
     fn ctx(src: &str) -> FileCtx {
-        FileCtx::new("crates/x/src/lib.rs", src, &["wallclock", "panic-path"])
+        FileCtx::new("crates/x/src/lib.rs", src, &["relaxed-atomics", "panic-path"])
     }
 
     #[test]
@@ -266,22 +266,22 @@ mod tests {
 
     #[test]
     fn suppression_covers_trailing_and_next_line() {
-        let src = "f(); // lint:allow(wallclock) bench-only path\n\
+        let src = "f(); // lint:allow(relaxed-atomics) bench-only counter\n\
                    // lint:allow(panic-path) startup, no request in flight\n\
                    g();";
         let c = ctx(src);
-        assert!(c.suppressed("wallclock", 1));
+        assert!(c.suppressed("relaxed-atomics", 1));
         assert!(c.suppressed("panic-path", 3));
         assert!(!c.suppressed("panic-path", 1));
-        assert!(!c.suppressed("wallclock", 3));
+        assert!(!c.suppressed("relaxed-atomics", 3));
         assert!(c.bad_suppressions.is_empty());
     }
 
     #[test]
     fn reasonless_or_unknown_suppressions_are_findings() {
-        let c = ctx("// lint:allow(wallclock)\nf();\n// lint:allow(no-such-rule) why\ng();");
+        let c = ctx("// lint:allow(relaxed-atomics)\nf();\n// lint:allow(no-such-rule) why\ng();");
         assert_eq!(c.bad_suppressions.len(), 2);
-        assert!(!c.suppressed("wallclock", 2));
+        assert!(!c.suppressed("relaxed-atomics", 2));
     }
 
     #[test]

@@ -45,7 +45,7 @@ impl Finding {
         if !self.provenance.is_empty() {
             fields.push((
                 "provenance".into(),
-                Json::Arr(self.provenance.iter().map(|p| Json::str(p)).collect()),
+                Json::Arr(self.provenance.iter().map(Json::str).collect()),
             ));
         }
         Json::obj(fields)
@@ -53,7 +53,7 @@ impl Finding {
 }
 
 /// Sort findings into canonical order.
-pub fn sort(findings: &mut Vec<Finding>) {
+pub fn sort(findings: &mut [Finding]) {
     findings.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
 }
 

@@ -278,17 +278,17 @@ fn index_file(fi: usize, ctx: &FileCtx, fns: &mut Vec<FnDef>, enums: &mut Vec<En
                     // (`Tuple(u8, Vec<T>)` keeps its commas at the body
                     // depth), so track paren/bracket nesting too.
                     let mut nest = 0i64;
-                    for k in open + 1..close {
+                    for (k, tok) in toks.iter().enumerate().take(close).skip(open + 1) {
                         // A variant: an ident at the body's top depth,
                         // outside any payload group, whose predecessor
                         // opens the body, follows a comma, or closes a
                         // variant attribute.
-                        if toks[k].kind == TokKind::Ident
+                        if tok.kind == TokKind::Ident
                             && ctx.depth[k] == d + 1
                             && nest == 0
                             && matches!(text(k - 1), Some("{") | Some(",") | Some("]"))
                         {
-                            variants.push((toks[k].text.clone(), toks[k].line));
+                            variants.push((tok.text.clone(), tok.line));
                         }
                         match text(k) {
                             Some("(") | Some("[") => nest += 1,

@@ -2,15 +2,14 @@
 //! [`FileCtx`]; cross-file invariants are a [`TreeRule`] over the
 //! phase-1 [`SymbolIndex`] and call graph.
 //!
-//! Rule catalogue (see `DESIGN.md` § Static analysis for the rationale):
+//! Rule catalogue (see `DESIGN.md` § Static analysis for the rationale).
+//! Wall-clock reads, direct `std::fs` access, std's random-seeded
+//! hashers and undocumented `unsafe` are clippy's, not this crate's:
+//! `clippy.toml` and `[workspace.lints.clippy]` at the repo root.
 //!
 //! | rule | strict | scope |
 //! |------|--------|-------|
-//! | `wallclock` | yes | everywhere except `serve::deadline`, `util::bench`, `crates/bench` |
-//! | `fs-discipline` | yes | non-test code everywhere except `store::io`, `crates/lint`, `crates/bench` |
-//! | `randomstate` | yes | everywhere except `crates/util` |
 //! | `panic-path` | yes | `crates/serve/src` request paths (not tests, not the smoke harness) |
-//! | `unsafe-safety` | yes | everywhere |
 //! | `hot-path-alloc` | yes | declared `lint:hotpath` regions |
 //! | `lock-order` | yes | non-test code, all crates except `crates/util` |
 //! | `protocol-exhaustiveness` | yes | the `Op` enum and its companion artifacts |
@@ -24,17 +23,13 @@
 //! `stale-suppression` is stricter still — it is not a suppressible
 //! rule name at all, so a stale allow cannot be allowed; it is deleted.
 
-pub mod fs_discipline;
 pub mod guard_blocking;
 pub mod hotpath;
 pub mod lock_order;
 pub mod panic_path;
 pub mod protocol;
-pub mod randomstate;
 pub mod relaxed_atomics;
 pub mod spawn_discipline;
-pub mod unsafe_safety;
-pub mod wallclock;
 
 use crate::callgraph::CallGraph;
 use crate::file::FileCtx;
@@ -62,14 +57,10 @@ pub trait TreeRule {
 /// Every per-file rule, in catalogue order.
 pub fn all() -> Vec<Box<dyn Rule>> {
     vec![
-        Box::new(wallclock::Wallclock),
-        Box::new(fs_discipline::FsDiscipline),
-        Box::new(randomstate::RandomStateRule),
         Box::new(panic_path::PanicPath),
         Box::new(relaxed_atomics::RelaxedAtomics),
         Box::new(guard_blocking::GuardAcrossBlocking),
         Box::new(spawn_discipline::SpawnDiscipline),
-        Box::new(unsafe_safety::UnsafeSafety),
         Box::new(hotpath::HotPathAlloc),
     ]
 }
@@ -83,15 +74,12 @@ pub fn tree_rules() -> Vec<Box<dyn TreeRule>> {
 }
 
 /// Rule names whose findings can never be baselined ("strict"): they
-/// guard the determinism and deadlock-freedom contracts themselves, so
+/// guard the panic-free request path, the allocation-free hot paths,
+/// deadlock freedom and the protocol's completeness themselves, so
 /// the only ways past them are a fix or an inline `lint:allow` with a
 /// reason.
 pub const STRICT: &[&str] = &[
-    "wallclock",
-    "fs-discipline",
-    "randomstate",
     "panic-path",
-    "unsafe-safety",
     "hot-path-alloc",
     "lock-order",
     "protocol-exhaustiveness",
@@ -114,13 +102,5 @@ pub(crate) mod testutil {
     /// `path`; return the surviving findings in canonical order.
     pub fn run_at(path: &str, src: &str) -> Vec<Finding> {
         crate::analyze_source(path, src)
-    }
-
-    /// Rule names that fired, deduplicated, sorted.
-    pub fn rules_fired(path: &str, src: &str) -> Vec<&'static str> {
-        let mut rules: Vec<&'static str> = run_at(path, src).iter().map(|f| f.rule).collect();
-        rules.sort();
-        rules.dedup();
-        rules
     }
 }

@@ -39,7 +39,7 @@ impl Rule for PanicPath {
             .chain(MACROS.iter().map(|m| (*m, "!", "panics the worker")))
         {
             for i in ctx.find_all(&[name, follower]) {
-                if ctx.in_test(i) {
+                if ctx.in_test(i) || is_attribute(ctx, i) {
                     continue;
                 }
                 ctx.report(
@@ -55,6 +55,12 @@ impl Rule for PanicPath {
             }
         }
     }
+}
+
+/// Whether token `i` names an attribute (`#[expect(…)]`, `#![expect(…)]`),
+/// not a call.
+fn is_attribute(ctx: &FileCtx, i: usize) -> bool {
+    i >= 2 && ctx.toks[i - 1].text == "[" && matches!(ctx.toks[i - 2].text.as_str(), "#" | "!")
 }
 
 #[cfg(test)]
@@ -78,6 +84,14 @@ mod tests {
         assert!(run_at("crates/serve/src/smoke.rs", src).is_empty());
         let in_test = "#[cfg(test)]\nmod tests {\n  #[test]\n  fn t() { None::<u8>.unwrap(); }\n}";
         assert!(run_at("crates/serve/src/pool.rs", in_test).is_empty());
+    }
+
+    #[test]
+    fn expect_attributes_are_not_calls() {
+        let src = "#![expect(clippy::too_many_lines, reason = \"one table\")]\n\
+                   #[expect(clippy::too_many_arguments, reason = \"one per field\")]\n\
+                   fn f() {}";
+        assert!(run_at("crates/serve/src/server.rs", src).is_empty());
     }
 
     #[test]

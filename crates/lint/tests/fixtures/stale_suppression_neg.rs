@@ -1,6 +1,6 @@
 //! Negative fixture: a suppression that actually silences a finding is
 //! earned, not stale.
 
-fn measure() -> std::time::Instant {
-    std::time::Instant::now() // lint:allow(wallclock) fixture exercises an earned suppression
+fn bump(n: &std::sync::atomic::AtomicU64) -> u64 {
+    n.fetch_add(1, Ordering::Relaxed) // lint:allow(relaxed-atomics) fixture exercises an earned suppression
 }

@@ -2,5 +2,5 @@
 //! finding — suppressions cannot outlive the code they excused.
 
 fn add(a: u32, b: u32) -> u32 {
-    a + b // lint:allow(wallclock) this line reads no clock at all
+    a + b // lint:allow(relaxed-atomics) this line touches no atomic at all
 }

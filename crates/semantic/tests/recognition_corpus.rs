@@ -22,6 +22,11 @@
 //! UPDATE_GOLDEN=1 cargo test -p copycat-semantic --test recognition_corpus
 //! ```
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "reads and regenerates its golden file"
+)]
+
 use copycat_semantic::TypeRegistry;
 use copycat_services::{World, WorldConfig};
 use copycat_util::json::write_escaped;

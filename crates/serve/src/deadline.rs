@@ -27,6 +27,10 @@ pub struct Deadline {
 
 impl Deadline {
     /// A deadline starting now with the given budget.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the deadline clock is the serving tier's one owner of wall time"
+    )]
     pub fn starting_now(budget_ms: Option<u64>) -> Deadline {
         Deadline {
             start: Instant::now(),

@@ -166,11 +166,10 @@ impl Metrics {
                         "latency".into(),
                         Json::obj(vec![
                             ("count".into(), Json::Num(lat.count as f64)),
-                            ("mean_us".into(), Json::Num(if lat.count == 0 {
-                                0.0
-                            } else {
-                                (lat.sum_us / lat.count) as f64
-                            })),
+                            (
+                                "mean_us".into(),
+                                Json::Num(lat.sum_us.checked_div(lat.count).unwrap_or(0) as f64),
+                            ),
                             ("p50_us".into(), Json::Num(lat.p50_us as f64)),
                             ("p99_us".into(), Json::Num(lat.p99_us as f64)),
                             ("max_us".into(), Json::Num(lat.max_us as f64)),

@@ -602,11 +602,10 @@ impl Router {
         }
         // Vacate the source copy. Direct shard call: migration is an
         // administrative move, not a journaled protocol event.
-        let close = Json::obj(vec![
+        let close = json::to_string(&Json::obj(vec![
             ("op".into(), Json::str("close_session")),
             ("session".into(), Json::str(name)),
-        ])
-        .to_string();
+        ]));
         // lint:allow(guard-across-blocking) blocks on the shard's admission gate; permit holders never take router journal locks, so no cycle
         let _ = self.shards[from].handle_line(&close); // lint:allow(lock-order) same Router::handle_line name merge as the replay loop above
         self.placed.lock().insert(name.to_string(), to);
@@ -760,6 +759,10 @@ mod tests {
             std::process::id(),
             std::thread::current().id()
         ));
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "test temp-dir cleanup, off the durable path"
+        )]
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }
@@ -866,6 +869,10 @@ mod tests {
         let stats = router.handle_line(r#"{"id":4,"op":"session_stats","session":"keep"}"#);
         assert!(response_ok(&stats), "{stats}");
         router.shutdown();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "test temp-dir cleanup, off the durable path"
+        )]
         let _ = std::fs::remove_dir_all(root);
     }
 
@@ -926,6 +933,10 @@ mod tests {
         assert!(!response_ok(&resp), "{resp}");
         assert!(dir.join(NAME_FILE).exists(), "state stays on disk for inspection");
         router.shutdown();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "test temp-dir cleanup, off the durable path"
+        )]
         let _ = std::fs::remove_dir_all(root);
     }
 }

@@ -194,7 +194,7 @@ fn jtransform(t: &copycat_core::LearnedTransform) -> Json {
         ("from_col", Json::str(&t.from_col)),
         ("to", Json::str(&t.to_source)),
         ("to_col", Json::str(&t.to_col)),
-        ("program", Json::str(&t.program.to_string())),
+        ("program", Json::str(t.program.to_string())),
         ("cost", Json::Num(t.cost)),
         ("coverage", Json::Num(t.coverage)),
     ])
@@ -551,7 +551,7 @@ impl Server {
                     ("queries", jstrings(&e.queries)),
                     ("sources", jstrings(&e.sources)),
                     ("alternatives", jnum(e.alternatives.len())),
-                    ("text", Json::str(&explain::render(&e))),
+                    ("text", Json::str(explain::render(&e))),
                 ]))
             }),
             Op::Export => self.with_session(req, deadline, |s| {
@@ -571,7 +571,7 @@ impl Server {
                 Ok(obj(vec![("format", Json::str(format)), ("data", Json::str(&data))]))
             }),
             Op::Render => self.with_session(req, deadline, |s| {
-                Ok(obj(vec![("text", Json::str(&s.engine.render()))]))
+                Ok(obj(vec![("text", Json::str(s.engine.render()))]))
             }),
             Op::Health => self.with_session(req, deadline, |s| {
                 let snaps = s.engine.health_snapshots();

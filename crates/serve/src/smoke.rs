@@ -28,7 +28,7 @@
 use crate::router::{Router, RouterConfig};
 use crate::server::{Server, ServerConfig};
 use copycat_store::{FaultKind, FaultPlan, Fs, SimFs};
-use copycat_util::json::Json;
+use copycat_util::json::{self, Json};
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -270,7 +270,7 @@ pub fn run_herd(
     floor_sessions_per_gb: f64,
     snap: &dyn Fn() -> copycat_util::bench::AllocSnapshot,
 ) -> Result<HerdReport, String> {
-    let esc = |s: &str| Json::str(s).to_string();
+    let esc = |s: &str| json::to_string(&Json::str(s));
     let world = "\"world\":{\"seed\":2009,\"venues\":6}";
     let create = |name: &str| {
         let resp = server

@@ -8,6 +8,12 @@
 //! carry no timing, engines are seeded) is what makes replay a correct
 //! recovery strategy, and these tests are what pin it.
 
+#![expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "test temp-dir setup and cleanup, and a raw-file corruption probe, off the durable path"
+)]
+
 use copycat_serve::router::{Router, RouterConfig};
 use copycat_serve::server::ServerConfig;
 use copycat_services::{World, WorldConfig};
@@ -218,11 +224,9 @@ fn kill_and_recover_is_byte_identical_with_snapshots() {
     assert_eq!(drive(&recovered, &probes("alice")), drive(&control, &probes("alice")));
     // The recovered session is live, not a museum piece: it keeps
     // accepting work identically.
-    let more = format!(
-        "{{\"id\":950,\"op\":\"autocomplete\",\"session\":\"alice\",\
-         \"values\":[\"0 Oak St a\",\"555-0100-a\"],\"k\":2}}"
-    );
-    assert_eq!(recovered.handle_line(&more), control.handle_line(&more));
+    let more = "{\"id\":950,\"op\":\"autocomplete\",\"session\":\"alice\",\
+                \"values\":[\"0 Oak St a\",\"555-0100-a\"],\"k\":2}";
+    assert_eq!(recovered.handle_line(more), control.handle_line(more));
 
     recovered.shutdown();
     control.shutdown();

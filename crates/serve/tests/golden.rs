@@ -18,6 +18,11 @@
 //! UPDATE_GOLDEN=1 cargo test -p copycat-serve --test golden
 //! ```
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "reads and regenerates its golden files and cleans its temp dirs"
+)]
+
 use copycat_serve::{smoke, Router, RouterConfig, Server};
 use copycat_util::json::Json;
 use std::path::PathBuf;

@@ -2,6 +2,11 @@
 //! determinism under concurrency, graceful drain, deadline handling
 //! with fault-injected services, and the TCP transport.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "socket tests bound their real-time waits and read the committed scenario files"
+)]
+
 use copycat_serve::protocol::Op;
 use copycat_serve::server::{Server, ServerConfig};
 use copycat_util::check::check;

@@ -11,8 +11,8 @@
 //! Everything here runs on a **virtual clock**: one tick per call
 //! attempt, plus the backoff charged in virtual milliseconds. Nothing
 //! sleeps and nothing reads wall time, so outcomes are a pure function
-//! of the call sequence (reproducible tests, and the `wallclock` lint
-//! stays clean with no new allowlist entries).
+//! of the call sequence (reproducible tests, and clippy's
+//! `Instant::now` ban needs no `#[expect]` here).
 
 use crate::faults::{Flaky, SavedFlakyState};
 use copycat_query::{CallOutcome, Service, ServiceError, Signature, Value};

@@ -354,7 +354,7 @@ mod tests {
     #[test]
     fn venue_names_unique() {
         let w = World::generate(&WorldConfig { venues: 100, ..WorldConfig::default() });
-        let names: std::collections::HashSet<_> = w.venues.iter().map(|v| &v.name).collect();
+        let names: copycat_util::hash::FxHashSet<_> = w.venues.iter().map(|v| &v.name).collect();
         assert_eq!(names.len(), w.venues.len());
     }
 
@@ -375,7 +375,7 @@ mod tests {
         assert!(!w.find_venues(&v.name).is_empty());
         // A bare city name matches every venue in that city (ambiguity).
         let city = &w.street_city(w.venue_street(v)).name;
-        assert!(w.find_venues(city).len() >= 1);
+        assert!(!w.find_venues(city).is_empty());
         assert!(w.find_venues("").is_empty());
     }
 

@@ -39,9 +39,16 @@
 //! generation corrupt after a crash, which is exactly the case the
 //! generational fallback in [`crate::snapshot`] exists for.
 //!
-//! The `fs-discipline` lint rule pins the boundary: outside this module
-//! (and the lint/bench tooling), nothing in the workspace may touch
-//! `std::fs` directly, so no future code can bypass fault injection.
+//! Clippy's `std::fs` bans (`clippy.toml`) pin the boundary: outside
+//! this module (and the lint/bench tooling), nothing in the workspace
+//! may touch `std::fs` directly, so no future code can bypass fault
+//! injection.
+
+#![expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "RealFs is the one passthrough to std::fs; every other durable byte goes through StoreFs"
+)]
 
 use copycat_util::rng::{Rng, SeedableRng, StdRng};
 use copycat_util::sync::Mutex;
@@ -362,7 +369,7 @@ impl SimFs {
     pub fn with_faults(seed: u64, plan: Vec<FaultPlan>) -> SimFs {
         SimFs {
             state: Mutex::new(SimState {
-                rng: StdRng::seed_from_u64(seed ^ 0x51D_FAu64),
+                rng: StdRng::seed_from_u64(seed ^ 0x51DFA_u64),
                 files: BTreeMap::new(),
                 dirs: std::collections::BTreeSet::new(),
                 plan,

@@ -174,6 +174,10 @@ impl Wal {
         if self.buf.is_empty() {
             return Ok(());
         }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "fsync latency is real disk time, reported only through StoreStats"
+        )]
         let start = Instant::now();
         self.file.write_all(&self.buf)?;
         self.file.sync_data()?;

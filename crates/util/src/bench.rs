@@ -9,6 +9,11 @@
 //! e3/spcsh_300_nodes            median 1.84 ms   p95 2.01 ms   min 1.79 ms   (10 samples)
 //! ```
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the bench harness owns wall time: it measures it on purpose"
+)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};

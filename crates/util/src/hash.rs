@@ -5,6 +5,11 @@
 //! same word size, which keeps `FxHashMap` iteration-order-independent
 //! code honest and the experiment harness reproducible.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "defines the Fx aliases over std's maps and differential-tests them against std"
+)]
+
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 

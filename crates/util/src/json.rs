@@ -122,14 +122,9 @@ impl Json {
         }
     }
 
-    /// Compact serialization.
-    pub fn to_string(&self) -> String {
-        to_string(self)
-    }
-
     /// Append the compact serialization to an existing buffer — the
-    /// allocation-free form of [`Json::to_string`] for callers that
-    /// assemble responses in a reused scratch buffer.
+    /// allocation-free form of [`to_string`] for callers that assemble
+    /// responses in a reused scratch buffer.
     pub fn write_compact(&self, out: &mut String) {
         self.write_json(&mut JsonWriter::compact(out));
     }
@@ -149,7 +144,7 @@ impl Json {
 
 /// A streaming JSON serializer: values go straight into a `String`,
 /// compact or indented by two spaces per level. Every serialization in
-/// the workspace — [`Json::to_string`], [`ToJson`] impls, re-emitted
+/// the workspace — [`to_string`], `Json`'s `Display`, [`ToJson`] impls, re-emitted
 /// [`ZRef`] values — runs through this one writer, so the pretty and
 /// compact formats have exactly one definition.
 ///
@@ -380,7 +375,7 @@ pub fn write_escaped(out: &mut String, s: &str) {
 
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.to_string())
+        f.write_str(&to_string(self))
     }
 }
 

@@ -126,7 +126,7 @@ mod tests {
             let v = g.u64_in(0..u64::MAX) >> bits;
             let (back, len) = round_trip(v);
             prop_ensure_eq!(back, v);
-            prop_ensure!(len >= 1 && len <= MAX_LEN, "len {len}");
+            prop_ensure!((1..=MAX_LEN).contains(&len), "len {len}");
             // Decoding ignores trailing garbage.
             let mut buf = Vec::new();
             encode_u64(v, &mut buf);

@@ -24,7 +24,7 @@
 //!
 //! Reads go through [`ZRef`], a `Copy` cursor pairing the doc with the
 //! line. `ZRef::write` re-serializes canonically — byte-identical to
-//! what [`Json::to_string`](crate::json::Json::to_string) would emit
+//! what [`json::to_string`](crate::json::to_string) would emit
 //! for the same value, numbers included — and [`ZRef::raw`] returns
 //! the verbatim input slice (how the server echoes request ids without
 //! re-owning them).
@@ -266,7 +266,7 @@ impl<'d> ZRef<'d> {
     }
 
     /// Append the canonical compact serialization of this value —
-    /// byte-for-byte what `Json::to_string` emits for the same value
+    /// byte-for-byte what `json::to_string` emits for the same value
     /// (strings are re-escaped canonically, numbers use the
     /// shortest-round-trip fixpoint format).
     pub fn write(&self, out: &mut String) {

@@ -18,6 +18,11 @@
 //! UPDATE_GOLDEN=1 cargo test -p copycat-util --test json_corpus
 //! ```
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "reads and regenerates its golden file"
+)]
+
 use copycat_util::check::{check, Gen};
 use copycat_util::json::{write_escaped, Json};
 use copycat_util::prop_ensure_eq;
@@ -32,7 +37,7 @@ fn golden_dir() -> PathBuf {
 /// The outcome column of a row.
 fn outcome(input: &str) -> String {
     match Json::parse(input) {
-        Ok(j) => format!("ok {}", j.to_string()),
+        Ok(j) => format!("ok {j}"),
         Err(e) => format!("err {e}"),
     }
 }

@@ -14,9 +14,17 @@ if [[ -n "${UPDATE_GOLDEN+set}" ]]; then
 fi
 
 cargo build --release --offline --workspace
-# Invariant lint: zero non-baselined findings (wall-clock reads, random
-# hasher state, panics on request paths, lock-order cycles, protocol
-# gaps, hot-path allocations, …). The ratchet lives in
+# Clippy is a gate: every warning is an error. Beyond clippy's defaults
+# it enforces the determinism and durability bans in clippy.toml — no
+# wall-clock read outside the deadline/bench/WAL-fsync owners, no
+# std::fs outside store::io, no random-seeded std HashMap/HashSet — plus
+# `// SAFETY:` on every unsafe block and a reason on every suppression
+# ([workspace.lints.clippy] in Cargo.toml). Suppressions are
+# `#[expect(…, reason = "…")]`, so one that silences nothing fails too.
+cargo clippy --offline --workspace --all-targets -- -D warnings
+# Invariant lint: zero non-baselined findings (panics on request paths,
+# lock-order cycles, guards held across blocking calls, protocol gaps,
+# hot-path allocations, …). The ratchet lives in
 # LINT_BASELINE.json; see DESIGN.md § Static analysis. The budget keeps
 # whole-tree analysis (symbol index + call graph) from creeping into CI
 # latency — it runs in well under a second today.

@@ -41,7 +41,7 @@ fn bool_eval_matches_witnesses() {
             present_mask & (1 << (idx % 16)) != 0
         };
         let via_eval = p.eval::<BoolSemiring>(&present);
-        let via_witnesses = witnesses(&p).iter().any(|w| w.iter().all(|t| present(t)));
+        let via_witnesses = witnesses(&p).iter().any(|w| w.iter().all(&present));
         prop_ensure_eq!(via_eval, via_witnesses);
         Ok(())
     });
@@ -56,7 +56,7 @@ fn tropical_eval_is_min_witness_cost() {
         let via_eval = p.eval::<TropicalSemiring>(&cost);
         let via_witnesses = witnesses(&p)
             .iter()
-            .map(|w| w.iter().map(|t| cost(t)).sum::<f64>())
+            .map(|w| w.iter().map(cost).sum::<f64>())
             .fold(f64::INFINITY, f64::min);
         // Witness sets are deduplicated within a witness (idempotent ⊗),
         // so the eval cost can only be >= the witness cost; they agree
