@@ -121,6 +121,10 @@ fn payload(i: u64) -> Vec<u8> {
 /// Time the same append+fsync loop both ways. The loop is the S2
 /// kill-and-recover journal hot path in miniature: open append, write a
 /// record, fsync every `sync_every` records.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the StoreFs overhead guard times a raw std::fs loop as its baseline"
+)]
 pub fn run_overhead(records: u64, sync_every: u64) -> OverheadRow {
     let root = overhead_root();
     let _ = std::fs::remove_dir_all(&root);

@@ -8,8 +8,7 @@
 
 #![expect(
     clippy::disallowed_methods,
-    clippy::disallowed_types,
-    reason = "experiment drivers measure wall time on purpose, and the StoreFs overhead guard times a raw std::fs loop as its baseline"
+    reason = "experiment drivers measure wall time on purpose and manage their scratch dirs"
 )]
 
 pub mod ablations;

@@ -25,10 +25,7 @@
 //! UPDATE_GOLDEN=1 cargo test -p copycat-core --test session_corpus
 //! ```
 
-#![expect(
-    clippy::disallowed_methods,
-    reason = "reads and regenerates its golden file"
-)]
+#![expect(clippy::disallowed_methods, reason = "reads and regenerates its golden file")]
 
 use copycat_core::{CopyCat, Scenario, ScenarioConfig};
 use copycat_query::{Service, Value};

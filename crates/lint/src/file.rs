@@ -282,6 +282,16 @@ mod tests {
         let c = ctx("// lint:allow(relaxed-atomics)\nf();\n// lint:allow(no-such-rule) why\ng();");
         assert_eq!(c.bad_suppressions.len(), 2);
         assert!(!c.suppressed("relaxed-atomics", 2));
+        // The rules that moved to clippy (`clippy.toml`) are unknown to
+        // the real rule set, so a leftover `lint:allow` naming one fails
+        // loudly instead of silencing nothing.
+        let names = crate::rules::names();
+        for rule in ["wallclock", "fs-discipline", "randomstate", "unsafe-safety"] {
+            let src = format!("// lint:allow({rule}) why\nf();");
+            let c = FileCtx::new("crates/x/src/lib.rs", &src, &names);
+            assert_eq!(c.bad_suppressions.len(), 1, "{rule}");
+            assert!(c.bad_suppressions[0].message.contains("unknown rule"), "{rule}");
+        }
     }
 
     #[test]

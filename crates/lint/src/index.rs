@@ -165,18 +165,6 @@ impl SymbolIndex {
             .find(|e| e.name == name && self.files[e.file].path == path)
     }
 
-    /// Every non-test `fn` named `name` in `crate_name`.
-    pub fn fns_named<'a>(
-        &'a self,
-        crate_name: &'a str,
-        name: &'a str,
-    ) -> impl Iterator<Item = (usize, &'a FnDef)> {
-        self.fns
-            .iter()
-            .enumerate()
-            .filter(move |(_, f)| !f.in_test && f.crate_name == crate_name && f.name == name)
-    }
-
     /// `file:line` for a function (finding/provenance rendering).
     pub fn fn_site(&self, f: &FnDef) -> String {
         format!("{}:{} fn {}", self.files[f.file].path, f.line, f.name)
@@ -224,7 +212,7 @@ fn index_file(fi: usize, ctx: &FileCtx, fns: &mut Vec<FnDef>, enums: &mut Vec<En
                 }
                 let Some(open) = open else {
                     // A bodiless trait declaration still gets an entry
-                    // (empty body range) so `fns_named` sees the name.
+                    // (empty body range) so name lookups see it.
                     if bodiless {
                         fns.push(FnDef {
                             name: toks[i + 1].text.clone(),

@@ -6,16 +6,12 @@
 //! are deliberately out of scope: they host fixtures (including this
 //! crate's deliberately-violating ones) and client-side test drivers.
 
-#![expect(
-    clippy::disallowed_methods,
-    reason = "the linter walks the source tree it audits"
-)]
-
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
 /// Repo-relative (`/`-separated) paths of every lintable file, sorted.
+#[expect(clippy::disallowed_methods, reason = "the linter walks the source tree it audits")]
 pub fn lintable_files(root: &Path) -> io::Result<Vec<String>> {
     let crates = root.join("crates");
     let mut members: Vec<PathBuf> = fs::read_dir(&crates)?
@@ -45,7 +41,9 @@ pub fn lintable_files(root: &Path) -> io::Result<Vec<String>> {
     Ok(rel)
 }
 
-fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
+/// Append every `*.rs` file under `dir` to `out`, sorted at every level.
+#[expect(clippy::disallowed_methods, reason = "the linter walks the source tree it audits")]
+pub fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     let mut entries: Vec<PathBuf> = fs::read_dir(dir)?
         .filter_map(|e| e.ok())
         .map(|e| e.path())

@@ -161,28 +161,6 @@ fn every_negative_fixture_is_clean() {
     }
 }
 
-/// The rules clippy now enforces (`clippy.toml`) are gone from this
-/// crate, so a leftover `lint:allow` naming one is an unknown rule: it
-/// fails loudly as a `bad-suppression` instead of silencing nothing.
-#[test]
-fn suppressions_naming_rules_moved_to_clippy_are_bad() {
-    for rule in ["wallclock", "fs-discipline", "randomstate", "unsafe-safety"] {
-        let src = format!(
-            "// lint:allow({rule}) boot banner timestamp, never in a result\n\
-             fn f() -> std::time::Instant {{ std::time::Instant::now() }}\n"
-        );
-        let found = analyze_source("crates/core/src/fixture.rs", &src);
-        assert_eq!(found.len(), 1, "{rule}: {found:?}");
-        assert_eq!(found[0].rule, "bad-suppression", "{rule}: {found:?}");
-        assert_eq!(found[0].line, 1);
-        assert!(
-            found[0].message.contains("unknown rule"),
-            "{rule}: {}",
-            found[0].message
-        );
-    }
-}
-
 #[test]
 fn finding_order_is_independent_of_walk_order() {
     // The corpus: every positive fixture under a distinct path (the
@@ -268,38 +246,102 @@ fn real_tree_matches_committed_baseline() {
 }
 
 /// The files allowed to excuse clippy's `disallowed-methods` /
-/// `disallowed-types` bans (`clippy.toml`): the owners of wall time, of
-/// raw `std::fs` and of std's hash maps. A new owner is a design
-/// change: it is added here, in review, not by a quiet `#[expect]`.
-/// Integration tests (`crates/*/tests/`) are outside the walk.
-const DISALLOWED_EXPECT_SITES: &[&str] = &[
-    "crates/bench/src/lib.rs", // experiment drivers time wall clock and raw fs on purpose
-    "crates/lint/src/lib.rs",  // reads the tree it audits and its baseline
-    "crates/lint/src/main.rs", // times its own CI budget, writes its baseline
-    "crates/lint/src/walk.rs", // walks the tree it audits
-    "crates/serve/src/deadline.rs", // the deadline clock
-    "crates/serve/src/router.rs", // test temp-dir cleanups only
-    "crates/store/src/io.rs",  // RealFs, the one std::fs passthrough
-    "crates/store/src/wal.rs", // fsync latency accounting
-    "crates/util/src/bench.rs", // the micro-bench harness
-    "crates/util/src/hash.rs", // defines the Fx aliases over std's maps
+/// `disallowed-types` bans (`clippy.toml`), each with the banned
+/// families it owns: `clock` (`Instant::now`, `SystemTime::now`), `fs`
+/// (`std::fs`) and `hash` (std `HashMap`/`HashSet`/`RandomState`).
+/// Clippy reports the clock and the fs bans under one lint, so an
+/// expect sanctioned for one would silently excuse the other; pinning
+/// the families per file closes that gap. A new owner, or a new family
+/// for an old one, is a design change: it is added here, in review, not
+/// by a quiet `#[expect]`.
+const DISALLOWED_EXPECT_SITES: &[(&str, &[&str])] = &[
+    ("crates/bench/src/fault_recovery.rs", &["clock", "fs"]), // raw std::fs overhead baseline
+    ("crates/bench/src/lib.rs", &["clock", "fs"]), // experiment drivers and their scratch dirs
+    ("crates/core/tests/session_corpus.rs", &["fs"]), // golden file
+    ("crates/lint/src/lib.rs", &["fs"]),            // reads the tree it audits and its baseline
+    ("crates/lint/src/main.rs", &["clock", "fs"]),  // times its own CI budget, writes its baseline
+    ("crates/lint/src/walk.rs", &["fs"]),           // walks the tree it audits
+    ("crates/lint/tests/lint.rs", &["fs"]),         // this pin
+    ("crates/semantic/tests/recognition_corpus.rs", &["fs"]), // golden file
+    ("crates/serve/src/deadline.rs", &["clock"]),   // the deadline clock
+    ("crates/serve/src/router.rs", &["fs"]),        // test temp-dir cleanups only
+    ("crates/serve/tests/durability.rs", &["fs"]),  // temp dirs, raw-file corruption probe
+    ("crates/serve/tests/golden.rs", &["fs"]),      // golden files, temp dirs
+    ("crates/serve/tests/serve.rs", &["clock", "fs"]), // socket waits, scenario files
+    ("crates/store/src/io.rs", &["fs"]),            // RealFs, the one std::fs passthrough
+    ("crates/store/src/wal.rs", &["clock"]),        // fsync latency accounting
+    ("crates/transform/tests/learner_corpus.rs", &["fs"]), // golden file
+    ("crates/util/src/bench.rs", &["clock"]),       // the micro-bench harness
+    ("crates/util/src/hash.rs", &["hash"]),         // defines the Fx aliases over std's maps
+    ("crates/util/tests/json_corpus.rs", &["fs"]),  // golden file
 ];
 
+/// What `src`'s tokens say (comments and string literals never count):
+/// the banned families it uses, and whether it expects a `disallowed_*`
+/// lint (`Some(true)` when an inner `#![expect]` covers the module).
+fn scan(src: &str) -> (Vec<&'static str>, Option<bool>) {
+    let toks = copycat_lint::lex::lex(src).toks;
+    let text = |i: usize| toks.get(i).map_or("", |t| t.text.as_str());
+    let (mut families, mut expect) = (Vec::new(), None);
+    for i in 0..toks.len() {
+        families.push(match text(i) {
+            "Instant" | "SystemTime" if text(i + 1) == "::" && text(i + 2) == "now" => "clock",
+            "fs" if text(i + 1) == "::" || text(i.wrapping_sub(1)) == "::" => "fs",
+            "HashMap" | "HashSet" | "RandomState" => "hash",
+            "disallowed_methods" | "disallowed_types" if text(i.wrapping_sub(2)) == "clippy" => {
+                let open = (0..i).rev().find(|&j| text(j) == "[").unwrap_or(0);
+                expect = Some(expect == Some(true) || text(open.wrapping_sub(1)) == "!");
+                continue;
+            }
+            _ => continue,
+        });
+    }
+    families.sort_unstable();
+    families.dedup();
+    (families, expect)
+}
+
 #[test]
-#[expect(
-    clippy::disallowed_methods,
-    reason = "reads the source tree under test"
-)]
-fn disallowed_expect_sites_are_the_sanctioned_owners() {
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("..")
-        .join("..");
-    let mut sites = Vec::new();
-    for rel in copycat_lint::walk::lintable_files(&root).expect("walk the repo") {
-        let src = std::fs::read_to_string(root.join(&rel)).expect("read source");
-        if src.contains("clippy::disallowed_methods") || src.contains("clippy::disallowed_types") {
-            sites.push(rel);
+#[expect(clippy::disallowed_methods, reason = "reads the source tree under test")]
+fn disallowed_expect_sites_own_only_their_pinned_families() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    // Every clippy-linted target: the root package's and each crate's
+    // src, tests, benches and examples. Fixtures are data, not targets.
+    let mut packages = vec![root.clone()];
+    packages.extend(std::fs::read_dir(root.join("crates")).expect("list").map(|e| e.expect("entry").path()));
+    let mut paths = Vec::new();
+    for dir in packages.iter().flat_map(|p| ["src", "tests", "benches", "examples"].map(|d| p.join(d))) {
+        if dir.is_dir() {
+            copycat_lint::walk::collect_rs(&dir, &mut paths).expect("walk");
         }
     }
-    assert_eq!(sites, DISALLOWED_EXPECT_SITES);
+    let mut files: Vec<(String, String)> = paths
+        .iter()
+        .map(|p| (p.strip_prefix(&root).expect("under root").to_string_lossy().into_owned(), p))
+        .filter(|(rel, _)| !rel.starts_with("crates/lint/tests/fixtures/"))
+        .map(|(rel, p)| (rel, std::fs::read_to_string(p).expect("read source")))
+        .collect();
+    files.sort();
+
+    let mut sites = Vec::new();
+    for (rel, src) in &files {
+        let Some(inner) = scan(src).1 else { continue };
+        // An inner expect covers the module's subtree too: a crate root's
+        // or `mod.rs`'s directory, `foo.rs`'s `foo/`.
+        let sub = match rel.rsplit_once('/') {
+            Some((dir, "lib.rs" | "main.rs" | "mod.rs")) => format!("{dir}/"),
+            _ => format!("{}/", rel.trim_end_matches(".rs")),
+        };
+        let mut families: Vec<&str> = files
+            .iter()
+            .filter(|(other, _)| other == rel || (inner && other.starts_with(&sub)))
+            .flat_map(|(_, text)| scan(text).0)
+            .collect();
+        families.sort_unstable();
+        families.dedup();
+        sites.push((rel.as_str(), families));
+    }
+    let pinned: Vec<(&str, Vec<&str>)> =
+        DISALLOWED_EXPECT_SITES.iter().map(|(rel, families)| (*rel, families.to_vec())).collect();
+    assert_eq!(sites, pinned);
 }

@@ -22,10 +22,7 @@
 //! UPDATE_GOLDEN=1 cargo test -p copycat-semantic --test recognition_corpus
 //! ```
 
-#![expect(
-    clippy::disallowed_methods,
-    reason = "reads and regenerates its golden file"
-)]
+#![expect(clippy::disallowed_methods, reason = "reads and regenerates its golden file")]
 
 use copycat_semantic::TypeRegistry;
 use copycat_services::{World, WorldConfig};

@@ -40,15 +40,11 @@
 //! generational fallback in [`crate::snapshot`] exists for.
 //!
 //! Clippy's `std::fs` bans (`clippy.toml`) pin the boundary: outside
-//! this module (and the lint/bench tooling), nothing in the workspace
-//! may touch `std::fs` directly, so no future code can bypass fault
-//! injection.
-
-#![expect(
-    clippy::disallowed_methods,
-    clippy::disallowed_types,
-    reason = "RealFs is the one passthrough to std::fs; every other durable byte goes through StoreFs"
-)]
+//! the `RealFs` items below (and the lint/bench tooling), nothing in
+//! the workspace may touch `std::fs` directly, so no future code can
+//! bypass fault injection. The expects sit on those items only, so
+//! `SimFs` stays under every ban, wall-clock reads and std's
+//! random-seeded hasher included: its replay must not depend on either.
 
 use copycat_util::rng::{Rng, SeedableRng, StdRng};
 use copycat_util::sync::Mutex;
@@ -147,6 +143,7 @@ impl std::ops::Deref for Fs {
 pub struct RealFs;
 
 #[derive(Debug)]
+#[expect(clippy::disallowed_types, reason = "RealFs's file handle is a std::fs::File")]
 struct RealFile(std::fs::File);
 
 impl StoreFile for RealFile {
@@ -167,6 +164,11 @@ impl StoreFile for RealFile {
     }
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "RealFs is the one passthrough to std::fs; every other durable byte goes through StoreFs"
+)]
 impl StoreFs for RealFs {
     fn open_append(&self, path: &Path) -> io::Result<Box<dyn StoreFile>> {
         let file = std::fs::OpenOptions::new().create(true).append(true).open(path)?;
@@ -225,6 +227,7 @@ impl StoreFs for RealFs {
     }
 }
 
+#[expect(clippy::disallowed_methods, reason = "RealFs's directory listing")]
 fn list_real(dir: &Path, dirs: bool) -> io::Result<Vec<PathBuf>> {
     let rd = match std::fs::read_dir(dir) {
         Ok(rd) => rd,

@@ -19,10 +19,7 @@
 //! Regenerate the `program` column after a deliberate change with
 //! `UPDATE_GOLDEN=1 cargo test -p copycat-transform --test learner_corpus`.
 
-#![expect(
-    clippy::disallowed_methods,
-    reason = "reads and regenerates its golden file"
-)]
+#![expect(clippy::disallowed_methods, reason = "reads and regenerates its golden file")]
 
 use copycat_transform::{learn, Piece, Program};
 use copycat_util::json;

@@ -9,11 +9,6 @@
 //! e3/spcsh_300_nodes            median 1.84 ms   p95 2.01 ms   min 1.79 ms   (10 samples)
 //! ```
 
-#![expect(
-    clippy::disallowed_methods,
-    reason = "the bench harness owns wall time: it measures it on purpose"
-)]
-
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -202,6 +197,7 @@ impl Harness {
         self.run(name.into(), DEFAULT_SAMPLES, f);
     }
 
+    #[expect(clippy::disallowed_methods, reason = "the warmup budget is wall time")]
     fn run(&mut self, label: String, sample_size: usize, mut f: impl FnMut(&mut Bencher)) {
         // Warmup: run the body until the warmup budget is spent (at
         // least once), so first-touch costs don't land in sample 0.
@@ -271,6 +267,7 @@ pub struct Bencher {
 impl Bencher {
     /// Time one execution of `f` (its return value is black-boxed so
     /// the optimizer cannot delete the work).
+    #[expect(clippy::disallowed_methods, reason = "the bench harness measures wall time on purpose")]
     pub fn iter<R>(&mut self, mut f: impl FnMut() -> R) {
         let start = Instant::now();
         black_box(f());

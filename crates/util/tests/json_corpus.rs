@@ -18,10 +18,7 @@
 //! UPDATE_GOLDEN=1 cargo test -p copycat-util --test json_corpus
 //! ```
 
-#![expect(
-    clippy::disallowed_methods,
-    reason = "reads and regenerates its golden file"
-)]
+#![expect(clippy::disallowed_methods, reason = "reads and regenerates its golden file")]
 
 use copycat_util::check::{check, Gen};
 use copycat_util::json::{write_escaped, Json};
