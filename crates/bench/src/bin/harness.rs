@@ -1,23 +1,32 @@
 //! The experiment harness: regenerates every table of EXPERIMENTS.md.
 //!
-//! Usage: `cargo run --release -p copycat-bench --bin harness [SECTION…|all]`,
-//! where a section is `e1`…`e8`, `faults`, `transforms` or `a1`…`a3`;
-//! `e3-json`, `faults-json` or `transforms-json` instead prints one
-//! `BENCH_*.json` document (see `scripts/bench_json.sh`).
+//! ```text
+//! harness [SECTION...|all]    print the named sections (all by default)
+//! harness check               compare every section with the golden record
+//! ```
 //!
-//! Selected sections run concurrently on scoped threads (they share no
-//! state); outputs are buffered per section and printed in the canonical
-//! e1..a3 order, so the report reads identically to a serial run.
+//! A section is `e1`…`e8`, `faults`, `transforms` or `a1`…`a3`; any
+//! other name is a usage error (exit 2). Sections run one after another,
+//! so each one's wall-clock cells time it alone on the machine.
+//!
+//! `check` renders every section with its wall-clock cells masked
+//! ([`Timing::Masked`]) and requires the text to equal
+//! `crates/bench/tests/golden/reproduction.txt` byte for byte; on a
+//! mismatch it exits 1, naming the first differing section and row.
+//! With `UPDATE_GOLDEN` set it rewrites the file instead.
 
-use copycat_bench::table::{dur, f1, f3, TextTable};
+use copycat_bench::table::{dur, f1, f3, Cell, Timing, TextTable};
 use copycat_bench::{
     ablations, chaos_sweep, e1_keystrokes, e2_feedback, e3_steiner, e4_structure, e5_column,
     e6_semantic, e7_linkage, e8_figure4, fault_recovery, transform_sweep,
 };
-use copycat_util::json::{self, Json};
+use copycat_serve::smoke::first_difference;
+use copycat_store::Fs;
 use std::fmt::Write;
+use std::path::Path;
+use std::process::ExitCode;
 
-fn section_e1() -> String {
+fn section_e1(timing: Timing) -> String {
     let mut out = String::new();
     writeln!(out, "== E1: keystroke savings (paper: Karma saved ~75%) ==\n").unwrap();
     let rows = e1_keystrokes::run(20);
@@ -25,7 +34,7 @@ fn section_e1() -> String {
     for r in &rows {
         t.row(vec![r.task.clone(), f1(r.manual), f1(r.scp), f1(r.savings_pct)]);
     }
-    writeln!(out, "{}", t.render()).unwrap();
+    writeln!(out, "{}", t.render(timing)).unwrap();
     writeln!(
         out,
         "mean savings: {:.1}%  (paper: ~75%)\n",
@@ -35,7 +44,7 @@ fn section_e1() -> String {
     out
 }
 
-fn section_e2() -> String {
+fn section_e2(timing: Timing) -> String {
     let mut out = String::new();
     writeln!(out, "== E2a: feedback items until the preferred query ranks first ==").unwrap();
     writeln!(
@@ -51,7 +60,7 @@ fn section_e2() -> String {
         f1(a.pct_one),
         a.max_feedback.to_string(),
     ]);
-    writeln!(out, "{}", t.render()).unwrap();
+    writeln!(out, "{}", t.render(timing)).unwrap();
 
     writeln!(out, "== E2b: query-family generalization vs training queries ==").unwrap();
     writeln!(
@@ -64,41 +73,33 @@ fn section_e2() -> String {
     for (k, acc) in &b.curve {
         t.row(vec![k.to_string(), f1(*acc)]);
     }
-    writeln!(out, "{}", t.render()).unwrap();
+    writeln!(out, "{}", t.render(timing)).unwrap();
     out
 }
 
-/// The sweeps behind both the E3 table and `BENCH_steiner.json`.
+/// The E3 sweeps: graph sizes at 4 terminals, terminal counts at 60 nodes.
 const E3_SIZES: &[usize] = &[10, 20, 40, 80, 160, 300, 600];
 const E3_TERMINALS: &[usize] = &[2, 4, 6, 8, 10, 12, 14];
 
-fn section_e3() -> String {
+fn section_e3(timing: Timing) -> String {
     let mut out = String::new();
     writeln!(out, "== E3: Steiner search scale-up (exact vs SPCSH) ==\n").unwrap();
     let (sizes, terms) = e3_steiner::run(E3_SIZES, E3_TERMINALS);
     let mut t = TextTable::new(&["nodes", "terminals", "exact time", "spcsh time", "cost ratio"]);
     for r in sizes.iter().chain(terms.iter()) {
         t.row(vec![
-            r.nodes.to_string(),
-            r.terminals.to_string(),
-            r.exact_time.map(dur).unwrap_or_else(|| "-".into()),
-            dur(r.spcsh_time),
-            r.cost_ratio.map(f3).unwrap_or_else(|| "-".into()),
+            r.nodes.to_string().into(),
+            r.terminals.to_string().into(),
+            r.exact_time.map_or(Cell::Seeded("-".into()), |d| Cell::Timed(dur(d))),
+            Cell::Timed(dur(r.spcsh_time)),
+            r.cost_ratio.map(f3).unwrap_or_else(|| "-".into()).into(),
         ]);
     }
-    writeln!(out, "{}", t.render()).unwrap();
+    writeln!(out, "{}", t.render(timing)).unwrap();
     out
 }
 
-/// `harness -- e3-json`: the E3 sweep as machine-readable JSON rows on
-/// stdout, nothing else (consumed by `scripts/bench_json.sh`).
-fn e3_json() -> String {
-    let (sizes, terms) = e3_steiner::run(E3_SIZES, E3_TERMINALS);
-    let all: Vec<e3_steiner::E3Row> = sizes.into_iter().chain(terms).collect();
-    json::to_string(&e3_steiner::rows_to_json(&all))
-}
-
-fn section_e4() -> String {
+fn section_e4(timing: Timing) -> String {
     let mut out = String::new();
     writeln!(out, "== E4: row auto-completion quality vs pasted examples ==").unwrap();
     writeln!(
@@ -117,11 +118,11 @@ fn section_e4() -> String {
             f3(r.f1),
         ]);
     }
-    writeln!(out, "{}", t.render()).unwrap();
+    writeln!(out, "{}", t.render(timing)).unwrap();
     out
 }
 
-fn section_e5() -> String {
+fn section_e5(timing: Timing) -> String {
     let mut out = String::new();
     writeln!(out, "== E5: column-completion ranking vs distractor sources ==\n").unwrap();
     let rows = e5_column::run(&[0, 5, 10, 20]);
@@ -135,11 +136,11 @@ fn section_e5() -> String {
             f3(r.value_accuracy),
         ]);
     }
-    writeln!(out, "{}", t.render()).unwrap();
+    writeln!(out, "{}", t.render(timing)).unwrap();
     out
 }
 
-fn section_e6() -> String {
+fn section_e6(timing: Timing) -> String {
     let mut out = String::new();
     writeln!(out, "== E6: semantic-type recognition vs training size ==\n").unwrap();
     let rows = e6_semantic::run(&[1, 2, 5, 10, 20, 50], 6);
@@ -147,7 +148,7 @@ fn section_e6() -> String {
     for r in &rows {
         t.row(vec![r.train_size.to_string(), f1(r.accuracy)]);
     }
-    writeln!(out, "{}", t.render()).unwrap();
+    writeln!(out, "{}", t.render(timing)).unwrap();
     writeln!(
         out,
         "same-session transfer (user-defined type, source A -> B): {:.1}%\n",
@@ -157,7 +158,7 @@ fn section_e6() -> String {
     out
 }
 
-fn section_e7() -> String {
+fn section_e7(timing: Timing) -> String {
     let mut out = String::new();
     writeln!(
         out,
@@ -181,11 +182,11 @@ fn section_e7() -> String {
         };
         t.row(vec![m.clone(), f1_at(1), f1_at(2), f1_at(3)]);
     }
-    writeln!(out, "{}", t.render()).unwrap();
+    writeln!(out, "{}", t.render(timing)).unwrap();
     out
 }
 
-fn section_e8() -> String {
+fn section_e8(_: Timing) -> String {
     let mut out = String::new();
     writeln!(out, "== E8: Figure 4 reconstruction ==\n").unwrap();
     let r = e8_figure4::run();
@@ -196,10 +197,10 @@ fn section_e8() -> String {
     out
 }
 
-/// The sweep behind both the F1 table and `BENCH_faults.json`.
+/// The F1 sweep's injected failure rates.
 const FAULT_RATES: &[f64] = &[0.0, 0.1, 0.3, 0.6, 1.0];
 
-fn section_faults() -> String {
+fn section_faults(timing: Timing) -> String {
     let mut out = String::new();
     writeln!(
         out,
@@ -227,7 +228,7 @@ fn section_faults() -> String {
             r.trips.to_string(),
         ]);
     }
-    writeln!(out, "{}", t.render()).unwrap();
+    writeln!(out, "{}", t.render(timing)).unwrap();
 
     writeln!(
         out,
@@ -237,6 +238,7 @@ fn section_faults() -> String {
     let rows = fault_recovery::run(STORM_SEED, STORM_STRIDES);
     let mut t = TextTable::new(&[
         "stride",
+        "workload ops",
         "runs",
         "fired",
         "acked",
@@ -244,41 +246,42 @@ fn section_faults() -> String {
         "quarantined",
         "tail lost",
         "silent",
+        "probes",
         "mean run",
     ]);
     for r in &rows {
         t.row(vec![
-            r.stride.to_string(),
-            r.runs.to_string(),
-            r.faults_fired.to_string(),
-            r.acked.to_string(),
-            r.recovered.to_string(),
-            r.quarantined.to_string(),
-            r.tail_lost.to_string(),
-            r.silent_losses.to_string(),
-            format!("{} us", r.mean_run_us),
+            r.stride.to_string().into(),
+            r.workload_ops.to_string().into(),
+            r.runs.to_string().into(),
+            r.faults_fired.to_string().into(),
+            r.acked.to_string().into(),
+            r.recovered.to_string().into(),
+            r.quarantined.to_string().into(),
+            r.tail_lost.to_string().into(),
+            r.silent_losses.to_string().into(),
+            r.probes.to_string().into(),
+            Cell::Timed(format!("{} us", r.mean_run_us)),
         ]);
     }
-    writeln!(out, "{}", t.render()).unwrap();
+    writeln!(out, "{}", t.render(timing)).unwrap();
+    writeln!(out, "StoreFs trait overhead (append+fsync loop, trait vs raw std::fs):\n").unwrap();
     let o = fault_recovery::run_overhead(OVERHEAD_RECORDS, OVERHEAD_SYNC_EVERY);
-    writeln!(
-        out,
-        "StoreFs trait overhead: {} records / {} fsyncs, {} via trait vs {} via std::fs \
-         (ratio {:.2})\n",
-        o.records,
-        o.syncs,
-        dur(o.via_trait),
-        dur(o.via_std),
-        o.ratio
-    )
-    .unwrap();
+    let mut t = TextTable::new(&["records", "fsyncs", "via trait", "via std::fs", "ratio"]);
+    t.row(vec![
+        o.records.to_string().into(),
+        o.syncs.to_string().into(),
+        Cell::Timed(dur(o.via_trait)),
+        Cell::Timed(dur(o.via_std)),
+        Cell::Timed(format!("{:.2}", o.ratio)),
+    ]);
+    writeln!(out, "{}", t.render(timing)).unwrap();
     out
 }
 
-/// The crash-storm sweep behind both the F2 table and the
-/// `recovery_under_fault` section: seed plus injection strides (1 =
-/// every I/O op; coarser strides show loss accounting is stable as
-/// coverage thins).
+/// The F2 crash-storm sweep: seed plus injection strides (1 = every
+/// I/O op; coarser strides show loss accounting is stable as coverage
+/// thins).
 const STORM_SEED: u64 = 0xC1D9;
 const STORM_STRIDES: &[u64] = &[1, 3, 7];
 
@@ -287,27 +290,10 @@ const STORM_STRIDES: &[u64] = &[1, 3, 7];
 const OVERHEAD_RECORDS: u64 = 2048;
 const OVERHEAD_SYNC_EVERY: u64 = 64;
 
-/// `harness -- faults-json`: machine-readable JSON on stdout (consumed
-/// by `scripts/bench_json.sh` into `BENCH_faults.json`): the F1 chaos
-/// sweep under `"f1"` plus the storage-fault recovery sweep and the
-/// real-fs overhead guard under `"recovery_under_fault"`.
-fn faults_json() -> String {
-    let f1 = chaos_sweep::rows_to_json(&chaos_sweep::run(FAULT_RATES));
-    let rows = fault_recovery::run(STORM_SEED, STORM_STRIDES);
-    let overhead = fault_recovery::run_overhead(OVERHEAD_RECORDS, OVERHEAD_SYNC_EVERY);
-    json::to_string(&Json::obj(vec![
-        ("f1".into(), f1),
-        (
-            "recovery_under_fault".into(),
-            fault_recovery::to_json(&rows, &overhead),
-        ),
-    ]))
-}
-
-/// The sweep behind both the T1 table and `BENCH_transform.json`.
+/// The T1 sweep's venue counts.
 const TRANSFORM_SIZES: &[usize] = &[10, 30];
 
-fn section_transforms() -> String {
+fn section_transforms(timing: Timing) -> String {
     let mut out = String::new();
     writeln!(
         out,
@@ -319,6 +305,7 @@ fn section_transforms() -> String {
         "venues",
         "mode",
         "completeness",
+        "coverage",
         "learn ms",
         "suggest ms",
         "amortized ms/row",
@@ -326,27 +313,21 @@ fn section_transforms() -> String {
     ]);
     for r in &rows {
         t.row(vec![
-            r.venues.to_string(),
-            r.mode.to_string(),
-            f3(r.completeness),
-            f3(r.learn_ms),
-            f3(r.suggest_ms),
-            f3(r.amortized_ms),
-            if r.program.is_empty() { "-".into() } else { r.program.clone() },
+            r.venues.to_string().into(),
+            r.mode.to_string().into(),
+            f3(r.completeness).into(),
+            f3(r.coverage).into(),
+            Cell::Timed(f3(r.learn_ms)),
+            Cell::Timed(f3(r.suggest_ms)),
+            Cell::Timed(f3(r.amortized_ms)),
+            if r.program.is_empty() { "-".to_string() } else { r.program.clone() }.into(),
         ]);
     }
-    writeln!(out, "{}", t.render()).unwrap();
+    writeln!(out, "{}", t.render(timing)).unwrap();
     out
 }
 
-/// `harness -- transforms-json`: the T1 sweep as machine-readable JSON
-/// on stdout (consumed by `scripts/bench_json.sh` into
-/// `BENCH_transform.json`).
-fn transforms_json() -> String {
-    json::to_string(&transform_sweep::rows_to_json(&transform_sweep::run(TRANSFORM_SIZES)))
-}
-
-fn section_a1() -> String {
+fn section_a1(timing: Timing) -> String {
     let mut out = String::new();
     writeln!(
         out,
@@ -365,11 +346,11 @@ fn section_a1() -> String {
         r.single.0.to_string(),
         f3(r.single.1),
     ]);
-    writeln!(out, "{}", t.render()).unwrap();
+    writeln!(out, "{}", t.render(timing)).unwrap();
     out
 }
 
-fn section_a2() -> String {
+fn section_a2(timing: Timing) -> String {
     let mut out = String::new();
     writeln!(
         out,
@@ -381,73 +362,142 @@ fn section_a2() -> String {
     for r in &rows {
         t.row(vec![r.disabled.clone(), f3(r.f1)]);
     }
-    writeln!(out, "{}", t.render()).unwrap();
+    writeln!(out, "{}", t.render(timing)).unwrap();
     out
 }
 
-fn section_a3() -> String {
+fn section_a3(timing: Timing) -> String {
     let mut out = String::new();
     writeln!(out, "== A3: SPCSH prune-quantile sweep ==\n").unwrap();
     let mut t = TextTable::new(&["nodes", "prune quantile", "mean time", "mean cost ratio"]);
     for nodes in [80, 240] {
         for r in ablations::run_a3(&[0.3, 0.5, 0.7, 0.9, 1.0], 5, nodes) {
             t.row(vec![
-                r.nodes.to_string(),
-                format!("{:.1}", r.quantile),
-                dur(r.time),
-                f3(r.cost_ratio),
+                r.nodes.to_string().into(),
+                format!("{:.1}", r.quantile).into(),
+                Cell::Timed(dur(r.time)),
+                f3(r.cost_ratio).into(),
             ]);
         }
     }
-    writeln!(out, "{}", t.render()).unwrap();
+    writeln!(out, "{}", t.render(timing)).unwrap();
     out
 }
 
-/// A harness section: its CLI name and the function rendering its table.
-type Section = (&'static str, fn() -> String);
+/// A harness section: its CLI name and the function rendering it.
+type Section = (&'static str, fn(Timing) -> String);
 
-fn main() {
-    let which: Vec<String> = std::env::args().skip(1).collect();
-    if which.iter().any(|w| w == "e3-json") {
-        println!("{}", e3_json());
-        return;
-    }
-    if which.iter().any(|w| w == "faults-json") {
-        println!("{}", faults_json());
-        return;
-    }
-    if which.iter().any(|w| w == "transforms-json") {
-        println!("{}", transforms_json());
-        return;
-    }
-    let all = which.is_empty() || which.iter().any(|w| w == "all");
-    let want = |name: &str| all || which.iter().any(|w| w == name);
+/// Every section, in report order.
+const SECTIONS: &[Section] = &[
+    ("e1", section_e1),
+    ("e2", section_e2),
+    ("e3", section_e3),
+    ("e4", section_e4),
+    ("e5", section_e5),
+    ("e6", section_e6),
+    ("e7", section_e7),
+    ("e8", section_e8),
+    ("faults", section_faults),
+    ("transforms", section_transforms),
+    ("a1", section_a1),
+    ("a2", section_a2),
+    ("a3", section_a3),
+];
 
-    const SECTIONS: &[Section] = &[
-        ("e1", section_e1),
-        ("e2", section_e2),
-        ("e3", section_e3),
-        ("e4", section_e4),
-        ("e5", section_e5),
-        ("e6", section_e6),
-        ("e7", section_e7),
-        ("e8", section_e8),
-        ("faults", section_faults),
-        ("transforms", section_transforms),
-        ("a1", section_a1),
-        ("a2", section_a2),
-        ("a3", section_a3),
-    ];
-    let selected: Vec<&Section> = SECTIONS.iter().filter(|(name, _)| want(name)).collect();
+/// The golden reproduction record `check` compares against, relative
+/// to the workspace root.
+const GOLDEN: &str = "crates/bench/tests/golden/reproduction.txt";
 
-    let outputs: Vec<String> = std::thread::scope(|scope| {
-        let handles: Vec<_> = selected.iter().map(|(_, f)| scope.spawn(f)).collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("experiment section panicked"))
-            .collect()
-    });
-    for out in outputs {
-        print!("{out}");
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if let [only] = args.as_slice() {
+        if only == "check" {
+            return check();
+        }
     }
+    let known = |a: &String| a == "all" || SECTIONS.iter().any(|(name, _)| name == a);
+    if let Some(unknown) = args.iter().find(|a| !known(a)) {
+        let names: Vec<&str> = SECTIONS.iter().map(|(name, _)| *name).collect();
+        eprintln!(
+            "harness: unknown section `{unknown}`\n\
+             usage: harness [SECTION...|all] | harness check\n\
+             sections: {}",
+            names.join(" ")
+        );
+        return ExitCode::from(2);
+    }
+    let all = args.is_empty() || args.iter().any(|a| a == "all");
+    for (name, section) in SECTIONS {
+        if all || args.iter().any(|a| a == name) {
+            print!("{}", section(Timing::Shown));
+        }
+    }
+    ExitCode::SUCCESS
+}
+
+/// `harness check`: render every section masked and compare it with
+/// [`GOLDEN`] (or rewrite it under `UPDATE_GOLDEN`).
+fn check() -> ExitCode {
+    let actual: String = SECTIONS.iter().map(|(_, section)| section(Timing::Masked)).collect();
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(GOLDEN);
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        return match Fs::real().write(&path, actual.as_bytes()) {
+            Ok(()) => {
+                println!("harness check: rewrote {GOLDEN} ({} lines)", actual.lines().count());
+                ExitCode::SUCCESS
+            }
+            Err(e) => {
+                eprintln!("harness check: cannot write {GOLDEN}: {e}");
+                ExitCode::from(1)
+            }
+        };
+    }
+    let read = Fs::real()
+        .read(&path)
+        .map_err(|e| e.to_string())
+        .and_then(|bytes| String::from_utf8(bytes).map_err(|e| e.to_string()));
+    let expected = match read {
+        Ok(text) => text,
+        Err(e) => {
+            eprintln!("harness check: cannot read {GOLDEN}: {e}");
+            return ExitCode::from(1);
+        }
+    };
+    match first_changed_row(&expected, &actual) {
+        None => {
+            println!("harness check: {} lines match {GOLDEN}", actual.lines().count());
+            ExitCode::SUCCESS
+        }
+        Some((n, want, got)) => {
+            let section = expected
+                .lines()
+                .take(n)
+                .filter_map(|l| l.strip_prefix("== ")?.split(':').next())
+                .last()
+                .unwrap_or("(before the first section)");
+            eprintln!(
+                "harness check: section {section} differs from {GOLDEN} at line {n}\n  \
+                 expected: {want}\n  actual:   {got}\n\
+                 If the change is intended, rewrite the record with \
+                 UPDATE_GOLDEN=1 harness check and commit it."
+            );
+            ExitCode::from(1)
+        }
+    }
+}
+
+/// The first line (1-based) whose words differ, with both lines, so a
+/// value that widens its column is named at its row rather than at the
+/// realigned header; failing that (a whitespace-only change), the first
+/// line that differs at all. `None` when the texts are identical.
+fn first_changed_row<'a>(want: &'a str, got: &'a str) -> Option<(usize, &'a str, &'a str)> {
+    let (want_lines, got_lines): (Vec<&str>, Vec<&str>) =
+        (want.lines().collect(), got.lines().collect());
+    (0..want_lines.len().max(got_lines.len()))
+        .map(|i| {
+            let line = |lines: &[&'a str]| lines.get(i).copied().unwrap_or("<eof>");
+            (i + 1, line(&want_lines), line(&got_lines))
+        })
+        .find(|(_, w, g)| w.split_whitespace().ne(g.split_whitespace()))
+        .or_else(|| first_difference(want, got))
 }

@@ -19,7 +19,6 @@
 use copycat_core::scenario::{Scenario, ScenarioConfig};
 use copycat_query::{Renamed, Service};
 use copycat_services::{Flaky, RetryPolicy, ZipResolver};
-use copycat_util::json::Json;
 use std::sync::Arc;
 
 /// One (failure rate, mode) cell of the sweep.
@@ -118,25 +117,6 @@ pub fn run(rates: &[f64]) -> Vec<ChaosRow> {
     out
 }
 
-/// Machine-readable rows for `BENCH_faults.json`.
-pub fn rows_to_json(rows: &[ChaosRow]) -> Json {
-    Json::Arr(
-        rows.iter()
-            .map(|r| {
-                Json::obj(vec![
-                    ("rate".into(), Json::Num(r.rate)),
-                    ("mode".into(), Json::str(r.mode)),
-                    ("completeness".into(), Json::Num(r.completeness)),
-                    ("degraded".into(), Json::Bool(r.degraded)),
-                    ("virtual_ms".into(), Json::Num(r.virtual_ms as f64)),
-                    ("retries".into(), Json::Num(r.retries as f64)),
-                    ("trips".into(), Json::Num(r.trips as f64)),
-                ])
-            })
-            .collect(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,13 +153,5 @@ mod tests {
             retry.completeness >= cell(0.5, "no-retry").completeness,
             "{retry:?}"
         );
-    }
-
-    #[test]
-    fn json_rows_are_well_formed() {
-        let rows = run(&[0.3]);
-        let json = rows_to_json(&rows).to_string();
-        assert!(json.contains("retry+failover"));
-        assert!(json.contains("completeness"));
     }
 }

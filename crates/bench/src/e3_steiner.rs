@@ -7,7 +7,6 @@
 
 use crate::gen::{random_graph, GraphSpec};
 use copycat_graph::{spcsh, steiner_exact};
-use copycat_util::json::Json;
 use std::time::{Duration, Instant};
 
 /// One measurement row.
@@ -39,30 +38,6 @@ pub fn run(sizes: &[usize], terminal_counts: &[usize]) -> (Vec<E3Row>, Vec<E3Row
         .map(|&k| measure(60, k, k <= EXACT_TERMINAL_SWEEP_LIMIT))
         .collect();
     (size_sweep, term_sweep)
-}
-
-/// Machine-readable form of a sweep, one object per row (the
-/// `BENCH_steiner.json` schema: `{nodes, terminals, exact_us, spcsh_us,
-/// ratio}`, with `null` where the exact solve was skipped).
-pub fn rows_to_json(rows: &[E3Row]) -> Json {
-    Json::Arr(
-        rows.iter()
-            .map(|r| {
-                Json::obj(vec![
-                    ("nodes".into(), Json::Num(r.nodes as f64)),
-                    ("terminals".into(), Json::Num(r.terminals as f64)),
-                    (
-                        "exact_us".into(),
-                        r.exact_time
-                            .map(|d| Json::Num(d.as_secs_f64() * 1e6))
-                            .unwrap_or(Json::Null),
-                    ),
-                    ("spcsh_us".into(), Json::Num(r.spcsh_time.as_secs_f64() * 1e6)),
-                    ("ratio".into(), r.cost_ratio.map(Json::Num).unwrap_or(Json::Null)),
-                ])
-            })
-            .collect(),
-    )
 }
 
 fn measure(nodes: usize, terminals: usize, run_exact: bool) -> E3Row {
@@ -105,24 +80,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn json_rows_carry_the_schema() {
-        let (sizes, terms) = run(&[20], &[2, 15]);
-        let all: Vec<E3Row> = sizes.into_iter().chain(terms).collect();
-        let j = rows_to_json(&all);
-        let text = j.to_string();
-        let parsed = Json::parse(&text).expect("round-trips");
-        let arr = parsed.as_array().expect("array");
-        assert_eq!(arr.len(), 3);
-        for row in arr {
-            for field in ["nodes", "terminals", "exact_us", "spcsh_us", "ratio"] {
-                assert!(row.get(field).is_some(), "missing {field} in {text}");
-            }
-        }
-        // k=15 exceeds the sweep limit: exact skipped, encoded as null.
-        assert!(matches!(arr[2].get("exact_us"), Some(Json::Null)), "{text}");
     }
 
     #[test]

@@ -25,7 +25,6 @@
 
 use copycat_serve::smoke::run_crash_storm;
 use copycat_store::Fs;
-use copycat_util::json::Json;
 use std::io::Write;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -51,8 +50,8 @@ pub struct FaultRecoveryRow {
     pub tail_lost: u64,
     /// Acked effects unaccounted for (must be zero).
     pub silent_losses: u64,
-    /// Wall time for the whole stride's sweep.
-    pub elapsed: Duration,
+    /// Probe responses checked across all recoveries.
+    pub probes: u64,
     /// Mean wall time of one workload + kill + recover + probe cycle.
     pub mean_run_us: u64,
 }
@@ -67,8 +66,7 @@ pub fn run(seed: u64, strides: &[u64]) -> Vec<FaultRecoveryRow> {
             let started = Instant::now();
             let r = run_crash_storm(seed, stride)
                 .unwrap_or_else(|e| panic!("crash storm (stride {stride}): {e}"));
-            let elapsed = started.elapsed();
-            let mean_run_us = elapsed.as_micros() as u64 / r.runs.max(1);
+            let mean_run_us = started.elapsed().as_micros() as u64 / r.runs.max(1);
             FaultRecoveryRow {
                 stride,
                 workload_ops: r.workload_ops,
@@ -79,7 +77,7 @@ pub fn run(seed: u64, strides: &[u64]) -> Vec<FaultRecoveryRow> {
                 quarantined: r.quarantined,
                 tail_lost: r.tail_lost,
                 silent_losses: r.silent_losses,
-                elapsed,
+                probes: r.probes,
                 mean_run_us,
             }
         })
@@ -158,48 +156,6 @@ pub fn run_overhead(records: u64, sync_every: u64) -> OverheadRow {
     let _ = std::fs::remove_dir_all(&root);
     let ratio = via_trait.as_secs_f64() / via_std.as_secs_f64().max(1e-9);
     OverheadRow { records, syncs: records / sync_every, via_trait, via_std, ratio }
-}
-
-/// Render sweep + guard as the `recovery_under_fault` section of
-/// `BENCH_faults.json`.
-pub fn to_json(rows: &[FaultRecoveryRow], overhead: &OverheadRow) -> Json {
-    Json::obj(vec![
-        (
-            "sweep".into(),
-            Json::Arr(
-                rows.iter()
-                    .map(|r| {
-                        Json::obj(vec![
-                            ("stride".into(), Json::Num(r.stride as f64)),
-                            ("workload_ops".into(), Json::Num(r.workload_ops as f64)),
-                            ("runs".into(), Json::Num(r.runs as f64)),
-                            ("faults_fired".into(), Json::Num(r.faults_fired as f64)),
-                            ("acked".into(), Json::Num(r.acked as f64)),
-                            ("recovered".into(), Json::Num(r.recovered as f64)),
-                            ("quarantined".into(), Json::Num(r.quarantined as f64)),
-                            ("tail_lost".into(), Json::Num(r.tail_lost as f64)),
-                            ("silent_losses".into(), Json::Num(r.silent_losses as f64)),
-                            ("elapsed_us".into(), Json::Num(r.elapsed.as_micros() as f64)),
-                            ("mean_run_us".into(), Json::Num(r.mean_run_us as f64)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "real_fs_overhead".into(),
-            Json::obj(vec![
-                ("records".into(), Json::Num(overhead.records as f64)),
-                ("syncs".into(), Json::Num(overhead.syncs as f64)),
-                (
-                    "via_trait_us".into(),
-                    Json::Num(overhead.via_trait.as_micros() as f64),
-                ),
-                ("via_std_us".into(), Json::Num(overhead.via_std.as_micros() as f64)),
-                ("ratio".into(), Json::Num(overhead.ratio)),
-            ]),
-        ),
-    ])
 }
 
 #[cfg(test)]

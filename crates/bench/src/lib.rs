@@ -2,9 +2,10 @@
 //! the paper (see `DESIGN.md`'s experiment index and `EXPERIMENTS.md` for
 //! the paper-vs-measured record).
 //!
-//! Each experiment module exposes a `run(...)` returning a structured
-//! result plus a `table()` rendering; the `harness` binary prints them,
-//! and the Criterion benches time the hot paths.
+//! Each experiment module exposes a `run(...)` returning structured
+//! rows; the `harness` binary renders them as [`table`]s, and `harness
+//! check` pins every seeded value against the golden reproduction
+//! record, `tests/golden/reproduction.txt`, with wall-clock cells masked.
 
 #![expect(
     clippy::disallowed_methods,

@@ -20,7 +20,6 @@
 
 use copycat_core::scenario::{Scenario, ScenarioConfig};
 use copycat_services::World;
-use copycat_util::json::Json;
 use std::time::Instant;
 
 /// One (venues, mode) cell of the sweep.
@@ -116,26 +115,6 @@ pub fn run(sizes: &[usize]) -> Vec<TransformRow> {
     out
 }
 
-/// Machine-readable rows for `BENCH_transform.json`.
-pub fn rows_to_json(rows: &[TransformRow]) -> Json {
-    Json::Arr(
-        rows.iter()
-            .map(|r| {
-                Json::obj(vec![
-                    ("venues".into(), Json::Num(r.venues as f64)),
-                    ("mode".into(), Json::str(r.mode)),
-                    ("completeness".into(), Json::Num(r.completeness)),
-                    ("learn_ms".into(), Json::Num(r.learn_ms)),
-                    ("suggest_ms".into(), Json::Num(r.suggest_ms)),
-                    ("amortized_ms".into(), Json::Num(r.amortized_ms)),
-                    ("program".into(), Json::str(&r.program)),
-                    ("coverage".into(), Json::Num(r.coverage)),
-                ])
-            })
-            .collect(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,13 +138,5 @@ mod tests {
         assert!(learned.coverage >= 0.95, "{learned:?}");
         assert!(!learned.program.is_empty());
         assert!(learned.learn_ms > 0.0);
-    }
-
-    #[test]
-    fn json_rows_are_well_formed() {
-        let rows = run(&[6]);
-        let json = rows_to_json(&rows).to_string();
-        assert!(json.contains("service-only"));
-        assert!(json.contains("amortized_ms"));
     }
 }

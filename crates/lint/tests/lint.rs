@@ -271,7 +271,6 @@ const DISALLOWED_EXPECT_SITES: &[(&str, &[&str])] = &[
     ("crates/store/src/io.rs", &["fs"]),            // RealFs, the one std::fs passthrough
     ("crates/store/src/wal.rs", &["clock"]),        // fsync latency accounting
     ("crates/transform/tests/learner_corpus.rs", &["fs"]), // golden file
-    ("crates/util/src/bench.rs", &["clock"]),       // the micro-bench harness
     ("crates/util/src/hash.rs", &["hash"]),         // defines the Fx aliases over std's maps
     ("crates/util/tests/json_corpus.rs", &["fs"]),  // golden file
 ];

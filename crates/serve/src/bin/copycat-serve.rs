@@ -3,7 +3,6 @@
 //! ```text
 //! copycat-serve [--addr 127.0.0.1:7878] [--workers N] [--queue N] [--shards N]
 //! copycat-serve replay FILE...
-//! copycat-serve crash-storm [seed] [stride]
 //! copycat-serve herd [sessions]
 //! ```
 //!
@@ -14,11 +13,6 @@
 //! line and the expected and actual text, at the first one whose
 //! answers differ from the file or whose recovered router diverges from
 //! its never-crashed control — the hook `scripts/verify.sh` uses.
-//! `crash-storm` runs the storage-fault sweep: every fault
-//! kind (short writes, torn appends, failed/lying fsyncs, bit flips,
-//! partial reads, ENOSPC) injected at every I/O operation of the
-//! `storm.txt` scenario on the simulated filesystem, each followed by
-//! kill, recovery, and the no-silent-loss property check.
 //! `herd` creates 10k copy-on-write sessions over one shared
 //! world, probes a sample end to end, and exits non-zero if the
 //! marginal memory cost falls below the sessions-per-GiB floor.
@@ -46,11 +40,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().map(String::as_str) == Some("replay") {
         return run_replay(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("crash-storm") {
-        let seed = args.get(1).and_then(|v| v.parse().ok()).unwrap_or(0xC1D9);
-        let stride = args.get(2).and_then(|v| v.parse().ok()).unwrap_or(1);
-        return run_crash_storm(seed, stride);
     }
     if args.first().map(String::as_str) == Some("herd") {
         let sessions = args.get(1).and_then(|v| v.parse().ok()).unwrap_or(10_000);
@@ -120,25 +109,6 @@ fn run_replay(files: &[String]) -> ExitCode {
         }
     }
     ExitCode::SUCCESS
-}
-
-fn run_crash_storm(seed: u64, stride: u64) -> ExitCode {
-    match smoke::run_crash_storm(seed, stride) {
-        Ok(r) => {
-            println!(
-                "crash-storm: {} runs over {} ops (stride {stride}, seed {}), \
-                 {} faults fired, {} acked -> {} recovered + {} quarantined + \
-                 {} tail-lost, 0 silent losses, {} probes",
-                r.runs, r.workload_ops, r.seed, r.faults_fired, r.acked,
-                r.recovered, r.quarantined, r.tail_lost, r.probes
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("crash-storm FAILED: {e}");
-            ExitCode::from(1)
-        }
-    }
 }
 
 fn run_herd(sessions: usize) -> ExitCode {

@@ -25,8 +25,8 @@
 //! - [`smoke`] — the scenario runner: replays `>>`/`<<` transcripts
 //!   (with `-- crash` killing and recovering a durable router against a
 //!   never-crashed control) and requires them byte for byte; plus the
-//!   crash-storm and herd smokes. `copycat-serve replay` and the golden
-//!   test drive it.
+//!   crash-storm sweep (the reproduction's F2 table) and the herd smoke.
+//!   `copycat-serve replay` and the golden test drive it.
 //!
 //! Responses carry no timing, so a request script is byte-deterministic
 //! whether sessions are driven sequentially or concurrently; latency is

@@ -454,8 +454,9 @@ fn storm_run(
 /// byte-identically present or explicitly accounted in a recovery
 /// report. Runs that recovered with zero reported loss must also
 /// answer every probe byte-identically to a never-crashed control.
-/// `stride: 1` (the `copycat-serve crash-storm` smoke) covers every
-/// injection point; tests use a coarser stride.
+/// `stride: 1` (the first row of the reproduction's F2 table, `harness
+/// faults`, checked by `harness check`) covers every injection point;
+/// tests use a coarser stride.
 pub fn run_crash_storm(seed: u64, stride: u64) -> Result<CrashStormReport, String> {
     let steps = steps(STORM)?;
     let crash =

@@ -3,8 +3,9 @@
 //! strided injection points) and the generational snapshot fallback
 //! (a rotted newest generation costs a longer replay, not data).
 //!
-//! The full stride-1 sweep runs in release as the `copycat-serve
-//! crash-storm` verify smoke; these tests cover every fault kind at a
+//! The full stride-1 sweep runs in release as the first row of the
+//! reproduction's F2 table (`harness faults`), whose loss accounting
+//! `harness check` pins; these tests cover every fault kind at a
 //! spread of injection points and across seeds.
 
 use copycat_serve::router::Router;

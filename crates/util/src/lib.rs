@@ -16,8 +16,8 @@
 //! - [`check`] — a small property-testing harness with seeded case
 //!   generation, tape-based shrinking, and regression-seed replay
 //!   (replaces `proptest`).
-//! - [`bench`] — a micro-benchmark harness with warmup and
-//!   median/p95 reporting (replaces `criterion`).
+//! - [`bench`] — a counting global allocator for allocation-count
+//!   pins and memory benchmarks.
 //! - [`sync`] — non-poisoning `Mutex`/`RwLock` wrappers over `std`
 //!   (replaces `parking_lot`).
 //! - [`hist`] — lock-free fixed-bucket latency histograms with

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # The offline verification gate: proves the hermetic build holds.
-# Builds everything, runs the full test suite, and regenerates the E1
-# table — all with --offline, so any reintroduced registry dependency
-# fails here before it reaches CI.
+# Builds everything, runs the full test suite, and checks the paper
+# reproduction against its golden record — all with --offline, so any
+# reintroduced registry dependency fails here before it reaches CI.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -42,7 +42,15 @@ CARGO_TARGET_DIR=.bench_build cargo test --release --offline --manifest-path per
 for example in explain_provenance feedback_learning hurricane_mashup power_user quickstart wrapper_induction; do
     cargo run -q --release --offline --example "$example" >/dev/null
 done
-cargo run --release --offline -p copycat-bench --bin harness -- e1
+# The reproduction record: every experiment table (E1–E8, F1, F2, T1,
+# A1–A3) rendered with its wall-clock cells masked must equal
+# crates/bench/tests/golden/reproduction.txt byte for byte, so a drifted
+# seeded value fails here, naming its section and row. F2's stride-1
+# row is the full crash storm: every storage fault kind (short writes,
+# torn appends, failed/lying fsyncs, bit flips, partial reads, ENOSPC)
+# at every I/O operation of tests/scenarios/storm.txt, each run killed,
+# recovered and checked for zero silent losses.
+cargo run --release --offline -q -p copycat-bench --bin harness -- check
 # Scenario replay: every transcript (`>>` requests, `<<` answers) is
 # replayed and must reproduce its file byte for byte — the full wire
 # conversation (one request of every class), the chaos failover
@@ -52,18 +60,7 @@ cargo run --release --offline -p copycat-bench --bin harness -- e1
 # and must answer exactly like a never-crashed control.
 cargo run --release --offline -p copycat-serve -- replay \
     crates/serve/tests/golden/wire_transcript.txt crates/serve/tests/scenarios/*.txt
-# Crash-storm smoke: the storage-fault sweep on the simulated
-# filesystem — every fault kind (short writes, torn appends,
-# failed/lying fsyncs, bit flips, partial reads, ENOSPC) injected at
-# every I/O operation of the storm scenario (tests/scenarios/storm.txt),
-# each run killed, recovered,
-# and checked for the no-silent-loss property: every acked effect is
-# byte-identically present or explicitly reported lost.
-cargo run --release --offline -p copycat-serve -- crash-storm
 # Herd smoke: 10k copy-on-write sessions over one shared world on one
 # server; probes a sample end to end and asserts the marginal memory
 # cost keeps >=100k sessions per GiB.
 cargo run --release --offline -p copycat-serve -- herd
-# Smoke: the perf-trajectory emitter runs and produces non-empty JSON
-# (no timing assertions — numbers vary by machine).
-scripts/bench_json.sh
