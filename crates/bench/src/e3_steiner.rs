@@ -67,6 +67,7 @@ fn measure(nodes: usize, terminals: usize, run_exact: bool) -> E3Row {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use copycat_graph::{steiner_exact_in, SteinerScratch};
 
     #[test]
     fn spcsh_within_guarantee_and_scales() {
@@ -84,11 +85,21 @@ mod tests {
 
     #[test]
     fn exact_blows_up_in_terminals_not_nodes() {
-        // The DW table is 2^k * n: doubling k should cost far more than
-        // doubling n. Compare DP table sizes as a proxy (time is noisy in
-        // CI-like environments).
-        let t_8 = measure(60, 8, true).exact_time.unwrap();
-        let t_2 = measure(60, 2, true).exact_time.unwrap();
-        assert!(t_8 >= t_2, "k=8 ({t_8:?}) should not be faster than k=2 ({t_2:?})");
+        // The Dreyfus–Wagner table is 2^k · n cells: going from k=2 to
+        // k=8 terminals must grow it far more than doubling the nodes.
+        let cells = |nodes: usize, terminals: usize| {
+            let (g, t) = random_graph(
+                &GraphSpec { nodes, extra_edges: nodes * 2, seed: 7 },
+                terminals,
+            );
+            let mut scratch = SteinerScratch::new();
+            steiner_exact_in(&g, &t, &mut scratch).expect("backbone keeps it connected");
+            scratch.table_cells()
+        };
+        let k_growth = cells(60, 8) / cells(60, 2);
+        let n_growth = cells(120, 4) / cells(60, 4);
+        assert_eq!(k_growth, 1 << 6, "k=8 fills 2^6 times the cells of k=2 at n=60");
+        assert_eq!(n_growth, 2, "n=120 fills twice the cells of n=60 at k=4");
+        assert!(k_growth > n_growth, "terminals, not nodes, drive the table size");
     }
 }

@@ -15,7 +15,7 @@ use copycat_graph::{EdgeId, EdgeKind, NodeId, NodeKind, SourceGraph, SteinerTree
 use copycat_linkage::{approximate_join, MatchLearner, Matcher, TfIdfIndex};
 use copycat_provenance::Provenance;
 use copycat_query::{
-    execute_reported, Catalog, Field, Plan, Relation, Schema, Value,
+    execute_counted, execute_reported, Catalog, Field, Plan, Relation, Schema, Value,
 };
 
 /// A proposed column auto-completion (Figure 2's highlighted Zip column).
@@ -42,7 +42,10 @@ pub struct ColumnSuggestion {
     pub degraded: Option<String>,
 }
 
-/// A query discovered from a pasted tuple, with its executed answers.
+/// A query discovered from a pasted tuple, with the shape and size of
+/// its answer: the columns it produces and how many rows it returns.
+/// The rows themselves are not built; a caller that needs them
+/// executes `plan`.
 #[derive(Debug, Clone)]
 pub struct ScoredQuery {
     /// The query plan.
@@ -51,8 +54,10 @@ pub struct ScoredQuery {
     pub tree: SteinerTree,
     /// Tree cost (the ranking score; lower is better).
     pub cost: f64,
-    /// Executed results.
-    pub result: Relation,
+    /// The answer's columns.
+    pub columns: Schema,
+    /// The answer's row count.
+    pub rows: usize,
     /// Why this query's answer is degraded (service failures during
     /// execution), `None` when complete.
     pub degraded: Option<String>,
@@ -502,7 +507,8 @@ pub fn search_trees_banned(
     }
 }
 
-/// Plan and execute each tree, dropping unplannable or failing ones.
+/// Plan each tree and count its answer, dropping unplannable or
+/// failing ones.
 fn trees_to_queries(
     graph: &SourceGraph,
     catalog: &Catalog,
@@ -513,26 +519,12 @@ fn trees_to_queries(
         let Some(plan) = tree_to_plan(graph, tree) else {
             continue;
         };
-        let label = format!("Q:{}", plan);
-        let Ok((result, report)) = execute_reported(&plan, catalog, &label) else {
+        let Ok((columns, rows, report)) = execute_counted(&plan, catalog) else {
             continue;
         };
         let degraded = degraded_note(&report);
-        let result = match &degraded {
-            // Re-wrap every tuple so the degradation is provenance-visible.
-            Some(_) => {
-                let mut wrapped = Relation::empty(result.name(), result.schema().clone());
-                for t in result.tuples() {
-                    wrapped.push(copycat_query::Tuple::new(
-                        t.values.clone(),
-                        annotate_degraded(t.provenance.clone(), &degraded),
-                    ));
-                }
-                wrapped
-            }
-            None => result,
-        };
-        out.push(ScoredQuery { plan, cost: tree.cost, tree: tree.clone(), result, degraded });
+        let tree = tree.clone();
+        out.push(ScoredQuery { plan, cost: tree.cost, tree, columns, rows, degraded });
     }
     out
 }

@@ -1536,7 +1536,7 @@ mod tests {
         let top = &queries[0];
         assert!(top.plan.sources().contains(&"Shelters"));
         assert!(top.plan.sources().contains(&"Contacts"));
-        assert!(!top.result.is_empty(), "join should produce rows");
+        assert!(top.rows > 0, "join should produce rows");
     }
 
     #[test]

@@ -33,7 +33,6 @@ pub use source_graph::{
     DEFAULT_EDGE_COST, MIN_EDGE_COST, SUGGESTION_COST_THRESHOLD,
 };
 pub use steiner::{
-    spcsh, steiner_exact, steiner_exact_in, top_k_steiner, top_k_steiner_banned,
-    top_k_steiner_banned_opts, top_k_steiner_opts, SteinerScratch,
+    spcsh, steiner_exact, steiner_exact_in, top_k_steiner, top_k_steiner_banned, SteinerScratch,
     SteinerTree, MAX_EXACT_TERMINALS,
 };

@@ -116,6 +116,12 @@ impl SteinerScratch {
         Self::default()
     }
 
+    /// Cells in the Dreyfus–Wagner table the last solve filled:
+    /// `2^k · n` for `k` terminals over `n` nodes.
+    pub fn table_cells(&self) -> usize {
+        self.dp.len()
+    }
+
     /// Rebuild the CSR adjacency for `g` with `banned` edges removed.
     /// After this, the inner relaxation loop touches only flat arrays.
     fn build_adjacency(&mut self, g: &SourceGraph, banned: &[EdgeId]) {
@@ -583,19 +589,7 @@ fn solve_children_parallel(
 /// branching over [`steiner_exact`]. Distinct edge sets only. Child
 /// subproblems run on worker threads when large enough to pay for them.
 pub fn top_k_steiner(g: &SourceGraph, terminals: &[NodeId], k: usize) -> Vec<SteinerTree> {
-    top_k_steiner_opts(g, terminals, k, parallel_worthwhile(g, terminals))
-}
-
-/// [`top_k_steiner`] with explicit control over parallel branching
-/// (`parallel = false` forces the sequential path; both modes return
-/// identical results).
-pub fn top_k_steiner_opts(
-    g: &SourceGraph,
-    terminals: &[NodeId],
-    k: usize,
-    parallel: bool,
-) -> Vec<SteinerTree> {
-    top_k_steiner_banned_opts(g, terminals, k, &[], parallel)
+    top_k_steiner_banned(g, terminals, k, &[])
 }
 
 /// [`top_k_steiner`] with an initial set of banned edges that no
@@ -613,9 +607,11 @@ pub fn top_k_steiner_banned(
 }
 
 /// [`top_k_steiner_banned`] with explicit control over parallel
-/// branching. The initial ban seeds every branch, so the exclusion
-/// holds across the whole top-k enumeration, not just the first tree.
-pub fn top_k_steiner_banned_opts(
+/// branching (`parallel = false` forces the sequential path; both modes
+/// return identical results). The initial ban seeds every branch, so
+/// the exclusion holds across the whole top-k enumeration, not just the
+/// first tree.
+fn top_k_steiner_banned_opts(
     g: &SourceGraph,
     terminals: &[NodeId],
     k: usize,
@@ -1011,8 +1007,8 @@ mod tests {
         check("top-k-parallel-vs-seq", 32, &[], |gen| {
             let (g, terminals) = gen_graph(gen);
             let k = gen.usize_in(1..7);
-            let seq = top_k_steiner_opts(&g, &terminals, k, false);
-            let par = top_k_steiner_opts(&g, &terminals, k, true);
+            let seq = top_k_steiner_banned_opts(&g, &terminals, k, &[], false);
+            let par = top_k_steiner_banned_opts(&g, &terminals, k, &[], true);
             for trees in [&seq, &par] {
                 for pair in trees.windows(2) {
                     prop_ensure!(pair[0].cost <= pair[1].cost + 1e-9, "costs decrease");

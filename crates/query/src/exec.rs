@@ -129,6 +129,48 @@ pub fn execute_reported(
     })
 }
 
+/// Execute for the answer's shape and size only: the output schema,
+/// the number of rows [`execute_reported`] would return, and the same
+/// [`ExecReport`]. Every operator below the root is evaluated as usual;
+/// a root join or dependent join is counted without building its
+/// output tuples or their provenance, calling the same services in the
+/// same order. This is what query discovery needs to rank and show its
+/// answers.
+pub fn execute_counted(
+    plan: &Plan,
+    catalog: &Catalog,
+) -> Result<(Schema, usize, ExecReport), ExecError> {
+    let mut report = ExecReport::default();
+    let pins = pin_relations(plan, catalog);
+    let (schema, rows) = match plan {
+        Plan::Join { left, right, on } => {
+            let (ls, lt) = eval(left, &pins, catalog, &mut report)?;
+            let (rs, rt) = eval(right, &pins, catalog, &mut report)?;
+            let shape = join_shape(&ls, &rs, on)?;
+            let index = JoinIndex::build(&rt, &shape.rcols);
+            (shape.schema, index.count(&lt, &shape.lcols))
+        }
+        Plan::DependentJoin { input, service, bindings } => {
+            let (schema, tuples) = eval(input, &pins, catalog, &mut report)?;
+            let mut bound = BoundService::bind(&schema, service, bindings, catalog)?;
+            let mut rows = 0;
+            // lint:hotpath(begin)
+            for t in &tuples {
+                if let Some(answers) = bound.call(t, &mut report) {
+                    rows += answers.len();
+                }
+            }
+            // lint:hotpath(end)
+            (bound.schema, rows)
+        }
+        _ => {
+            let (schema, rows) = eval(plan, &pins, catalog, &mut report)?;
+            (schema.into_owned(), rows.len())
+        }
+    };
+    Ok((schema, rows, report))
+}
+
 /// Evaluate `plan` and materialize its rows as the `result` relation,
 /// passing each tuple's provenance through `wrap`.
 fn run(
@@ -222,6 +264,207 @@ impl Hash for Key<'_> {
 /// "No further match" in a join's match chains.
 const CHAIN_END: usize = usize::MAX;
 
+/// A join's key columns on each side and its output schema: left +
+/// right minus the right join columns, a right name that clashes
+/// taking a `_2` suffix.
+struct JoinShape {
+    lcols: Vec<usize>,
+    rcols: Vec<usize>,
+    keep_right: Vec<usize>,
+    schema: Schema,
+}
+
+fn join_shape(ls: &Schema, rs: &Schema, on: &[(String, String)]) -> Result<JoinShape, ExecError> {
+    let lcols: Vec<usize> = on
+        .iter()
+        .map(|(l, _)| ls.index_of(l).ok_or_else(|| ExecError::UnknownColumn(l.clone())))
+        .collect::<Result<_, _>>()?;
+    let rcols: Vec<usize> = on
+        .iter()
+        .map(|(_, r)| rs.index_of(r).ok_or_else(|| ExecError::UnknownColumn(r.clone())))
+        .collect::<Result<_, _>>()?;
+    let keep_right: Vec<usize> = (0..rs.arity()).filter(|i| !rcols.contains(i)).collect();
+    let mut fields = ls.fields().to_vec();
+    push_disambiguated(&mut fields, keep_right.iter().map(|&i| rs.field(i).expect("in range")));
+    Ok(JoinShape { lcols, rcols, keep_right, schema: Schema::new(fields) })
+}
+
+/// Append `added` to `fields`, suffixing `_2` to a name already taken.
+fn push_disambiguated<'f>(fields: &mut Vec<Field>, added: impl Iterator<Item = &'f Field>) {
+    for f in added {
+        let name = if fields.iter().any(|g| g.name == f.name) {
+            format!("{}_2", f.name)
+        } else {
+            f.name.clone()
+        };
+        fields.push(Field { name, sem_type: f.sem_type.clone() });
+    }
+}
+
+/// The right side of a hash join, indexed on its borrowed key values.
+/// Each key maps to the first and last right row holding it; `next`
+/// chains the rest in input order. Null keys are left out: they never
+/// join.
+struct JoinIndex<'r> {
+    index: FxHashMap<Key<'r>, (usize, usize)>,
+    next: Vec<usize>,
+}
+
+impl<'r> JoinIndex<'r> {
+    fn build(rows: &'r [Row<'_>], cols: &'r [usize]) -> Self {
+        let mut index: FxHashMap<Key<'r>, (usize, usize)> = FxHashMap::default();
+        let mut next = vec![CHAIN_END; rows.len()];
+        for (i, t) in rows.iter().enumerate() {
+            let key = Key { values: &t.values, cols };
+            if key.has_null() {
+                continue;
+            }
+            match index.entry(key) {
+                Entry::Occupied(mut e) => {
+                    let (_, last) = e.get_mut();
+                    next[*last] = i;
+                    *last = i;
+                }
+                Entry::Vacant(e) => {
+                    e.insert((i, i));
+                }
+            }
+        }
+        JoinIndex { index, next }
+    }
+
+    // lint:hotpath(begin)
+
+    /// The right rows matching `values` on `cols`, in input order.
+    fn matches<'s>(&'s self, values: &'s [Value], cols: &'s [usize]) -> Chain<'s> {
+        let key = Key { values, cols };
+        let at = if key.has_null() {
+            CHAIN_END
+        } else {
+            self.index.get(&key).map_or(CHAIN_END, |&(first, _)| first)
+        };
+        Chain { next: &self.next, at }
+    }
+
+    /// How many rows joining `left` against this index yields.
+    fn count(&self, left: &[Row<'_>], cols: &[usize]) -> usize {
+        left.iter().map(|l| self.matches(&l.values, cols).count()).sum()
+    }
+}
+
+/// One key's match chain in a [`JoinIndex`].
+struct Chain<'s> {
+    next: &'s [usize],
+    at: usize,
+}
+
+impl Iterator for Chain<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        let m = self.at;
+        if m == CHAIN_END {
+            return None;
+        }
+        self.at = self.next[m];
+        Some(m)
+    }
+}
+
+// lint:hotpath(end)
+
+/// A dependent join's service, checked against its input schema, with
+/// the output schema it produces (a clashing output name takes a `_2`
+/// suffix).
+struct BoundService<'p> {
+    name: &'p str,
+    svc: Arc<dyn crate::service::Service>,
+    bind_idx: Vec<usize>,
+    /// The bound input values of the current call (reused).
+    inputs: Vec<Value>,
+    out_arity: usize,
+    schema: Schema,
+}
+
+impl<'p> BoundService<'p> {
+    fn bind(
+        schema: &Schema,
+        service: &'p str,
+        bindings: &[String],
+        catalog: &Catalog,
+    ) -> Result<Self, ExecError> {
+        let svc = catalog
+            .service(service)
+            .ok_or_else(|| ExecError::UnknownService(service.to_string()))?;
+        let sig = svc.signature();
+        if bindings.len() != sig.inputs.arity() {
+            return Err(ExecError::BindingArity {
+                service: service.to_string(),
+                expected: sig.inputs.arity(),
+                got: bindings.len(),
+            });
+        }
+        let bind_idx: Vec<usize> = bindings
+            .iter()
+            .map(|c| schema.index_of(c).ok_or_else(|| ExecError::UnknownColumn(c.clone())))
+            .collect::<Result<_, _>>()?;
+        let mut fields = schema.fields().to_vec();
+        push_disambiguated(&mut fields, sig.outputs.fields().iter());
+        let out_arity = sig.outputs.arity();
+        Ok(BoundService {
+            name: service,
+            svc,
+            inputs: Vec::with_capacity(bind_idx.len()),
+            bind_idx,
+            out_arity,
+            schema: Schema::new(fields),
+        })
+    }
+
+    // lint:hotpath(begin)
+
+    /// Call the service for one input row. `None` when the row has an
+    /// unbound (null) input or the call failed outright; a truncated
+    /// answer is kept. Every failure is recorded in `report`, in call
+    /// order.
+    fn call(&mut self, row: &Tuple, report: &mut ExecReport) -> Option<Vec<Vec<Value>>> {
+        self.inputs.clear();
+        // lint:allow(hot-path-alloc) a value clone bumps a string's reference count
+        self.inputs.extend(self.bind_idx.iter().map(|&i| row.values[i].clone()));
+        if self.inputs.iter().any(Value::is_null) {
+            return None; // unbound input: the service cannot be called
+        }
+        match self.svc.try_call(&self.inputs) {
+            Ok(answers) => Some(answers),
+            Err(crate::service::ServiceError::Incomplete { partial, .. }) => {
+                // Keep what the source did return; the report marks the
+                // answer as possibly missing rows.
+                report.failures.push(ServiceFailure {
+                    service: self.name.into(),
+                    kind: "incomplete".into(),
+                    // lint:allow(hot-path-alloc) failure arm: a degraded answer
+                    detail: format!("service '{}' returned a truncated answer", self.name),
+                });
+                Some(partial)
+            }
+            Err(e) => {
+                // Unavailable / too slow: no answer for this input
+                // tuple — a failed bind drops the tuple, never the
+                // whole query.
+                report.failures.push(ServiceFailure {
+                    service: self.name.into(),
+                    kind: e.kind().into(),
+                    // lint:allow(hot-path-alloc) failure arm: a degraded answer
+                    detail: e.to_string(),
+                });
+                None
+            }
+        }
+    }
+
+    // lint:hotpath(end)
+}
+
 fn eval<'a>(
     plan: &Plan,
     pins: &'a Pins<'_>,
@@ -300,145 +543,38 @@ fn eval<'a>(
         Plan::Join { left, right, on } => {
             let (ls, lt) = eval(left, pins, catalog, report)?;
             let (rs, rt) = eval(right, pins, catalog, report)?;
-            let lcols: Vec<usize> = on
-                .iter()
-                .map(|(l, _)| ls.index_of(l).ok_or_else(|| ExecError::UnknownColumn(l.clone())))
-                .collect::<Result<_, _>>()?;
-            let rcols: Vec<usize> = on
-                .iter()
-                .map(|(_, r)| rs.index_of(r).ok_or_else(|| ExecError::UnknownColumn(r.clone())))
-                .collect::<Result<_, _>>()?;
-            // Output schema: left + right minus right join columns.
-            let keep_right: Vec<usize> = (0..rs.arity())
-                .filter(|i| !rcols.contains(i))
-                .collect();
-            let mut fields = ls.fields().to_vec();
-            for &i in &keep_right {
-                let f = rs.field(i).expect("in range");
-                // Disambiguate name clashes.
-                let name = if fields.iter().any(|g| g.name == f.name) {
-                    format!("{}_2", f.name)
-                } else {
-                    f.name.clone()
-                };
-                fields.push(Field { name, sem_type: f.sem_type.clone() });
-            }
-            let out_schema = Schema::new(fields);
-            // Hash the right side on its borrowed key values. Each key
-            // maps to the first and last right row holding it; `next`
-            // chains the rest in input order.
-            let mut index: FxHashMap<Key<'_>, (usize, usize)> = FxHashMap::default();
-            let mut next = vec![CHAIN_END; rt.len()];
-            for (i, t) in rt.iter().enumerate() {
-                let key = Key { values: &t.values, cols: &rcols };
-                if key.has_null() {
-                    continue; // null keys never join
-                }
-                match index.entry(key) {
-                    Entry::Occupied(mut e) => {
-                        let (_, last) = e.get_mut();
-                        next[*last] = i;
-                        *last = i;
-                    }
-                    Entry::Vacant(e) => {
-                        e.insert((i, i));
-                    }
-                }
-            }
-            let width = ls.arity() + keep_right.len();
+            let shape = join_shape(&ls, &rs, on)?;
+            let index = JoinIndex::build(&rt, &shape.rcols);
+            let width = shape.schema.arity();
             let mut out = Vec::new();
             for l in &lt {
-                let key = Key { values: &l.values, cols: &lcols };
-                if key.has_null() {
-                    continue;
-                }
-                let Some(&(first, _)) = index.get(&key) else {
-                    continue;
-                };
-                let mut m = first;
-                while m != CHAIN_END {
+                for m in index.matches(&l.values, &shape.lcols) {
                     let r = &rt[m];
                     let mut values = Vec::with_capacity(width);
                     values.extend_from_slice(&l.values);
-                    values.extend(keep_right.iter().map(|&i| r.values[i].clone()));
+                    values.extend(shape.keep_right.iter().map(|&i| r.values[i].clone()));
                     out.push(Cow::Owned(Tuple::new(
                         values,
                         Provenance::times(l.provenance.clone(), r.provenance.clone()),
                     )));
-                    m = next[m];
                 }
             }
-            Ok((Cow::Owned(out_schema), out))
+            Ok((Cow::Owned(shape.schema), out))
         }
         Plan::DependentJoin { input, service, bindings } => {
             let (schema, tuples) = eval(input, pins, catalog, report)?;
-            let svc = catalog
-                .service(service)
-                .ok_or_else(|| ExecError::UnknownService(service.clone()))?;
-            let sig = svc.signature();
-            if bindings.len() != sig.inputs.arity() {
-                return Err(ExecError::BindingArity {
-                    service: service.clone(),
-                    expected: sig.inputs.arity(),
-                    got: bindings.len(),
-                });
-            }
-            let bind_idx: Vec<usize> = bindings
-                .iter()
-                .map(|c| {
-                    schema
-                        .index_of(c)
-                        .ok_or_else(|| ExecError::UnknownColumn(c.clone()))
-                })
-                .collect::<Result<_, _>>()?;
-            let mut fields = schema.fields().to_vec();
-            for f in sig.outputs.fields() {
-                let name = if fields.iter().any(|g| g.name == f.name) {
-                    format!("{}_2", f.name)
-                } else {
-                    f.name.clone()
-                };
-                fields.push(Field { name, sem_type: f.sem_type.clone() });
-            }
-            let out_schema = Schema::new(fields);
+            let mut bound = BoundService::bind(&schema, service, bindings, catalog)?;
             // The service's provenance leaf name, shared by every answer.
             let source: Arc<str> = Arc::from(service.as_str());
             let mut out = Vec::new();
             let mut call_ordinal: u64 = 0;
-            let mut inputs: Vec<Value> = Vec::with_capacity(bind_idx.len());
             for t in &tuples {
-                inputs.clear();
-                inputs.extend(bind_idx.iter().map(|&i| t.values[i].clone()));
-                if inputs.iter().any(Value::is_null) {
-                    continue; // unbound input: the service cannot be called
-                }
-                let answers = match svc.try_call(&inputs) {
-                    Ok(answers) => answers,
-                    Err(crate::service::ServiceError::Incomplete { partial, .. }) => {
-                        // Keep what the source did return; the report
-                        // marks the answer as possibly missing rows.
-                        report.failures.push(ServiceFailure {
-                            service: service.clone(),
-                            kind: "incomplete".into(),
-                            detail: format!("service '{service}' returned a truncated answer"),
-                        });
-                        partial
-                    }
-                    Err(e) => {
-                        // Unavailable / too slow: no answer for this
-                        // input tuple. Record and move on — a failed
-                        // bind drops the tuple, never the whole query.
-                        report.failures.push(ServiceFailure {
-                            service: service.clone(),
-                            kind: e.kind().into(),
-                            detail: e.to_string(),
-                        });
-                        continue;
-                    }
+                let Some(answers) = bound.call(t, report) else {
+                    continue;
                 };
-                let width = t.values.len() + sig.outputs.arity();
+                let width = t.values.len() + bound.out_arity;
                 for mut answer in answers {
-                    answer.resize(sig.outputs.arity(), Value::Null);
+                    answer.resize(bound.out_arity, Value::Null);
                     let mut values = Vec::with_capacity(width);
                     values.extend_from_slice(&t.values);
                     values.extend(answer);
@@ -452,7 +588,7 @@ fn eval<'a>(
                     call_ordinal += 1;
                 }
             }
-            Ok((Cow::Owned(out_schema), out))
+            Ok((Cow::Owned(bound.schema), out))
         }
         Plan::Union { inputs } => {
             if inputs.is_empty() {
@@ -592,6 +728,17 @@ mod tests {
         cat
     }
 
+    /// [`execute_counted`] gives the schema, row count and report that
+    /// [`execute_reported`] gives for the same plan.
+    fn assert_counted_agrees(plan: &Plan, cat: &Catalog) {
+        let (rel, report) = execute_reported(plan, cat, "Q").unwrap();
+        assert_eq!(
+            execute_counted(plan, cat).unwrap(),
+            (rel.schema().clone(), rel.len(), report),
+            "counted and executed answers differ for {plan}"
+        );
+    }
+
     #[test]
     fn scan_select_project() {
         let cat = catalog();
@@ -611,6 +758,7 @@ mod tests {
         assert_eq!(r.schema().names(), vec!["Name", "Street", "City", "Phone"]);
         let prov = &r.tuples()[0].provenance;
         assert_eq!(prov.relations(), vec!["shelters", "contacts"]);
+        assert_counted_agrees(&plan, &cat);
     }
 
     #[test]
@@ -628,6 +776,7 @@ mod tests {
             r.schema().field(3).unwrap().sem_type.as_deref(),
             Some("PR-Zip")
         );
+        assert_counted_agrees(&plan, &cat);
     }
 
     #[test]
@@ -707,8 +856,10 @@ mod tests {
             Schema::of(&["K2"]),
             &[vec!["".into()], vec!["x".into()]],
         ));
-        let r = execute(&Plan::scan("l").join(Plan::scan("r"), &[("K", "K2")]), &cat).unwrap();
+        let plan = Plan::scan("l").join(Plan::scan("r"), &[("K", "K2")]);
+        let r = execute(&plan, &cat).unwrap();
         assert_eq!(r.len(), 1);
+        assert_counted_agrees(&plan, &cat);
     }
 
     #[test]
@@ -765,6 +916,7 @@ mod tests {
         assert_eq!(report.failures.len(), 2);
         assert_eq!(report.failed_services(), vec!["zip_resolver"]);
         assert_eq!(report.failures[0].kind, "unavailable");
+        assert_eq!(execute_counted(&plan, &cat).unwrap(), (rel.schema().clone(), 0, report));
     }
 
     #[test]
@@ -804,5 +956,6 @@ mod tests {
         // … and the report flags every truncated call.
         assert_eq!(report.failures.len(), 3);
         assert_eq!(report.failures[0].kind, "incomplete");
+        assert_eq!(execute_counted(&plan, &cat).unwrap(), (rel.schema().clone(), 3, report));
     }
 }

@@ -25,7 +25,10 @@ pub mod tuple;
 pub mod value;
 
 pub use catalog::Catalog;
-pub use exec::{execute, execute_labeled, execute_reported, ExecError, ExecReport, ServiceFailure};
+pub use exec::{
+    execute, execute_counted, execute_labeled, execute_reported, ExecError, ExecReport,
+    ServiceFailure,
+};
 pub use plan::{Plan, Predicate};
 pub use relation::Relation;
 pub use schema::{Field, Schema};

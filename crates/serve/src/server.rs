@@ -496,20 +496,14 @@ impl Server {
                             (
                                 "columns",
                                 Json::Arr(
-                                    q.result
-                                        .schema()
-                                        .names()
-                                        .iter()
-                                        .map(|n| Json::str(*n))
-                                        .collect(),
+                                    q.columns.names().iter().map(|n| Json::str(*n)).collect(),
                                 ),
                             ),
-                            ("rows", jnum(q.result.len())),
+                            ("rows", jnum(q.rows)),
                         ])
                     })
                     .collect();
-                // Feedback reads only the shown trees: each executed
-                // answer is dropped here, in the request that made it.
+                // Feedback reads only the shown trees.
                 s.last_queries.clear();
                 s.last_queries.extend(queries.into_iter().map(|q| q.tree));
                 Ok(obj(vec![("queries", Json::Arr(listed))]))
