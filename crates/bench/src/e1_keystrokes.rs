@@ -96,15 +96,16 @@ pub fn run(venues: usize) -> Vec<E1Row> {
         let suggs = s.engine.column_suggestions();
         let sugg = suggs
             .iter()
-            .find(|c| c.new_fields.iter().any(|f| f.name == field))
-            .cloned();
+            .enumerate()
+            .find(|(_, c)| c.new_fields.iter().any(|f| f.name == field))
+            .map(|(pick, c)| (pick, c.clone()));
         let lookup_lens: Vec<usize> = s
             .shelter_rows
             .iter()
             .map(|r| r[1].len() + r[2].len() + 2)
             .collect();
         match sugg {
-            Some(c) => {
+            Some((pick, c)) => {
                 scp.click(); // accept the completion
                 // Missing values get a manual lookup each.
                 for (i, v) in c.values.iter().enumerate() {
@@ -112,7 +113,7 @@ pub fn run(venues: usize) -> Vec<E1Row> {
                         scp.manual_service_lookup(lookup_lens[i]);
                     }
                 }
-                s.engine.accept_column(&c);
+                s.engine.accept_column(pick);
             }
             None => {
                 for &len in &lookup_lens {
@@ -156,10 +157,11 @@ pub fn run(venues: usize) -> Vec<E1Row> {
         let suggs = s.engine.column_suggestions();
         let link = suggs
             .iter()
-            .find(|c| c.new_fields.iter().any(|f| f.name == "Phone"))
-            .cloned();
+            .enumerate()
+            .find(|(_, c)| c.new_fields.iter().any(|f| f.name == "Phone"))
+            .map(|(pick, c)| (pick, c.clone()));
         match link {
-            Some(c) => {
+            Some((pick, c)) => {
                 scp.click();
                 // Unlinked rows: copy the two contact cells by hand.
                 for v in &c.values {
@@ -168,7 +170,7 @@ pub fn run(venues: usize) -> Vec<E1Row> {
                         scp.copy_paste_cell();
                     }
                 }
-                s.engine.accept_column(&c);
+                s.engine.accept_column(pick);
             }
             None => {
                 for _ in 0..venues {

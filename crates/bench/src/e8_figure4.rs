@@ -25,11 +25,11 @@ pub fn run() -> E8Result {
     s.import_shelters(1);
     let graph = s.engine.graph().to_string();
     let suggs = s.engine.column_suggestions();
-    let zip = suggs
+    let pick = suggs
         .iter()
-        .find(|c| c.new_fields.iter().any(|f| f.name == "Zip"))
-        .expect("the zip completion exists")
-        .clone();
+        .position(|c| c.new_fields.iter().any(|f| f.name == "Zip"))
+        .expect("the zip completion exists");
+    let zip = suggs[pick].clone();
     let plan = zip.plan.to_string();
     let correct = zip
         .values
@@ -38,7 +38,7 @@ pub fn run() -> E8Result {
         .filter(|(i, v)| v.first().map(String::as_str) == Some(s.world.venue_zip(&s.world.venues[*i])))
         .count();
     let zip_accuracy = correct as f64 / s.world.venues.len() as f64;
-    s.engine.accept_column(&zip);
+    s.engine.accept_column(pick);
     let tab = s.engine.workspace().active();
     let explanation = copycat_core::explain::explain_row(tab, 0)
         .map(|e| copycat_core::explain::render(&e))

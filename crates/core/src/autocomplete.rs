@@ -5,18 +5,29 @@
 //! 1. **Column completions** — "it discovers promising associations
 //!    (edges in the source graph scoring above a relevance threshold)
 //!    from the current query's nodes to other sources … For each such
-//!    association, CopyCat defines a query." See [`column_suggestions`].
+//!    association, CopyCat defines a query." See [`column_suggestions`],
+//!    the one entry point: it also proposes replacement sources for
+//!    tripped services (§3.2) and returns the final ranked list.
 //! 2. **Query discovery from pasted tuples** — "the learner finds the
 //!    most likely explanations for the tuples (queries) by discovering
 //!    Steiner trees connecting the data sources in the source graph."
 //!    See [`discover_queries`].
+//!
+//! Both modes grow a plan one edge at a time through one function,
+//! `step`. Only a record link differs: column completion links its rows
+//! approximately, while discovery approximates the link as an
+//! equi-join. Every column completion, direct or failover, is executed
+//! and aligned to the tab's rows by one builder, `Base::complete`.
 
-use copycat_graph::{EdgeId, EdgeKind, NodeId, NodeKind, SourceGraph, SteinerTree};
+use copycat_graph::{
+    EdgeId, EdgeKind, NodeId, NodeKind, SourceGraph, SteinerTree, SUGGESTION_COST_THRESHOLD,
+};
 use copycat_linkage::{approximate_join, MatchLearner, Matcher, TfIdfIndex};
 use copycat_provenance::Provenance;
 use copycat_query::{
     execute_counted, execute_reported, Catalog, Field, Plan, Relation, Schema, Value,
 };
+use copycat_services::HealthRegistry;
 
 /// A proposed column auto-completion (Figure 2's highlighted Zip column).
 #[derive(Debug, Clone)]
@@ -63,156 +74,162 @@ pub struct ScoredQuery {
     pub degraded: Option<String>,
 }
 
-/// Generate ranked column completions for the current query.
+/// Ranked column completions for the current query (§2.2, §4.2).
 ///
-/// `current_plan` is the active tab's query; `current_nodes` the graph
-/// nodes it spans; `current_rows` the tab's committed rows (for value
-/// alignment). `max_cost` is the §4.1 relevance threshold.
+/// `current_plan` is the active tab's query, `current_nodes` the graph
+/// nodes it spans and `current_rows` the tab's committed rows, which
+/// each completion's values are aligned to. Every association from
+/// those nodes under the §4.1 relevance threshold
+/// ([`SUGGESTION_COST_THRESHOLD`]) extends the query by one step. Record
+/// links are linked approximately, with `matcher` or an untrained one.
+///
+/// When `health` reports services whose breakers are open, the list
+/// also carries failover proposals (§3.2's "propose replacement
+/// sources"), less any whose edge a direct completion already uses.
+/// Breakers are read after the direct completions ran, so a service
+/// that trips during them is failed over in the same call. The list is
+/// ranked healthy before degraded, then by cost, then by label, so a
+/// healthy replacement outranks a degraded primary.
+///
+/// Every plan runs once, in a fixed order: the current query, one plan
+/// per association, then, if any service is tripped, the current query
+/// again and one plan per failover tree. Service calls advance breakers,
+/// retries and virtual time, so this order is observable.
 pub fn column_suggestions(
     graph: &SourceGraph,
     catalog: &Catalog,
     current_plan: &Plan,
     current_nodes: &[NodeId],
     current_rows: &[Vec<String>],
-    max_cost: f64,
+    matcher: Option<&Matcher>,
+    health: &HealthRegistry,
+) -> Vec<ColumnSuggestion> {
+    let mut out = direct_suggestions(
+        graph,
+        catalog,
+        current_plan,
+        current_nodes,
+        current_rows,
+        matcher,
+    );
+    let tripped = health.tripped_services();
+    let mut failover =
+        failover_suggestions(graph, catalog, current_plan, current_nodes, current_rows, &tripped);
+    // Ranked first, so the best proposal per edge is the one kept.
+    rank(&mut failover);
+    for f in failover {
+        if !out.iter().any(|s| s.edge == f.edge) {
+            out.push(f);
+        }
+    }
+    rank(&mut out);
+    out
+}
+
+/// One completion per association from the current query's nodes.
+fn direct_suggestions(
+    graph: &SourceGraph,
+    catalog: &Catalog,
+    current_plan: &Plan,
+    current_nodes: &[NodeId],
+    current_rows: &[Vec<String>],
     matcher: Option<&Matcher>,
 ) -> Vec<ColumnSuggestion> {
     let Ok(current) = copycat_query::execute(current_plan, catalog) else {
         return Vec::new();
     };
-    let current_schema = current.schema().clone();
+    let schema = current.schema();
+    let base = Base { catalog, rows: current_rows, arity: schema.arity() };
     let mut out = Vec::new();
-    for edge_id in graph.associations_from(current_nodes, max_cost) {
+    for edge_id in graph.associations_from(current_nodes, SUGGESTION_COST_THRESHOLD) {
         let edge = graph.edge(edge_id);
-        let inside_is_a = current_nodes.contains(&edge.a);
-        let (inside, outside) = if inside_is_a {
+        let (inside, outside) = if current_nodes.contains(&edge.a) {
             (edge.a, edge.b)
         } else {
             (edge.b, edge.a)
         };
-        let outside_node = graph.node(outside);
-        let mut label = format!("Q:{}+{}", graph.node(inside).name, outside_node.name);
-        let plan = match &edge.kind {
-            EdgeKind::Transform { from, to, program } => {
-                // Directional: the program maps a's `from` into b's
-                // `to`, so only expand away from the source side.
-                if !inside_is_a {
-                    continue;
-                }
-                if current_schema.index_of(from).is_none() {
-                    continue;
-                }
-                label = format!(
-                    "T:{}+{} via {program}",
-                    graph.node(inside).name,
-                    outside_node.name
-                );
-                let derived = format!("{from}→{to}");
-                current_plan
-                    .clone()
-                    .derive(from.clone(), derived.clone(), program.clone())
-                    .join(
-                        Plan::scan(outside_node.name.clone()),
-                        &[(derived.as_str(), to.as_str())],
-                    )
+        let outside_name = &graph.node(outside).name;
+        let plan = if let EdgeKind::Link { pairs } = &edge.kind {
+            let Some((a, b)) = pairs.first() else {
+                continue;
+            };
+            let (left_key, right_key) = if inside == edge.a { (a, b) } else { (b, a) };
+            if schema.index_of(left_key).is_none() {
+                continue;
             }
-            EdgeKind::Bind { bindings } => {
-                if outside_node.kind != NodeKind::Service {
-                    continue; // binds expand toward the service only
-                }
-                if bindings
-                    .iter()
-                    .any(|b| current_schema.index_of(b).is_none())
-                {
-                    continue; // the bound columns were projected away
-                }
-                let bindings: Vec<&str> = bindings.iter().map(String::as_str).collect();
-                current_plan
-                    .clone()
-                    .dependent_join(outside_node.name.clone(), &bindings)
-            }
-            EdgeKind::Join { pairs } => {
-                let oriented: Vec<(&str, &str)> = pairs
-                    .iter()
-                    .map(|(a, b)| {
-                        if inside_is_a {
-                            (a.as_str(), b.as_str())
-                        } else {
-                            (b.as_str(), a.as_str())
-                        }
-                    })
-                    .collect();
-                if oriented
-                    .iter()
-                    .any(|(l, _)| current_schema.index_of(l).is_none())
-                {
-                    continue;
-                }
-                current_plan
-                    .clone()
-                    .join(Plan::scan(outside_node.name.clone()), &oriented)
-            }
-            EdgeKind::Link { pairs } => {
-                let Some((left_key, right_key)) = pairs.first().map(|(a, b)| {
-                    if inside_is_a {
-                        (a.clone(), b.clone())
-                    } else {
-                        (b.clone(), a.clone())
-                    }
-                }) else {
-                    continue;
-                };
-                if current_schema.index_of(&left_key).is_none() {
-                    continue;
-                }
-                let Some(aux) = materialize_link(
-                    catalog,
-                    &current,
-                    &left_key,
-                    &outside_node.name,
-                    &right_key,
-                    matcher,
-                ) else {
-                    continue;
-                };
-                let aux_name = aux.name().to_string();
-                catalog.add_relation(aux);
-                current_plan.clone().join(
-                    Plan::scan(aux_name),
-                    &[(left_key.as_str(), left_key.as_str())],
-                )
-            }
+            let Some(aux) =
+                materialize_link(catalog, &current, left_key, outside_name, right_key, matcher)
+            else {
+                continue;
+            };
+            let aux_name = aux.name().to_string();
+            catalog.add_relation(aux);
+            current_plan
+                .clone()
+                .join(Plan::scan(aux_name), &[(left_key.as_str(), left_key.as_str())])
+        } else {
+            let Ok(plan) = step(graph, current_plan.clone(), edge_id, inside, Some(schema)) else {
+                continue;
+            };
+            plan
         };
-        let Ok((result, report)) = execute_reported(&plan, catalog, &label) else {
-            continue;
+        let inside_name = &graph.node(inside).name;
+        let label = match &edge.kind {
+            EdgeKind::Transform { program, .. } => {
+                format!("T:{inside_name}+{outside_name} via {program}")
+            }
+            _ => format!("Q:{inside_name}+{outside_name}"),
         };
-        let degraded = degraded_note(&report);
-        let new_fields: Vec<Field> = result.schema().fields()[current_schema.arity()..].to_vec();
+        out.extend(base.complete(plan, label, edge_id, edge.weight, None));
+    }
+    out
+}
+
+/// What the completions of one current query share: the catalog their
+/// plans run against, the tab's committed rows, and the number of
+/// leading columns the current query contributes to each result.
+struct Base<'a> {
+    catalog: &'a Catalog,
+    rows: &'a [Vec<String>],
+    arity: usize,
+}
+
+impl Base<'_> {
+    /// Execute `plan`, an extension of the current query, and align its
+    /// new columns with the tab's rows: each row takes the first result
+    /// tuple that agrees with it on the leading columns (the left side
+    /// of joins and dependent joins keeps its column order). The
+    /// completion is degraded by `note`, or else by the first service
+    /// failure. `None` when the plan fails, adds no column or answers no
+    /// row — a completion with no values is not worth showing.
+    fn complete(
+        &self,
+        plan: Plan,
+        label: String,
+        edge: EdgeId,
+        cost: f64,
+        note: Option<String>,
+    ) -> Option<ColumnSuggestion> {
+        let (result, report) = execute_reported(&plan, self.catalog, &label).ok()?;
+        let new_fields: Vec<Field> = result.schema().fields()[self.arity..].to_vec();
         if new_fields.is_empty() {
-            continue;
+            return None;
         }
-        // Align the new columns' values with the current rows by matching
-        // the shared prefix (the left side of joins/dependent joins keeps
-        // its column order).
-        let mut values = Vec::with_capacity(current_rows.len());
-        let mut provenance = Vec::with_capacity(current_rows.len());
+        let degraded = note.or_else(|| degraded_note(&report));
+        let mut values = Vec::with_capacity(self.rows.len());
+        let mut provenance = Vec::with_capacity(self.rows.len());
         let mut any = false;
-        for row in current_rows {
+        for row in self.rows {
             let hit = result.tuples().iter().find(|t| {
                 row.iter()
-                    .take(current_schema.arity())
+                    .take(self.arity)
                     .enumerate()
                     .all(|(i, v)| t.values.get(i).is_some_and(|c| c.text_eq(v)))
             });
             match hit {
                 Some(t) => {
                     any = true;
-                    values.push(
-                        t.values[current_schema.arity()..]
-                            .iter()
-                            .map(Value::as_text)
-                            .collect(),
-                    );
+                    values.push(t.values[self.arity..].iter().map(Value::as_text).collect());
                     provenance.push(Some(annotate_degraded(t.provenance.clone(), &degraded)));
                 }
                 None => {
@@ -221,29 +238,22 @@ pub fn column_suggestions(
                 }
             }
         }
-        if !any {
-            continue; // a completion with no values is not worth showing
-        }
-        out.push(ColumnSuggestion {
+        any.then_some(ColumnSuggestion {
             new_fields,
             values,
             provenance,
-            edge: edge_id,
+            edge,
             plan,
             label,
-            cost: edge.weight,
+            cost,
             degraded,
-        });
+        })
     }
-    sort_suggestions(&mut out);
-    out
 }
 
 /// Ranking for column completions: healthy before degraded, then by
-/// cost, then label for determinism. A healthy equivalent replacement
-/// therefore outranks a degraded primary — §3.2's failover, expressed
-/// as ranking.
-pub fn sort_suggestions(out: &mut [ColumnSuggestion]) {
+/// cost, then label for determinism.
+fn rank(out: &mut [ColumnSuggestion]) {
     out.sort_by(|a, b| {
         a.degraded
             .is_some()
@@ -366,7 +376,7 @@ pub fn tree_to_plan(graph: &SourceGraph, tree: &SteinerTree) -> Option<Plan> {
 /// expanded outward exactly as [`tree_to_plan`] would. This is the
 /// failover path: the base plan is the user's current tab and the tree
 /// is a banned-edge re-plan that reaches a replacement source.
-pub fn extend_plan_along(
+fn extend_plan_along(
     graph: &SourceGraph,
     base_plan: &Plan,
     base_nodes: &[NodeId],
@@ -385,8 +395,9 @@ pub fn extend_plan_along(
 }
 
 /// The shared expansion loop: grow `plan` outward edge by edge until
-/// every edge is consumed, deferring bind edges whose feeding relation
-/// has not joined yet. `None` when no expansion order works.
+/// every edge is consumed, deferring an edge that [`step`] refuses
+/// until another edge brings its other end in. `None` when no expansion
+/// order works.
 fn expand_plan(
     graph: &SourceGraph,
     mut plan: Plan,
@@ -411,65 +422,17 @@ fn expand_plan(
                 continue;
             }
             let (inside, outside) = if a_in { (edge.a, edge.b) } else { (edge.b, edge.a) };
-            let outside_node = graph.node(outside);
-            let expanded = match &edge.kind {
-                EdgeKind::Join { pairs } | EdgeKind::Link { pairs } => {
-                    // Record links are approximated as equi-joins during
-                    // discovery; the column-completion path performs true
-                    // approximate linking.
-                    let oriented: Vec<(&str, &str)> = pairs
-                        .iter()
-                        .map(|(pa, pb)| {
-                            if inside == edge.a {
-                                (pa.as_str(), pb.as_str())
-                            } else {
-                                (pb.as_str(), pa.as_str())
-                            }
-                        })
-                        .collect();
-                    plan = plan.join(Plan::scan(outside_node.name.clone()), &oriented);
-                    true
+            match step(graph, plan, e, inside, None) {
+                Ok(next) => {
+                    plan = next;
+                    in_plan.push(outside);
+                    remaining.swap_remove(i);
+                    progressed = true;
                 }
-                EdgeKind::Bind { bindings } => {
-                    if outside_node.kind == NodeKind::Service {
-                        // Inside side provides the bindings.
-                        let b: Vec<&str> = bindings.iter().map(String::as_str).collect();
-                        plan = plan.dependent_join(outside_node.name.clone(), &b);
-                        true
-                    } else {
-                        // The service is in the plan but its feeding
-                        // relation is not: defer (another edge may bring
-                        // the relation in); if nothing else progresses we
-                        // give up below.
-                        false
-                    }
+                Err(same) => {
+                    plan = same;
+                    i += 1;
                 }
-                EdgeKind::Transform { from, to, program } => {
-                    if inside == edge.a {
-                        // Derive the transformed join key, then equi-join
-                        // it against the target column.
-                        let derived = format!("{from}→{to}");
-                        plan = plan
-                            .derive(from.clone(), derived.clone(), program.clone())
-                            .join(
-                                Plan::scan(outside_node.name.clone()),
-                                &[(derived.as_str(), to.as_str())],
-                            );
-                        true
-                    } else {
-                        // Programs are one-way: a tree reaching the
-                        // source side through its target must wait for
-                        // another edge to bring the source in.
-                        false
-                    }
-                }
-            };
-            if expanded {
-                in_plan.push(outside);
-                remaining.swap_remove(i);
-                progressed = true;
-            } else {
-                i += 1;
             }
         }
         if !progressed {
@@ -477,6 +440,67 @@ fn expand_plan(
         }
     }
     Some(plan)
+}
+
+/// Extend `plan` one step along `edge`, from its `inside` end (already
+/// in the plan) to the other end:
+/// - a join edge equi-joins the other relation, and so does a record
+///   link, which discovery approximates as an equi-join (column
+///   completion links approximately instead);
+/// - a bind edge dependent-joins its service;
+/// - a transform edge derives the target key from the source column
+///   and equi-joins the target relation on it.
+///
+/// `Err` hands the plan back unchanged when the step is refused. Two
+/// edges are one-way: a bind edge toward a relation (the service must
+/// wait for its feeding relation) and a transform reached from its
+/// target (programs do not invert). Given the plan's `schema`, a step
+/// is also refused when a column it reads is missing from it.
+fn step(
+    graph: &SourceGraph,
+    plan: Plan,
+    edge: EdgeId,
+    inside: NodeId,
+    schema: Option<&Schema>,
+) -> Result<Plan, Plan> {
+    let edge = graph.edge(edge);
+    let forward = inside == edge.a;
+    let outside = graph.node(if forward { edge.b } else { edge.a });
+    let has = |column: &str| schema.is_none_or(|s| s.index_of(column).is_some());
+    match &edge.kind {
+        EdgeKind::Join { pairs } | EdgeKind::Link { pairs } => {
+            let on: Vec<(&str, &str)> = pairs
+                .iter()
+                .map(|(a, b)| {
+                    if forward {
+                        (a.as_str(), b.as_str())
+                    } else {
+                        (b.as_str(), a.as_str())
+                    }
+                })
+                .collect();
+            if !on.iter().all(|(l, _)| has(l)) {
+                return Err(plan);
+            }
+            Ok(plan.join(Plan::scan(outside.name.clone()), &on))
+        }
+        EdgeKind::Bind { bindings } => {
+            if outside.kind != NodeKind::Service || !bindings.iter().all(|b| has(b)) {
+                return Err(plan);
+            }
+            let bindings: Vec<&str> = bindings.iter().map(String::as_str).collect();
+            Ok(plan.dependent_join(outside.name.clone(), &bindings))
+        }
+        EdgeKind::Transform { from, to, program } => {
+            if !forward || !has(from) {
+                return Err(plan);
+            }
+            let derived = format!("{from}→{to}");
+            Ok(plan
+                .derive(from.clone(), derived.clone(), program.clone())
+                .join(Plan::scan(outside.name.clone()), &[(derived.as_str(), to.as_str())]))
+        }
+    }
 }
 
 /// The Steiner search behind query discovery: exact top-k on small
@@ -544,19 +568,9 @@ pub fn discover_queries(
 /// repeated pastes against an unchanged graph reuse the cached trees;
 /// a graph change (feedback, new edges) invalidates via the version
 /// stamp. Query execution always runs fresh — the catalog's contents
-/// are not part of the cache key.
-pub fn discover_queries_cached(
-    graph: &SourceGraph,
-    catalog: &Catalog,
-    terminals: &[NodeId],
-    k: usize,
-    cache: &crate::cache::QueryCache,
-) -> Vec<ScoredQuery> {
-    discover_queries_cached_banned(graph, catalog, terminals, k, &[], cache)
-}
-
-/// [`discover_queries_cached`] with banned edges (tripped services'
-/// edges during failover). The ban set is part of the cache key.
+/// are not part of the cache key. `banned` edges (tripped services'
+/// edges during failover) may appear in no tree; the ban set is part
+/// of the cache key.
 pub fn discover_queries_cached_banned(
     graph: &SourceGraph,
     catalog: &Catalog,
@@ -588,15 +602,15 @@ fn service_output_types(graph: &SourceGraph, n: NodeId) -> Option<Vec<String>> {
     Some(types)
 }
 
-/// Propose replacement-source completions when services have tripped
-/// their circuit breakers (§3.2: "propose replacement sources if a
-/// source is down"). For each tripped service with an *equivalent*
-/// replacement — a healthy service producing the same output semantic
-/// types — the top-k Steiner search is re-run with every tripped
-/// service's edges banned, and the resulting trees are grafted onto
-/// the current plan. Each proposal is annotated (provenance-visible)
-/// with why the replacement was used.
-pub fn failover_suggestions(
+/// Replacement-source completions for services whose circuit breakers
+/// have tripped (§3.2: "propose replacement sources if a source is
+/// down"). For each tripped service with an *equivalent* replacement —
+/// a healthy service producing the same output semantic types — the
+/// top-k Steiner search is re-run with every tripped service's edges
+/// banned, and the resulting trees are grafted onto the current plan.
+/// Each proposal is degraded (provenance-visible) by why the
+/// replacement was used.
+fn failover_suggestions(
     graph: &SourceGraph,
     catalog: &Catalog,
     current_plan: &Plan,
@@ -611,7 +625,7 @@ pub fn failover_suggestions(
     let Ok(current) = copycat_query::execute(current_plan, catalog) else {
         return out;
     };
-    let current_schema = current.schema().clone();
+    let base = Base { catalog, rows: current_rows, arity: current.schema().arity() };
     let tripped_nodes: Vec<NodeId> = tripped
         .iter()
         .filter_map(|name| graph.node_by_name(name))
@@ -648,72 +662,22 @@ pub fn failover_suggestions(
                 else {
                     continue;
                 };
-                let t_name = &graph.node(t).name;
-                let r_name = &graph.node(r).name;
-                let note = format!("failover:{t_name}->{r_name}");
-                let label = format!("Q:{}+{} ({note})", graph.node(current_nodes[0]).name, r_name);
-                let Ok((result, _report)) = execute_reported(&plan, catalog, &label) else {
-                    continue;
-                };
-                let new_fields: Vec<Field> =
-                    result.schema().fields()[current_schema.arity()..].to_vec();
-                if new_fields.is_empty() {
-                    continue;
-                }
-                let degraded = Some(note);
-                let mut values = Vec::with_capacity(current_rows.len());
-                let mut provenance = Vec::with_capacity(current_rows.len());
-                let mut any = false;
-                for row in current_rows {
-                    let hit = result.tuples().iter().find(|tu| {
-                        row.iter()
-                            .take(current_schema.arity())
-                            .enumerate()
-                            .all(|(i, v)| tu.values.get(i).is_some_and(|c| c.text_eq(v)))
-                    });
-                    match hit {
-                        Some(tu) => {
-                            any = true;
-                            values.push(
-                                tu.values[current_schema.arity()..]
-                                    .iter()
-                                    .map(Value::as_text)
-                                    .collect(),
-                            );
-                            provenance
-                                .push(Some(annotate_degraded(tu.provenance.clone(), &degraded)));
-                        }
-                        None => {
-                            values.push(vec![String::new(); new_fields.len()]);
-                            provenance.push(None);
-                        }
-                    }
-                }
-                if !any {
-                    continue;
-                }
-                // The suggestion's graph edge: the tree edge touching the
-                // replacement service.
+                // The proposal's graph edge: the tree edge touching the
+                // replacement service (a tree spanning `r` has one).
                 let Some(edge) = tree.edges.iter().copied().find(|&e| {
                     let edge = graph.edge(e);
                     edge.a == r || edge.b == r
                 }) else {
                     continue;
                 };
-                out.push(ColumnSuggestion {
-                    new_fields,
-                    values,
-                    provenance,
-                    edge,
-                    plan,
-                    label,
-                    cost: tree.cost,
-                    degraded,
-                });
+                let t_name = &graph.node(t).name;
+                let r_name = &graph.node(r).name;
+                let note = format!("failover:{t_name}->{r_name}");
+                let label = format!("Q:{}+{} ({note})", graph.node(current_nodes[0]).name, r_name);
+                out.extend(base.complete(plan, label, edge, tree.cost, Some(note)));
             }
         }
     }
-    sort_suggestions(&mut out);
     out
 }
 
@@ -800,8 +764,8 @@ mod tests {
             &Plan::scan("Shelters"),
             &[shelters],
             &rows,
-            2.0,
             None,
+            &HealthRegistry::new(),
         );
         assert!(!suggs.is_empty());
         let top = &suggs[0];
@@ -822,8 +786,8 @@ mod tests {
             &Plan::scan("Shelters"),
             &[shelters],
             &rows,
-            2.0,
             None,
+            &HealthRegistry::new(),
         );
         let link = suggs
             .iter()
@@ -875,11 +839,11 @@ mod tests {
         );
         let terminals = [shelters, contacts];
         let cache = QueryCache::default();
-        let warm = discover_queries_cached(&graph, &catalog, &terminals, 3, &cache);
+        let warm = discover_queries_cached_banned(&graph, &catalog, &terminals, 3, &[], &cache);
         assert!(warm.len() >= 2, "need alternatives to re-rank");
         // Second call: trees come from the cache and the answers match a
         // cold search exactly.
-        let cached = discover_queries_cached(&graph, &catalog, &terminals, 3, &cache);
+        let cached = discover_queries_cached_banned(&graph, &catalog, &terminals, 3, &[], &cache);
         let cold = discover_queries(&graph, &catalog, &terminals, 3);
         assert_eq!(cache.stats().hits, 1);
         assert_eq!(cached.len(), cold.len());
@@ -895,7 +859,7 @@ mod tests {
             &warm[0].tree.edges,
         );
         assert!(tau > 0.0, "feedback must change the graph");
-        let after = discover_queries_cached(&graph, &catalog, &terminals, 3, &cache);
+        let after = discover_queries_cached_banned(&graph, &catalog, &terminals, 3, &[], &cache);
         let after_cold = discover_queries(&graph, &catalog, &terminals, 3);
         assert_eq!(cache.stats().invalidations, 1);
         assert_eq!(after.len(), after_cold.len());
@@ -926,8 +890,8 @@ mod tests {
             &Plan::scan("Contacts"),
             &[contacts],
             &rows,
-            2.0,
             None,
+            &HealthRegistry::new(),
         );
         assert!(suggs
             .iter()

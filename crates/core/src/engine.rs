@@ -697,71 +697,39 @@ impl CopyCat {
     /// replacement sources with the tripped service's edges banned.
     pub fn column_suggestions(&mut self) -> &[ColumnSuggestion] {
         self.refresh_service_costs();
-        let Some(plan) = self.current_plan.clone() else {
-            return &[];
-        };
-        let rows = self.workspace.active().committed_rows();
-        let mut suggs = autocomplete::column_suggestions(
-            &self.graph,
-            &self.catalog,
-            &plan,
-            &self.current_nodes,
-            &rows,
-            SUGGESTION_COST_THRESHOLD,
-            self.link_matcher.as_ref(),
-        );
-        let tripped = self.health.tripped_services();
-        if !tripped.is_empty() {
-            let failover = autocomplete::failover_suggestions(
+        self.last_shown = match &self.current_plan {
+            Some(plan) => autocomplete::column_suggestions(
                 &self.graph,
                 &self.catalog,
-                &plan,
+                plan,
                 &self.current_nodes,
-                &rows,
-                &tripped,
-            );
-            for f in failover {
-                // A replacement already surfaced as a healthy direct
-                // suggestion makes the failover proposal redundant.
-                if !suggs.iter().any(|s| s.edge == f.edge) {
-                    suggs.push(f);
-                }
-            }
-            autocomplete::sort_suggestions(&mut suggs);
-        }
-        self.last_shown = suggs;
+                &self.workspace.active().committed_rows(),
+                self.link_matcher.as_ref(),
+                &self.health,
+            ),
+            None => Vec::new(),
+        };
         &self.last_shown
     }
 
-    /// Accept a column suggestion: extend the tab, adopt the extended
-    /// query, and promote the chosen edge over the alternatives that were
-    /// shown (MIRA constraint per §4.2).
-    pub fn accept_column(&mut self, sugg: &ColumnSuggestion) {
-        let shown = std::mem::take(&mut self.last_shown);
-        self.accept_among(sugg, &shown);
-    }
-
-    /// [`Self::accept_column`] for the `i`th suggestion of the last
-    /// [`Self::column_suggestions`] list. False when there is none.
-    pub fn accept_shown_column(&mut self, i: usize) -> bool {
+    /// Accept the `i`th suggestion of the last
+    /// [`Self::column_suggestions`] list: extend the tab, adopt the
+    /// extended query, and promote the chosen edge over the alternatives
+    /// that were shown (MIRA constraint per §4.2). The list is then
+    /// spent. False when there is no `i`th suggestion.
+    pub fn accept_column(&mut self, i: usize) -> bool {
         if i >= self.last_shown.len() {
             return false;
         }
         let shown = std::mem::take(&mut self.last_shown);
-        self.accept_among(&shown[i], &shown);
-        true
-    }
-
-    /// Accept `sugg` over the `shown` list it came from (which the
-    /// caller has already taken out of `last_shown`).
-    fn accept_among(&mut self, sugg: &ColumnSuggestion, shown: &[ColumnSuggestion]) {
+        let sugg = &shown[i];
         self.checkpoint();
         let tab = self.workspace.active_mut();
-        for (i, field) in sugg.new_fields.iter().enumerate() {
+        for (c, field) in sugg.new_fields.iter().enumerate() {
             let col: Vec<String> = sugg
                 .values
                 .iter()
-                .map(|row| row.get(i).cloned().unwrap_or_default())
+                .map(|row| row.get(c).cloned().unwrap_or_default())
                 .collect();
             tab.add_column(field.clone(), &col);
         }
@@ -790,33 +758,23 @@ impl CopyCat {
             .collect();
         self.mira
             .rank_above(&mut self.graph, &[sugg.edge], &alternatives);
+        true
     }
 
-    /// Reject a column suggestion: its edge is demoted below the
-    /// relevance threshold ("these should be given a rank below the
-    /// relevance threshold", §4.2).
-    pub fn reject_column(&mut self, sugg: &ColumnSuggestion) {
-        self.demote_edge(sugg.edge);
-    }
-
-    /// [`Self::reject_column`] for the `i`th suggestion of the last
-    /// [`Self::column_suggestions`] list, which stays shown. False when
-    /// there is none.
-    pub fn reject_shown_column(&mut self, i: usize) -> bool {
-        match self.last_shown.get(i) {
-            Some(sugg) => {
-                self.demote_edge(sugg.edge);
-                true
-            }
-            None => false,
-        }
-    }
-
-    fn demote_edge(&mut self, edge: EdgeId) {
+    /// Reject the `i`th suggestion of the last
+    /// [`Self::column_suggestions`] list, which stays shown: its edge is
+    /// demoted below the relevance threshold ("these should be given a
+    /// rank below the relevance threshold", §4.2). False when there is
+    /// no `i`th suggestion.
+    pub fn reject_column(&mut self, i: usize) -> bool {
+        let Some(edge) = self.last_shown.get(i).map(|s| s.edge) else {
+            return false;
+        };
         self.checkpoint();
         let demoted = (SUGGESTION_COST_THRESHOLD + self.mira.margin)
             .max(self.graph.cost(edge) + self.mira.margin);
         self.graph.set_cost(edge, demoted);
+        true
     }
 
     /// Discover ranked queries covering the sources that mention the
@@ -1408,18 +1366,18 @@ mod tests {
         cc.set_column_type(2, "PR-City"); // dropdown correction (see above)
         cc.commit_source("Shelters");
         cc.register_service(Arc::new(ZipResolver::new(Arc::clone(&w))));
-        let suggs = cc.column_suggestions().to_vec();
+        let suggs = cc.column_suggestions();
         assert!(!suggs.is_empty(), "zip suggestion expected");
-        let zip = suggs
+        let pick = suggs
             .iter()
-            .find(|s| s.new_fields.iter().any(|f| f.name == "Zip"))
+            .position(|s| s.new_fields.iter().any(|f| f.name == "Zip"))
             .expect("zip column suggested");
         // Values are the true zips.
-        for (i, v) in zip.values.iter().enumerate() {
+        for (i, v) in suggs[pick].values.iter().enumerate() {
             assert_eq!(v[0], w.venue_zip(&w.venues[i]), "row {i}");
         }
         let before_cols = cc.columns().len();
-        cc.accept_column(zip);
+        assert!(cc.accept_column(pick));
         assert_eq!(cc.columns().len(), before_cols + 1);
         // Rows now carry provenance through the service.
         let tab = cc.workspace().active();
@@ -1478,7 +1436,7 @@ mod tests {
         cc.register_service(Arc::new(ZipResolver::new(Arc::clone(&w))));
         let suggs = cc.column_suggestions();
         let zip = suggs[0].clone();
-        cc.reject_column(&zip);
+        assert!(cc.reject_column(0));
         let again = cc.column_suggestions();
         assert!(
             again.iter().all(|s| s.edge != zip.edge),
@@ -1667,7 +1625,7 @@ mod tests {
         let suggs = cc.column_suggestions();
         let zip = suggs[0].clone();
         let cost_before = cc.graph().cost(zip.edge);
-        cc.accept_column(&zip);
+        assert!(cc.accept_column(0));
         assert_eq!(cc.columns().len(), cols_before + 1);
         assert!(cc.undo());
         assert_eq!(cc.columns().len(), cols_before, "column removed by undo");
@@ -1681,9 +1639,8 @@ mod tests {
     fn reject_tuple_routes_feedback_to_source_wrapper() {
         let (w, mut cc) = imported_engine();
         cc.register_service(Arc::new(ZipResolver::new(Arc::clone(&w))));
-        let suggs = cc.column_suggestions();
-        let zip = suggs[0].clone();
-        cc.accept_column(&zip);
+        cc.column_suggestions();
+        assert!(cc.accept_column(0));
         let before = cc.catalog().relation("Shelters").unwrap().len();
         let rejection = cc.reject_tuple(0);
         assert!(

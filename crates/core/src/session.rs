@@ -228,13 +228,13 @@ mod tests {
         s.import_shelters(1);
         // Learn something: reject the geocoder completion so its edge
         // cost is demoted — the restored session must remember that.
-        let suggs = s.engine.column_suggestions();
-        let geo = suggs
+        let geo = s
+            .engine
+            .column_suggestions()
             .iter()
-            .find(|c| c.new_fields.iter().any(|f| f.name == "Lat"))
-            .expect("geocoder suggestion")
-            .clone();
-        s.engine.reject_column(&geo);
+            .position(|c| c.new_fields.iter().any(|f| f.name == "Lat"))
+            .expect("geocoder suggestion");
+        assert!(s.engine.reject_column(geo));
         s.engine
             .registry_mut()
             .learn_type("ShelterCode", &["SHL-0001", "SHL-0002", "SHL-9913"]);
@@ -366,15 +366,15 @@ mod tests {
             // A feedback history: accept/reject some of the shown column
             // suggestions so edge costs move off their defaults.
             for _ in 0..g.usize_in(0..3) {
-                let suggs = s.engine.column_suggestions().to_vec();
-                if suggs.is_empty() {
+                let shown = s.engine.column_suggestions().len();
+                if shown == 0 {
                     break;
                 }
-                let pick = g.usize_in(0..suggs.len());
+                let pick = g.usize_in(0..shown);
                 if g.bool_p(0.5) {
-                    s.engine.reject_column(&suggs[pick]);
+                    s.engine.reject_column(pick);
                 } else {
-                    s.engine.accept_column(&suggs[pick]);
+                    s.engine.accept_column(pick);
                 }
             }
             // User-defined types with generated vocabularies.

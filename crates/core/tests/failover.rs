@@ -45,12 +45,12 @@ fn imported_engine(w: &Arc<World>) -> CopyCat {
 /// accept it, and return (suggested values, final workspace cells).
 fn accept_zip(cc: &mut CopyCat) -> (Vec<Vec<String>>, Vec<Vec<String>>) {
     let suggs = cc.column_suggestions();
-    let zip = suggs
+    let pick = suggs
         .iter()
-        .find(|s| s.new_fields.iter().any(|f| f.name == "Zip"))
-        .expect("a zip completion is offered")
-        .clone();
-    cc.accept_column(&zip);
+        .position(|s| s.new_fields.iter().any(|f| f.name == "Zip"))
+        .expect("a zip completion is offered");
+    let zip = suggs[pick].clone();
+    assert!(cc.accept_column(pick));
     let cells: Vec<Vec<String>> = cc
         .workspace()
         .active()
@@ -127,14 +127,13 @@ fn breaker_trips_and_failover_matches_healthy_run() {
     )));
 
     let suggs = chaos.column_suggestions().to_vec();
-    let zips: Vec<_> = suggs
-        .iter()
-        .filter(|s| s.new_fields.iter().any(|f| f.name == "Zip"))
+    let zips: Vec<usize> = (0..suggs.len())
+        .filter(|&i| suggs[i].new_fields.iter().any(|f| f.name == "Zip"))
         .collect();
     assert!(!zips.is_empty(), "the healthy backup still completes Zip");
     // Healthy completions sort above degraded ones, so the best zip
     // completion is the backup, not the dead primary.
-    let best = zips[0];
+    let best = &suggs[zips[0]];
     assert!(best.degraded.is_none(), "best completion is healthy: {best:?}");
     assert!(best.label.contains("zip_backup"), "{}", best.label);
     // Every degraded completion announces itself, and its provenance
@@ -161,8 +160,7 @@ fn breaker_trips_and_failover_matches_healthy_run() {
     assert!(snap.failures > 0, "{snap:?}");
 
     // Accepting the backup yields the same workspace as the healthy run.
-    let best = best.clone();
-    chaos.accept_column(&best);
+    assert!(chaos.accept_column(zips[0]));
     let chaos_cells: Vec<Vec<String>> = chaos
         .workspace()
         .active()
@@ -189,14 +187,14 @@ fn accepted_degraded_rows_explain_why() {
         42,
     )));
     let suggs = cc.column_suggestions();
-    let zip = suggs
+    let pick = suggs
         .iter()
-        .find(|s| s.new_fields.iter().any(|f| f.name == "Zip"))
-        .expect("partial answers still suggested")
-        .clone();
+        .position(|s| s.new_fields.iter().any(|f| f.name == "Zip"))
+        .expect("partial answers still suggested");
+    let zip = suggs[pick].clone();
     let note = zip.degraded.clone().expect("completion marked degraded");
     assert!(note.contains("zip_resolver"), "{note}");
-    cc.accept_column(&zip);
+    assert!(cc.accept_column(pick));
     let tab = cc.workspace().active();
     let mut explained = 0;
     for (i, v) in zip.values.iter().enumerate() {

@@ -52,15 +52,15 @@ fn session(i: usize) -> CopyCat {
     }
     // A column accept/reject history.
     for _ in 0..rng.gen_range(0..4) {
-        let suggs = s.engine.column_suggestions().to_vec();
-        if suggs.is_empty() {
+        let shown = s.engine.column_suggestions().len();
+        if shown == 0 {
             break;
         }
-        let pick = rng.gen_range(0..suggs.len());
+        let pick = rng.gen_range(0..shown);
         if rng.gen_bool(0.5) {
-            s.engine.reject_column(&suggs[pick]);
+            s.engine.reject_column(pick);
         } else {
-            s.engine.accept_column(&suggs[pick]);
+            s.engine.accept_column(pick);
         }
     }
     // Query feedback across the two sources.

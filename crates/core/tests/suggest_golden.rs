@@ -21,15 +21,12 @@ use copycat_document::corpus::{render_list, ListSpec, Tier};
 use copycat_document::Document;
 use copycat_query::{Field, Plan, Relation, Renamed, Schema};
 use copycat_services::{
-    Flaky, Geocoder, RetryPolicy, World, WorldConfig, ZipResolver,
+    Flaky, Geocoder, HealthRegistry, RetryPolicy, World, WorldConfig, ZipResolver,
 };
 use std::fmt::Write;
 use std::sync::Arc;
 
 const GOLDEN: &str = include_str!("golden/suggestions.txt");
-
-/// The relevance threshold the engine ranks column completions under.
-const MAX_COST: f64 = 2.0;
 
 fn render_suggestions(out: &mut String, suggs: &[ColumnSuggestion]) {
     for (i, s) in suggs.iter().enumerate() {
@@ -62,23 +59,15 @@ fn round(out: &mut String, name: &str, cc: &mut CopyCat) {
     writeln!(out, "  relations {:?}", cc.catalog().relation_names()).unwrap();
 }
 
-fn accept(cc: &mut CopyCat, i: usize) -> bool {
-    cc.accept_shown_column(i)
-}
-
-fn reject(cc: &mut CopyCat, i: usize) -> bool {
-    cc.reject_shown_column(i)
-}
-
 fn bind_edges(out: &mut String) {
     let mut s = Scenario::build(&ScenarioConfig { venues: 6, ..Default::default() });
     s.import_shelters(1);
     round(out, "bind: shelters", &mut s.engine);
     let last = s.engine.column_suggestions().len() - 1;
-    writeln!(out, "reject {last}: {}", reject(&mut s.engine, last)).unwrap();
+    writeln!(out, "reject {last}: {}", s.engine.reject_column(last)).unwrap();
     round(out, "bind: after reject", &mut s.engine);
-    writeln!(out, "accept 0: {}", accept(&mut s.engine, 0)).unwrap();
-    writeln!(out, "accept again: {}", accept(&mut s.engine, 0)).unwrap();
+    writeln!(out, "accept 0: {}", s.engine.accept_column(0)).unwrap();
+    writeln!(out, "accept again: {}", s.engine.accept_column(0)).unwrap();
     round(out, "bind: after accept", &mut s.engine);
 }
 
@@ -169,8 +158,8 @@ fn join_edges(out: &mut String) {
             &plan,
             &[node],
             &rows,
-            MAX_COST,
             None,
+            &HealthRegistry::new(),
         );
         render_suggestions(out, &suggs);
     }
@@ -219,7 +208,7 @@ fn failover(out: &mut String) {
     cc.register_service(Arc::new(Geocoder::new(Arc::clone(&w))));
     round(out, "failover: trips", &mut cc);
     round(out, "failover: tripped", &mut cc);
-    writeln!(out, "accept 0: {}", accept(&mut cc, 0)).unwrap();
+    writeln!(out, "accept 0: {}", cc.accept_column(0)).unwrap();
     round(out, "failover: after accept", &mut cc);
 }
 

@@ -48,14 +48,13 @@ fn banned_transform_edge_never_reappears_at_same_graph_version() {
             !transform_labels(&mut s.engine).is_empty(),
             "learned transform edge should rank as a suggestion"
         );
-        let banned = s
-            .engine
-            .column_suggestions()
+        let shown = s.engine.column_suggestions();
+        let pick = shown
             .iter()
-            .find(|c| c.label.starts_with("T:"))
-            .cloned()
+            .position(|c| c.label.starts_with("T:"))
             .expect("present per the check above");
-        s.engine.reject_column(&banned);
+        let banned = shown[pick].clone();
+        s.engine.reject_column(pick);
         let version = s.engine.graph().version();
         // Recompute top-k several times: the ban must hold as long as
         // the graph does not change.
@@ -148,7 +147,7 @@ fn undo_forgets_the_transform_column_it_removes() {
     assert_eq!(s.engine.columns().len(), col, "undo removes the column");
     let zip = s.engine.column_suggestions()[0].clone();
     assert!(zip.new_fields.iter().any(|f| f.name == "Zip"), "{}", zip.label);
-    s.engine.accept_column(&zip);
+    assert!(s.engine.accept_column(0));
     let column = |s: &Scenario| -> Vec<String> {
         s.engine.workspace().active().rows.iter().map(|r| r.cells[col].clone()).collect()
     };

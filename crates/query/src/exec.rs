@@ -104,19 +104,10 @@ pub fn execute(plan: &Plan, catalog: &Catalog) -> Result<Relation, ExecError> {
 }
 
 /// Execute and wrap every output tuple's provenance in a query label —
-/// the form the SCP engine uses so feedback can be traced to the query.
-pub fn execute_labeled(
-    plan: &Plan,
-    catalog: &Catalog,
-    label: &str,
-) -> Result<Relation, ExecError> {
-    let (rel, _report) = execute_reported(plan, catalog, label)?;
-    Ok(rel)
-}
-
-/// Execute with a query label and return the [`ExecReport`] alongside
-/// the rows, so callers can tell a complete answer from one degraded
-/// by service failures (and know *which* services to fail over from).
+/// the form the SCP engine uses so feedback can be traced to the query
+/// — and return the [`ExecReport`] alongside the rows, so callers can
+/// tell a complete answer from one degraded by service failures (and
+/// know *which* services to fail over from).
 pub fn execute_reported(
     plan: &Plan,
     catalog: &Catalog,
@@ -814,7 +805,7 @@ mod tests {
     fn labeled_execution_tags_queries() {
         let cat = catalog();
         let plan = Plan::scan("shelters").dependent_join("zip_resolver", &["Street", "City"]);
-        let r = execute_labeled(&plan, &cat, "Q-zip").unwrap();
+        let (r, _) = execute_reported(&plan, &cat, "Q-zip").unwrap();
         assert_eq!(r.tuples()[0].provenance.labels(), vec!["Q-zip"]);
     }
 

@@ -26,8 +26,7 @@ pub mod value;
 
 pub use catalog::Catalog;
 pub use exec::{
-    execute, execute_counted, execute_labeled, execute_reported, ExecError, ExecReport,
-    ServiceFailure,
+    execute, execute_counted, execute_reported, ExecError, ExecReport, ServiceFailure,
 };
 pub use plan::{Plan, Predicate};
 pub use relation::Relation;

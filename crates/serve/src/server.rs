@@ -458,14 +458,14 @@ impl Server {
             }),
             Op::AcceptColumn => self.with_session(req, deadline, |s| {
                 let i = req.usize_param("index").map_err(bad)?;
-                if !s.engine.accept_shown_column(i) {
+                if !s.engine.accept_column(i) {
                     return Err(no_suggestion(i));
                 }
                 Ok(obj(vec![("accepted", jnum(i))]))
             }),
             Op::RejectColumn => self.with_session(req, deadline, |s| {
                 let i = req.usize_param("index").map_err(bad)?;
-                if !s.engine.reject_shown_column(i) {
+                if !s.engine.reject_column(i) {
                     return Err(no_suggestion(i));
                 }
                 Ok(obj(vec![("rejected", jnum(i))]))

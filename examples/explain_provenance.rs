@@ -5,7 +5,7 @@
 
 use copycat::core::explain;
 use copycat::provenance::{DerivationGraph, Provenance};
-use copycat::query::{execute_labeled, Catalog, Plan, Relation, Schema};
+use copycat::query::{execute_reported, Catalog, Plan, Relation, Schema};
 
 fn main() {
     // A small catalog: two shelter lists that overlap, plus a lookup.
@@ -33,7 +33,7 @@ fn main() {
         inputs: vec![Plan::scan("NewsShelters"), Plan::scan("CountyShelters")],
     }
     .distinct();
-    let result = execute_labeled(&plan, &catalog, "Q-union").expect("executes");
+    let (result, _report) = execute_reported(&plan, &catalog, "Q-union").expect("executes");
 
     println!("Result of {plan}:");
     for t in result.tuples() {

@@ -90,25 +90,26 @@ fn main() {
     }
     let contact = suggestions
         .iter()
-        .find(|c| c.new_fields.iter().any(|f| f.name == "Phone"))
+        .position(|c| c.new_fields.iter().any(|f| f.name == "Phone"))
         .expect("record-link completion brings the contact columns");
-    let linked = contact
+    let linked = suggestions[contact]
         .values
         .iter()
         .filter(|v| v.iter().any(|x| !x.is_empty()))
         .count();
-    s.engine.accept_column(contact);
+    assert!(s.engine.accept_column(contact));
     println!(
         "\nAccepted the contact columns: {linked} of {} shelters linked.\n",
         s.shelter_rows.len()
     );
 
-    let suggestions = s.engine.column_suggestions().to_vec();
-    let geo = suggestions
+    let geo = s
+        .engine
+        .column_suggestions()
         .iter()
-        .find(|c| c.new_fields.iter().any(|f| f.name == "Lat"))
+        .position(|c| c.new_fields.iter().any(|f| f.name == "Lat"))
         .expect("geocoder completion");
-    s.engine.accept_column(geo);
+    assert!(s.engine.accept_column(geo));
     println!("Accepted the geocoder columns.\n");
 
     // --- Stage 4: export the mashup. ---

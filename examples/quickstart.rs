@@ -22,18 +22,18 @@ fn main() {
 
     // Integration mode: CopyCat offers column auto-completions from its
     // source graph. The zip resolver is the most promising.
-    let suggestions = s.engine.column_suggestions().to_vec();
+    let suggestions = s.engine.column_suggestions();
     println!("Column auto-completions on offer:");
-    for c in &suggestions {
+    for c in suggestions {
         let names: Vec<&str> = c.new_fields.iter().map(|f| f.name.as_str()).collect();
         println!("  {:<40} cost {:.2}  adds {:?}", c.label, c.cost, names);
     }
 
     let zip = suggestions
         .iter()
-        .find(|c| c.new_fields.iter().any(|f| f.name == "Zip"))
+        .position(|c| c.new_fields.iter().any(|f| f.name == "Zip"))
         .expect("the zip resolver binds street+city");
-    s.engine.accept_column(zip);
+    assert!(s.engine.accept_column(zip));
 
     println!("\nWorkspace after accepting the Zip column:\n");
     println!("{}", s.engine.render());

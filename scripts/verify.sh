@@ -36,10 +36,13 @@ cargo test -q --offline --workspace
 # byte-identical, integrate matching its in-process control — catching
 # corrupted responses and recovery mismatches.
 CARGO_TARGET_DIR=.bench_build cargo test --release --offline --manifest-path perfbench/Cargo.toml
-# Examples: `cargo test` only compiles them. Each runs end to end and
-# exits non-zero on a failed assert; power_user is the only end-to-end
-# user of suggest_transform / accept_transform / edit_cell / undo.
-for example in explain_provenance feedback_learning hurricane_mashup power_user quickstart wrapper_induction; do
+# Examples: `cargo test` only compiles them. Every examples/*.rs runs
+# end to end and exits non-zero on a failed assert, so a new example
+# cannot be compiled without being run; power_user is the only
+# end-to-end user of suggest_transform / accept_transform / edit_cell /
+# undo.
+for path in examples/*.rs; do
+    example="$(basename "$path" .rs)"
     cargo run -q --release --offline --example "$example" >/dev/null
 done
 # The reproduction record: every experiment table (E1–E8, F1, F2, T1,

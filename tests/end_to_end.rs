@@ -59,12 +59,13 @@ fn demo_on_multipage_tier() {
 #[test]
 fn geocode_accept_then_export_kml() {
     let mut s = run_demo(Tier::Clean, 12, 1);
-    let suggs = s.engine.column_suggestions().to_vec();
-    let geo = suggs
+    let geo = s
+        .engine
+        .column_suggestions()
         .iter()
-        .find(|c| c.new_fields.iter().any(|f| f.name == "Lat"))
+        .position(|c| c.new_fields.iter().any(|f| f.name == "Lat"))
         .expect("geocoder completion");
-    s.engine.accept_column(geo);
+    assert!(s.engine.accept_column(geo));
     let tab = s.engine.workspace().active();
     let lat = tab.columns.iter().position(|c| c.name == "Lat").unwrap();
     let lon = tab.columns.iter().position(|c| c.name == "Lon").unwrap();
@@ -81,13 +82,13 @@ fn geocode_accept_then_export_kml() {
 #[test]
 fn provenance_traces_feedback_to_the_query() {
     let mut s = run_demo(Tier::Clean, 10, 1);
-    let suggs = s.engine.column_suggestions();
-    let zip = suggs
+    let zip = s
+        .engine
+        .column_suggestions()
         .iter()
-        .find(|c| c.new_fields.iter().any(|f| f.name == "Zip"))
-        .expect("zip completion")
-        .clone();
-    s.engine.accept_column(&zip);
+        .position(|c| c.new_fields.iter().any(|f| f.name == "Zip"))
+        .expect("zip completion");
+    assert!(s.engine.accept_column(zip));
     let tab = s.engine.workspace().active();
     let e = explain::explain_row(tab, 0).expect("explained");
     assert!(e.queries.iter().any(|q| q.contains("zip_resolver")));
@@ -101,7 +102,7 @@ fn rejected_completion_stays_demoted_across_requests() {
     let suggs = s.engine.column_suggestions();
     assert!(!suggs.is_empty());
     let first = suggs[0].clone();
-    s.engine.reject_column(&first);
+    assert!(s.engine.reject_column(0));
     for _ in 0..3 {
         let again = s.engine.column_suggestions();
         assert!(again.iter().all(|c| c.edge != first.edge));
