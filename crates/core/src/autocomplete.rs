@@ -19,13 +19,15 @@
 //! equi-join. Every column completion, direct or failover, is executed
 //! and aligned to the tab's rows by one builder, `Base::complete`.
 
+use crate::cache::{Memo, QueryCache};
 use copycat_graph::{
     EdgeId, EdgeKind, NodeId, NodeKind, SourceGraph, SteinerTree, SUGGESTION_COST_THRESHOLD,
 };
 use copycat_linkage::{approximate_join, MatchLearner, Matcher, TfIdfIndex};
 use copycat_provenance::Provenance;
 use copycat_query::{
-    execute_counted, execute_reported, Catalog, Field, Plan, Relation, Schema, Value,
+    execute_counted, execute_reported, output_schema, Catalog, Field, Plan, Relation, Schema,
+    Value,
 };
 use copycat_services::HealthRegistry;
 
@@ -532,25 +534,61 @@ pub fn search_trees_banned(
 }
 
 /// Plan each tree and count its answer, dropping unplannable or
-/// failing ones.
+/// failing ones. Beside the queries, one memo per tree records what a
+/// later lookup at the same graph version and catalog generation may
+/// reuse.
 fn trees_to_queries(
     graph: &SourceGraph,
     catalog: &Catalog,
     trees: &[SteinerTree],
-) -> Vec<ScoredQuery> {
+) -> (Vec<ScoredQuery>, Vec<Memo>) {
     let mut out = Vec::new();
+    let mut memos = Vec::with_capacity(trees.len());
     for tree in trees {
-        let Some(plan) = tree_to_plan(graph, tree) else {
-            continue;
-        };
-        let Ok((columns, rows, report)) = execute_counted(&plan, catalog) else {
-            continue;
-        };
-        let degraded = degraded_note(&report);
-        let tree = tree.clone();
-        out.push(ScoredQuery { plan, cost: tree.cost, tree, columns, rows, degraded });
+        let (query, memo) = tree_query(graph, catalog, tree, None);
+        out.extend(query);
+        memos.push(memo);
     }
-    out
+    (out, memos)
+}
+
+/// One tree's query and its memo. A `known` memo skips the work it
+/// fixes: a dropped tree is not planned, and a plan whose row count is
+/// known is not executed (its columns come from the shape walk,
+/// `output_schema`). Otherwise the plan is executed and counted, and
+/// the memo is read from the plan (does it call a service?) and that
+/// execution.
+fn tree_query(
+    graph: &SourceGraph,
+    catalog: &Catalog,
+    tree: &SteinerTree,
+    known: Option<Memo>,
+) -> (Option<ScoredQuery>, Memo) {
+    if known == Some(Memo::Dropped) {
+        return (None, Memo::Dropped);
+    }
+    let Some(plan) = tree_to_plan(graph, tree) else {
+        return (None, Memo::Dropped);
+    };
+    let answer = match known {
+        Some(Memo::Rows(rows)) => {
+            output_schema(&plan, catalog).map(|columns| (columns, rows, None))
+        }
+        _ => execute_counted(&plan, catalog)
+            .map(|(columns, rows, report)| (columns, rows, degraded_note(&report))),
+    };
+    let memo = known.unwrap_or_else(|| {
+        if plan.calls_services() {
+            Memo::Fresh
+        } else {
+            answer.as_ref().map_or(Memo::Dropped, |(_, rows, _)| Memo::Rows(*rows))
+        }
+    });
+    let query = answer.ok().map(|(columns, rows, degraded)| {
+        let tree = tree.clone();
+        ScoredQuery { plan, cost: tree.cost, tree, columns, rows, degraded }
+    });
+    (query, memo)
 }
 
 /// Discover ranked queries whose sources cover `terminals` (§4.2 mode 2).
@@ -561,28 +599,61 @@ pub fn discover_queries(
     terminals: &[NodeId],
     k: usize,
 ) -> Vec<ScoredQuery> {
-    trees_to_queries(graph, catalog, &search_trees(graph, terminals, k))
+    trees_to_queries(graph, catalog, &search_trees(graph, terminals, k)).0
 }
 
-/// [`discover_queries`] with the Steiner search memoized in `cache`:
-/// repeated pastes against an unchanged graph reuse the cached trees;
-/// a graph change (feedback, new edges) invalidates via the version
-/// stamp. Query execution always runs fresh — the catalog's contents
-/// are not part of the cache key. `banned` edges (tripped services'
-/// edges during failover) may appear in no tree; the ban set is part
-/// of the cache key.
+/// [`discover_queries`] memoized in `cache`. Repeated pastes against an
+/// unchanged graph reuse the cached trees; a graph change (feedback,
+/// new edges) invalidates them via the version stamp. Each tree's memo
+/// holds while the catalog generation stays where it was computed: a
+/// plan that calls no service is then neither executed (its row count
+/// is memoized) nor, if it failed, planned again, while a plan that
+/// calls a service executes on every call, exactly as uncached
+/// discovery does. `banned` edges (tripped services' edges during
+/// failover) may appear in no tree; the ban set is part of the cache
+/// key.
 pub fn discover_queries_cached_banned(
     graph: &SourceGraph,
     catalog: &Catalog,
     terminals: &[NodeId],
     k: usize,
     banned: &[EdgeId],
-    cache: &crate::cache::QueryCache,
+    cache: &QueryCache,
 ) -> Vec<ScoredQuery> {
-    let trees = cache.trees_for_banned(graph, terminals, k, banned, || {
+    // Read before the catalog: a change meanwhile moves it on.
+    let generation = catalog.generation();
+    let lookup = cache.lookup(graph, terminals, k, banned, generation, || {
         search_trees_banned(graph, terminals, k, banned)
     });
-    trees_to_queries(graph, catalog, &trees)
+    if let Some(memos) = &lookup.memos {
+        return lookup
+            .trees
+            .iter()
+            .zip(memos.iter())
+            .filter_map(|(tree, &memo)| tree_query(graph, catalog, tree, Some(memo)).0)
+            .collect();
+    }
+    let (queries, memos) = trees_to_queries(graph, catalog, &lookup.trees);
+    lookup.remember(memos);
+    queries
+}
+
+/// The one ban rule for tripped services, shared by query discovery
+/// and failover: the service nodes named in `tripped` (a relation that
+/// shares a tripped service's name is not banned), and every edge
+/// incident to them, sorted and deduplicated. No tree may use a banned
+/// edge while the breakers stay open.
+pub fn ban_set(graph: &SourceGraph, tripped: &[String]) -> (Vec<NodeId>, Vec<EdgeId>) {
+    let nodes: Vec<NodeId> = tripped
+        .iter()
+        .filter_map(|name| graph.node_by_name(name))
+        .filter(|&n| graph.node(n).kind == NodeKind::Service)
+        .collect();
+    let mut banned: Vec<EdgeId> =
+        nodes.iter().flat_map(|&n| graph.incident(n).iter().copied()).collect();
+    banned.sort_unstable();
+    banned.dedup();
+    (nodes, banned)
 }
 
 /// Output semantic types of a service node (its schema is inputs then
@@ -626,20 +697,10 @@ fn failover_suggestions(
         return out;
     };
     let base = Base { catalog, rows: current_rows, arity: current.schema().arity() };
-    let tripped_nodes: Vec<NodeId> = tripped
-        .iter()
-        .filter_map(|name| graph.node_by_name(name))
-        .filter(|&n| graph.node(n).kind == NodeKind::Service)
-        .collect();
+    let (tripped_nodes, banned) = ban_set(graph, tripped);
     if tripped_nodes.is_empty() {
         return out;
     }
-    let mut banned: Vec<EdgeId> = tripped_nodes
-        .iter()
-        .flat_map(|&n| graph.incident(n).iter().copied())
-        .collect();
-    banned.sort_unstable();
-    banned.dedup();
     for &t in &tripped_nodes {
         let Some(want) = service_output_types(graph, t) else {
             continue;

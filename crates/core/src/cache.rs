@@ -1,19 +1,23 @@
-//! Feedback-aware caching of Steiner query searches.
+//! Feedback-aware caching of query discovery.
 //!
 //! The interactive loop (§2.2, §4.2) re-runs top-k Steiner search on
 //! every paste and every MIRA feedback update. Repeated pastes against
 //! an unchanged graph are common — the user pastes several tuples, or
 //! re-opens the suggestion list — so the engine keeps a small cache of
-//! search results keyed on `(terminal set, k)` and stamped with the
-//! [`SourceGraph::version`] they were computed at. A feedback update
-//! bumps the graph version, which lazily invalidates stale entries:
-//! only the terminal sets that are actually queried again get
+//! search results keyed on `(terminal set, k, banned edges)` and stamped
+//! with the [`SourceGraph::version`] they were computed at. A feedback
+//! update bumps the graph version, which lazily invalidates stale
+//! entries: only the terminal sets that are actually queried again get
 //! recomputed.
+//!
+//! Beside its trees an entry keeps one [`Memo`] per tree, stamped with
+//! the [`Catalog::generation`](copycat_query::Catalog::generation) it
+//! was computed at. A plan that calls no service reads only immutable
+//! catalog relations, so under both stamps its row count cannot change
+//! and a hit need not execute it again.
 
 use copycat_graph::{EdgeId, NodeId, SourceGraph, SteinerTree};
-use copycat_util::hash::FxHashMap;
 use copycat_util::sync::Mutex;
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Hit/miss counters, readable for tests and instrumentation.
@@ -28,10 +32,18 @@ pub struct CacheStats {
     pub invalidations: u64,
 }
 
-#[derive(Debug)]
-struct Entry {
-    version: u64,
-    trees: Arc<[SteinerTree]>,
+/// What one cached tree's query answers, as far as the entry's graph
+/// version and the memo's catalog generation fix it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Memo {
+    /// The tree cannot be planned, or its plan calls no service and
+    /// failed: either way it yields no query.
+    Dropped,
+    /// The plan calls no service and answers this many rows.
+    Rows(usize),
+    /// The plan calls a service, so it runs on every lookup: service
+    /// calls move breakers, retries and virtual time.
+    Fresh,
 }
 
 /// Cache key: sorted deduped terminals, k, and the sorted banned-edge
@@ -39,16 +51,30 @@ struct Entry {
 /// services banned is a distinct entry).
 type Key = (Vec<NodeId>, usize, Vec<EdgeId>);
 
+#[derive(Debug)]
+struct Entry {
+    version: u64,
+    trees: Arc<[SteinerTree]>,
+    /// The per-tree memos and the catalog generation they hold at,
+    /// once an answer has been computed from these trees.
+    memos: Option<(u64, Arc<[Memo]>)>,
+}
+
 #[derive(Debug, Default)]
 struct Inner {
-    map: FxHashMap<Key, Entry>,
-    /// Insertion order for FIFO eviction.
-    order: VecDeque<Key>,
+    /// Entries in insertion order, so eviction takes the front.
+    entries: Vec<(Key, Entry)>,
     stats: CacheStats,
 }
 
-/// A version-stamped cache of Steiner search results. Interior-mutable
-/// so read paths (`&self` engine methods) can use it.
+impl Inner {
+    fn find(&self, key: &Key) -> Option<usize> {
+        self.entries.iter().position(|(k, _)| k == key)
+    }
+}
+
+/// A version-stamped cache of Steiner search results and their memos.
+/// Interior-mutable so read paths (`&self` engine methods) can use it.
 #[derive(Debug)]
 pub struct QueryCache {
     inner: Mutex<Inner>,
@@ -61,6 +87,39 @@ impl Default for QueryCache {
     }
 }
 
+/// One lookup's answer: the trees at the graph's current version and,
+/// when an answer from them was memoized at the catalog generation
+/// asked for, their memos (one per tree, in tree order). A caller that
+/// computes the answer hands its memos back through
+/// [`Lookup::remember`].
+#[derive(Debug)]
+pub struct Lookup<'c> {
+    cache: &'c QueryCache,
+    key: Key,
+    version: u64,
+    generation: u64,
+    /// The trees, shared with the cache: a hit copies nothing.
+    pub trees: Arc<[SteinerTree]>,
+    /// The memos, when fresh for the generation asked for.
+    pub memos: Option<Arc<[Memo]>>,
+}
+
+impl Lookup<'_> {
+    /// Store the memos of an answer computed from these trees at the
+    /// generation the lookup asked for. Dropped when the entry has since
+    /// been replaced by a newer graph version's or evicted.
+    pub fn remember(self, memos: Vec<Memo>) {
+        debug_assert_eq!(memos.len(), self.trees.len(), "one memo per tree");
+        let mut inner = self.cache.inner.lock();
+        if let Some(i) = inner.find(&self.key) {
+            let entry = &mut inner.entries[i].1;
+            if entry.version == self.version {
+                entry.memos = Some((self.generation, memos.into()));
+            }
+        }
+    }
+}
+
 impl QueryCache {
     /// A cache holding at most `capacity` terminal-set entries (FIFO
     /// eviction).
@@ -68,33 +127,23 @@ impl QueryCache {
         Self { inner: Mutex::new(Inner::default()), capacity: capacity.max(1) }
     }
 
-    /// The trees for `(terminals, k)` at the graph's current version:
-    /// served from cache when a fresh entry exists, otherwise computed
-    /// via `compute` (outside the cache lock) and stored. A stale entry
-    /// — same key, older version — is replaced and counted as an
-    /// invalidation. The trees are shared with the cache: a hit copies
-    /// nothing.
-    pub fn trees_for(
-        &self,
-        g: &SourceGraph,
-        terminals: &[NodeId],
-        k: usize,
-        compute: impl FnOnce() -> Vec<SteinerTree>,
-    ) -> Arc<[SteinerTree]> {
-        self.trees_for_banned(g, terminals, k, &[], compute)
-    }
-
-    /// [`QueryCache::trees_for`] with a banned-edge set in the key —
-    /// the failover search path (tripped services' edges banned) caches
-    /// separately from the healthy one.
-    pub fn trees_for_banned(
+    /// The trees for `(terminals, k, banned)` at the graph's current
+    /// version: served from cache when a fresh entry exists, otherwise
+    /// computed via `search` (outside the cache lock) and stored. A
+    /// stale entry — same key, older version — is replaced in place and
+    /// counted as an invalidation. The memos come back only from a fresh
+    /// entry whose memos were computed at catalog `generation`. `banned`
+    /// edges (tripped services' edges during failover) are part of the
+    /// key, so the failover search caches apart from the healthy one.
+    pub fn lookup(
         &self,
         g: &SourceGraph,
         terminals: &[NodeId],
         k: usize,
         banned: &[EdgeId],
-        compute: impl FnOnce() -> Vec<SteinerTree>,
-    ) -> Arc<[SteinerTree]> {
+        generation: u64,
+        search: impl FnOnce() -> Vec<SteinerTree>,
+    ) -> Lookup<'_> {
         let mut key_terms = terminals.to_vec();
         key_terms.sort_unstable();
         key_terms.dedup();
@@ -105,37 +154,41 @@ impl QueryCache {
         let version = g.version();
         {
             let mut inner = self.inner.lock();
-            match inner.map.get(&key) {
-                Some(entry) if entry.version == version => {
+            match inner.find(&key) {
+                Some(i) if inner.entries[i].1.version == version => {
+                    let entry = &inner.entries[i].1;
                     let trees = Arc::clone(&entry.trees);
+                    let memos = match &entry.memos {
+                        Some((at, memos)) if *at == generation => Some(Arc::clone(memos)),
+                        _ => None,
+                    };
                     inner.stats.hits += 1;
-                    return trees;
+                    return Lookup { cache: self, key, version, generation, trees, memos };
                 }
                 Some(_) => inner.stats.invalidations += 1,
                 None => {}
             }
             inner.stats.misses += 1;
         }
-        let trees: Arc<[SteinerTree]> = compute().into();
+        let trees: Arc<[SteinerTree]> = search().into();
+        let entry = Entry { version, trees: Arc::clone(&trees), memos: None };
         let mut inner = self.inner.lock();
-        if !inner.map.contains_key(&key) {
-            inner.order.push_back(key.clone());
-            if inner.order.len() > self.capacity {
-                if let Some(evicted) = inner.order.pop_front() {
-                    inner.map.remove(&evicted);
+        match inner.find(&key) {
+            Some(i) => inner.entries[i].1 = entry,
+            None => {
+                if inner.entries.len() >= self.capacity {
+                    inner.entries.remove(0);
                 }
+                inner.entries.push((key.clone(), entry));
             }
         }
-        inner.map.insert(key, Entry { version, trees: Arc::clone(&trees) });
-        trees
+        Lookup { cache: self, key, version, generation, trees, memos: None }
     }
 
     /// Drop every entry (e.g. after a wholesale graph replacement, where
     /// version numbering restarts).
     pub fn clear(&self) {
-        let mut inner = self.inner.lock();
-        inner.map.clear();
-        inner.order.clear();
+        self.inner.lock().entries.clear();
     }
 
     /// Counter snapshot.
@@ -170,8 +223,8 @@ mod tests {
         let (g, ids) = diamond();
         let cache = QueryCache::default();
         let terms = [ids[0], ids[3]];
-        let a = cache.trees_for(&g, &terms, 2, || top_k_steiner(&g, &terms, 2));
-        let b = cache.trees_for(&g, &terms, 2, || panic!("must be served from cache"));
+        let a = cache.lookup(&g, &terms, 2, &[], 0, || top_k_steiner(&g, &terms, 2)).trees;
+        let b = cache.lookup(&g, &terms, 2, &[], 0, || panic!("must be served from cache")).trees;
         assert_eq!(a, b);
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.invalidations), (1, 1, 0));
@@ -182,7 +235,7 @@ mod tests {
         let (mut g, ids) = diamond();
         let cache = QueryCache::default();
         let terms = [ids[0], ids[3]];
-        let warm = cache.trees_for(&g, &terms, 2, || top_k_steiner(&g, &terms, 2));
+        let warm = cache.lookup(&g, &terms, 2, &[], 0, || top_k_steiner(&g, &terms, 2)).trees;
         assert_eq!(warm[0].edges, vec![copycat_graph::EdgeId(0), copycat_graph::EdgeId(1)]);
         // Feedback flips the ranking: prefer the a–c–d path.
         let preferred = warm[1].edges.clone();
@@ -191,7 +244,7 @@ mod tests {
         assert!(tau > 0.0, "feedback must change costs");
         // The cache must notice the version bump and agree with a cold
         // search, not replay the stale ranking.
-        let cached = cache.trees_for(&g, &terms, 2, || top_k_steiner(&g, &terms, 2));
+        let cached = cache.lookup(&g, &terms, 2, &[], 0, || top_k_steiner(&g, &terms, 2)).trees;
         let cold = top_k_steiner(&g, &terms, 2);
         assert_eq!(*cached, *cold);
         assert_eq!(cached[0].edges, preferred, "new ranking visible through the cache");
@@ -204,15 +257,15 @@ mod tests {
         let cache = QueryCache::default();
         let t1 = [ids[0], ids[3]];
         let t2 = [ids[0], ids[1]];
-        let r1 = cache.trees_for(&g, &t1, 1, || top_k_steiner(&g, &t1, 1));
-        let r2 = cache.trees_for(&g, &t2, 1, || top_k_steiner(&g, &t2, 1));
+        let r1 = cache.lookup(&g, &t1, 1, &[], 0, || top_k_steiner(&g, &t1, 1)).trees;
+        let r2 = cache.lookup(&g, &t2, 1, &[], 0, || top_k_steiner(&g, &t2, 1)).trees;
         assert_ne!(r1, r2);
         // Same set, different k: separate entry.
-        let r3 = cache.trees_for(&g, &t1, 2, || top_k_steiner(&g, &t1, 2));
+        let r3 = cache.lookup(&g, &t1, 2, &[], 0, || top_k_steiner(&g, &t1, 2)).trees;
         assert_eq!(r3.len(), 2);
         // Terminal order does not matter.
         let swapped = [ids[3], ids[0]];
-        cache.trees_for(&g, &swapped, 1, || panic!("order-insensitive key"));
+        cache.lookup(&g, &swapped, 1, &[], 0, || panic!("order-insensitive key"));
     }
 
     #[test]
@@ -221,13 +274,43 @@ mod tests {
         let cache = QueryCache::new(1);
         let t1 = [ids[0], ids[3]];
         let t2 = [ids[0], ids[1]];
-        cache.trees_for(&g, &t1, 1, || top_k_steiner(&g, &t1, 1));
-        cache.trees_for(&g, &t2, 1, || top_k_steiner(&g, &t2, 1));
+        cache.lookup(&g, &t1, 1, &[], 0, || top_k_steiner(&g, &t1, 1));
+        cache.lookup(&g, &t2, 1, &[], 0, || top_k_steiner(&g, &t2, 1));
         // t1 was evicted: this is a miss, not a hit.
-        cache.trees_for(&g, &t1, 1, || top_k_steiner(&g, &t1, 1));
+        cache.lookup(&g, &t1, 1, &[], 0, || top_k_steiner(&g, &t1, 1));
         let stats = cache.stats();
         assert_eq!(stats.hits, 0);
         assert_eq!(stats.misses, 3);
+    }
+
+    #[test]
+    fn memos_hold_for_their_generation_and_version() {
+        let (mut g, ids) = diamond();
+        let cache = QueryCache::default();
+        let terms = [ids[0], ids[3]];
+        let miss = cache.lookup(&g, &terms, 2, &[], 7, || top_k_steiner(&g, &terms, 2));
+        assert_eq!(miss.memos, None, "a miss has no memos");
+        miss.remember(vec![Memo::Rows(3), Memo::Fresh]);
+        let hit = cache.lookup(&g, &terms, 2, &[], 7, || panic!("cached"));
+        assert_eq!(hit.memos.as_deref(), Some(&[Memo::Rows(3), Memo::Fresh][..]));
+        // Another catalog generation: the trees still hit, the memos
+        // do not, and remembering restamps them.
+        let other = cache.lookup(&g, &terms, 2, &[], 8, || panic!("cached"));
+        assert_eq!(other.memos, None);
+        other.remember(vec![Memo::Dropped, Memo::Fresh]);
+        let hit = cache.lookup(&g, &terms, 2, &[], 8, || panic!("cached"));
+        assert_eq!(hit.memos.as_deref(), Some(&[Memo::Dropped, Memo::Fresh][..]));
+        assert_eq!(cache.lookup(&g, &terms, 2, &[], 7, || panic!("cached")).memos, None);
+        // A graph change drops the memos with the trees, and a lookup
+        // taken before it cannot restore them.
+        let before = cache.lookup(&g, &terms, 2, &[], 8, || panic!("cached"));
+        g.set_cost(copycat_graph::EdgeId(0), 5.0);
+        let after = cache.lookup(&g, &terms, 2, &[], 8, || top_k_steiner(&g, &terms, 2));
+        assert_eq!(after.memos, None);
+        before.remember(vec![Memo::Rows(1), Memo::Rows(1)]);
+        assert_eq!(cache.lookup(&g, &terms, 2, &[], 8, || panic!("cached")).memos, None);
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.invalidations), (6, 2, 1));
     }
 
     #[test]
@@ -235,9 +318,9 @@ mod tests {
         let (g, ids) = diamond();
         let cache = QueryCache::default();
         let terms = [ids[0], ids[3]];
-        cache.trees_for(&g, &terms, 1, || top_k_steiner(&g, &terms, 1));
+        cache.lookup(&g, &terms, 1, &[], 0, || top_k_steiner(&g, &terms, 1));
         cache.clear();
-        cache.trees_for(&g, &terms, 1, || top_k_steiner(&g, &terms, 1));
+        cache.lookup(&g, &terms, 1, &[], 0, || top_k_steiner(&g, &terms, 1));
         assert_eq!(cache.stats().misses, 2);
     }
 }

@@ -670,21 +670,6 @@ impl CopyCat {
         }
     }
 
-    /// Edges incident to services whose breaker is currently open —
-    /// banned from discovery so explanations route around them.
-    fn tripped_edges(&self) -> Vec<EdgeId> {
-        let mut banned: Vec<EdgeId> = self
-            .health
-            .tripped_services()
-            .iter()
-            .filter_map(|name| self.graph.node_by_name(name))
-            .flat_map(|n| self.graph.incident(n).iter().copied())
-            .collect();
-        banned.sort_unstable();
-        banned.dedup();
-        banned
-    }
-
     /// Ranked column auto-completions for the active integration query
     /// (Figure 2). The list is remembered so feedback can compare the
     /// accepted suggestion against the alternatives shown, and the
@@ -783,20 +768,14 @@ impl CopyCat {
     pub fn discover_queries_for_tuple(&self, values: &[&str], k: usize) -> Vec<ScoredQuery> {
         // Each value's terminal is the first relation, by name, that
         // holds it in some cell.
-        let relations: Vec<(String, Arc<Relation>)> = self
-            .catalog
-            .relation_names()
-            .into_iter()
-            .filter_map(|name| self.catalog.relation(&name).map(|rel| (name, rel)))
-            .collect();
         let mut terminals: Vec<NodeId> = Vec::new();
         for v in values {
-            let holder = relations.iter().find(|(_, rel)| {
+            let holder = self.catalog.first_relation(|rel| {
                 rel.tuples()
                     .iter()
                     .any(|t| t.values.iter().any(|c| c.text_eq(v)))
             });
-            if let Some(node) = holder.and_then(|(name, _)| self.graph.node_by_name(name)) {
+            if let Some(node) = holder.and_then(|rel| self.graph.node_by_name(rel.name())) {
                 if !terminals.contains(&node) {
                     terminals.push(node);
                 }
@@ -810,7 +789,7 @@ impl CopyCat {
             &self.catalog,
             &terminals,
             k,
-            &self.tripped_edges(),
+            &autocomplete::ban_set(&self.graph, &self.health.tripped_services()).1,
             &self.query_cache,
         )
     }

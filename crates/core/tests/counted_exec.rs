@@ -2,7 +2,8 @@
 //! over every plan the Steiner search discovers in a world,
 //! `execute_counted` on one engine gives the schema, row count and
 //! service report that `execute_reported` gives on an identically built
-//! twin, and both leave their services in the same state. The worlds
+//! twin, and both leave their services in the same state; the
+//! shape-only `output_schema` gives the same columns. The worlds
 //! cover a flat 10-venue engine, copy-on-write sessions of a shared
 //! 48-venue world and a learned transform edge; in each, the zip
 //! resolver is a fault-injecting `Flaky` behind the retry layer, so a
@@ -12,7 +13,7 @@
 use copycat_core::autocomplete::{search_trees, tree_to_plan};
 use copycat_core::{CopyCat, Scenario, ScenarioConfig, WorldBase};
 use copycat_graph::NodeId;
-use copycat_query::{execute_counted, execute_reported, Plan};
+use copycat_query::{execute_counted, execute_reported, output_schema, Plan};
 use copycat_services::{Flaky, Resilient, RetryPolicy, World, WorldConfig, ZipResolver};
 use copycat_util::check::{check, Gen};
 use copycat_util::{prop_ensure, prop_ensure_eq};
@@ -127,7 +128,12 @@ fn compare_twins(counted: &Side, executed: &Side, seen: &mut Seen) -> Result<(),
         let count = execute_counted(plan, counted.engine.catalog());
         let exec = execute_reported(plan, executed.engine.catalog(), "Q")
             .map(|(rel, report)| (rel.schema().clone(), rel.len(), report));
-        if let Ok((_, _, report)) = &exec {
+        if let Ok((schema, _, report)) = &exec {
+            prop_ensure_eq!(
+                output_schema(plan, counted.engine.catalog()),
+                Ok(schema.clone()),
+                "the shape walk and execution disagree on the columns of {plan}"
+            );
             for f in &report.failures {
                 if !seen.failure_kinds.contains(&f.kind) {
                     seen.failure_kinds.push(f.kind.clone());

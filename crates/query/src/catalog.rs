@@ -12,11 +12,17 @@
 //! recorded as tombstones. Many tenant sessions over one synthetic world
 //! share the base's relations and service implementations by `Arc`
 //! instead of rebuilding them per session.
+//!
+//! Every mutation bumps the catalog's [`Catalog::generation`]. Relations
+//! are immutable `Arc`s, so an answer computed from relations alone is
+//! fixed by the generation it was computed at.
 
 use crate::relation::Relation;
 use crate::service::Service;
 use copycat_util::sync::RwLock;
 use copycat_util::hash::{FxHashMap, FxHashSet};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Shared catalog of relations and services.
@@ -26,11 +32,14 @@ pub struct Catalog {
     /// never written through — mutating methods only touch the local
     /// maps and tombstones.
     base: Option<Arc<Catalog>>,
-    relations: RwLock<FxHashMap<String, Arc<Relation>>>,
+    /// Local relations, ordered by name.
+    relations: RwLock<BTreeMap<String, Arc<Relation>>>,
     services: RwLock<FxHashMap<String, Arc<dyn Service>>>,
     /// Base relation names this layer has removed (source retraction of
     /// a shared relation hides it for this session only).
     removed: RwLock<FxHashSet<String>>,
+    /// Mutations of this layer, bumped after each one lands.
+    generation: AtomicU64,
 }
 
 impl Catalog {
@@ -51,6 +60,22 @@ impl Catalog {
         self.base.is_some()
     }
 
+    /// How many times this catalog has changed: every
+    /// [`add_relation`](Self::add_relation) (a replacement too),
+    /// effective [`remove_relation`](Self::remove_relation) and
+    /// [`add_service`](Self::add_service) counts one. An overlay adds its
+    /// base's count, so a change on either layer moves it. Read it
+    /// before reading the catalog: a change that lands meanwhile moves
+    /// it past the value read.
+    pub fn generation(&self) -> u64 {
+        let own = self.generation.load(Ordering::Acquire);
+        own + self.base.as_ref().map_or(0, |base| base.generation())
+    }
+
+    fn bump(&self) {
+        self.generation.fetch_add(1, Ordering::Release);
+    }
+
     /// Register (or replace) a relation under its own name.
     pub fn add_relation(&self, rel: Relation) -> Arc<Relation> {
         let arc = Arc::new(rel);
@@ -58,12 +83,14 @@ impl Catalog {
         self.relations
             .write()
             .insert(arc.name().to_string(), Arc::clone(&arc));
+        self.bump();
         arc
     }
 
     /// Register (or replace) a service under its own name.
     pub fn add_service(&self, svc: Arc<dyn Service>) {
         self.services.write().insert(svc.name().to_string(), svc);
+        self.bump();
     }
 
     /// Look up a relation.
@@ -86,13 +113,48 @@ impl Catalog {
         self.base.as_ref()?.service(name)
     }
 
+    /// The first relation, by name, that `pred` accepts. Allocates
+    /// nothing: each layer is walked in name order, stopping at its
+    /// first match.
+    pub fn first_relation(
+        &self,
+        mut pred: impl FnMut(&Relation) -> bool,
+    ) -> Option<Arc<Relation>> {
+        self.first_relation_before(None, &mut pred)
+    }
+
+    /// [`Catalog::first_relation`] among names before `bound`.
+    fn first_relation_before(
+        &self,
+        bound: Option<&str>,
+        pred: &mut dyn FnMut(&Relation) -> bool,
+    ) -> Option<Arc<Relation>> {
+        let relations = self.relations.read();
+        let local = relations
+            .values()
+            .take_while(|rel| bound.is_none_or(|b| rel.name() < b))
+            .find(|rel| pred(rel));
+        let Some(base) = &self.base else {
+            return local.cloned();
+        };
+        // A base relation wins only below the local match, and only
+        // when this layer neither shadows nor removed it.
+        let removed = self.removed.read();
+        let bound = local.map_or(bound, |rel| Some(rel.name()));
+        base.first_relation_before(bound, &mut |rel| {
+            !relations.contains_key(rel.name()) && !removed.contains(rel.name()) && pred(rel)
+        })
+        .or_else(|| local.cloned())
+    }
+
     /// Sorted relation names.
     pub fn relation_names(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.relations.read().keys().cloned().collect();
+        let relations = self.relations.read();
+        let mut v: Vec<String> = relations.keys().cloned().collect();
         if let Some(base) = &self.base {
             let removed = self.removed.read();
             for name in base.relation_names() {
-                if !removed.contains(&name) && !self.relations.read().contains_key(&name) {
+                if !removed.contains(&name) && !relations.contains_key(&name) {
                     v.push(name);
                 }
             }
@@ -119,16 +181,16 @@ impl Catalog {
     /// tombstones it in this layer; the shared base is untouched.
     pub fn remove_relation(&self, name: &str) -> bool {
         let had_local = self.relations.write().remove(name).is_some();
-        let Some(base) = &self.base else {
-            return had_local;
-        };
-        if base.relation(name).is_some() {
-            // Tombstone whether or not a local shadow also existed, so
-            // the base entry doesn't resurface after the removal.
-            let newly = self.removed.write().insert(name.to_string());
-            return had_local || newly;
+        // Tombstone a base entry whether or not a local shadow also
+        // existed, so it doesn't resurface after the removal.
+        let tombstoned = self.base.as_ref().is_some_and(|base| {
+            base.relation(name).is_some() && self.removed.write().insert(name.to_string())
+        });
+        let removed = had_local || tombstoned;
+        if removed {
+            self.bump();
         }
-        had_local
+        removed
     }
 }
 
@@ -221,5 +283,59 @@ mod tests {
         c.add_relation(Relation::empty("shelters", Schema::of(&["Name", "Zip"])));
         assert!(c.remove_relation("shelters"));
         assert!(c.relation("shelters").is_none());
+    }
+
+    #[test]
+    fn first_relation_goes_by_name_across_layers() {
+        let holding = |name: &str, value: &str| {
+            Relation::from_strings(name, Schema::of(&["V"]), &[vec![value.to_string()]])
+        };
+        let name_of = |cat: &Catalog, value: &str| {
+            cat.first_relation(|rel| rel.tuples().iter().any(|t| t.values[0].text_eq(value)))
+                .map(|rel| rel.name().to_string())
+        };
+        let base = Arc::new(Catalog::new());
+        base.add_relation(holding("b", "x"));
+        base.add_relation(holding("d", "x"));
+        let layered = Catalog::with_base(Arc::clone(&base));
+        assert_eq!(name_of(&layered, "x").as_deref(), Some("b"));
+        assert_eq!(name_of(&layered, "y"), None);
+        // A later local name loses to an earlier base one, an earlier
+        // local one wins.
+        layered.add_relation(holding("c", "x"));
+        assert_eq!(name_of(&layered, "x").as_deref(), Some("b"));
+        layered.add_relation(holding("a", "x"));
+        assert_eq!(name_of(&layered, "x").as_deref(), Some("a"));
+        // A shadow hides its base relation's rows; a removal hides it.
+        layered.add_relation(holding("a", "y"));
+        layered.add_relation(holding("b", "y"));
+        assert_eq!(name_of(&layered, "x").as_deref(), Some("c"));
+        assert!(layered.remove_relation("c"));
+        assert_eq!(name_of(&layered, "x").as_deref(), Some("d"));
+        assert!(layered.remove_relation("d"));
+        assert_eq!(name_of(&layered, "x"), None);
+        assert_eq!(name_of(&base, "x").as_deref(), Some("b"), "the base is untouched");
+    }
+
+    #[test]
+    fn every_change_moves_the_generation() {
+        let base = Arc::new(Catalog::new());
+        base.add_relation(Relation::empty("shelters", Schema::of(&["Name"])));
+        let layered = Catalog::with_base(Arc::clone(&base));
+        let g0 = layered.generation();
+        assert_eq!(g0, base.generation(), "an overlay starts at its base's count");
+        layered.add_relation(Relation::empty("shelters", Schema::of(&["Name"])));
+        let g1 = layered.generation();
+        assert!(g1 > g0, "a replacement counts");
+        assert!(layered.remove_relation("shelters"));
+        let g2 = layered.generation();
+        assert!(g2 > g1, "a removal counts");
+        assert!(!layered.remove_relation("shelters"));
+        assert_eq!(layered.generation(), g2, "a no-op removal does not");
+        layered.add_service(echo_service("echo"));
+        let g3 = layered.generation();
+        assert!(g3 > g2, "a service counts");
+        base.add_service(echo_service("zip"));
+        assert!(layered.generation() > g3, "a base change shows through the overlay");
     }
 }

@@ -456,6 +456,95 @@ impl<'p> BoundService<'p> {
     // lint:hotpath(end)
 }
 
+/// A projection's source column indices and output schema.
+fn project_shape(
+    schema: &Schema,
+    columns: &[String],
+) -> Result<(Vec<usize>, Schema), ExecError> {
+    let idx: Vec<usize> = columns
+        .iter()
+        .map(|c| schema.index_of(c).ok_or_else(|| ExecError::UnknownColumn(c.clone())))
+        .collect::<Result<_, _>>()?;
+    let fields = idx.iter().map(|&i| schema.field(i).expect("validated").clone()).collect();
+    Ok((idx, Schema::new(fields)))
+}
+
+/// A derived column's source index and output schema: the input's
+/// columns plus the untyped derived one.
+fn derive_shape(schema: &Schema, column: &str, name: &str) -> Result<(usize, Schema), ExecError> {
+    let src = schema
+        .index_of(column)
+        .ok_or_else(|| ExecError::UnknownColumn(column.to_string()))?;
+    let mut fields = schema.fields().to_vec();
+    fields.push(Field::new(name));
+    Ok((src, Schema::new(fields)))
+}
+
+/// A union's output schema: its inputs' schemas merged left to right.
+fn union_shape<'s>(mut schemas: impl Iterator<Item = &'s Schema>) -> Schema {
+    let first = schemas.next().expect("non-empty union").clone();
+    schemas.fold(first, |merged, s| merged.union_merge(s))
+}
+
+/// The output schema [`execute`] would give `plan`, without evaluating
+/// any row or calling any service: a walk over the plan applying the
+/// same per-operator schema rules as evaluation (`join_shape`,
+/// `BoundService::bind`, `project_shape`, `derive_shape`,
+/// `union_shape`), so the two cannot disagree.
+pub fn output_schema(plan: &Plan, catalog: &Catalog) -> Result<Schema, ExecError> {
+    let pins = pin_relations(plan, catalog);
+    shape(plan, &pins, catalog).map(Cow::into_owned)
+}
+
+fn shape<'a>(
+    plan: &Plan,
+    pins: &'a Pins<'_>,
+    catalog: &Catalog,
+) -> Result<Cow<'a, Schema>, ExecError> {
+    Ok(match plan {
+        Plan::Scan { relation } => Cow::Borrowed(pinned(pins, relation)?.schema()),
+        Plan::Select { input, predicate } => {
+            let schema = shape(input, pins, catalog)?;
+            check_predicate_columns(predicate, &schema)?;
+            schema
+        }
+        Plan::Project { input, columns } => {
+            let schema = shape(input, pins, catalog)?;
+            Cow::Owned(project_shape(&schema, columns)?.1)
+        }
+        Plan::Derive { input, column, name, .. } => {
+            let schema = shape(input, pins, catalog)?;
+            Cow::Owned(derive_shape(&schema, column, name)?.1)
+        }
+        Plan::Join { left, right, on } => {
+            let ls = shape(left, pins, catalog)?;
+            let rs = shape(right, pins, catalog)?;
+            Cow::Owned(join_shape(&ls, &rs, on)?.schema)
+        }
+        Plan::DependentJoin { input, service, bindings } => {
+            let schema = shape(input, pins, catalog)?;
+            Cow::Owned(BoundService::bind(&schema, service, bindings, catalog)?.schema)
+        }
+        Plan::Union { inputs } => {
+            if inputs.is_empty() {
+                return Err(ExecError::EmptyUnion);
+            }
+            let schemas =
+                inputs.iter().map(|i| shape(i, pins, catalog)).collect::<Result<Vec<_>, _>>()?;
+            Cow::Owned(union_shape(schemas.iter().map(Cow::as_ref)))
+        }
+        Plan::Distinct { input } | Plan::Limit { input, .. } => shape(input, pins, catalog)?,
+    })
+}
+
+/// The pinned relation a scan reads.
+fn pinned<'a>(pins: &'a Pins<'_>, relation: &str) -> Result<&'a Relation, ExecError> {
+    pins.iter()
+        .find(|(name, _)| *name == relation)
+        .and_then(|(_, rel)| rel.as_deref())
+        .ok_or_else(|| ExecError::UnknownRelation(relation.to_string()))
+}
+
 fn eval<'a>(
     plan: &Plan,
     pins: &'a Pins<'_>,
@@ -464,11 +553,7 @@ fn eval<'a>(
 ) -> Result<(Cow<'a, Schema>, Vec<Row<'a>>), ExecError> {
     match plan {
         Plan::Scan { relation } => {
-            let rel = pins
-                .iter()
-                .find(|(name, _)| name == relation)
-                .and_then(|(_, rel)| rel.as_deref())
-                .ok_or_else(|| ExecError::UnknownRelation(relation.clone()))?;
+            let rel = pinned(pins, relation)?;
             let rows = rel.tuples().iter().map(Cow::Borrowed).collect();
             Ok((Cow::Borrowed(rel.schema()), rows))
         }
@@ -483,19 +568,7 @@ fn eval<'a>(
         }
         Plan::Project { input, columns } => {
             let (schema, tuples) = eval(input, pins, catalog, report)?;
-            let idx: Vec<usize> = columns
-                .iter()
-                .map(|c| {
-                    schema
-                        .index_of(c)
-                        .ok_or_else(|| ExecError::UnknownColumn(c.clone()))
-                })
-                .collect::<Result<_, _>>()?;
-            let out_schema = Schema::new(
-                idx.iter()
-                    .map(|&i| schema.field(i).expect("validated").clone())
-                    .collect(),
-            );
+            let (idx, out_schema) = project_shape(&schema, columns)?;
             let out = tuples
                 .into_iter()
                 .map(|t| {
@@ -507,12 +580,7 @@ fn eval<'a>(
         }
         Plan::Derive { input, column, name, program } => {
             let (schema, tuples) = eval(input, pins, catalog, report)?;
-            let src = schema
-                .index_of(column)
-                .ok_or_else(|| ExecError::UnknownColumn(column.clone()))?;
-            let mut fields = schema.fields().to_vec();
-            fields.push(Field { name: name.clone(), sem_type: None });
-            let out_schema = Schema::new(fields);
+            let (src, out_schema) = derive_shape(&schema, column, name)?;
             let out = tuples
                 .into_iter()
                 .map(|t| {
@@ -589,11 +657,7 @@ fn eval<'a>(
             for i in inputs {
                 evaluated.push(eval(i, pins, catalog, report)?);
             }
-            let merged = evaluated
-                .iter()
-                .map(|(s, _)| s.as_ref().clone())
-                .reduce(|a, b| a.union_merge(&b))
-                .expect("non-empty");
+            let merged = union_shape(evaluated.iter().map(|(s, _)| s.as_ref()));
             let mut out = Vec::new();
             for (schema, tuples) in evaluated {
                 let mapping = schema.mapping_into(&merged);
@@ -727,6 +791,11 @@ mod tests {
             execute_counted(plan, cat).unwrap(),
             (rel.schema().clone(), rel.len(), report),
             "counted and executed answers differ for {plan}"
+        );
+        assert_eq!(
+            &output_schema(plan, cat).unwrap(),
+            rel.schema(),
+            "shape walk and execution disagree on the columns of {plan}"
         );
     }
 

@@ -26,7 +26,8 @@ pub mod value;
 
 pub use catalog::Catalog;
 pub use exec::{
-    execute, execute_counted, execute_reported, ExecError, ExecReport, ServiceFailure,
+    execute, execute_counted, execute_reported, output_schema, ExecError, ExecReport,
+    ServiceFailure,
 };
 pub use plan::{Plan, Predicate};
 pub use relation::Relation;

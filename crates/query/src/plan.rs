@@ -184,6 +184,14 @@ impl Plan {
         out
     }
 
+    /// Whether the plan calls a service (holds a dependent join). A plan
+    /// that does not reads only catalog relations.
+    pub fn calls_services(&self) -> bool {
+        let mut calls = false;
+        self.walk_postorder(&mut |p| calls |= matches!(p, Plan::DependentJoin { .. }));
+        calls
+    }
+
     pub(crate) fn walk_postorder<'a>(&'a self, f: &mut impl FnMut(&'a Plan)) {
         match self {
             Plan::Scan { .. } => {}
@@ -250,6 +258,8 @@ mod tests {
             "π[Name,Zip]((shelters →[Street,City] zip_resolver))"
         );
         assert_eq!(p.sources(), vec!["shelters", "zip_resolver"]);
+        assert!(p.calls_services());
+        assert!(!Plan::scan("a").join(Plan::scan("b"), &[("x", "y")]).calls_services());
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub fn serve(listener: TcpListener, server: Server) -> std::io::Result<()> {
             }
             let srv = &server;
             scope.spawn(move || {
-                let _ = handle_connection(stream, srv, addr);
+                let _ = serve_stream(stream, srv, addr);
             });
         }
     });
@@ -52,14 +52,32 @@ fn trim_line_terminator(line: &mut Vec<u8>) {
     }
 }
 
-fn handle_connection(
+/// One accepted socket: answered on a no-delay socket until EOF; when
+/// a request started the drain, the acceptor is woken (it blocks in
+/// `accept`) so the listener loop notices and exits.
+fn serve_stream(
     stream: TcpStream,
     server: &Server,
     addr: std::net::SocketAddr,
 ) -> std::io::Result<()> {
     stream.set_nodelay(true)?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
+    let reader = BufReader::new(stream.try_clone()?);
+    if handle_connection(reader, &stream, server)? {
+        let _ = TcpStream::connect(addr);
+    }
+    Ok(())
+}
+
+/// Answer each request line of `reader` on `writer` until EOF or until
+/// the server starts draining; returns whether it is draining. Every
+/// response, its newline included, goes to `writer` in one `write_all`
+/// call, so a writer that accepts whole buffers sees one `write` per
+/// response.
+pub fn handle_connection(
+    mut reader: impl BufRead,
+    mut writer: impl Write,
+    server: &Server,
+) -> std::io::Result<bool> {
     let mut line: Vec<u8> = Vec::new();
     loop {
         line.clear();
@@ -70,7 +88,7 @@ fn handle_connection(
         // server's parse error instead of killing the connection.
         let n = reader.read_until(b'\n', &mut line)?;
         if n == 0 {
-            return Ok(()); // clean EOF
+            return Ok(false); // clean EOF
         }
         trim_line_terminator(&mut line);
         let text = String::from_utf8_lossy(&line);
@@ -83,10 +101,7 @@ fn handle_connection(
         response.push('\n');
         writer.write_all(response.as_bytes())?;
         if server.draining() {
-            // Wake the acceptor (it blocks in accept) so the listener
-            // loop notices the drain and exits.
-            let _ = TcpStream::connect(addr);
-            return Ok(());
+            return Ok(true);
         }
     }
 }

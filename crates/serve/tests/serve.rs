@@ -842,58 +842,51 @@ fn tcp_transport_round_trips_and_drains() {
 }
 
 /// Regression: a response larger than the transport's write buffer used
-/// to leave in two writes — the body, then its newline — on a socket
-/// without `TCP_NODELAY`, so the newline sat in Nagle's buffer until the
-/// client's delayed ACK (~40 ms per large response). Each response now
-/// leaves in one write on a no-delay socket; a saved session (> 8 KiB)
-/// round-trips far below the delayed-ACK floor.
+/// to leave in two writes — the body, then its newline — so on a socket
+/// without `TCP_NODELAY` the newline sat in Nagle's buffer until the
+/// client's delayed ACK (~40 ms per large response). The transport now
+/// hands every response, newline included, to one `write`; a saved
+/// session (> 8 KiB) pins it for a response larger than any buffer.
 #[test]
-fn tcp_large_responses_do_not_wait_for_delayed_acks() {
-    use std::io::{BufRead, BufReader, Write};
-    use std::net::{TcpListener, TcpStream};
-    use std::time::{Duration, Instant};
+fn each_response_leaves_in_one_write() {
+    use std::io::Write;
 
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr");
+    /// Every `write` call's bytes, each accepted whole.
+    #[derive(Default)]
+    struct Writes(Vec<Vec<u8>>);
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
     let server = Server::new(ServerConfig::default());
-    let serve_thread = std::thread::spawn(move || copycat_serve::tcp::serve(listener, server));
-
-    let stream = TcpStream::connect(addr).expect("connect");
-    // The client sends each request in one write, so only the server's
-    // side of the exchange can stall.
-    stream.set_nodelay(true).expect("nodelay");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-    let mut call = |line: &str| {
-        let mut s = &stream;
-        s.write_all(format!("{line}\n").as_bytes()).unwrap();
-        let mut resp = String::new();
-        reader.read_line(&mut resp).unwrap();
-        resp
-    };
-
-    let script = session_script("big", "b", 30);
-    let (save, setup) = script.split_last().expect("non-empty script");
+    let mut script = session_script("big", "b", 30);
+    let save = script.last().expect("non-empty script").clone();
     assert!(save.contains("save_session"), "{save}");
-    for line in setup {
-        let resp = Json::parse(call(line).trim()).expect("json response");
-        assert_eq!(resp["ok"].as_bool(), Some(true), "{resp}");
+    script.extend(std::iter::repeat_n(save, 4));
+    let input = script.join("\n") + "\n";
+    let mut writes = Writes::default();
+    let draining = copycat_serve::tcp::handle_connection(input.as_bytes(), &mut writes, &server)
+        .expect("in-memory transport");
+    assert!(!draining);
+    assert_eq!(writes.0.len(), script.len(), "one write per request");
+    for (line, written) in script.iter().zip(&writes.0) {
+        let text = std::str::from_utf8(written).expect("utf-8 response");
+        let body = text.strip_suffix('\n').expect("the write carries the newline");
+        assert!(!body.contains('\n'), "one response per write");
+        let resp = Json::parse(body).expect("json response");
+        assert_eq!(resp["ok"].as_bool(), Some(true), "{line} -> {resp}");
     }
-    let mut waits = Vec::new();
-    for _ in 0..5 {
-        let start = Instant::now();
-        let resp = call(save);
-        waits.push(start.elapsed());
-        assert!(resp.len() > 8 * 1024, "the saved session must exceed 8 KiB: {} bytes", resp.len());
-        assert_eq!(Json::parse(resp.trim()).expect("json")["ok"].as_bool(), Some(true));
+    for saved in &writes.0[writes.0.len() - 5..] {
+        let bytes = saved.len();
+        assert!(bytes > 8 * 1024, "the saved session must exceed 8 KiB: {bytes} bytes");
     }
-    waits.sort();
-    assert!(
-        waits[2] < Duration::from_millis(20),
-        "median save_session round trip {:?} (all {waits:?})",
-        waits[2]
-    );
-    call("{\"id\":99,\"op\":\"shutdown\"}");
-    serve_thread.join().unwrap().expect("serve exits cleanly");
+    server.shutdown();
 }
 
 /// Regression: a client that frames with CRLF (`\r\n`) — telnet, Windows
