@@ -159,11 +159,10 @@ impl CallGraph {
 mod tests {
     use super::*;
     use crate::file::FileCtx;
-    use crate::index::AuxFile;
 
     fn graph(src: &str) -> (SymbolIndex, CallGraph) {
         let ctx = FileCtx::new("crates/serve/src/x.rs", src, &crate::rules::names());
-        let idx = SymbolIndex::build(vec![ctx], Vec::<AuxFile>::new());
+        let idx = SymbolIndex::build(vec![ctx]);
         let g = CallGraph::build(&idx);
         (idx, g)
     }
@@ -199,7 +198,7 @@ mod tests {
             "fn helper() { x.lock(); }\n#[test]\nfn caller() { helper(); }",
             &crate::rules::names(),
         );
-        let idx = SymbolIndex::build(vec![ctx1, ctx2], Vec::new());
+        let idx = SymbolIndex::build(vec![ctx1, ctx2]);
         let g = CallGraph::build(&idx);
         let caller = idx.fns.iter().position(|f| f.name == "caller" && !f.in_test).unwrap();
         // `helper` lives in another crate: no edge, no reachable lock.

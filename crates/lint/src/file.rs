@@ -241,7 +241,7 @@ mod tests {
     use super::*;
 
     fn ctx(src: &str) -> FileCtx {
-        FileCtx::new("crates/x/src/lib.rs", src, &["relaxed-atomics", "panic-path"])
+        FileCtx::new("crates/x/src/lib.rs", src, &["relaxed-atomics", "lock-order"])
     }
 
     #[test]
@@ -267,12 +267,12 @@ mod tests {
     #[test]
     fn suppression_covers_trailing_and_next_line() {
         let src = "f(); // lint:allow(relaxed-atomics) bench-only counter\n\
-                   // lint:allow(panic-path) startup, no request in flight\n\
+                   // lint:allow(lock-order) startup, no other thread yet\n\
                    g();";
         let c = ctx(src);
         assert!(c.suppressed("relaxed-atomics", 1));
-        assert!(c.suppressed("panic-path", 3));
-        assert!(!c.suppressed("panic-path", 1));
+        assert!(c.suppressed("lock-order", 3));
+        assert!(!c.suppressed("lock-order", 1));
         assert!(!c.suppressed("relaxed-atomics", 3));
         assert!(c.bad_suppressions.is_empty());
     }
@@ -282,11 +282,20 @@ mod tests {
         let c = ctx("// lint:allow(relaxed-atomics)\nf();\n// lint:allow(no-such-rule) why\ng();");
         assert_eq!(c.bad_suppressions.len(), 2);
         assert!(!c.suppressed("relaxed-atomics", 2));
-        // The rules that moved to clippy (`clippy.toml`) are unknown to
-        // the real rule set, so a leftover `lint:allow` naming one fails
-        // loudly instead of silencing nothing.
+        // The rules that moved to clippy (`clippy.toml`) or to a typed
+        // test are unknown to the real rule set, so a leftover
+        // `lint:allow` naming one fails loudly instead of silencing
+        // nothing.
         let names = crate::rules::names();
-        for rule in ["wallclock", "fs-discipline", "randomstate", "unsafe-safety"] {
+        for rule in [
+            "wallclock",
+            "fs-discipline",
+            "randomstate",
+            "unsafe-safety",
+            "panic-path",
+            "spawn-discipline",
+            "protocol-exhaustiveness",
+        ] {
             let src = format!("// lint:allow({rule}) why\nf();");
             let c = FileCtx::new("crates/x/src/lib.rs", &src, &names);
             assert_eq!(c.bad_suppressions.len(), 1, "{rule}");

@@ -5,7 +5,7 @@ use copycat_util::json::Json;
 /// One rule violation at one source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// The rule that fired (kebab-case, e.g. `panic-path`).
+    /// The rule that fired (kebab-case, e.g. `lock-order`).
     pub rule: &'static str,
     /// Repo-relative path, `/`-separated on every platform.
     pub file: String,
@@ -15,9 +15,9 @@ pub struct Finding {
     pub message: String,
     /// Rule provenance: the files/symbols that contributed to this
     /// finding beyond the site itself. Per-file rules leave it empty;
-    /// cross-file rules record the chain (e.g. the call path that
-    /// carries a lock acquisition into a guarded region, or the fixture
-    /// a protocol variant is missing from).
+    /// the lock-order pass records the chain (the call path that
+    /// carries a lock acquisition or a blocking call into a guarded
+    /// region).
     pub provenance: Vec<String>,
 }
 

@@ -2,11 +2,11 @@
 //!
 //! Built once per analysis run from the already-lexed [`FileCtx`]s, the
 //! index records, per file, every `fn` definition (with its body token
-//! range), every `enum` definition (with its variant list), and — per
-//! function — the lock acquisitions, lock-guard bindings with their
-//! liveness ranges, blocking channel/thread/condvar calls, and plain call
-//! sites. Cross-file rules ([`crate::rules::TreeRule`]) consume it via
-//! the conservative name-based call graph in [`crate::callgraph`].
+//! range) and — per function — the lock acquisitions, lock-guard
+//! bindings with their liveness ranges, blocking channel/thread/condvar
+//! calls, and plain call sites. The lock-order pass
+//! ([`crate::rules::lock_order`]) consumes it via the conservative
+//! name-based call graph in [`crate::callgraph`].
 //!
 //! Soundness model (documented, deliberate): lock *identity* is the
 //! last identifier of the receiver path (`self.sessions.lock()` →
@@ -98,39 +98,12 @@ pub struct FnDef {
     pub calls: Vec<CallSite>,
 }
 
-/// One `enum` definition with its variant list.
-#[derive(Debug, Clone)]
-pub struct EnumDef {
-    /// The enum's name.
-    pub name: String,
-    /// Index into [`SymbolIndex::files`].
-    pub file: usize,
-    /// Line of the `enum` keyword.
-    pub line: u32,
-    /// `(variant name, line)` in declaration order.
-    pub variants: Vec<(String, u32)>,
-}
-
-/// A raw (un-lexed) companion file cross-file rules read as text —
-/// golden transcripts and test drivers that live outside the lint walk.
-#[derive(Debug, Clone)]
-pub struct AuxFile {
-    /// Repo-relative path, `/`-separated.
-    pub path: String,
-    /// Raw file contents.
-    pub text: String,
-}
-
 /// The whole-tree symbol index (phase 1's output).
 pub struct SymbolIndex {
     /// Every analyzed file, sorted by path (the pipeline sorts).
     pub files: Vec<FileCtx>,
     /// Every `fn` definition, in (file, token) order.
     pub fns: Vec<FnDef>,
-    /// Every `enum` definition, in (file, token) order.
-    pub enums: Vec<EnumDef>,
-    /// Companion raw files, sorted by path.
-    pub aux: Vec<AuxFile>,
 }
 
 impl SymbolIndex {
@@ -138,31 +111,12 @@ impl SymbolIndex {
     /// must be sorted by path (the pipeline guarantees it), so the
     /// index — and everything derived from it — is independent of walk
     /// order.
-    pub fn build(files: Vec<FileCtx>, mut aux: Vec<AuxFile>) -> SymbolIndex {
-        aux.sort_by(|a, b| a.path.cmp(&b.path));
+    pub fn build(files: Vec<FileCtx>) -> SymbolIndex {
         let mut fns = Vec::new();
-        let mut enums = Vec::new();
         for (fi, ctx) in files.iter().enumerate() {
-            index_file(fi, ctx, &mut fns, &mut enums);
+            index_file(fi, ctx, &mut fns);
         }
-        SymbolIndex { files, fns, enums, aux }
-    }
-
-    /// The context of the file at exactly `path`, if analyzed.
-    pub fn file_at(&self, path: &str) -> Option<&FileCtx> {
-        self.files.iter().find(|c| c.path == path)
-    }
-
-    /// The aux file whose path ends with `suffix`, if loaded.
-    pub fn aux_ending(&self, suffix: &str) -> Option<&AuxFile> {
-        self.aux.iter().find(|a| a.path.ends_with(suffix))
-    }
-
-    /// The enum named `name` defined in the file at exactly `path`.
-    pub fn enum_at(&self, path: &str, name: &str) -> Option<&EnumDef> {
-        self.enums
-            .iter()
-            .find(|e| e.name == name && self.files[e.file].path == path)
+        SymbolIndex { files, fns }
     }
 
     /// `file:line` for a function (finding/provenance rendering).
@@ -179,7 +133,7 @@ pub fn crate_of(path: &str) -> String {
         .to_string()
 }
 
-fn index_file(fi: usize, ctx: &FileCtx, fns: &mut Vec<FnDef>, enums: &mut Vec<EnumDef>) {
+fn index_file(fi: usize, ctx: &FileCtx, fns: &mut Vec<FnDef>) {
     let toks = &ctx.toks;
     let text = |i: usize| toks.get(i).map(|t| t.text.as_str());
     let crate_name = crate_of(&ctx.path);
@@ -252,48 +206,6 @@ fn index_file(fi: usize, ctx: &FileCtx, fns: &mut Vec<FnDef>, enums: &mut Vec<En
                 // Nested fns are rare and still indexed: resume right
                 // after the name so the inner scan revisits the body.
                 i += 2;
-            }
-            Some("enum") if toks.get(i + 1).is_some_and(|t| t.kind == TokKind::Ident) => {
-                let d = ctx.depth[i];
-                if let Some(open) =
-                    (i + 2..toks.len()).find(|&k| text(k) == Some("{") && ctx.depth[k] == d)
-                {
-                    let close = (open + 1..toks.len())
-                        .find(|&k| text(k) == Some("}") && ctx.depth[k] == d + 1)
-                        .unwrap_or(toks.len());
-                    let mut variants = Vec::new();
-                    // Brace depth alone does not see tuple payloads
-                    // (`Tuple(u8, Vec<T>)` keeps its commas at the body
-                    // depth), so track paren/bracket nesting too.
-                    let mut nest = 0i64;
-                    for (k, tok) in toks.iter().enumerate().take(close).skip(open + 1) {
-                        // A variant: an ident at the body's top depth,
-                        // outside any payload group, whose predecessor
-                        // opens the body, follows a comma, or closes a
-                        // variant attribute.
-                        if tok.kind == TokKind::Ident
-                            && ctx.depth[k] == d + 1
-                            && nest == 0
-                            && matches!(text(k - 1), Some("{") | Some(",") | Some("]"))
-                        {
-                            variants.push((tok.text.clone(), tok.line));
-                        }
-                        match text(k) {
-                            Some("(") | Some("[") => nest += 1,
-                            Some(")") | Some("]") => nest -= 1,
-                            _ => {}
-                        }
-                    }
-                    enums.push(EnumDef {
-                        name: toks[i + 1].text.clone(),
-                        file: fi,
-                        line: toks[i].line,
-                        variants,
-                    });
-                    i = open + 1;
-                } else {
-                    i += 2;
-                }
             }
             _ => i += 1,
         }
@@ -483,7 +395,7 @@ mod tests {
 
     fn index_of(src: &str) -> SymbolIndex {
         let ctx = FileCtx::new("crates/serve/src/x.rs", src, &crate::rules::names());
-        SymbolIndex::build(vec![ctx], Vec::new())
+        SymbolIndex::build(vec![ctx])
     }
 
     #[test]
@@ -502,16 +414,6 @@ mod tests {
         assert_eq!(idx.fns[2].body.0, idx.fns[2].body.1);
         assert_eq!(idx.fns[3].locks.len(), 1);
         assert_eq!(idx.fns[3].locks[0].class, "field");
-    }
-
-    #[test]
-    fn enum_variants_with_payloads_and_attrs() {
-        let idx = index_of(
-            "enum E<T> {\n  Plain,\n  Tuple(u8, Vec<[u8; 4]>),\n  Struct { x: T },\n  #[cfg(unix)]\n  Gated,\n}",
-        );
-        assert_eq!(idx.enums.len(), 1);
-        let vars: Vec<&str> = idx.enums[0].variants.iter().map(|(v, _)| v.as_str()).collect();
-        assert_eq!(vars, vec!["Plain", "Tuple", "Struct", "Gated"]);
     }
 
     #[test]

@@ -1,37 +1,35 @@
-//! copycat-lint: the in-tree concurrency and request-path invariant
+//! copycat-lint: the in-tree concurrency and hot-path invariant
 //! checker.
 //!
 //! The reproduction's quantitative claims — byte-identical
 //! concurrent-vs-sequential replay, virtual-time deadlines, seedable
 //! experiments — rest on invariants. Those that a name-resolved lint
 //! can state (no wall-clock read outside the deadline/bench modules, no
-//! `std::fs` outside `store::io`, no random-seeded std hasher, a
+//! `std::fs` outside `store::io`, no random-seeded std hasher, no
+//! detached `thread::spawn`, no panic on a serve request path, a
 //! `// SAFETY:` comment on every `unsafe` block) are clippy's, declared
-//! in the repo root's `clippy.toml` and `[workspace.lints.clippy]`.
-//! This crate enforces the rest, which need whole-tree or
-//! region-level reasoning clippy has no lint for: no request path
-//! panics, no lock guard blocks on a channel, lock acquisition has a
-//! global order, the protocol is exhaustively handled, hot paths do not
-//! allocate. It needs no registry crates: a lightweight Rust lexer
-//! ([`lex`]), a token-tree matcher with per-file context ([`file`]), a
-//! rule engine ([`rules`]), machine-readable findings ([`findings`]),
-//! and a committed ratchet ([`baseline`]) that lets the finding count
-//! only go down.
+//! in the repo root's `clippy.toml`, `[workspace.lints.clippy]` and the
+//! serve crate roots; the protocol's wiring is a typed test in
+//! `crates/serve`. This crate enforces the rest, which need whole-tree
+//! or region-level reasoning clippy has no lint for: no lock guard
+//! blocks on a channel, lock acquisition has a global order, atomics
+//! say why they are relaxed, hot paths do not allocate. It needs no
+//! registry crates: a lightweight Rust lexer ([`lex`]), a token-tree
+//! matcher with per-file context ([`file`]), a rule engine
+//! ([`rules`]) and machine-readable findings ([`findings`]).
 //!
 //! ## Two-phase analysis
 //!
 //! Analysis runs in two phases over the whole tree:
 //!
 //! 1. **Per-file** ([`rules::Rule`]): each file's token stream is
-//!    scanned independently — panic paths, hot-path allocations,
-//!    relaxed atomics, and friends.
-//! 2. **Whole-tree** ([`rules::TreeRule`]): a symbol index
+//!    scanned independently — hot-path allocations, relaxed atomics,
+//!    guards held across a blocking call in one block.
+//! 2. **Whole-tree** ([`rules::lock_order`]): a symbol index
 //!    ([`index::SymbolIndex`]) and a conservative intra-crate call
 //!    graph ([`callgraph::CallGraph`]) are built over all files at
-//!    once, then interprocedural rules run — lock-order cycles,
-//!    guard-held-across-transitively-blocking-call, and protocol
-//!    exhaustiveness against companion artifacts (golden transcripts,
-//!    durability tests) loaded as raw [`index::AuxFile`]s.
+//!    once, then the lock-order pass runs — lock-order cycles,
+//!    re-entry, and guard-held-across-transitively-blocking-call.
 //!
 //! Files are sorted by path before either phase, so findings are
 //! independent of directory-walk order (pinned by a shuffle property
@@ -52,20 +50,17 @@
 //! detectable: a `lint:allow` that silenced nothing this run becomes a
 //! `stale-suppression` finding — suppressions cannot outlive the code
 //! they excuse. A `lint:allow` naming a rule this crate does not have
-//! (including the four that moved to clippy) is a `bad-suppression`.
+//! (including the ones that moved to clippy) is a `bad-suppression`.
 //! `relaxed-atomics` accepts a justification comment instead:
 //! `// relaxed: <why>` at the site.
 //!
 //! ## CLI
 //!
 //! - `copycat-lint check [--budget-ms N]` — exit non-zero on any
-//!   non-baseline finding, or if analysis blows the wall-time budget.
+//!   finding, or if analysis blows the wall-time budget.
 //! - `copycat-lint json` — full findings report (with rule provenance
 //!   and runtime) as JSON on stdout.
-//! - `copycat-lint baseline` — regenerate `LINT_BASELINE.json`, printing
-//!   a diff summary. Strict rules are never written to the baseline.
 
-pub mod baseline;
 pub mod callgraph;
 pub mod file;
 pub mod findings;
@@ -77,29 +72,21 @@ pub mod walk;
 use crate::callgraph::CallGraph;
 use crate::file::FileCtx;
 use crate::findings::Finding;
-use crate::index::{AuxFile, SymbolIndex};
+use crate::index::SymbolIndex;
 use std::io;
 use std::path::Path;
-
-/// Companion files the tree rules read as raw text, relative to the
-/// repo root. Loaded by [`analyze_tree`]; missing ones are reported by
-/// the rules that need them, not silently skipped.
-pub const AUX_FILES: &[&str] = &[
-    "crates/serve/tests/golden/wire_transcript.txt",
-    "crates/serve/tests/durability.rs",
-];
 
 /// Run the full two-phase pipeline over one file's source, `path`
 /// being its repo-relative `/`-separated location (rule scoping keys
 /// off it). Returns findings in canonical sorted order, suppressions
 /// applied and stale ones reported.
 pub fn analyze_source(path: &str, src: &str) -> Vec<Finding> {
-    analyze_files_with_aux(&[(path, src)], Vec::new())
+    analyze_files(&[(path, src)])
 }
 
 /// The testable core of [`analyze_tree`]: the full two-phase pipeline
-/// over pre-loaded files plus raw companion files.
-pub fn analyze_files_with_aux(files: &[(&str, &str)], aux: Vec<AuxFile>) -> Vec<Finding> {
+/// over pre-loaded `(path, source)` files.
+pub fn analyze_files(files: &[(&str, &str)]) -> Vec<Finding> {
     let names = rules::names();
     let mut ctxs: Vec<FileCtx> = files.iter().map(|(p, s)| FileCtx::new(p, s, &names)).collect();
     ctxs.sort_by(|a, b| a.path.cmp(&b.path));
@@ -111,12 +98,10 @@ pub fn analyze_files_with_aux(files: &[(&str, &str)], aux: Vec<AuxFile>) -> Vec<
             rule.check(ctx, &mut raw);
         }
     }
-    // Phase 2: whole-tree rules over the symbol index and call graph.
-    let index = SymbolIndex::build(ctxs, aux);
+    // Phase 2: the lock-order pass over the symbol index and call graph.
+    let index = SymbolIndex::build(ctxs);
     let graph = CallGraph::build(&index);
-    for rule in rules::tree_rules() {
-        rule.check(&index, &graph, &mut raw);
-    }
+    rules::lock_order::check(&index, &graph, &mut raw);
     // Central suppression pass: drop suppressed findings, remember
     // which suppressions earned their keep, report the rest as stale.
     let mut out: Vec<Finding> = Vec::new();
@@ -155,8 +140,8 @@ pub fn analyze_files_with_aux(files: &[(&str, &str)], aux: Vec<AuxFile>) -> Vec<
     out
 }
 
-/// Walk `crates/*/src/**/*.rs` under `root`, load the companion files,
-/// and run the full two-phase analysis.
+/// Walk `crates/*/src/**/*.rs` under `root` and run the full two-phase
+/// analysis.
 #[expect(clippy::disallowed_methods, reason = "the linter reads the source tree it audits")]
 pub fn analyze_tree(root: &Path) -> io::Result<Vec<Finding>> {
     let mut files: Vec<(String, String)> = Vec::new();
@@ -164,27 +149,7 @@ pub fn analyze_tree(root: &Path) -> io::Result<Vec<Finding>> {
         let src = std::fs::read_to_string(root.join(&rel))?;
         files.push((rel, src));
     }
-    let mut aux = Vec::new();
-    for rel in AUX_FILES {
-        if let Ok(text) = std::fs::read_to_string(root.join(rel)) {
-            aux.push(AuxFile { path: (*rel).to_string(), text });
-        }
-    }
     let pairs: Vec<(&str, &str)> =
         files.iter().map(|(p, s)| (p.as_str(), s.as_str())).collect();
-    Ok(analyze_files_with_aux(&pairs, aux))
-}
-
-/// The committed baseline's file name, relative to the repo root.
-pub const BASELINE_FILE: &str = "LINT_BASELINE.json";
-
-/// Load the committed baseline (absent file = empty baseline).
-#[expect(clippy::disallowed_methods, reason = "the linter reads its committed baseline")]
-pub fn load_baseline(root: &Path) -> Result<baseline::Baseline, String> {
-    let path = root.join(BASELINE_FILE);
-    if !path.is_file() {
-        return Ok(baseline::Baseline::default());
-    }
-    let text = std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-    baseline::from_json(&text)
+    Ok(analyze_files(&pairs))
 }

@@ -1,18 +1,17 @@
 //! The `copycat-lint` binary. See the crate docs for semantics.
 //!
-//! Exit codes: 0 clean, 1 findings (or an invalid baseline, or a blown
-//! wall-time budget), 2 usage or I/O failure.
+//! Exit codes: 0 clean, 1 findings (or a blown wall-time budget), 2
+//! usage or I/O failure.
 
-use copycat_lint::{analyze_tree, baseline, findings, load_baseline, walk, BASELINE_FILE};
+use copycat_lint::{analyze_tree, findings, walk};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: copycat-lint [--root <dir>] [--budget-ms <n>] <check|json|baseline>
+const USAGE: &str = "usage: copycat-lint [--root <dir>] [--budget-ms <n>] <check|json>
 
-  check     lint crates/*/src and fail on any non-baseline finding
+  check     lint crates/*/src and fail on any finding
             (--budget-ms also fails the run if analysis takes longer)
-  json      print the full findings report as JSON (includes runtime_ms)
-  baseline  regenerate LINT_BASELINE.json (ratchet), printing a diff";
+  json      print the full findings report as JSON (includes runtime_ms)";
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
@@ -29,7 +28,7 @@ fn main() -> ExitCode {
                 Some(n) => budget_ms = Some(n),
                 None => return usage("--budget-ms needs a number"),
             },
-            "check" | "json" | "baseline" if cmd.is_none() => cmd = Some(a),
+            "check" | "json" if cmd.is_none() => cmd = Some(a),
             other => return usage(&format!("unrecognized argument {other:?}")),
         }
     }
@@ -63,66 +62,12 @@ fn main() -> ExitCode {
             println!("{}", findings::report_json(&found, Some(runtime_ms)));
             ExitCode::SUCCESS
         }
-        "baseline" => {
-            let old = match load_baseline(&root) {
-                Ok(b) => b,
-                Err(e) => return fail(&e),
-            };
-            let new = baseline::from_findings(&found);
-            let strict_remaining: Vec<_> =
-                found.iter().filter(|f| !new.counts.contains_key(&(f.rule.to_string(), f.file.clone()))).collect();
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "the linter writes its committed baseline"
-            )]
-            let written = std::fs::write(root.join(BASELINE_FILE), format!("{}\n", baseline::to_json(&new)));
-            if let Err(e) = written {
-                return fail(&format!("writing {BASELINE_FILE}: {e}"));
-            }
-            let diff = baseline::diff_summary(&old, &new);
-            if diff.is_empty() {
-                println!("copycat-lint baseline: unchanged ({} entries)", new.counts.len());
-            } else {
-                println!("copycat-lint baseline: {} change(s)", diff.len());
-                for line in diff {
-                    println!("  {line}");
-                }
-            }
-            if !strict_remaining.is_empty() {
-                eprintln!(
-                    "warning: {} strict-rule finding(s) were NOT baselined (strict rules are \
-                     un-baselineable) — fix or lint:allow them:",
-                    strict_remaining.len()
-                );
-                for f in strict_remaining {
-                    eprintln!("  {}:{} [{}] {}", f.file, f.line, f.rule, f.message);
-                }
-            }
-            ExitCode::SUCCESS
-        }
         "check" => {
-            let base = match load_baseline(&root) {
-                Ok(b) => b,
-                Err(e) => return fail(&e),
-            };
-            let verdict = baseline::compare(&found, &base);
-            for (rule, file, n) in &verdict.illegal_entries {
-                eprintln!(
-                    "{BASELINE_FILE}: illegal entry [{rule}] {file} ({n}) — strict rules \
-                     cannot be baselined"
-                );
-            }
-            for f in &verdict.violations {
+            for f in &found {
                 eprintln!("{}:{} [{}] {}", f.file, f.line, f.rule, f.message);
                 for p in &f.provenance {
                     eprintln!("    via {p}");
                 }
-            }
-            for (rule, file, was, now) in &verdict.improvements {
-                eprintln!(
-                    "note: [{rule}] {file} improved {was} -> {now}; run `copycat-lint baseline` \
-                     to ratchet down"
-                );
             }
             if over_budget {
                 eprintln!(
@@ -130,19 +75,11 @@ fn main() -> ExitCode {
                     budget_ms.unwrap_or(0)
                 );
             }
-            if verdict.clean() && !over_budget {
-                println!(
-                    "copycat-lint: clean ({} finding(s), all baselined; {} baseline entr(ies); {runtime_ms}ms)",
-                    found.len(),
-                    base.counts.len()
-                );
+            if found.is_empty() && !over_budget {
+                println!("copycat-lint: clean ({runtime_ms}ms)");
                 ExitCode::SUCCESS
             } else {
-                eprintln!(
-                    "copycat-lint: {} violation(s) ({} illegal baseline entr(ies))",
-                    verdict.violations.len(),
-                    verdict.illegal_entries.len()
-                );
+                eprintln!("copycat-lint: {} finding(s)", found.len());
                 ExitCode::FAILURE
             }
         }

@@ -28,7 +28,6 @@
 use crate::callgraph::CallGraph;
 use crate::findings::Finding;
 use crate::index::SymbolIndex;
-use crate::rules::TreeRule;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Crates whose lock usage is the primitive layer itself.
@@ -41,144 +40,140 @@ struct Edge {
     provenance: Vec<String>,
 }
 
-/// The rule.
-pub struct LockOrder;
+/// The rule's name (its interprocedural guard findings report under
+/// `guard-across-blocking`).
+pub const NAME: &str = "lock-order";
 
-impl TreeRule for LockOrder {
-    fn name(&self) -> &'static str {
-        "lock-order"
-    }
-
-    fn check(&self, index: &SymbolIndex, graph: &CallGraph, out: &mut Vec<Finding>) {
-        // (crate, from class, to class) → first recorded edge.
-        let mut edges: BTreeMap<(String, String, String), Edge> = BTreeMap::new();
-        for (fi, f) in index.fns.iter().enumerate() {
-            if f.in_test || EXEMPT_CRATES.contains(&f.crate_name.as_str()) {
-                continue;
-            }
-            let file = index.files[f.file].path.clone();
-            for g in &f.guards {
-                let in_range = |tok: usize| tok >= g.live.0 && tok < g.live.1;
-                // Direct acquisitions under the guard.
-                for l in &f.locks {
-                    if !in_range(l.tok) {
-                        continue;
-                    }
-                    if l.class == g.class {
-                        if l.exclusive || g.exclusive {
-                            out.push(Finding::new(
-                                self.name(),
-                                file.clone(),
-                                l.line,
-                                format!(
-                                    "lock `{}` acquired again while guard `{}` (line {}) already \
-                                     holds it — self-deadlock on non-reentrant locks",
-                                    l.class, g.name, g.line
-                                ),
-                            ));
-                        }
-                    } else {
-                        edges
-                            .entry((f.crate_name.clone(), g.class.clone(), l.class.clone()))
-                            .or_insert_with(|| Edge {
-                                file: file.clone(),
-                                line: l.line,
-                                provenance: vec![index.fn_site(f)],
-                            });
-                    }
+/// Run the pass over the whole tree, appending findings.
+pub fn check(index: &SymbolIndex, graph: &CallGraph, out: &mut Vec<Finding>) {
+    // (crate, from class, to class) → first recorded edge.
+    let mut edges: BTreeMap<(String, String, String), Edge> = BTreeMap::new();
+    for (fi, f) in index.fns.iter().enumerate() {
+        if f.in_test || EXEMPT_CRATES.contains(&f.crate_name.as_str()) {
+            continue;
+        }
+        let file = index.files[f.file].path.clone();
+        for g in &f.guards {
+            let in_range = |tok: usize| tok >= g.live.0 && tok < g.live.1;
+            // Direct acquisitions under the guard.
+            for l in &f.locks {
+                if !in_range(l.tok) {
+                    continue;
                 }
-                // Calls under the guard: what the callee can acquire or
-                // block on counts as happening here.
-                for c in &f.calls {
-                    if !in_range(c.tok) {
+                if l.class == g.class {
+                    if l.exclusive || g.exclusive {
+                        out.push(Finding::new(
+                            NAME,
+                            file.clone(),
+                            l.line,
+                            format!(
+                                "lock `{}` acquired again while guard `{}` (line {}) already \
+                                 holds it — self-deadlock on non-reentrant locks",
+                                l.class, g.name, g.line
+                            ),
+                        ));
+                    }
+                } else {
+                    edges
+                        .entry((f.crate_name.clone(), g.class.clone(), l.class.clone()))
+                        .or_insert_with(|| Edge {
+                            file: file.clone(),
+                            line: l.line,
+                            provenance: vec![index.fn_site(f)],
+                        });
+                }
+            }
+            // Calls under the guard: what the callee can acquire or
+            // block on counts as happening here.
+            for c in &f.calls {
+                if !in_range(c.tok) {
+                    continue;
+                }
+                // One report per call site and lock class: a name
+                // resolving to several defs is one diagnosis.
+                let mut blocked_reported = false;
+                let mut classes_reported: BTreeSet<&str> = BTreeSet::new();
+                for &callee in graph.resolve(&f.crate_name, &c.name) {
+                    if callee == fi {
                         continue;
                     }
-                    // One report per call site and lock class: a name
-                    // resolving to several defs is one diagnosis.
-                    let mut blocked_reported = false;
-                    let mut classes_reported: BTreeSet<&str> = BTreeSet::new();
-                    for &callee in graph.resolve(&f.crate_name, &c.name) {
-                        if callee == fi {
+                    if graph.can_block[callee] && !blocked_reported {
+                        blocked_reported = true;
+                        let mut prov = vec![index.fn_site(f)];
+                        prov.extend(graph.block_chain(index, callee));
+                        out.push(Finding {
+                            rule: "guard-across-blocking",
+                            file: file.clone(),
+                            line: c.line,
+                            message: format!(
+                                "call to {}() while guard `{}` (class `{}`, line {}) is live \
+                                 reaches a blocking send/recv/join or condvar wait down the \
+                                 call chain; drop the guard first",
+                                c.name, g.name, g.class, g.line
+                            ),
+                            provenance: prov,
+                        });
+                    }
+                    for (class, exclusive) in graph.reachable_locks[callee].iter() {
+                        if !classes_reported.insert(class.as_str()) {
                             continue;
                         }
-                        if graph.can_block[callee] && !blocked_reported {
-                            blocked_reported = true;
-                            let mut prov = vec![index.fn_site(f)];
-                            prov.extend(graph.block_chain(index, callee));
-                            out.push(Finding {
-                                rule: "guard-across-blocking",
-                                file: file.clone(),
-                                line: c.line,
-                                message: format!(
-                                    "call to {}() while guard `{}` (class `{}`, line {}) is live \
-                                     reaches a blocking send/recv/join or condvar wait down the \
-                                     call chain; drop the guard first",
-                                    c.name, g.name, g.class, g.line
-                                ),
-                                provenance: prov,
-                            });
-                        }
-                        for (class, exclusive) in graph.reachable_locks[callee].iter() {
-                            if !classes_reported.insert(class.as_str()) {
-                                continue;
+                        let mut prov = vec![index.fn_site(f)];
+                        prov.extend(graph.lock_chain(index, callee, class));
+                        if *class == g.class {
+                            if *exclusive || g.exclusive {
+                                out.push(Finding {
+                                    rule: NAME,
+                                    file: file.clone(),
+                                    line: c.line,
+                                    message: format!(
+                                        "call to {}() while guard `{}` holds `{}` (line {}) \
+                                         re-acquires the same lock class down the call \
+                                         chain — self-deadlock on non-reentrant locks",
+                                        c.name, g.name, g.class, g.line
+                                    ),
+                                    provenance: prov,
+                                });
                             }
-                            let mut prov = vec![index.fn_site(f)];
-                            prov.extend(graph.lock_chain(index, callee, class));
-                            if *class == g.class {
-                                if *exclusive || g.exclusive {
-                                    out.push(Finding {
-                                        rule: self.name(),
-                                        file: file.clone(),
-                                        line: c.line,
-                                        message: format!(
-                                            "call to {}() while guard `{}` holds `{}` (line {}) \
-                                             re-acquires the same lock class down the call \
-                                             chain — self-deadlock on non-reentrant locks",
-                                            c.name, g.name, g.class, g.line
-                                        ),
-                                        provenance: prov,
-                                    });
-                                }
-                            } else {
-                                edges
-                                    .entry((
-                                        f.crate_name.clone(),
-                                        g.class.clone(),
-                                        class.clone(),
-                                    ))
-                                    .or_insert_with(|| Edge {
-                                        file: file.clone(),
-                                        line: c.line,
-                                        provenance: prov,
-                                    });
-                            }
+                        } else {
+                            edges
+                                .entry((
+                                    f.crate_name.clone(),
+                                    g.class.clone(),
+                                    class.clone(),
+                                ))
+                                .or_insert_with(|| Edge {
+                                    file: file.clone(),
+                                    line: c.line,
+                                    provenance: prov,
+                                });
                         }
                     }
                 }
             }
         }
-        // Cycle detection per crate over the class graph.
-        let mut adj: BTreeMap<&str, BTreeMap<&str, BTreeSet<&str>>> = BTreeMap::new();
-        for (krate, from, to) in edges.keys() {
-            adj.entry(krate).or_default().entry(from).or_default().insert(to);
-        }
-        for ((krate, from, to), edge) in &edges {
-            let Some(crate_adj) = adj.get(krate.as_str()) else { continue };
-            if let Some(back) = path_between(crate_adj, to, from) {
-                let cycle: Vec<&str> =
-                    std::iter::once(from.as_str()).chain(back.iter().copied()).collect();
-                out.push(Finding {
-                    rule: self.name(),
-                    file: edge.file.clone(),
-                    line: edge.line,
-                    message: format!(
-                        "lock-order cycle in crate `{krate}`: {} — two threads taking these \
-                         locks in opposite orders can deadlock; pick one global order",
-                        cycle.join(" -> "),
-                    ),
-                    provenance: edge.provenance.clone(),
-                });
-            }
+    }
+    // Cycle detection per crate over the class graph.
+    let mut adj: BTreeMap<&str, BTreeMap<&str, BTreeSet<&str>>> = BTreeMap::new();
+    for (krate, from, to) in edges.keys() {
+        adj.entry(krate).or_default().entry(from).or_default().insert(to);
+    }
+    for ((krate, from, to), edge) in &edges {
+        let Some(crate_adj) = adj.get(krate.as_str()) else { continue };
+        if let Some(back) = path_between(crate_adj, to, from) {
+            let cycle: Vec<&str> =
+                std::iter::once(from.as_str()).chain(back.iter().copied()).collect();
+            out.push(Finding {
+                rule: NAME,
+                file: edge.file.clone(),
+                line: edge.line,
+                message: format!(
+                    "lock-order cycle in crate `{krate}`: {} — two threads taking these \
+                     locks in opposite orders can deadlock; pick one global order",
+                    cycle.join(" -> "),
+                ),
+                provenance: edge.provenance.clone(),
+            });
         }
     }
 }

@@ -17,6 +17,17 @@
 //! world, probes a sample end to end, and exits non-zero if the
 //! marginal memory cost falls below the sessions-per-GiB floor.
 
+// Failures end in an exit code naming them, never a panic (the serve
+// library's rule, see its crate root).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use copycat_serve::server::{Server, ServerConfig};
 use copycat_serve::{smoke, tcp};
 use copycat_store::Fs;

@@ -32,6 +32,18 @@
 //! whether sessions are driven sequentially or concurrently; latency is
 //! observable only through the metrics registry.
 
+// A panic in a request turns a typed, client-dispatchable error into a
+// generic `internal`; failures go through the `ErrorKind` taxonomy.
+// Test code is exempt through clippy.toml's `allow-*-in-tests`.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub mod deadline;
 pub mod metrics;
 pub mod protocol;

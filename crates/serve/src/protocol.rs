@@ -451,6 +451,76 @@ mod tests {
         }
     }
 
+    /// `[Op::A, …]` from variant names, behind an exhaustive `match` on
+    /// the same names: a variant added to `Op` stops this compiling
+    /// until it is listed.
+    macro_rules! every_op {
+        ($($variant:ident),+ $(,)?) => {{
+            let every = [$(Op::$variant),+];
+            for op in every {
+                match op {
+                    $(Op::$variant)|+ => {}
+                }
+            }
+            every
+        }};
+    }
+
+    /// The wiring the compiler cannot see. `as_str`, `mutates` and the
+    /// server's dispatch are `match`es without a wildcard, so a new
+    /// variant already fails to compile there, and
+    /// `smoke_round_trips_every_request_class` (`tests/serve.rs`)
+    /// requires the golden wire transcript to send every op in `ALL`.
+    /// This pins the rest: `ALL` (the metrics table) lists every variant
+    /// once, and the journal/replay tests send every op the router
+    /// journals.
+    #[test]
+    fn all_lists_every_op_and_the_journal_tests_send_every_mutation() {
+        let every = every_op!(
+            Ping,
+            CreateSession,
+            LoadSession,
+            SaveSession,
+            CloseSession,
+            ListSessions,
+            OpenDoc,
+            Paste,
+            AcceptRows,
+            NameColumn,
+            SetColumnType,
+            CommitSource,
+            RegisterWorld,
+            RegisterFlaky,
+            ColumnSuggestions,
+            AcceptColumn,
+            RejectColumn,
+            Autocomplete,
+            Feedback,
+            Explain,
+            Export,
+            Render,
+            Health,
+            SessionStats,
+            LearnTransform,
+            ListTransforms,
+            Stats,
+            Shutdown,
+            Invalid,
+        );
+        assert_eq!(Op::ALL.len(), every.len(), "Op::ALL must list every variant once");
+        let journal_tests = include_str!("../tests/durability.rs");
+        for op in every {
+            assert_eq!(Op::ALL.iter().filter(|&&o| o == op).count(), 1, "{op:?} in Op::ALL");
+            // The journal tests spell requests inside Rust string
+            // literals, quotes escaped.
+            let escaped = format!("\\\"op\\\":\\\"{}\\\"", op.as_str());
+            assert!(
+                !op.mutates() || journal_tests.contains(&escaped),
+                "{op:?} mutates, but tests/durability.rs never sends it"
+            );
+        }
+    }
+
     #[test]
     fn every_wire_name_round_trips() {
         for op in Op::ALL {

@@ -567,8 +567,11 @@ impl Router {
     }
 
     /// [`handle_line`](Router::handle_line) plus response parsing.
+    #[expect(
+        clippy::expect_used,
+        reason = "test/script convenience on router-produced JSON, not a request path"
+    )]
     pub fn handle(&self, line: &str) -> Json {
-        // lint:allow(panic-path) test/script convenience on router-produced JSON, not a request path
         Json::parse(&self.handle_line(line)).expect("router responses are valid JSON")
     }
 

@@ -336,8 +336,11 @@ impl Server {
 
     /// [`handle_line`](Server::handle_line) plus response parsing, for
     /// tests and scripts.
+    #[expect(
+        clippy::expect_used,
+        reason = "test/script convenience on server-produced JSON, not a request path"
+    )]
     pub fn handle(&self, line: &str) -> Json {
-        // lint:allow(panic-path) test/script convenience on server-produced JSON, not a request path
         Json::parse(&self.handle_line(line)).expect("server responses are valid JSON")
     }
 

@@ -11,7 +11,6 @@ use copycat_serve::protocol::Op;
 use copycat_serve::server::{Server, ServerConfig};
 use copycat_util::check::check;
 use copycat_util::json::Json;
-use std::sync::Arc;
 
 // ---------------------------------------------------------------- smoke
 
@@ -187,18 +186,15 @@ fn concurrent_sessions_are_deterministic_and_reconcile() {
         );
 
         // Concurrent run: one closed-loop client thread per session.
-        let server = Arc::new(Server::new(ServerConfig {
-            workers: 4,
-            queue_depth: 64,
-            shards: 4,
-        }));
-        let mut handles = Vec::new();
-        for (_, script) in scripts.iter() {
-            let server = Arc::clone(&server);
-            let script = script.clone();
-            handles.push(std::thread::spawn(move || drive(&server, &script)));
-        }
-        let got: Vec<Vec<String>> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        let server = Server::new(ServerConfig { workers: 4, queue_depth: 64, shards: 4 });
+        let got: Vec<Vec<String>> = std::thread::scope(|scope| {
+            let server = &server;
+            let handles: Vec<_> = scripts
+                .iter()
+                .map(|(_, script)| scope.spawn(move || drive(server, script)))
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
 
         for (i, (exp, act)) in expected.iter().zip(&got).enumerate() {
             copycat_util::prop_ensure_eq!(
@@ -213,7 +209,6 @@ fn concurrent_sessions_are_deterministic_and_reconcile() {
         copycat_util::prop_ensure_eq!(server.metrics().grand_total(), sent);
         copycat_util::prop_ensure_eq!(server.metrics().grand_responses(), sent);
 
-        let server = Arc::into_inner(server).expect("all clients joined");
         server.shutdown();
         Ok(())
     });
@@ -306,18 +301,13 @@ fn concurrent_fault_injected_sessions_are_deterministic() {
             scripts.iter().map(|sc| drive(&reference, sc)).collect();
         reference.shutdown();
 
-        let server = Arc::new(Server::new(ServerConfig {
-            workers: 4,
-            queue_depth: 64,
-            shards: 4,
-        }));
-        let mut handles = Vec::new();
-        for sc in scripts.iter() {
-            let server = Arc::clone(&server);
-            let sc = sc.clone();
-            handles.push(std::thread::spawn(move || drive(&server, &sc)));
-        }
-        let got: Vec<Vec<String>> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        let server = Server::new(ServerConfig { workers: 4, queue_depth: 64, shards: 4 });
+        let got: Vec<Vec<String>> = std::thread::scope(|scope| {
+            let server = &server;
+            let handles: Vec<_> =
+                scripts.iter().map(|sc| scope.spawn(move || drive(server, sc))).collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
         for (i, (exp, act)) in expected.iter().zip(&got).enumerate() {
             copycat_util::prop_ensure_eq!(
                 exp,
@@ -325,7 +315,6 @@ fn concurrent_fault_injected_sessions_are_deterministic() {
                 "chaos session {i}: concurrent responses differ from sequential"
             );
         }
-        let server = Arc::into_inner(server).expect("all clients joined");
         server.shutdown();
         Ok(())
     });
@@ -406,50 +395,46 @@ fn shared_builtin_types_stay_session_local() {
 /// reconcile.
 #[test]
 fn shutdown_drains_in_flight_requests_without_dropping_responses() {
-    let server = Arc::new(Server::new(ServerConfig {
-        workers: 2,
-        queue_depth: 8,
-        shards: 2,
-    }));
-    let mut clients = Vec::new();
-    for c in 0..4 {
-        let server = Arc::clone(&server);
-        clients.push(std::thread::spawn(move || {
-            let mut sent = 0u64;
-            let mut received = 0u64;
-            let mut shed = false;
-            for i in 0..200 {
-                let line = format!("{{\"id\":\"c{c}-{i}\",\"op\":\"ping\"}}");
-                sent += 1;
-                let resp = server.handle_line(&line);
-                assert!(!resp.is_empty());
-                received += 1;
-                if resp.contains("shutting_down") {
-                    shed = true;
-                    break;
-                }
-            }
-            (sent, received, shed)
-        }));
-    }
-    // Let the clients get going, then drain.
-    std::thread::sleep(std::time::Duration::from_millis(5));
-    let resp = server.handle_line("{\"id\":0,\"op\":\"shutdown\"}");
-    assert!(resp.contains("\"draining\":true"), "{resp}");
+    let server = Server::new(ServerConfig { workers: 2, queue_depth: 8, shards: 2 });
+    let (total_sent, total_received) = std::thread::scope(|scope| {
+        let server = &server;
+        let clients: Vec<_> = (0..4)
+            .map(|c| {
+                scope.spawn(move || {
+                    let mut sent = 0u64;
+                    let mut received = 0u64;
+                    for i in 0..200 {
+                        let line = format!("{{\"id\":\"c{c}-{i}\",\"op\":\"ping\"}}");
+                        sent += 1;
+                        let resp = server.handle_line(&line);
+                        assert!(!resp.is_empty());
+                        received += 1;
+                        if resp.contains("shutting_down") {
+                            break;
+                        }
+                    }
+                    (sent, received)
+                })
+            })
+            .collect();
+        // Let the clients get going, then drain.
+        std::thread::sleep(std::time::Duration::from_millis(5));
+        let resp = server.handle_line("{\"id\":0,\"op\":\"shutdown\"}");
+        assert!(resp.contains("\"draining\":true"), "{resp}");
 
-    let mut total_sent = 0;
-    let mut total_received = 0;
-    for c in clients {
-        let (sent, received, _) = c.join().unwrap();
-        assert_eq!(sent, received, "a client lost a response");
-        total_sent += sent;
-        total_received += received;
-    }
+        let mut totals = (0, 0);
+        for c in clients {
+            let (sent, received) = c.join().unwrap();
+            assert_eq!(sent, received, "a client lost a response");
+            totals.0 += sent;
+            totals.1 += received;
+        }
+        totals
+    });
     assert_eq!(total_sent, total_received);
     // +1 for the shutdown request itself.
     assert_eq!(server.metrics().grand_total(), total_sent + 1);
     assert_eq!(server.metrics().grand_responses(), total_sent + 1);
-    let server = Arc::into_inner(server).expect("clients joined");
     server.shutdown();
 }
 
@@ -806,6 +791,21 @@ fn tripped_services_without_replacement_answer_unavailable() {
 
 // ----------------------------------------------------------------- tcp
 
+/// Sends `shutdown` on a fresh connection when dropped, so a failed
+/// assertion unwinding out of a test's scope still ends the scoped
+/// `tcp::serve` thread instead of hanging the scope's join. After a
+/// clean drain the listener is gone and the connect fails harmlessly.
+struct ShutdownOnDrop(std::net::SocketAddr);
+
+impl Drop for ShutdownOnDrop {
+    fn drop(&mut self) {
+        use std::io::Write;
+        if let Ok(mut stream) = std::net::TcpStream::connect(self.0) {
+            let _ = stream.write_all(b"{\"op\":\"shutdown\"}\n");
+        }
+    }
+}
+
 #[test]
 fn tcp_transport_round_trips_and_drains() {
     use std::io::{BufRead, BufReader, Write};
@@ -814,31 +814,34 @@ fn tcp_transport_round_trips_and_drains() {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
     let server = Server::new(ServerConfig::default());
-    let serve_thread = std::thread::spawn(move || copycat_serve::tcp::serve(listener, server));
+    std::thread::scope(|scope| {
+        let _drain = ShutdownOnDrop(addr);
+        let serve_thread = scope.spawn(move || copycat_serve::tcp::serve(listener, server));
 
-    let stream = TcpStream::connect(addr).expect("connect");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-    let mut write = |line: &str| {
-        let mut s = &stream;
-        s.write_all(line.as_bytes()).unwrap();
-        s.write_all(b"\n").unwrap();
-        s.flush().unwrap();
-        let mut resp = String::new();
-        reader.read_line(&mut resp).unwrap();
-        Json::parse(resp.trim()).expect("json response")
-    };
+        let stream = TcpStream::connect(addr).expect("connect");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        let mut write = |line: &str| {
+            let mut s = &stream;
+            s.write_all(line.as_bytes()).unwrap();
+            s.write_all(b"\n").unwrap();
+            s.flush().unwrap();
+            let mut resp = String::new();
+            reader.read_line(&mut resp).unwrap();
+            Json::parse(resp.trim()).expect("json response")
+        };
 
-    let pong = write("{\"id\":1,\"op\":\"ping\"}");
-    assert_eq!(pong["ok"].as_bool(), Some(true));
-    assert_eq!(pong["result"]["pong"].as_bool(), Some(true));
-    let made = write("{\"id\":2,\"op\":\"create_session\",\"session\":\"tcp\"}");
-    assert_eq!(made["ok"].as_bool(), Some(true));
-    let listed = write("{\"id\":3,\"op\":\"list_sessions\"}");
-    assert_eq!(listed["result"]["sessions"][0].as_str(), Some("tcp"));
-    let drain = write("{\"id\":4,\"op\":\"shutdown\"}");
-    assert_eq!(drain["result"]["draining"].as_bool(), Some(true));
+        let pong = write("{\"id\":1,\"op\":\"ping\"}");
+        assert_eq!(pong["ok"].as_bool(), Some(true));
+        assert_eq!(pong["result"]["pong"].as_bool(), Some(true));
+        let made = write("{\"id\":2,\"op\":\"create_session\",\"session\":\"tcp\"}");
+        assert_eq!(made["ok"].as_bool(), Some(true));
+        let listed = write("{\"id\":3,\"op\":\"list_sessions\"}");
+        assert_eq!(listed["result"]["sessions"][0].as_str(), Some("tcp"));
+        let drain = write("{\"id\":4,\"op\":\"shutdown\"}");
+        assert_eq!(drain["result"]["draining"].as_bool(), Some(true));
 
-    serve_thread.join().unwrap().expect("serve exits cleanly");
+        serve_thread.join().unwrap().expect("serve exits cleanly");
+    });
 }
 
 /// Regression: a response larger than the transport's write buffer used
@@ -902,62 +905,65 @@ fn tcp_transport_accepts_crlf_and_unterminated_final_line() {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
     let server = Server::new(ServerConfig::default());
-    let serve_thread = std::thread::spawn(move || copycat_serve::tcp::serve(listener, server));
+    std::thread::scope(|scope| {
+        let _drain = ShutdownOnDrop(addr);
+        let serve_thread = scope.spawn(move || copycat_serve::tcp::serve(listener, server));
 
-    // Connection 1: CRLF framing throughout, including a blank CRLF
-    // keep-alive line that must be ignored rather than answered.
-    {
-        let stream = TcpStream::connect(addr).expect("connect");
-        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-        let mut write_crlf = |line: &str| {
+        // Connection 1: CRLF framing throughout, including a blank CRLF
+        // keep-alive line that must be ignored rather than answered.
+        {
+            let stream = TcpStream::connect(addr).expect("connect");
+            let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+            let mut write_crlf = |line: &str| {
+                let mut s = &stream;
+                s.write_all(line.as_bytes()).unwrap();
+                s.write_all(b"\r\n").unwrap();
+                s.flush().unwrap();
+                let mut resp = String::new();
+                reader.read_line(&mut resp).unwrap();
+                Json::parse(resp.trim()).expect("json response")
+            };
+            {
+                let mut s = &stream;
+                s.write_all(b"\r\n").unwrap(); // blank keep-alive
+                s.flush().unwrap();
+            }
+            let pong = write_crlf("{\"id\":1,\"op\":\"ping\"}");
+            assert_eq!(pong["ok"].as_bool(), Some(true), "{pong}");
+            let made = write_crlf("{\"id\":2,\"op\":\"create_session\",\"session\":\"crlf\"}");
+            assert_eq!(made["ok"].as_bool(), Some(true), "{made}");
+        }
+
+        // Connection 2: the final request has NO terminating newline — the
+        // client closes its write half instead. It must still be answered.
+        {
+            let stream = TcpStream::connect(addr).expect("connect");
+            let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+            {
+                let mut s = &stream;
+                s.write_all(b"{\"id\":3,\"op\":\"list_sessions\"}").unwrap();
+                s.flush().unwrap();
+                stream.shutdown(Shutdown::Write).expect("half-close");
+            }
+            let mut resp = String::new();
+            reader.read_line(&mut resp).unwrap();
+            let listed = Json::parse(resp.trim()).expect("json response");
+            assert_eq!(listed["result"]["sessions"][0].as_str(), Some("crlf"), "{listed}");
+        }
+
+        // Shut the server down (plain framing still fine).
+        {
+            let stream = TcpStream::connect(addr).expect("connect");
+            let mut reader = BufReader::new(stream.try_clone().expect("clone"));
             let mut s = &stream;
-            s.write_all(line.as_bytes()).unwrap();
-            s.write_all(b"\r\n").unwrap();
+            s.write_all(b"{\"id\":4,\"op\":\"shutdown\"}\r\n").unwrap();
             s.flush().unwrap();
             let mut resp = String::new();
             reader.read_line(&mut resp).unwrap();
-            Json::parse(resp.trim()).expect("json response")
-        };
-        {
-            let mut s = &stream;
-            s.write_all(b"\r\n").unwrap(); // blank keep-alive
-            s.flush().unwrap();
+            let drain = Json::parse(resp.trim()).expect("json response");
+            assert_eq!(drain["result"]["draining"].as_bool(), Some(true), "{drain}");
         }
-        let pong = write_crlf("{\"id\":1,\"op\":\"ping\"}");
-        assert_eq!(pong["ok"].as_bool(), Some(true), "{pong}");
-        let made = write_crlf("{\"id\":2,\"op\":\"create_session\",\"session\":\"crlf\"}");
-        assert_eq!(made["ok"].as_bool(), Some(true), "{made}");
-    }
 
-    // Connection 2: the final request has NO terminating newline — the
-    // client closes its write half instead. It must still be answered.
-    {
-        let stream = TcpStream::connect(addr).expect("connect");
-        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-        {
-            let mut s = &stream;
-            s.write_all(b"{\"id\":3,\"op\":\"list_sessions\"}").unwrap();
-            s.flush().unwrap();
-            stream.shutdown(Shutdown::Write).expect("half-close");
-        }
-        let mut resp = String::new();
-        reader.read_line(&mut resp).unwrap();
-        let listed = Json::parse(resp.trim()).expect("json response");
-        assert_eq!(listed["result"]["sessions"][0].as_str(), Some("crlf"), "{listed}");
-    }
-
-    // Shut the server down (plain framing still fine).
-    {
-        let stream = TcpStream::connect(addr).expect("connect");
-        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-        let mut s = &stream;
-        s.write_all(b"{\"id\":4,\"op\":\"shutdown\"}\r\n").unwrap();
-        s.flush().unwrap();
-        let mut resp = String::new();
-        reader.read_line(&mut resp).unwrap();
-        let drain = Json::parse(resp.trim()).expect("json response");
-        assert_eq!(drain["result"]["draining"].as_bool(), Some(true), "{drain}");
-    }
-
-    serve_thread.join().unwrap().expect("serve exits cleanly");
+        serve_thread.join().unwrap().expect("serve exits cleanly");
+    });
 }

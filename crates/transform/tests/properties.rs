@@ -105,20 +105,17 @@ fn reproduces<R: Row + std::fmt::Debug>(pairs: &[(R, String)]) -> Result<(), Str
 /// The same pairs give the same program (or the same `None`) on this
 /// thread and on several concurrent ones: no shared state, no
 /// iteration-order dependence.
-fn deterministic<R: Row + Clone + Send + 'static>(pairs: Vec<(R, String)>) -> Result<(), String> {
+fn deterministic<R: Row + Sync>(pairs: Vec<(R, String)>) -> Result<(), String> {
     let reference = learn(&pairs);
     prop_ensure_eq!(learn(&pairs), reference);
-    let handles: Vec<_> = (0..4)
-        .map(|_| {
-            let pairs = pairs.clone();
-            std::thread::spawn(move || learn(&pairs))
-        })
-        .collect();
-    for handle in handles {
-        let threaded = handle.join().expect("learner thread panicked");
-        prop_ensure_eq!(threaded, reference);
-    }
-    Ok(())
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..4).map(|_| s.spawn(|| learn(&pairs))).collect();
+        for handle in handles {
+            let threaded = handle.join().expect("learner thread panicked");
+            prop_ensure_eq!(threaded, reference);
+        }
+        Ok(())
+    })
 }
 
 #[test]

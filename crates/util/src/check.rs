@@ -24,6 +24,13 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 /// Number of generated cases per property when not overridden.
 pub const DEFAULT_CASES: u32 = 64;
 
+/// Most property replays one shrink may spend. Every candidate tape
+/// costs a full run of the property, and an expensive property (a whole
+/// engine sequence) over a long tape would otherwise take minutes to
+/// report; past the cap the report carries the smallest failing tape
+/// found so far and says shrinking was cut short.
+pub const MAX_SHRINK_REPLAYS: usize = 1_000;
+
 /// The draw source handed to properties. Draws are recorded (or
 /// replayed during shrinking) on a `u64` tape.
 pub struct Gen {
@@ -131,14 +138,30 @@ fn run_once(
     }
 }
 
+/// A shrunk failure: the smallest failing tape found and its error.
+struct Shrunk {
+    tape: Vec<u64>,
+    err: String,
+    /// Whether [`MAX_SHRINK_REPLAYS`] ended shrinking early.
+    capped: bool,
+}
+
 /// Shrink a failing tape: repeatedly try structural simplifications,
-/// keeping any candidate that still fails the property.
+/// keeping any candidate that still fails the property, for at most
+/// [`MAX_SHRINK_REPLAYS`] replays.
 fn shrink(
     prop: &dyn Fn(&mut Gen) -> Result<(), String>,
     mut tape: Vec<u64>,
     mut last_err: String,
-) -> (Vec<u64>, String) {
+) -> Shrunk {
+    let replays = std::cell::Cell::new(0);
+    // Out of replays, every candidate counts as passing, so the passes
+    // below run out without calling the property again.
     let fails = |candidate: &[u64]| -> Option<String> {
+        if replays.get() == MAX_SHRINK_REPLAYS {
+            return None;
+        }
+        replays.set(replays.get() + 1);
         let mut g = Gen::replay(candidate.to_vec());
         run_once(prop, &mut g).err()
     };
@@ -209,11 +232,11 @@ fn shrink(
             }
         }
 
-        if !improved {
+        if !improved || replays.get() == MAX_SHRINK_REPLAYS {
             break;
         }
     }
-    (tape, last_err)
+    Shrunk { tape, err: last_err, capped: replays.get() == MAX_SHRINK_REPLAYS }
 }
 
 /// Run a property over `cases` generated inputs, replaying every
@@ -243,13 +266,19 @@ pub fn check(
     for (seed, is_regression) in replay_then_generated {
         let mut gen = Gen::fresh(seed);
         if let Err(err) = run_once(&prop, &mut gen) {
-            let (tape, shrunk_err) = shrink(&prop, gen.tape.clone(), err.clone());
+            let shrunk = shrink(&prop, gen.tape.clone(), err.clone());
             panic!(
-                "property {name:?} failed{}\n  seed: {seed:#x}{}\n  original failure: {err}\n  shrunk failure ({} draws): {shrunk_err}\n  \
+                "property {name:?} failed{}\n  seed: {seed:#x}{}\n  original failure: {err}\n  shrunk failure ({} draws{}): {}\n  \
                  replay: add {seed:#x} to this property's regression list",
                 if is_regression { " (regression seed)" } else { "" },
                 if is_regression { " (from regression list)" } else { "" },
-                tape.len(),
+                shrunk.tape.len(),
+                if shrunk.capped {
+                    format!("; shrinking stopped at the {MAX_SHRINK_REPLAYS}-replay cap")
+                } else {
+                    String::new()
+                },
+                shrunk.err,
             );
         }
     }
@@ -331,17 +360,54 @@ mod tests {
         };
         // Find a failing tape.
         let mut seed = 0;
-        let (mut tape, mut err) = loop {
+        let (tape, err) = loop {
             let mut g = Gen::fresh(seed);
             match run_once(&prop, &mut g) {
                 Err(e) => break (g.tape.clone(), e),
                 Ok(()) => seed += 1,
             }
         };
-        (tape, err) = shrink(&prop, tape, err);
+        let shrunk = shrink(&prop, tape, err);
+        assert!(!shrunk.capped);
         // Tape: one word for the length, one for the single element.
-        assert!(tape.len() <= 2, "tape not minimized: {tape:?}");
-        assert!(err.contains("[100]"), "value not minimized: {err}");
+        assert!(shrunk.tape.len() <= 2, "tape not minimized: {:?}", shrunk.tape);
+        assert!(shrunk.err.contains("[100]"), "value not minimized: {}", shrunk.err);
+    }
+
+    #[test]
+    fn shrinking_stops_at_the_replay_cap() {
+        // Fails while all 100 drawn words are nonzero: each word's
+        // binary search down to 1 keeps failing, ~64 replays a word, so
+        // a full shrink would need thousands of replays.
+        let runs = std::cell::Cell::new(0);
+        let prop = |g: &mut Gen| -> Result<(), String> {
+            runs.set(runs.get() + 1);
+            let words: Vec<u64> = (0..100).map(|_| g.u64_in(0..u64::MAX)).collect();
+            if words.iter().all(|&w| w > 0) {
+                Err(format!("first word {}", words[0]))
+            } else {
+                Ok(())
+            }
+        };
+        let mut g = Gen::fresh(7);
+        let err = run_once(&prop, &mut g).expect_err("a random draw is nonzero");
+        runs.set(0);
+        let shrunk = shrink(&prop, g.tape.clone(), err.clone());
+        assert_eq!(runs.get(), MAX_SHRINK_REPLAYS);
+        assert!(shrunk.capped);
+        // Still a failing tape, shrunk as far as the cap allowed.
+        let mut replay = Gen::replay(shrunk.tape.clone());
+        assert_eq!(run_once(&prop, &mut replay), Err(shrunk.err));
+
+        // The report keeps the seed and the original failure, and says
+        // the cap ended shrinking.
+        let report = catch_unwind(AssertUnwindSafe(|| check("capped-shrink", 1, &[7], prop)))
+            .expect_err("must fail")
+            .downcast::<String>()
+            .expect("a formatted report");
+        assert!(report.contains("seed: 0x7"), "{report}");
+        assert!(report.contains(&format!("original failure: {err}")), "{report}");
+        assert!(report.contains("shrinking stopped at the 1000-replay cap"), "{report}");
     }
 
     #[test]

@@ -103,13 +103,16 @@ mod tests {
 
     #[test]
     fn poisoned_lock_recovers() {
-        let l = Arc::new(RwLock::new(1));
-        let l2 = Arc::clone(&l);
-        let _ = std::thread::spawn(move || {
-            let _guard = l2.write();
-            panic!("poison it");
-        })
-        .join();
+        let l = RwLock::new(1);
+        std::thread::scope(|s| {
+            // Joined by hand, the panic comes back as `Err` instead of
+            // propagating out of the scope.
+            let poisoner = s.spawn(|| {
+                let _guard = l.write();
+                panic!("poison it");
+            });
+            assert!(poisoner.join().is_err());
+        });
         // A parking_lot-style lock keeps working after a panicked writer.
         assert_eq!(*l.read(), 1);
     }

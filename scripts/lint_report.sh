@@ -1,9 +1,8 @@
 #!/usr/bin/env bash
 # Audit view of copycat-lint. `check` (the default here, and the verify
-# gate) prints violations and the clean/runtime summary; `--json` emits
-# every finding including baselined ones, with per-finding rule
-# provenance and the analyzer's runtime_ms, so CI can archive reports
-# and trend lint latency. See DESIGN.md § Static analysis for the rule
+# gate) prints every finding and the clean/runtime summary; `--json`
+# emits every finding with its rule provenance and the analyzer's
+# runtime_ms, so CI can archive reports and trend lint latency. See DESIGN.md § Static analysis for the rule
 # catalogue and `// lint:allow(<rule>) <reason>` suppression syntax.
 #
 #   lint_report.sh                 human summary (exit 1 on violations)

@@ -17,17 +17,20 @@ cargo build --release --offline --workspace
 # Clippy is a gate: every warning is an error. Beyond clippy's defaults
 # it enforces the determinism and durability bans in clippy.toml — no
 # wall-clock read outside the deadline/bench/WAL-fsync owners, no
-# std::fs outside store::io, no random-seeded std HashMap/HashSet — plus
-# `// SAFETY:` on every unsafe block and a reason on every suppression
-# ([workspace.lints.clippy] in Cargo.toml). Suppressions are
+# std::fs outside store::io, no random-seeded std HashMap/HashSet, no
+# detached thread::spawn/thread::Builder — plus no unwrap/expect/panic!
+# family on the serve request paths (denied at copycat-serve's crate
+# roots), `// SAFETY:` on every unsafe block and a reason on every
+# suppression ([workspace.lints.clippy] in Cargo.toml). Suppressions are
 # `#[expect(…, reason = "…")]`, so one that silences nothing fails too.
 cargo clippy --offline --workspace --all-targets -- -D warnings
-# Invariant lint: zero non-baselined findings (panics on request paths,
-# lock-order cycles, guards held across blocking calls, protocol gaps,
-# hot-path allocations, …). The ratchet lives in
-# LINT_BASELINE.json; see DESIGN.md § Static analysis. The budget keeps
-# whole-tree analysis (symbol index + call graph) from creeping into CI
-# latency — it runs in well under a second today.
+# Invariant lint for what clippy cannot say: zero findings (lock-order
+# cycles, guards held across blocking calls, unjustified relaxed
+# atomics, hot-path allocations); see DESIGN.md § Static analysis. The
+# protocol's wiring is a typed test in copycat-serve, run with the
+# tests below. The budget keeps whole-tree analysis (symbol index + call
+# graph) from creeping into CI latency — it runs in well under a second
+# today.
 cargo run --release --offline -q -p copycat-lint -- check --budget-ms 20000
 cargo test -q --offline --workspace
 # Benchmark self-tests (perfbench/ is its own Cargo workspace): seeded
