@@ -466,17 +466,9 @@ mod tests {
         }};
     }
 
-    /// The wiring the compiler cannot see. `as_str`, `mutates` and the
-    /// server's dispatch are `match`es without a wildcard, so a new
-    /// variant already fails to compile there, and
-    /// `smoke_round_trips_every_request_class` (`tests/serve.rs`)
-    /// requires the golden wire transcript to send every op in `ALL`.
-    /// This pins the rest: `ALL` (the metrics table) lists every variant
-    /// once, and the journal/replay tests send every op the router
-    /// journals.
-    #[test]
-    fn all_lists_every_op_and_the_journal_tests_send_every_mutation() {
-        let every = every_op!(
+    /// Every variant of `Op`, behind the exhaustive match of `every_op!`.
+    fn every_op() -> Vec<Op> {
+        every_op!(
             Ping,
             CreateSession,
             LoadSession,
@@ -506,11 +498,32 @@ mod tests {
             Stats,
             Shutdown,
             Invalid,
-        );
+        )
+        .to_vec()
+    }
+
+    /// The wiring the compiler cannot see, part one. `as_str`, `mutates`
+    /// and the server's dispatch are `match`es without a wildcard, so a
+    /// new variant already fails to compile there; `ALL` (the metrics
+    /// table) is an array it cannot check, so this pins that it lists
+    /// every variant once.
+    #[test]
+    fn all_lists_every_op_once() {
+        let every = every_op();
         assert_eq!(Op::ALL.len(), every.len(), "Op::ALL must list every variant once");
-        let journal_tests = include_str!("../tests/durability.rs");
         for op in every {
             assert_eq!(Op::ALL.iter().filter(|&&o| o == op).count(), 1, "{op:?} in Op::ALL");
+        }
+    }
+
+    /// The wiring the compiler cannot see, part two: the journal/replay
+    /// tests send every op the router journals.
+    /// `smoke_round_trips_every_request_class` (`tests/serve.rs`)
+    /// requires the golden wire transcript to send every op in `ALL`.
+    #[test]
+    fn the_journal_tests_send_every_mutation() {
+        let journal_tests = include_str!("../tests/durability.rs");
+        for op in every_op() {
             // The journal tests spell requests inside Rust string
             // literals, quotes escaped.
             let escaped = format!("\\\"op\\\":\\\"{}\\\"", op.as_str());
