@@ -16,10 +16,12 @@
 //! construction.
 //!
 //! Enumeration is deterministic (fixed atom order, strict-improvement
-//! tie-breaking) and bounded (memoized sub-programs over position
-//! tuples with a hard state cap), so learning is replayable under the
-//! serve journal: the same examples always yield byte-identical
-//! programs, on any thread count.
+//! tie-breaking) and bounded (a memo over position tuples with a hard
+//! state cap), so learning is replayable under the serve journal: the
+//! same examples always yield byte-identical programs, on any thread
+//! count. Sub-programs are shared, not copied: each memoized state keeps
+//! only its best first piece and the state it leads to, and the program
+//! is rebuilt once from those back-pointers.
 
 use copycat_util::hash::FxHashMap;
 use copycat_util::json::{FromJson, JsonError, JsonWriter, ToJson};
@@ -135,10 +137,10 @@ impl Tok {
 
     /// Tokenize `input` (always over the trimmed string, so leading
     /// and trailing whitespace never leaks into any piece).
-    fn tokenize(self, input: &str) -> Vec<String> {
+    fn tokenize(self, input: &str) -> Vec<&str> {
         let input = input.trim();
         match self {
-            Tok::Whole => (!input.is_empty()).then(|| input.to_string()).into_iter().collect(),
+            Tok::Whole => (!input.is_empty()).then_some(input).into_iter().collect(),
             Tok::Digits => runs_of(input, |c| c.is_ascii_digit()),
             Tok::Alpha => runs_of(input, char::is_alphabetic),
             Tok::Alnum => runs_of(input, char::is_alphanumeric),
@@ -152,18 +154,13 @@ impl Tok {
 }
 
 /// Maximal runs of characters matching `pred`.
-fn runs_of(input: &str, pred: impl Fn(char) -> bool) -> Vec<String> {
-    input.split(|c| !pred(c)).filter(|r| !r.is_empty()).map(str::to_string).collect()
+fn runs_of(input: &str, pred: impl Fn(char) -> bool) -> Vec<&str> {
+    input.split(|c| !pred(c)).filter(|r| !r.is_empty()).collect()
 }
 
 /// Split on separator characters, trimming pieces and dropping empties.
-fn split_on(input: &str, sep: impl Fn(char) -> bool) -> Vec<String> {
-    input
-        .split(sep)
-        .map(str::trim)
-        .filter(|p| !p.is_empty())
-        .map(str::to_string)
-        .collect()
+fn split_on(input: &str, sep: impl Fn(char) -> bool) -> Vec<&str> {
+    input.split(sep).map(str::trim).filter(|p| !p.is_empty()).collect()
 }
 
 /// Optional case folding applied to an extracted token.
@@ -215,6 +212,30 @@ impl Case {
                 .join(" "),
         }
     }
+
+    /// The byte length of `token` folded by this case when `text` starts
+    /// with the fold, else `None`. An ASCII token is compared byte by
+    /// byte in place; any other goes through [`Case::apply`], whose
+    /// `str::to_lowercase` keeps context rules such as a final sigma.
+    fn prefix_len(self, token: &str, text: &str) -> Option<usize> {
+        if !token.is_ascii() {
+            let folded = self.apply(token);
+            return (!folded.is_empty() && text.starts_with(&folded)).then_some(folded.len());
+        }
+        let (token, text) = (token.as_bytes(), text.as_bytes());
+        let fold = |i: usize, b: u8| match self {
+            Case::Keep => b,
+            Case::Upper => b.to_ascii_uppercase(),
+            Case::Lower => b.to_ascii_lowercase(),
+            // A word starts the token or follows a space, as in `apply`.
+            Case::Title if i == 0 || token[i - 1] == b' ' => b.to_ascii_uppercase(),
+            Case::Title => b.to_ascii_lowercase(),
+        };
+        let fits = !token.is_empty()
+            && text.len() >= token.len()
+            && token.iter().zip(text).enumerate().all(|(i, (&t, &x))| fold(i, t) == x);
+        fits.then_some(token.len())
+    }
 }
 
 /// `a op b` for the operators `+ - * /`; division by zero has no value.
@@ -259,9 +280,9 @@ pub enum Piece {
 
 /// The `index`-th token (from the end when `rev`); checked, so a
 /// decoded `usize::MAX` selects nothing instead of overflowing.
-fn pick(tokens: &[String], index: usize, rev: bool) -> Option<&String> {
+fn pick<'t>(tokens: &[&'t str], index: usize, rev: bool) -> Option<&'t str> {
     let i = if rev { tokens.len().checked_sub(index.checked_add(1)?)? } else { index };
-    tokens.get(i)
+    tokens.get(i).copied()
 }
 
 impl Piece {
@@ -532,8 +553,8 @@ impl Default for Learner {
 }
 
 /// Every tokenization of every readable cell, indexed
-/// `[example][column][tok as usize]`.
-type Tokens = Vec<Vec<[Vec<String>; ALL_TOKS.len()]>>;
+/// `[example][column][tok as usize]`, borrowed from the trimmed cells.
+type Tokens<'a> = Vec<Vec<[Vec<&'a str>; ALL_TOKS.len()]>>;
 
 impl Learner {
     /// Induce the lowest-cost program consistent with every example,
@@ -570,8 +591,10 @@ impl Learner {
             tokens,
             cost: if width >= 2 { Piece::row_cost } else { Piece::cost },
             memo: FxHashMap::default(),
+            links: Vec::new(),
         };
-        let strings = search.solve(&vec![0; pairs.len()]);
+        let strings =
+            search.solve(&vec![0; pairs.len()]).map(|(cost, start)| (cost, search.into_program(start)));
         // A numeric piece spans the whole output. Over one column it
         // explains only what strings cannot; over wider rows it wins
         // unless a string program ranks strictly cheaper.
@@ -585,65 +608,79 @@ impl Learner {
     }
 }
 
+/// A memoized joint state's best completion: its cost, its first piece
+/// and the state that piece leads to (an index into `Search::links`,
+/// `None` once every output is complete). `None` while the state is in
+/// progress and when nothing completes it.
+type Link = Option<(f64, Piece, Option<usize>)>;
+
 /// One learning run's joint DP: the examples' outputs and cell tokens,
-/// the ranking cost in force and the memoized sub-programs.
+/// the ranking cost in force and the memoized back-pointers.
 struct Search<'a> {
     learner: &'a Learner,
     outputs: Vec<&'a str>,
-    tokens: Tokens,
+    tokens: Tokens<'a>,
     cost: fn(&Piece) -> f64,
-    memo: FxHashMap<Vec<usize>, Option<(f64, Vec<Piece>)>>,
+    /// Each joint state seen, to its index in `links`.
+    memo: FxHashMap<Vec<usize>, usize>,
+    links: Vec<Link>,
 }
 
 impl Search<'_> {
-    /// Memoized min-cost completion from a joint output-position state.
-    fn solve(&mut self, state: &[usize]) -> Option<(f64, Vec<Piece>)> {
+    /// Memoized min-cost completion from a joint output-position state:
+    /// its cost and the state's index in `links` (`None`: the final
+    /// state).
+    fn solve(&mut self, state: &[usize]) -> Option<(f64, Option<usize>)> {
         if state.iter().zip(&self.outputs).all(|(&p, o)| p == o.len()) {
-            return Some((0.0, Vec::new()));
+            return Some((0.0, None));
         }
-        if let Some(hit) = self.memo.get(state) {
-            return hit.clone();
+        if let Some(&id) = self.memo.get(state) {
+            return self.links[id].as_ref().map(|(cost, ..)| (*cost, Some(id)));
         }
         if self.memo.len() >= self.learner.max_states {
             return None;
         }
         // Mark in-progress to cut (impossible) cycles and over-budget
         // recursion; overwritten with the real answer below.
-        self.memo.insert(state.to_vec(), None);
-        let mut best: Option<(f64, Vec<Piece>)> = None;
-        for (piece, advance) in self.steps(state) {
-            let next: Vec<usize> = state
-                .iter()
-                .zip(&advance)
-                .map(|(&p, &a)| p + a)
-                .collect();
-            let Some((tail_cost, tail)) = self.solve(&next) else {
+        let id = self.links.len();
+        self.memo.insert(state.to_vec(), id);
+        self.links.push(None);
+        let (pieces, nexts) = self.steps(state);
+        let mut best: Link = None;
+        for (piece, next) in pieces.into_iter().zip(nexts.chunks(state.len())) {
+            let Some((tail_cost, tail)) = self.solve(next) else {
                 continue;
             };
             let cost = (self.cost)(&piece) + tail_cost;
             // Strict improvement keeps the first atom in enumeration
             // order on ties — the determinism contract.
-            if best.as_ref().is_none_or(|(c, _)| cost < *c - 1e-12) {
-                let mut pieces = vec![piece];
-                pieces.extend(tail);
-                best = Some((cost, pieces));
+            if best.as_ref().is_none_or(|(c, ..)| cost < *c - 1e-12) {
+                best = Some((cost, piece, tail));
             }
         }
-        self.memo.insert(state.to_vec(), best.clone());
-        best
+        let found = best.as_ref().map(|(cost, ..)| (*cost, Some(id)));
+        self.links[id] = best;
+        found
     }
 
-    /// Every string atom admissible at `state` with the per-example span
-    /// lengths it produces there, canonical order: extractions by
-    /// (column, tokenizer, direction, index, case), then literal
-    /// constants by length.
-    fn steps(&self, state: &[usize]) -> Vec<(Piece, Vec<usize>)> {
-        let remaining: Vec<&str> = state
-            .iter()
-            .zip(&self.outputs)
-            .map(|(&p, o)| &o[p..])
-            .collect();
-        let mut steps = Vec::new();
+    /// The program from state `at` on, following the back-pointers.
+    /// Every piece advances every example, so no state repeats.
+    fn into_program(mut self, mut at: Option<usize>) -> Vec<Piece> {
+        let mut pieces = Vec::new();
+        while let Some((_, piece, next)) = at.and_then(|id| self.links[id].take()) {
+            pieces.push(piece);
+            at = next;
+        }
+        pieces
+    }
+
+    /// Every string atom admissible at `state` and the joint state it
+    /// leads to (`state.len()` positions per atom, back to back),
+    /// canonical order: extractions by (column, tokenizer, direction,
+    /// index, case), then literal constants by length.
+    fn steps(&self, state: &[usize]) -> (Vec<Piece>, Vec<usize>) {
+        let remaining = |ex: usize| &self.outputs[ex][state[ex]..];
+        let (mut pieces, mut nexts) = (Vec::new(), Vec::new());
         for col in 0..self.tokens[0].len() {
             for &tok in &ALL_TOKS {
                 for rev in [false, true] {
@@ -652,12 +689,17 @@ impl Search<'_> {
                     }
                     for index in 0..=self.learner.max_token_index {
                         for &case in &ALL_CASES {
-                            let advance = remaining.iter().enumerate().map(|(ex, rem)| {
-                                let v = case.apply(pick(&self.tokens[ex][col][tok as usize], index, rev)?);
-                                (!v.is_empty() && rem.starts_with(&v)).then_some(v.len())
+                            let start = nexts.len();
+                            let fits = (0..state.len()).all(|ex| {
+                                pick(&self.tokens[ex][col][tok as usize], index, rev)
+                                    .and_then(|t| case.prefix_len(t, remaining(ex)))
+                                    .map(|len| nexts.push(state[ex] + len))
+                                    .is_some()
                             });
-                            if let Some(advance) = advance.collect() {
-                                steps.push((Piece::Extract { col, tok, index, rev, case }, advance));
+                            if fits {
+                                pieces.push(Piece::Extract { col, tok, index, rev, case });
+                            } else {
+                                nexts.truncate(start);
                             }
                         }
                     }
@@ -666,11 +708,11 @@ impl Search<'_> {
         }
         // Literal constants: prefixes of the longest common prefix of
         // all remaining outputs, taken at char boundaries.
-        let mut common = remaining.first().copied().unwrap_or("");
-        for rem in &remaining[1..] {
+        let mut common = remaining(0);
+        for ex in 1..state.len() {
             let shared = common
                 .char_indices()
-                .zip(rem.chars())
+                .zip(remaining(ex).chars())
                 .take_while(|((_, a), b)| a == b)
                 .last()
                 .map(|((i, a), _)| i + a.len_utf8())
@@ -682,9 +724,10 @@ impl Search<'_> {
                 break;
             }
             let len = i + c.len_utf8();
-            steps.push((Piece::Const(common[..len].to_string()), vec![len; remaining.len()]));
+            pieces.push(Piece::Const(common[..len].to_string()));
+            nexts.extend(state.iter().map(|p| p + len));
         }
-        steps
+        (pieces, nexts)
     }
 }
 
