@@ -3,7 +3,6 @@
 //! ```text
 //! copycat-serve [--addr 127.0.0.1:7878] [--workers N] [--queue N] [--shards N]
 //! copycat-serve replay FILE...
-//! copycat-serve herd [sessions]
 //! ```
 //!
 //! The default mode binds a TCP listener and serves line-delimited JSON
@@ -13,9 +12,8 @@
 //! line and the expected and actual text, at the first one whose
 //! answers differ from the file or whose recovered router diverges from
 //! its never-crashed control — the hook `scripts/verify.sh` uses.
-//! `herd` creates 10k copy-on-write sessions over one shared
-//! world, probes a sample end to end, and exits non-zero if the
-//! marginal memory cost falls below the sessions-per-GiB floor.
+//! It runs on the system allocator: the sessions-per-GiB smoke, which
+//! counts allocations, is its own binary, `copycat-herd`.
 
 // Failures end in an exit code naming them, never a panic (the serve
 // library's rule, see its crate root).
@@ -31,30 +29,14 @@
 use copycat_serve::server::{Server, ServerConfig};
 use copycat_serve::{smoke, tcp};
 use copycat_store::Fs;
-use copycat_util::bench::CountingAlloc;
 use std::net::TcpListener;
 use std::path::Path;
 use std::process::ExitCode;
-
-/// Counting allocator so `herd` can measure live-byte growth; the
-/// delegation to `System` costs two relaxed increments per call.
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc::new();
-
-/// Minimum copy-on-write sessions that must fit in one GiB. Measured
-/// marginal cost is ~1.6 KiB/session (~650k sessions/GiB); the floor
-/// asserts the title claim — 100k sessions in well under a gigabyte —
-/// with generous headroom against allocator and platform variance.
-const HERD_SESSIONS_PER_GB_FLOOR: f64 = 100_000.0;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().map(String::as_str) == Some("replay") {
         return run_replay(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("herd") {
-        let sessions = args.get(1).and_then(|v| v.parse().ok()).unwrap_or(10_000);
-        return run_herd(sessions);
     }
     let mut addr = "127.0.0.1:7878".to_string();
     let mut config = ServerConfig::default();
@@ -120,29 +102,4 @@ fn run_replay(files: &[String]) -> ExitCode {
         }
     }
     ExitCode::SUCCESS
-}
-
-fn run_herd(sessions: usize) -> ExitCode {
-    let server = Server::new(ServerConfig { workers: 4, queue_depth: 128, shards: 256 });
-    let report =
-        smoke::run_herd(&server, sessions, HERD_SESSIONS_PER_GB_FLOOR, &|| ALLOC.snapshot());
-    server.shutdown();
-    match report {
-        Ok(r) => {
-            println!(
-                "herd: {} shared-world sessions, {:.0} B/session marginal, \
-                 {:.0} sessions/GiB (floor {:.0}), {} probes ok",
-                r.sessions,
-                r.marginal_bytes_per_session,
-                r.sessions_per_gb,
-                HERD_SESSIONS_PER_GB_FLOOR,
-                r.probes_ok
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("herd FAILED: {e}");
-            ExitCode::from(1)
-        }
-    }
 }

@@ -138,6 +138,11 @@ impl Op {
     ];
 
     /// The wire name.
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants,
+        reason = "a new `Op` must be named here, not caught by `_`"
+    )]
     pub fn as_str(self) -> &'static str {
         match self {
             Op::Ping => "ping",
@@ -197,6 +202,11 @@ impl Op {
     /// counters, and drive registered services (whose breaker machines,
     /// retry counters and fault-injection rolls all move). Dropping them
     /// from the journal would make a replayed session diverge.
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants,
+        reason = "a new `Op` must be named here, not caught by `_`"
+    )]
     pub fn mutates(self) -> bool {
         match self {
             Op::CreateSession

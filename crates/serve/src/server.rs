@@ -385,6 +385,11 @@ impl Server {
         result
     }
 
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants,
+        reason = "a new `Op` must be named here, not caught by `_`"
+    )]
     fn dispatch(&self, req: &Request, deadline: &mut Deadline) -> OpResult {
         match req.op {
             Op::Ping => Ok(obj(vec![("pong", Json::Bool(true))])),

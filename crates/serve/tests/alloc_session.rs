@@ -1,9 +1,9 @@
 //! Counting-allocator pin for the import path: a flat `create_session`,
 //! the second `paste` of the paste-to-export loop (the step that runs
 //! structure learning and type recognition), a warm `column_suggestions`,
-//! and the loop's `save_session` and `load_session` each stay within a
-//! fixed allocation budget, as does a warm `ping` — the admission and
-//! dispatch path alone.
+//! and the loop's `learn_transform`, `save_session` and `load_session`
+//! each stay within a fixed allocation budget, as does a warm `ping` —
+//! the admission and dispatch path alone.
 //! The script mirrors the `integrate` benchmark workload on a 10-venue
 //! world. This file holds exactly one test because the global allocator
 //! counts every thread in the process.
@@ -29,6 +29,11 @@ const PASTE_BUDGET: u64 = 600;
 /// list it keeps; 738 since direct and failover completions share one
 /// builder, which reads the current query's schema without cloning it.
 const SUGGEST_BUDGET: u64 = 790;
+/// Allocations `learn_transform` of three venue identity pairs may
+/// make. It made 3,068 while the learner copied tokens, folded strings
+/// and sub-programs during its search; 319 since it borrows, folds in
+/// place and rebuilds the program once from back-pointers.
+const LEARN_BUDGET: u64 = 319;
 /// Allocations `save_session` may make. It made 681 while the snapshot
 /// was cloned into a `SavedSession`, built as an owned `Json` tree and
 /// copied into the response; 29 since it streams through one writer.
@@ -117,7 +122,7 @@ fn import_path_allocation_budget() {
         .take(3)
         .map(|r| Json::Arr(vec![Json::str(r[2].as_str()), Json::str(r[2].as_str())]))
         .collect();
-    counted(
+    let (_, learn) = counted(
         &server,
         &req(
             20,
@@ -144,11 +149,12 @@ fn import_path_allocation_budget() {
         suggest <= SUGGEST_BUDGET,
         "warm column_suggestions: {suggest} allocations > {SUGGEST_BUDGET}"
     );
+    assert!(learn <= LEARN_BUDGET, "learn_transform: {learn} allocations > {LEARN_BUDGET}");
     assert!(save <= SAVE_BUDGET, "save_session: {save} allocations > {SAVE_BUDGET}");
     assert!(load <= LOAD_BUDGET, "load_session: {load} allocations > {LOAD_BUDGET}");
     assert!(ping <= PING_BUDGET, "warm ping: {ping} allocations > {PING_BUDGET}");
     eprintln!(
         "allocations: create_session {create}, paste {paste}, warm column_suggestions {suggest}, \
-         save_session {save}, load_session {load}, ping {ping}"
+         learn_transform {learn}, save_session {save}, load_session {load}, ping {ping}"
     );
 }
