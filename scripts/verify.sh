@@ -68,5 +68,6 @@ cargo run --release --offline -p copycat-serve -- replay \
     crates/serve/tests/golden/wire_transcript.txt crates/serve/tests/scenarios/*.txt
 # Herd smoke: 10k copy-on-write sessions over one shared world on one
 # server; probes a sample end to end and asserts the marginal memory
-# cost keeps >=100k sessions per GiB.
-cargo run --release --offline -p copycat-serve -- herd
+# cost keeps >=100k sessions per GiB. It is its own binary because it
+# counts allocations, which copycat-serve does not.
+cargo run --release --offline -p copycat-serve --bin copycat-herd
