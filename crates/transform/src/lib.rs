@@ -691,10 +691,13 @@ impl Search<'_> {
                         for &case in &ALL_CASES {
                             let start = nexts.len();
                             let fits = (0..state.len()).all(|ex| {
-                                pick(&self.tokens[ex][col][tok as usize], index, rev)
+                                let Some(len) = pick(&self.tokens[ex][col][tok as usize], index, rev)
                                     .and_then(|t| case.prefix_len(t, remaining(ex)))
-                                    .map(|len| nexts.push(state[ex] + len))
-                                    .is_some()
+                                else {
+                                    return false;
+                                };
+                                nexts.push(state[ex] + len);
+                                true
                             });
                             if fits {
                                 pieces.push(Piece::Extract { col, tok, index, rev, case });
