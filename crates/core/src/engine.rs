@@ -977,20 +977,22 @@ impl CopyCat {
         ) else {
             return 0.0;
         };
-        let targets: copycat_util::hash::FxHashSet<String> = to_rel
+        // Cells compare by their text form, borrowed: only a number's
+        // text is rendered.
+        let targets: copycat_util::hash::FxHashSet<std::borrow::Cow<'_, str>> = to_rel
             .tuples()
             .iter()
-            .map(|t| t.values[ti].as_text())
+            .map(|t| t.values[ti].text())
             .collect();
         let mut total = 0usize;
         let mut hit = 0usize;
         for t in from_rel.tuples() {
-            let v = t.values[fi].as_text();
+            let v = t.values[fi].text();
             if v.is_empty() {
                 continue;
             }
             total += 1;
-            if program.apply(&v).is_some_and(|out| targets.contains(&out)) {
+            if program.apply(&*v).is_some_and(|out| targets.contains(out.as_str())) {
                 hit += 1;
             }
         }

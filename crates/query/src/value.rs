@@ -6,6 +6,7 @@
 
 use copycat_util::json::{FromJson, JsonError, JsonWriter, ToJson};
 use copycat_util::zjson::ZRef;
+use std::borrow::Cow;
 use std::fmt::{self, Write};
 use std::sync::Arc;
 
@@ -40,10 +41,16 @@ impl Value {
     /// The string form used for display, joining, and export. Null renders
     /// as the empty string.
     pub fn as_text(&self) -> String {
+        self.text().into_owned()
+    }
+
+    /// [`as_text`](Value::as_text), borrowed unless the value is a
+    /// number: a string's text is the string itself.
+    pub fn text(&self) -> Cow<'_, str> {
         match self {
-            Value::Null => String::new(),
-            Value::Str(s) => String::from(&**s),
-            Value::Num(_) => self.to_string(),
+            Value::Null => Cow::Borrowed(""),
+            Value::Str(s) => Cow::Borrowed(s),
+            Value::Num(_) => Cow::Owned(self.to_string()),
         }
     }
 

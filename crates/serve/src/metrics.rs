@@ -19,7 +19,8 @@
 //! burned (wall + virtual) before the deadline fired, which is what an
 //! operator staring at a p99 wants to see.
 
-use crate::protocol::Op;
+use crate::protocol::{ErrorKind, Op};
+use crate::server::Outcome;
 use copycat_util::hist::Histogram;
 use copycat_util::json::Json;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -74,38 +75,24 @@ impl Metrics {
         self.class(op).total.fetch_add(1, Ordering::Release);
     }
 
-    /// Count a success and record its latency. Outcome increments are
-    /// Release so an Acquire reader that observes one also observes
-    /// everything sequenced before it on the request's thread: the
-    /// latency record and the admission increment.
-    pub fn ok(&self, op: Op, us: u64) {
+    /// Count one settled request under its outcome's bucket, with its
+    /// latency unless it was turned away before running. The bucket
+    /// increment is Release, so an Acquire reader that observes it also
+    /// observes everything sequenced before it on the request's thread:
+    /// the latency record and the admission increment.
+    pub(crate) fn record(&self, op: Op, outcome: Outcome, us: u64) {
         let c = self.class(op);
-        c.latency.record_us(us);
-        c.ok.fetch_add(1, Ordering::Release);
-    }
-
-    /// Count a typed error and record its latency.
-    pub fn error(&self, op: Op, us: u64) {
-        let c = self.class(op);
-        c.latency.record_us(us);
-        c.error.fetch_add(1, Ordering::Release);
-    }
-
-    /// Count a deadline miss, recording the time burned before it fired.
-    pub fn timeout(&self, op: Op, us: u64) {
-        let c = self.class(op);
-        c.latency.record_us(us);
-        c.timeout.fetch_add(1, Ordering::Release);
-    }
-
-    /// Count a queue-full rejection (not timed — it never ran).
-    pub fn overloaded(&self, op: Op) {
-        self.class(op).overloaded.fetch_add(1, Ordering::Release);
-    }
-
-    /// Count a drain-time rejection.
-    pub fn shed(&self, op: Op) {
-        self.class(op).shed.fetch_add(1, Ordering::Release);
+        let (bucket, timed) = match outcome.map_err(|f| f.kind) {
+            Ok(()) => (&c.ok, true),
+            Err(ErrorKind::Timeout) => (&c.timeout, true),
+            Err(ErrorKind::Overloaded) => (&c.overloaded, false),
+            Err(ErrorKind::ShuttingDown) => (&c.shed, false),
+            Err(_) => (&c.error, true),
+        };
+        if timed {
+            c.latency.record_us(us);
+        }
+        bucket.fetch_add(1, Ordering::Release);
     }
 
     /// Total requests observed across every class.
@@ -189,25 +176,31 @@ impl Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::Failure;
 
     #[test]
     fn every_admission_reconciles_with_a_response() {
         let m = Metrics::new();
+        let failed = |kind, refused| Err(Failure { kind, refused });
         m.admitted(Op::Ping);
-        m.ok(Op::Ping, 5);
+        m.record(Op::Ping, Ok(()), 5);
         m.admitted(Op::Autocomplete);
-        m.timeout(Op::Autocomplete, 1000);
+        m.record(Op::Autocomplete, failed(ErrorKind::Timeout, false), 1000);
         m.admitted(Op::Autocomplete);
-        m.overloaded(Op::Autocomplete);
+        m.record(Op::Autocomplete, failed(ErrorKind::Overloaded, true), 0);
         assert_eq!(m.grand_total(), 3);
         assert_eq!(m.grand_responses(), 3);
+        let c = m.class(Op::Autocomplete);
+        assert_eq!(c.timeout.load(Ordering::Acquire), 1);
+        assert_eq!(c.overloaded.load(Ordering::Acquire), 1);
+        assert_eq!(c.latency.snapshot().count, 1, "a turned-away request is not timed");
     }
 
     #[test]
     fn snapshot_omits_idle_classes() {
         let m = Metrics::new();
         m.admitted(Op::Export);
-        m.ok(Op::Export, 42);
+        m.record(Op::Export, Ok(()), 42);
         let j = m.snapshot_json();
         assert!(j["classes"].get("export").is_some());
         assert!(j["classes"].get("ping").is_none());

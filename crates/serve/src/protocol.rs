@@ -27,10 +27,12 @@
 //! parameters are slices of the line (or of the parse arena, when they
 //! contained escapes); the id is echoed as the verbatim input slice; a
 //! warm parse of a hot-path request performs no heap allocation. The
-//! backing [`ZDoc`] is pooled for reuse by the server's front door,
-//! and the request runs on the caller's thread while it borrows the
-//! caller's line. Responses are assembled in a thread-local scratch
-//! buffer and copied out once at exact size.
+//! backing [`ZDoc`] is one thread-local scratch, shared by the server's
+//! front door and the router, which parses each routed line once and
+//! hands its shard the parsed [`Request`]; the request runs on the
+//! caller's thread while it borrows the caller's line. Responses are
+//! assembled in a thread-local scratch buffer and copied out once at
+//! exact size.
 
 use copycat_util::json::{self, Json, JsonError};
 use copycat_util::zjson::{ZDoc, ZRef};
@@ -371,6 +373,33 @@ impl<'d> Request<'d> {
             })
             .collect()
     }
+}
+
+thread_local! {
+    /// This thread's request parse scratch. Warm, a request parses
+    /// without allocating. The server's front door and the router both
+    /// parse here, never while the other holds it.
+    static PARSE_SCRATCH: RefCell<ZDoc> = RefCell::new(ZDoc::new());
+}
+
+/// A scratch that parsed a line longer than this is dropped instead of
+/// kept, so one pathological request cannot pin megabytes.
+const MAX_POOLED_LINE_LEN: usize = 64 * 1024;
+
+/// Parse `line` in this thread's scratch and hand `f` the request, or
+/// the parse error's raw id slice and message.
+pub(crate) fn with_request<R>(line: &str, f: impl FnOnce(Result<Request<'_>, (&str, String)>) -> R) -> R {
+    PARSE_SCRATCH.with(|cell| {
+        let Ok(mut doc) = cell.try_borrow_mut() else {
+            // A re-entrant parse (none today) gets a fresh doc.
+            return f(Request::parse(&mut ZDoc::new(), line));
+        };
+        let out = f(Request::parse(&mut doc, line));
+        if line.len() > MAX_POOLED_LINE_LEN {
+            *doc = ZDoc::new();
+        }
+        out
+    })
 }
 
 // Response serialization: pooled scratch in, one exact-size copy out.

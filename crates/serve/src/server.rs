@@ -5,8 +5,11 @@
 //! it one request line and block for the one response line. The TCP
 //! listener ([`crate::tcp`]) is a thin byte pump over the same method,
 //! so tests and benches exercise exactly the code a socket client hits.
-//! The request runs on the caller's own thread; there is no worker
-//! pool and no hand-off.
+//! It parses the line, then answers the parsed request, the step the
+//! router enters at with a line it parsed. Each request's typed
+//! [`Outcome`] is settled once; the metrics bucket, the envelope and the
+//! router's journal and close decisions read it. The request runs on
+//! the caller's own thread; there is no worker pool and no hand-off.
 //!
 //! Request lifecycle and where deadlines are checked:
 //!
@@ -33,7 +36,7 @@
 
 use crate::deadline::Deadline;
 use crate::metrics::Metrics;
-use crate::protocol::{err_response, ok_response, ErrorKind, Op, Request};
+use crate::protocol::{err_response, ok_response, with_request, ErrorKind, Op, Request};
 use crate::registry::{SessionRegistry, SessionState};
 use copycat_core::{explain, export, CopyCat, WorldBase};
 use copycat_document::corpus::contact_sheet;
@@ -46,7 +49,7 @@ use copycat_services::{
 use copycat_util::hash::FxHashMap;
 use copycat_util::json::{Json, JsonError};
 use copycat_util::sync::Mutex;
-use copycat_util::zjson::ZDoc;
+use std::borrow::Cow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, PoisonError};
@@ -68,10 +71,6 @@ impl Default for ServerConfig {
         ServerConfig { workers: 4, queue_depth: 64, shards: 8 }
     }
 }
-
-/// The parse index of a line longer than this is dropped instead of
-/// pooled, so one pathological request cannot pin megabytes.
-const MAX_POOLED_LINE_LEN: usize = 64 * 1024;
 
 /// The admission gate: at most `permits` requests execute at once and
 /// at most `max_waiting` more wait for a permit. Beyond that a request
@@ -144,17 +143,34 @@ pub struct Server {
     metrics: Metrics,
     accepting: AtomicBool,
     gate: Gate,
-    /// Reusable parse indexes: taken per request, returned after the
-    /// response is rendered. Warm, request handling performs no
-    /// parse-side allocations.
-    docs: Mutex<Vec<ZDoc>>,
-    /// Upper bound on pooled docs — enough for every permit holder and
-    /// every waiter.
-    docs_cap: usize,
     /// Shared world bases, memoized by `(seed, venues)`: every
     /// `create_session {"world": …}` naming the same config overlays the
     /// same frozen base (see [`WorldBase`]).
     worlds: Mutex<FxHashMap<(u64, usize), Arc<WorldBase>>>,
+}
+
+/// Why a request was not answered `ok`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Failure {
+    /// The kind the error envelope carries.
+    pub(crate) kind: ErrorKind,
+    /// Turned away before any session's engine ran: draining, queue
+    /// full, unparseable, an unknown or duplicate session, or a deadline
+    /// that fired while queued or awaiting the session lock. A replay
+    /// has nothing to reproduce. Every other failure (`bad_request`
+    /// while handling, `unavailable`, `internal`, a timeout after
+    /// execution) may have moved session state.
+    pub(crate) refused: bool,
+}
+
+/// How the server settled one request; `Ok(())` is an `ok` answer.
+pub(crate) type Outcome = Result<(), Failure>;
+
+/// A settled request: its result, or its failure and message.
+type Settled = Result<Json, (Failure, Cow<'static, str>)>;
+
+fn failed(kind: ErrorKind, refused: bool, message: impl Into<Cow<'static, str>>) -> Settled {
+    Err((Failure { kind, refused }, message.into()))
 }
 
 type OpResult = Result<Json, (ErrorKind, String)>;
@@ -222,8 +238,6 @@ impl Server {
             metrics: Metrics::new(),
             accepting: AtomicBool::new(true),
             gate: Gate::new(config.workers, config.queue_depth),
-            docs: Mutex::new(Vec::new()),
-            docs_cap: config.workers + config.queue_depth + 1,
             worlds: Mutex::new(FxHashMap::default()),
         }
     }
@@ -258,80 +272,74 @@ impl Server {
     ///
     /// This is the in-process transport: every transport funnels here.
     pub fn handle_line(&self, line: &str) -> String {
-        let mut doc = self.docs.lock().pop().unwrap_or_default();
-        let resp = self.respond(&mut doc, line);
-        // The doc's node/arena capacity is the whole point of pooling:
-        // a warm doc parses the next request without allocating.
-        if line.len() <= MAX_POOLED_LINE_LEN {
-            let mut docs = self.docs.lock();
-            if docs.len() < self.docs_cap {
-                docs.push(doc);
-            }
-        }
-        resp
+        with_request(line, |parsed| self.answer(parsed).0)
     }
 
-    fn respond(&self, doc: &mut ZDoc, line: &str) -> String {
-        let metrics = &self.metrics;
-        let req = match Request::parse(doc, line) {
-            Ok(req) => req,
-            Err((id, msg)) => {
-                metrics.admitted(Op::Invalid);
-                metrics.error(Op::Invalid, 0);
-                return err_response(id, ErrorKind::BadRequest, &msg);
+    /// Answer a parsed request, or its parse error, on the calling
+    /// thread: the response line and the outcome it settled.
+    pub(crate) fn answer(&self, parsed: Result<Request<'_>, (&str, String)>) -> (String, Outcome) {
+        let (id, op, settled, spent) = match parsed {
+            Ok(req) => {
+                self.metrics.admitted(req.op);
+                let (settled, spent) = self.settle(&req);
+                (req.id, req.op, settled, spent)
+            }
+            Err((id, message)) => {
+                self.metrics.admitted(Op::Invalid);
+                (id, Op::Invalid, failed(ErrorKind::BadRequest, true, message), 0)
             }
         };
-        let op = req.op;
-        metrics.admitted(op);
+        let outcome = settled.as_ref().map(|_| ()).map_err(|(failure, _)| *failure);
+        self.metrics.record(op, outcome, spent);
+        let line = match settled {
+            Ok(json) => ok_response(id, &json),
+            Err((failure, message)) => err_response(id, failure.kind, &message),
+        };
+        (line, outcome)
+    }
+
+    /// Admit, run and settle one request; also the microseconds it
+    /// spent, wall plus virtual (0 when it was not timed).
+    fn settle(&self, req: &Request) -> (Settled, u64) {
         // `shutdown` is handled inline: it must work even when every
         // permit is out, and it is what closes the front door.
-        if op == Op::Shutdown {
+        if req.op == Op::Shutdown {
             self.accepting.store(false, Ordering::SeqCst);
-            metrics.ok(op, 0);
-            return ok_response(req.id, &obj(vec![("draining", Json::Bool(true))]));
+            return (Ok(obj(vec![("draining", Json::Bool(true))])), 0);
         }
         if self.draining() {
-            metrics.shed(op);
-            return err_response(req.id, ErrorKind::ShuttingDown, "server is draining");
+            return (failed(ErrorKind::ShuttingDown, true, "server is draining"), 0);
         }
         let mut deadline = Deadline::starting_now(req.deadline_ms);
         let Some(permit) = self.gate.enter() else {
-            metrics.overloaded(op);
-            return err_response(req.id, ErrorKind::Overloaded, "admission queue full; retry");
+            return (failed(ErrorKind::Overloaded, true, "admission queue full; retry"), 0);
         };
         if deadline.expired() {
             drop(permit);
-            metrics.timeout(op, deadline.spent_us());
-            return err_response(req.id, ErrorKind::Timeout, "deadline exceeded while queued");
+            let queued = failed(ErrorKind::Timeout, true, "deadline exceeded while queued");
+            return (queued, deadline.spent_us());
         }
         let result = catch_unwind(AssertUnwindSafe(|| {
             let _permit = permit;
-            self.dispatch(&req, &mut deadline)
+            self.dispatch(req, &mut deadline)
         }));
         let spent = deadline.spent_us();
-        match result {
-            Ok(Ok(json)) => {
-                if deadline.expired() {
-                    metrics.timeout(op, spent);
-                    err_response(req.id, ErrorKind::Timeout, "deadline exceeded during execution")
-                } else {
-                    metrics.ok(op, spent);
-                    ok_response(req.id, &json)
-                }
+        let settled = match result {
+            Ok(Ok(_)) if deadline.expired() => {
+                failed(ErrorKind::Timeout, false, "deadline exceeded during execution")
             }
-            Ok(Err((kind, msg))) => {
-                if kind == ErrorKind::Timeout {
-                    metrics.timeout(op, spent);
-                } else {
-                    metrics.error(op, spent);
-                }
-                err_response(req.id, kind, &msg)
-            }
-            Err(_) => {
-                metrics.error(op, spent);
-                err_response(req.id, ErrorKind::Internal, "handler panicked")
-            }
-        }
+            Ok(Ok(json)) => Ok(json),
+            // Dispatch turns a request away only at session lookup, at
+            // creation and at the lock-wait deadline, each before the
+            // engine runs.
+            Ok(Err((kind, message))) => failed(
+                kind,
+                matches!(kind, ErrorKind::NoSuchSession | ErrorKind::SessionExists | ErrorKind::Timeout),
+                message,
+            ),
+            Err(_) => failed(ErrorKind::Internal, false, "handler panicked"),
+        };
+        (settled, spent)
     }
 
     /// [`handle_line`](Server::handle_line) plus response parsing, for
@@ -909,8 +917,77 @@ fn rows_param(req: &Request, key: &str) -> Result<Vec<Vec<String>>, (ErrorKind, 
 
 #[cfg(test)]
 mod tests {
-    use super::Gate;
+    use super::{Failure, Gate, Outcome, Server, ServerConfig};
+    use crate::protocol::{with_request, ErrorKind};
     use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::thread;
+    use std::time::Duration;
+
+    /// A request turned away before any engine ran.
+    const REFUSED_TIMEOUT: Outcome = Err(Failure { kind: ErrorKind::Timeout, refused: true });
+
+    fn answer(server: &Server, line: &str) -> (String, Outcome) {
+        with_request(line, |parsed| server.answer(parsed))
+    }
+
+    fn one_permit() -> Server {
+        Server::new(ServerConfig { workers: 1, queue_depth: 1, shards: 1 })
+    }
+
+    #[test]
+    fn a_full_queue_is_refused_as_overloaded() {
+        let server = Server::new(ServerConfig { workers: 1, queue_depth: 0, shards: 1 });
+        let ping = r#"{"id":1,"op":"ping"}"#;
+        let permit = server.gate.enter();
+        let (resp, outcome) = answer(&server, ping);
+        assert_eq!(outcome, Err(Failure { kind: ErrorKind::Overloaded, refused: true }), "{resp}");
+        drop(permit);
+        assert_eq!(answer(&server, ping).1, Ok(()));
+    }
+
+    #[test]
+    fn a_deadline_that_fires_while_queued_is_refused() {
+        let server = one_permit();
+        let permit = server.gate.enter();
+        thread::scope(|scope| {
+            let waiter =
+                scope.spawn(|| answer(&server, r#"{"id":1,"op":"ping","deadline_ms":20}"#));
+            while server.queued() == 0 {
+                thread::yield_now();
+            }
+            thread::sleep(Duration::from_millis(40));
+            drop(permit);
+            let (resp, outcome) = waiter.join().expect("the waiter answers");
+            assert_eq!(outcome, REFUSED_TIMEOUT, "{resp}");
+            assert!(resp.contains("deadline exceeded while queued"), "{resp}");
+        });
+    }
+
+    #[test]
+    fn a_deadline_that_fires_awaiting_the_session_lock_is_refused() {
+        let server = one_permit();
+        let create = answer(&server, r#"{"id":1,"op":"create_session","session":"s"}"#);
+        assert_eq!(create.1, Ok(()), "{}", create.0);
+        let session = server.registry.get("s").expect("the session exists");
+        let state = session.state.lock();
+        thread::scope(|scope| {
+            let waiter = scope.spawn(|| {
+                answer(&server, r#"{"id":2,"op":"accept_rows","session":"s","deadline_ms":20}"#)
+            });
+            // Holding the one permit, the waiter is past admission.
+            while server.gate.occupancy.lock().0 == 0 {
+                thread::yield_now();
+            }
+            thread::sleep(Duration::from_millis(40));
+            drop(state);
+            let (resp, outcome) = waiter.join().expect("the waiter answers");
+            // Almost always "awaiting session"; a waiter descheduled
+            // past its budget before the permit check times out "while
+            // queued". Either way the engine never ran.
+            assert_eq!(outcome, REFUSED_TIMEOUT, "{resp}");
+            assert!(!resp.contains("during execution"), "{resp}");
+        });
+    }
 
     #[test]
     fn a_panicking_permit_holder_returns_its_permit() {

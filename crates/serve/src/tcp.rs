@@ -3,15 +3,24 @@
 //! One thread per connection, line-delimited JSON both ways. Each
 //! response leaves in a single write on a `TCP_NODELAY` socket: a
 //! response split across writes would hold its tail in Nagle's buffer
-//! until the client's delayed ACK (~40 ms). Everything interesting —
+//! until the client's delayed ACK (~40 ms). A request line longer than
+//! [`MAX_LINE_BYTES`] is answered `bad_request` and the connection
+//! closes, so no client can make the transport buffer without bound.
+//! Everything interesting —
 //! admission, backpressure, deadlines, metrics — lives below in the
 //! server, so a socket client and an in-process test observe identical
 //! behavior.
 
 use crate::server::Server;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::thread;
+
+/// The longest request line the transport reads, in bytes before its
+/// `\n`. The benchmark's largest requests, `load_session`s carrying a
+/// saved session, are far below it: a traced `integrate` run averages
+/// 8.5 KB per snapshot.
+pub const MAX_LINE_BYTES: usize = 4 << 20;
 
 /// Serve `listener` until a client issues `shutdown`, then drain and
 /// return. Consumes the server, which needs every connection thread
@@ -68,11 +77,12 @@ fn serve_stream(
     Ok(())
 }
 
-/// Answer each request line of `reader` on `writer` until EOF or until
-/// the server starts draining; returns whether it is draining. Every
-/// response, its newline included, goes to `writer` in one `write_all`
-/// call, so a writer that accepts whole buffers sees one `write` per
-/// response.
+/// Answer each request line of `reader` on `writer` until EOF, until
+/// the server starts draining, or until a line runs past
+/// [`MAX_LINE_BYTES`] (answered `bad_request`, its remainder unread);
+/// returns whether the server is draining. Every response, its newline
+/// included, goes to `writer` in one `write_all` call, so a writer that
+/// accepts whole buffers sees one `write` per response.
 pub fn handle_connection(
     mut reader: impl BufRead,
     mut writer: impl Write,
@@ -86,20 +96,29 @@ pub fn handle_connection(
         // newline is still a complete frame (read_until returns it
         // with n > 0), and a non-UTF-8 payload is answered with the
         // server's parse error instead of killing the connection.
-        let n = reader.read_until(b'\n', &mut line)?;
+        let n = Read::take(&mut reader, MAX_LINE_BYTES as u64 + 1).read_until(b'\n', &mut line)?;
         if n == 0 {
             return Ok(false); // clean EOF
         }
-        trim_line_terminator(&mut line);
-        let text = String::from_utf8_lossy(&line);
-        if text.trim().is_empty() {
-            continue;
-        }
-        let mut response = server.handle_line(&text);
+        let too_long = n > MAX_LINE_BYTES && line.last() != Some(&b'\n');
+        let mut response = if too_long {
+            let message = format!("request line exceeds {MAX_LINE_BYTES} bytes");
+            server.answer(Err(("null", message))).0
+        } else {
+            trim_line_terminator(&mut line);
+            let text = String::from_utf8_lossy(&line);
+            if text.trim().is_empty() {
+                continue;
+            }
+            server.handle_line(&text)
+        };
         // The response's copy-out reserved this byte: no reallocation,
         // and the whole line still goes out in one write.
         response.push('\n');
         writer.write_all(response.as_bytes())?;
+        if too_long {
+            return Ok(false);
+        }
         if server.draining() {
             return Ok(true);
         }
@@ -108,7 +127,48 @@ pub fn handle_connection(
 
 #[cfg(test)]
 mod tests {
-    use super::trim_line_terminator;
+    use super::{handle_connection, trim_line_terminator, MAX_LINE_BYTES};
+    use crate::server::Server;
+    use copycat_util::json::Json;
+
+    /// `{"id":1,"op":"ping","pad":"xx…"}`, padded to exactly `len` bytes.
+    fn ping_of_len(len: usize) -> String {
+        let head = r#"{"id":1,"op":"ping","pad":""#;
+        format!("{head}{}\"}}", "x".repeat(len - head.len() - 2))
+    }
+
+    /// The answers `handle_connection` writes for `input`, one per line.
+    fn answers(input: &str) -> Vec<Json> {
+        let server = Server::with_defaults();
+        let mut out = Vec::new();
+        let draining = handle_connection(input.as_bytes(), &mut out, &server).expect("in-memory I/O");
+        assert!(!draining);
+        let text = String::from_utf8(out).expect("UTF-8 answers");
+        text.lines().map(|l| Json::parse(l).expect("JSON answer")).collect()
+    }
+
+    #[test]
+    fn a_line_at_the_cap_is_answered() {
+        let at_cap = ping_of_len(MAX_LINE_BYTES);
+        assert_eq!(at_cap.len(), MAX_LINE_BYTES);
+        let got = answers(&format!("{at_cap}\n{}\n{at_cap}", ping_of_len(40)));
+        assert_eq!(got.len(), 3, "every line answered, the unterminated last one too");
+        for answer in got {
+            assert_eq!(answer["result"]["pong"].as_bool(), Some(true), "{answer}");
+        }
+    }
+
+    #[test]
+    fn a_line_over_the_cap_is_a_bad_request_then_the_connection_closes() {
+        let over = ping_of_len(MAX_LINE_BYTES + 1);
+        let got = answers(&format!("{}\n{over}\n{}\n", ping_of_len(40), ping_of_len(40)));
+        assert_eq!(got.len(), 2, "nothing after the long line is read: {got:?}");
+        assert_eq!(got[0]["result"]["pong"].as_bool(), Some(true));
+        assert_eq!(got[1]["id"], Json::Null);
+        assert_eq!(got[1]["error"]["kind"].as_str(), Some("bad_request"));
+        let message = format!("request line exceeds {MAX_LINE_BYTES} bytes");
+        assert_eq!(got[1]["error"]["message"].as_str(), Some(message.as_str()));
+    }
 
     #[test]
     fn terminator_trim_handles_all_framings() {

@@ -31,9 +31,11 @@ const PASTE_BUDGET: u64 = 600;
 const SUGGEST_BUDGET: u64 = 790;
 /// Allocations `learn_transform` of three venue identity pairs may
 /// make. It made 3,068 while the learner copied tokens, folded strings
-/// and sub-programs during its search; 319 since it borrows, folds in
-/// place and rebuilds the program once from back-pointers.
-const LEARN_BUDGET: u64 = 319;
+/// and sub-programs during its search; 319 once it borrowed, folded in
+/// place and rebuilt the program once from back-pointers; 299 since the
+/// coverage check compares borrowed cell text instead of copying every
+/// source and target cell.
+const LEARN_BUDGET: u64 = 299;
 /// Allocations `save_session` may make. It made 681 while the snapshot
 /// was cloned into a `SavedSession`, built as an owned `Json` tree and
 /// copied into the response; 29 since it streams through one writer.
