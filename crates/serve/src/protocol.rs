@@ -30,13 +30,20 @@
 //! backing [`ZDoc`] is one thread-local scratch, shared by the server's
 //! front door and the router, which parses each routed line once and
 //! hands its shard the parsed [`Request`]; the request runs on the
-//! caller's thread while it borrows the caller's line. Responses are
-//! assembled in a thread-local scratch buffer and copied out once at
-//! exact size.
+//! caller's thread while it borrows the caller's line.
+//!
+//! Responses are written once, into a thread-local scratch buffer, and
+//! copied out once at exact size. [`ok_response`] opens the envelope and
+//! hands the op a [`JsonWriter`] already inside the result object; the
+//! op writes its members and nothing else, so no owned `Json` tree is
+//! built for an answer. An op that fails after it began writing returns
+//! its error through the envelope, which discards the partial result;
+//! the caller answers with [`err_response`] alone.
 
-use copycat_util::json::{self, Json, JsonError};
+use copycat_util::json::{self, JsonError, JsonWriter};
 use copycat_util::zjson::{ZDoc, ZRef};
 use std::cell::RefCell;
+use std::convert::Infallible;
 
 /// Every request class the server speaks. One histogram + counter set
 /// per class lives in the metrics registry.
@@ -406,7 +413,7 @@ pub(crate) fn with_request<R>(line: &str, f: impl FnOnce(Result<Request<'_>, (&s
 // lint:hotpath(begin)
 thread_local! {
     /// Per-connection-thread response assembly buffer: responses are
-    /// serialized here, then copied out once at exact size, so
+    /// written here, then copied out once at exact size, so
     /// steady-state serialization never grows a fresh buffer.
     static RESPONSE_SCRATCH: RefCell<String> = const { RefCell::new(String::new()) };
 }
@@ -415,44 +422,57 @@ thread_local! {
 /// transport appending its `\n` terminator never reallocates.
 const RESPONSE_TERMINATOR_SLACK: usize = 1;
 
-fn with_response_scratch(f: impl FnOnce(&mut String)) -> String {
+/// Run `f` on this thread's cleared response scratch and copy what it
+/// wrote out once; if `f` fails, nothing it wrote leaves.
+fn with_response_scratch<E>(f: impl FnOnce(&mut String) -> Result<(), E>) -> Result<String, E> {
     RESPONSE_SCRATCH.with(|cell| {
         match cell.try_borrow_mut() {
             Ok(mut out) => {
                 out.clear();
-                f(&mut out);
+                f(&mut out)?;
                 // The one copy-out the scratch design pays for, sized to
                 // the response plus its terminator.
                 let mut copy = String::with_capacity(out.len() + RESPONSE_TERMINATOR_SLACK);
                 copy.push_str(&out);
-                copy
+                Ok(copy)
             }
             // Re-entrant serialization (impossible today): fall back to
             // a fresh buffer rather than failing the response.
             Err(_) => {
                 let mut out = String::new();
-                f(&mut out);
-                out
+                f(&mut out)?;
+                Ok(out)
             }
         }
     })
 }
 
-/// Serialize a success response. `id` is the raw id slice (already
-/// valid JSON — it came from a parsed request line).
-pub fn ok_response(id: &str, result: &Json) -> String {
+/// A success response. The envelope `{"id":…,"ok":true,"result":{` is
+/// open when `result` gets the writer, which writes the result
+/// object's members and nothing else; `id` is the raw id slice (already
+/// valid JSON — it came from a parsed request line). When `result`
+/// fails, whatever it wrote is discarded and its error returned, so the
+/// caller's [`err_response`] is the only answer.
+pub fn ok_response<E>(
+    id: &str,
+    result: impl FnOnce(&mut JsonWriter<'_>) -> Result<(), E>,
+) -> Result<String, E> {
     with_response_scratch(|out| {
         out.push_str("{\"id\":");
         out.push_str(id);
         out.push_str(",\"ok\":true,\"result\":");
-        result.write_compact(out);
+        let mut w = JsonWriter::compact(out);
+        w.begin_obj();
+        result(&mut w)?;
+        w.end_obj();
         out.push('}');
+        Ok(())
     })
 }
 
 /// Serialize an error response.
 pub fn err_response(id: &str, kind: ErrorKind, message: &str) -> String {
-    with_response_scratch(|out| {
+    let Ok(line) = with_response_scratch(|out| {
         out.push_str("{\"id\":");
         out.push_str(id);
         out.push_str(",\"ok\":false,\"error\":{\"kind\":\"");
@@ -460,7 +480,9 @@ pub fn err_response(id: &str, kind: ErrorKind, message: &str) -> String {
         out.push_str("\",\"message\":");
         json::write_escaped(out, message);
         out.push_str("}}");
-    })
+        Ok::<(), Infallible>(())
+    });
+    line
 }
 // lint:hotpath(end)
 
@@ -468,16 +490,39 @@ pub fn err_response(id: &str, kind: ErrorKind, message: &str) -> String {
 mod tests {
     use super::*;
 
+    /// A success response whose result holds `key: true`.
+    fn flag(id: &str, key: &str) -> String {
+        let Ok(line) = ok_response::<Infallible>(id, |w| {
+            w.field(key, &true);
+            Ok(())
+        });
+        line
+    }
+
     #[test]
     fn responses_leave_room_for_the_line_terminator() {
-        let mut ok = ok_response("7", &Json::Bool(true));
+        let mut ok = flag("7", "pong");
         let mut err = err_response("7", ErrorKind::BadRequest, "no");
         for resp in [&mut ok, &mut err] {
             let (ptr, cap) = (resp.as_ptr(), resp.capacity());
             resp.push('\n');
             assert_eq!((resp.as_ptr(), resp.capacity()), (ptr, cap), "terminator reallocated");
         }
-        assert_eq!(ok, "{\"id\":7,\"ok\":true,\"result\":true}\n");
+        assert_eq!(ok, "{\"id\":7,\"ok\":true,\"result\":{\"pong\":true}}\n");
+    }
+
+    #[test]
+    fn a_result_that_fails_after_writing_leaves_nothing_behind() {
+        let failed = ok_response("7", |w| {
+            w.field("partial", "result");
+            Err("too late")
+        });
+        assert_eq!(failed, Err("too late"));
+        // The next answer on this thread starts from a clean scratch.
+        assert_eq!(
+            err_response("7", ErrorKind::Timeout, "too late"),
+            r#"{"id":7,"ok":false,"error":{"kind":"timeout","message":"too late"}}"#
+        );
     }
 
     #[test]
@@ -642,13 +687,10 @@ mod tests {
 
     #[test]
     fn responses_serialize_to_the_pinned_wire_shape() {
+        assert_eq!(flag("7", "pong"), r#"{"id":7,"ok":true,"result":{"pong":true}}"#);
         assert_eq!(
-            ok_response("7", &Json::obj(vec![("pong".into(), Json::Bool(true))])),
-            r#"{"id":7,"ok":true,"result":{"pong":true}}"#
-        );
-        assert_eq!(
-            ok_response("\"abc\"", &Json::obj(vec![])),
-            r#"{"id":"abc","ok":true,"result":{}}"#
+            ok_response::<Infallible>("\"abc\"", |_| Ok(())),
+            Ok(r#"{"id":"abc","ok":true,"result":{}}"#.to_string())
         );
         assert_eq!(
             err_response("null", ErrorKind::BadRequest, "a \"quoted\" reason"),

@@ -48,6 +48,7 @@ use copycat_store::{Fs, RecoveryReport, SessionStore, StoreStats};
 use copycat_util::hash::{FxHashMap, FxHasher};
 use copycat_util::json::{self, Json, JsonError, JsonWriter, ToJson};
 use copycat_util::sync::Mutex;
+use std::convert::Infallible;
 use std::hash::{Hash, Hasher};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -134,15 +135,9 @@ pub struct Router {
     sessions: Mutex<FxHashMap<String, Arc<Mutex<SessionJournal>>>>,
     config: RouterConfig,
     migrations: AtomicU64,
+    /// Journaled lines replayed by [`Router::recover`], snapshot
+    /// history included (the reports count only the WAL tail).
     replayed_records: AtomicU64,
-    recovered_sessions: AtomicU64,
-    torn_bytes: AtomicU64,
-    /// Interior WAL records quarantined across all recoveries.
-    quarantined_records: AtomicU64,
-    /// Interior WAL bytes quarantined across all recoveries.
-    quarantined_bytes: AtomicU64,
-    /// Snapshot generations skipped as corrupt across all recoveries.
-    generations_skipped: AtomicU64,
     /// Sessions whose recovery failed outright (state left on disk,
     /// session not resumed).
     recovery_failures: AtomicU64,
@@ -153,7 +148,8 @@ pub struct Router {
     /// growing until one succeeds).
     snapshot_failures: AtomicU64,
     /// Per-session recovery reports from the last [`Router::recover`]
-    /// (session name → typed loss accounting).
+    /// (session name → typed loss accounting); `stats()` derives its
+    /// recovery totals from them.
     recovery_reports: Mutex<Vec<(String, RecoveryReport)>>,
 }
 
@@ -171,6 +167,16 @@ fn build_ring(shards: usize) -> Vec<(u64, usize)> {
         .collect();
     ring.sort_unstable();
     ring
+}
+
+/// One of the router's own answers, which cannot fail: `result` writes
+/// the result object's members.
+fn own_answer(id: &str, result: impl FnOnce(&mut JsonWriter<'_>)) -> String {
+    let Ok(line) = ok_response::<Infallible>(id, |w| {
+        result(w);
+        Ok(())
+    });
+    line
 }
 
 /// Run one journaled line on `shard`, discarding the answer: recovery
@@ -243,11 +249,6 @@ impl Router {
             config,
             migrations: AtomicU64::new(0),
             replayed_records: AtomicU64::new(0),
-            recovered_sessions: AtomicU64::new(0),
-            torn_bytes: AtomicU64::new(0),
-            quarantined_records: AtomicU64::new(0),
-            quarantined_bytes: AtomicU64::new(0),
-            generations_skipped: AtomicU64::new(0),
             recovery_failures: AtomicU64::new(0),
             sync_failures: AtomicU64::new(0),
             snapshot_failures: AtomicU64::new(0),
@@ -315,21 +316,6 @@ impl Router {
                 }
             };
             history.extend(recovery.tail.iter().cloned());
-            let report = recovery.report;
-            // relaxed: monotone recovery counters, read only by stats()
-            router.torn_bytes.fetch_add(report.torn_tail_bytes, Ordering::Relaxed);
-            router
-                .quarantined_records
-                // relaxed: monotone recovery counter, stats() only
-                .fetch_add(report.quarantined.len() as u64, Ordering::Relaxed);
-            router
-                .quarantined_bytes
-                // relaxed: monotone recovery counter, stats() only
-                .fetch_add(report.quarantined_bytes, Ordering::Relaxed);
-            router
-                .generations_skipped
-                // relaxed: monotone recovery counter, stats() only
-                .fetch_add(report.generations_skipped, Ordering::Relaxed);
             let shard = &router.shards[router.ring_shard(&name)];
             for line in &history {
                 replay_line(shard, line);
@@ -338,9 +324,7 @@ impl Router {
                 .replayed_records
                 // relaxed: monotone recovery counter, stats() only
                 .fetch_add(history.len() as u64, Ordering::Relaxed);
-            // relaxed: monotone recovery counter, stats() only
-            router.recovered_sessions.fetch_add(1, Ordering::Relaxed);
-            router.recovery_reports.lock().push((name.clone(), report));
+            router.recovery_reports.lock().push((name.clone(), recovery.report));
             router.sessions.lock().insert(
                 name,
                 Arc::new(Mutex::new(SessionJournal { history, store: Some(store) })),
@@ -394,6 +378,24 @@ impl Router {
         }))
     }
 
+    /// Drop `name`'s journal entry if it journaled nothing and nothing
+    /// but the map holds it, so a request naming a session that does
+    /// not exist (or a closed one) leaves no entry behind. Map lock
+    /// before journal lock, as in [`stats`](Router::stats); a request
+    /// that already cloned the entry keeps it, and journals into it.
+    fn forget_if_vacant(&self, name: &str) {
+        let mut map = self.sessions.lock();
+        let vacant = map.get(name).is_some_and(|entry| {
+            Arc::strong_count(entry) == 1 && {
+                let j = entry.lock();
+                j.history.is_empty() && j.store.is_none()
+            }
+        });
+        if vacant {
+            map.remove(name);
+        }
+    }
+
     /// Handle one request line, blocking until its response line —
     /// the same contract as [`Server::handle_line`], with placement
     /// and durability layered on.
@@ -412,19 +414,22 @@ impl Router {
                 for s in &self.shards {
                     let _ = s.answer(Ok(req));
                 }
-                return ok_response(
-                    req.id,
-                    &Json::obj(vec![("draining".into(), Json::Bool(true))]),
-                );
+                return own_answer(req.id, |w| w.field("draining", &true));
             }
             Op::ListSessions => {
                 let mut names: Vec<String> =
                     self.shards.iter().flat_map(|s| s.registry().names()).collect();
                 names.sort();
-                let listed = Json::Arr(names.iter().map(|n| Json::str(n.as_str())).collect());
-                return ok_response(req.id, &Json::obj(vec![("sessions".into(), listed)]));
+                return own_answer(req.id, |w| w.field("sessions", &names));
             }
-            Op::Stats => return ok_response(req.id, &self.stats()),
+            Op::Stats => {
+                let stats = self.stats();
+                return own_answer(req.id, |w| {
+                    for (key, value) in stats.as_object().unwrap_or_default() {
+                        w.field(key, value);
+                    }
+                });
+            }
             _ => {}
         }
         let Some(name) = req.session else {
@@ -436,30 +441,35 @@ impl Router {
         // drains against (reads included — a read racing a migration
         // must not land on the vacated shard).
         let journal = self.journal_entry(name);
-        let mut j = journal.lock();
-        let shard_idx = self.shard_of(name);
-        // lint:allow(guard-across-blocking) blocks on the shard's admission gate; permit holders never take router journal locks, so no cycle
-        let (resp, outcome) = self.shards[shard_idx].answer(Ok(req));
-        if req.op == Op::CloseSession {
-            if outcome.is_ok() {
-                // A durably *closed* session: remove its journal and
-                // its on-disk state (idempotent), and forget overrides.
+        let (resp, vacant) = {
+            let mut j = journal.lock();
+            let shard_idx = self.shard_of(name);
+            // lint:allow(guard-across-blocking) blocks on the shard's admission gate; permit holders never take router journal locks, so no cycle
+            let (resp, outcome) = self.shards[shard_idx].answer(Ok(req));
+            if req.op == Op::CloseSession && outcome.is_ok() {
+                // A durably *closed* session: clear its journal and its
+                // on-disk state (idempotent), and forget overrides; the
+                // emptied entry leaves the map below.
                 if let Some(root) = &self.config.store_root {
                     let _ = SessionStore::destroy(&self.config.fs, &session_dir(root, name));
                 }
                 j.history.clear();
                 j.store = None;
-                self.sessions.lock().remove(name);
                 self.placed.lock().remove(name);
+            } else if req.op.mutates() && !outcome.is_err_and(|f| f.refused) {
+                let logged = logged_line(&req);
+                j.history.push(logged.clone());
+                if let Some(root) = self.config.store_root.clone() {
+                    self.journal_durably(name, &root, &mut j, &logged);
+                }
             }
-            return resp;
-        }
-        if req.op.mutates() && !outcome.is_err_and(|f| f.refused) {
-            let logged = logged_line(&req);
-            j.history.push(logged.clone());
-            if let Some(root) = self.config.store_root.clone() {
-                self.journal_durably(name, &root, &mut j, &logged);
-            }
+            (resp, j.history.is_empty() && j.store.is_none())
+        };
+        // Nothing journaled: a refused request for a session that does
+        // not exist, or a close. Leave no entry behind.
+        if vacant {
+            drop(journal);
+            self.forget_if_vacant(name);
         }
         resp
     }
@@ -526,11 +536,12 @@ impl Router {
         if to >= self.shards.len() {
             return Err(format!("no shard {to} (router has {})", self.shards.len()));
         }
-        let journal = self.journal_entry(name);
+        let no_session = || format!("no journaled session named {name:?}");
+        let journal = self.sessions.lock().get(name).map(Arc::clone).ok_or_else(no_session)?;
         let mut j = journal.lock();
         let from = self.shard_of(name);
         if j.history.is_empty() {
-            return Err(format!("no journaled session named {name:?}"));
+            return Err(no_session());
         }
         if from == to {
             return Ok(MigrationReport { from, to, replayed: 0 });
@@ -547,10 +558,11 @@ impl Router {
         }
         // Vacate the source copy. Direct shard call: migration is an
         // administrative move, not a journaled protocol event.
-        let close = json::to_string(&Json::obj(vec![
-            ("op".into(), Json::str("close_session")),
-            ("session".into(), Json::str(name)),
-        ]));
+        let mut close = String::new();
+        JsonWriter::compact(&mut close).obj(|w| {
+            w.field("op", "close_session");
+            w.field("session", name);
+        });
         // lint:allow(guard-across-blocking) blocks on the shard's admission gate; permit holders never take router journal locks, so no cycle
         replay_line(&self.shards[from], &close);
         self.placed.lock().insert(name.to_string(), to);
@@ -582,6 +594,19 @@ impl Router {
                 }
             }
         }
+        let (recovered, torn, quarantined_records, quarantined_bytes, generations_skipped) = {
+            let reports = self.recovery_reports.lock();
+            let total = |field: fn(&RecoveryReport) -> u64| {
+                reports.iter().map(|(_, r)| field(r)).sum::<u64>() as f64
+            };
+            (
+                reports.len() as f64,
+                total(|r| r.torn_tail_bytes),
+                total(|r| r.quarantined.len() as u64),
+                total(|r| r.quarantined_bytes),
+                total(|r| r.generations_skipped),
+            )
+        };
         let shard_stats: Vec<Json> = self
             .shards
             .iter()
@@ -630,31 +655,11 @@ impl Router {
                         // relaxed: stats snapshot of a monotone counter
                         Json::Num(self.replayed_records.load(Ordering::Relaxed) as f64),
                     ),
-                    (
-                        "recovered_sessions".into(),
-                        // relaxed: stats snapshot of a monotone counter
-                        Json::Num(self.recovered_sessions.load(Ordering::Relaxed) as f64),
-                    ),
-                    (
-                        "torn_bytes".into(),
-                        // relaxed: stats snapshot of a monotone counter
-                        Json::Num(self.torn_bytes.load(Ordering::Relaxed) as f64),
-                    ),
-                    (
-                        "quarantined_records".into(),
-                        // relaxed: stats snapshot of a monotone counter
-                        Json::Num(self.quarantined_records.load(Ordering::Relaxed) as f64),
-                    ),
-                    (
-                        "quarantined_bytes".into(),
-                        // relaxed: stats snapshot of a monotone counter
-                        Json::Num(self.quarantined_bytes.load(Ordering::Relaxed) as f64),
-                    ),
-                    (
-                        "generations_skipped".into(),
-                        // relaxed: stats snapshot of a monotone counter
-                        Json::Num(self.generations_skipped.load(Ordering::Relaxed) as f64),
-                    ),
+                    ("recovered_sessions".into(), Json::Num(recovered)),
+                    ("torn_bytes".into(), Json::Num(torn)),
+                    ("quarantined_records".into(), Json::Num(quarantined_records)),
+                    ("quarantined_bytes".into(), Json::Num(quarantined_bytes)),
+                    ("generations_skipped".into(), Json::Num(generations_skipped)),
                     (
                         "recovery_failures".into(),
                         // relaxed: stats snapshot of a monotone counter

@@ -43,11 +43,11 @@ use copycat_document::corpus::contact_sheet;
 use copycat_document::{Document, DocumentId};
 use copycat_query::{Renamed, Service};
 use copycat_services::{
-    AddressResolver, CurrencyConverter, Flaky, Geocoder, HealthSnapshot, ReversePhone,
-    RetryPolicy, UnitConverter, World, WorldConfig, ZipResolver,
+    AddressResolver, CurrencyConverter, Flaky, Geocoder, HealthRegistry, HealthSnapshot,
+    ReversePhone, RetryPolicy, UnitConverter, World, WorldConfig, ZipResolver,
 };
 use copycat_util::hash::FxHashMap;
-use copycat_util::json::{Json, JsonError};
+use copycat_util::json::{Json, JsonError, JsonWriter};
 use copycat_util::sync::Mutex;
 use std::borrow::Cow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -166,14 +166,16 @@ pub(crate) struct Failure {
 /// How the server settled one request; `Ok(())` is an `ok` answer.
 pub(crate) type Outcome = Result<(), Failure>;
 
-/// A settled request: its result, or its failure and message.
-type Settled = Result<Json, (Failure, Cow<'static, str>)>;
+/// A settled request: its result written, or its failure and message.
+type Settled = Result<(), (Failure, Cow<'static, str>)>;
 
 fn failed(kind: ErrorKind, refused: bool, message: impl Into<Cow<'static, str>>) -> Settled {
     Err((Failure { kind, refused }, message.into()))
 }
 
-type OpResult = Result<Json, (ErrorKind, String)>;
+/// What an op handler returns once it has written its result's members
+/// (or, having failed a check, written nothing).
+type OpResult = Result<(), (ErrorKind, String)>;
 
 fn bad(e: JsonError) -> (ErrorKind, String) {
     (ErrorKind::BadRequest, e.to_string())
@@ -183,51 +185,37 @@ fn no_suggestion(i: usize) -> (ErrorKind, String) {
     (ErrorKind::BadRequest, format!("no suggestion at index {i}"))
 }
 
-fn obj(fields: Vec<(&str, Json)>) -> Json {
-    Json::obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+fn write_transform_members(w: &mut JsonWriter<'_>, t: &copycat_core::LearnedTransform) {
+    w.field("edge", &t.edge.0);
+    w.field("from", &t.from_source);
+    w.field("from_col", &t.from_col);
+    w.field("to", &t.to_source);
+    w.field("to_col", &t.to_col);
+    w.field("program", &t.program.to_string());
+    w.field("cost", &t.cost);
+    w.field("coverage", &t.coverage);
 }
 
-fn jnum(n: usize) -> Json {
-    Json::Num(n as f64)
+fn write_health(w: &mut JsonWriter<'_>, snap: &HealthSnapshot) {
+    w.obj(|w| {
+        w.field("service", &snap.service);
+        w.field("state", snap.state.as_str());
+        w.field("calls", &snap.calls);
+        w.field("failures", &snap.failures);
+        w.field("retries", &snap.retries);
+        w.field("trips", &snap.trips);
+        w.field("short_circuits", &snap.short_circuits);
+        w.field("observed_failure_rate", &snap.observed_failure_rate);
+        w.field("backoff_virtual_ms", &snap.backoff_virtual_ms);
+    });
 }
 
-fn jrows(rows: &[Vec<String>]) -> Json {
-    Json::Arr(
-        rows.iter()
-            .map(|r| Json::Arr(r.iter().map(|c| Json::str(c.as_str())).collect()))
-            .collect(),
-    )
-}
-
-fn jstrings(items: &[String]) -> Json {
-    Json::Arr(items.iter().map(|s| Json::str(s.as_str())).collect())
-}
-
-fn jtransform(t: &copycat_core::LearnedTransform) -> Json {
-    obj(vec![
-        ("edge", Json::Num(t.edge.0 as f64)),
-        ("from", Json::str(&t.from_source)),
-        ("from_col", Json::str(&t.from_col)),
-        ("to", Json::str(&t.to_source)),
-        ("to_col", Json::str(&t.to_col)),
-        ("program", Json::str(t.program.to_string())),
-        ("cost", Json::Num(t.cost)),
-        ("coverage", Json::Num(t.coverage)),
-    ])
-}
-
-fn jhealth(snap: &HealthSnapshot) -> Json {
-    obj(vec![
-        ("service", Json::str(&snap.service)),
-        ("state", Json::str(snap.state.as_str())),
-        ("calls", Json::Num(snap.calls as f64)),
-        ("failures", Json::Num(snap.failures as f64)),
-        ("retries", Json::Num(snap.retries as f64)),
-        ("trips", Json::Num(snap.trips as f64)),
-        ("short_circuits", Json::Num(snap.short_circuits as f64)),
-        ("observed_failure_rate", Json::Num(snap.observed_failure_rate)),
-        ("backoff_virtual_ms", Json::Num(snap.backoff_virtual_ms as f64)),
-    ])
+/// A session's service-health totals, as `retries`, `trips` and
+/// `backoff_virtual_ms` members.
+fn write_health_totals(w: &mut JsonWriter<'_>, health: &HealthRegistry) {
+    w.field("retries", &health.total_retries());
+    w.field("trips", &health.total_trips());
+    w.field("backoff_virtual_ms", &health.backoff_virtual_ms());
 }
 
 impl Server {
@@ -278,34 +266,40 @@ impl Server {
     /// Answer a parsed request, or its parse error, on the calling
     /// thread: the response line and the outcome it settled.
     pub(crate) fn answer(&self, parsed: Result<Request<'_>, (&str, String)>) -> (String, Outcome) {
-        let (id, op, settled, spent) = match parsed {
-            Ok(req) => {
-                self.metrics.admitted(req.op);
-                let (settled, spent) = self.settle(&req);
-                (req.id, req.op, settled, spent)
-            }
+        let req = match parsed {
+            Ok(req) => req,
             Err((id, message)) => {
                 self.metrics.admitted(Op::Invalid);
-                (id, Op::Invalid, failed(ErrorKind::BadRequest, true, message), 0)
+                let failure = Failure { kind: ErrorKind::BadRequest, refused: true };
+                self.metrics.record(Op::Invalid, Err(failure), 0);
+                return (err_response(id, failure.kind, &message), Err(failure));
             }
         };
-        let outcome = settled.as_ref().map(|_| ()).map_err(|(failure, _)| *failure);
-        self.metrics.record(op, outcome, spent);
-        let line = match settled {
-            Ok(json) => ok_response(id, &json),
-            Err((failure, message)) => err_response(id, failure.kind, &message),
-        };
+        self.metrics.admitted(req.op);
+        let mut spent = 0;
+        let answered = ok_response(req.id, |w| {
+            let (settled, us) = self.settle(&req, w);
+            spent = us;
+            settled
+        });
+        let outcome = answered.as_ref().map(|_| ()).map_err(|(failure, _)| *failure);
+        self.metrics.record(req.op, outcome, spent);
+        let line = answered
+            .unwrap_or_else(|(failure, message)| err_response(req.id, failure.kind, &message));
         (line, outcome)
     }
 
-    /// Admit, run and settle one request; also the microseconds it
-    /// spent, wall plus virtual (0 when it was not timed).
-    fn settle(&self, req: &Request) -> (Settled, u64) {
+    /// Admit, run and settle one request, writing its result's members
+    /// to `w`; also the microseconds it spent, wall plus virtual (0 when
+    /// it was not timed). On failure the caller discards what was
+    /// written.
+    fn settle(&self, req: &Request, w: &mut JsonWriter<'_>) -> (Settled, u64) {
         // `shutdown` is handled inline: it must work even when every
         // permit is out, and it is what closes the front door.
         if req.op == Op::Shutdown {
             self.accepting.store(false, Ordering::SeqCst);
-            return (Ok(obj(vec![("draining", Json::Bool(true))])), 0);
+            w.field("draining", &true);
+            return (Ok(()), 0);
         }
         if self.draining() {
             return (failed(ErrorKind::ShuttingDown, true, "server is draining"), 0);
@@ -321,14 +315,14 @@ impl Server {
         }
         let result = catch_unwind(AssertUnwindSafe(|| {
             let _permit = permit;
-            self.dispatch(req, &mut deadline)
+            self.dispatch(req, &mut deadline, w)
         }));
         let spent = deadline.spent_us();
         let settled = match result {
-            Ok(Ok(_)) if deadline.expired() => {
+            Ok(Ok(())) if deadline.expired() => {
                 failed(ErrorKind::Timeout, false, "deadline exceeded during execution")
             }
-            Ok(Ok(json)) => Ok(json),
+            Ok(Ok(())) => Ok(()),
             // Dispatch turns a request away only at session lookup, at
             // creation and at the lock-wait deadline, each before the
             // engine runs.
@@ -393,136 +387,131 @@ impl Server {
         result
     }
 
+    /// Run one op and write its result's members to `w`. Every arm
+    /// finishes its engine calls and checks before it writes, so a
+    /// refused or failed request has written nothing.
     #[deny(
         clippy::wildcard_enum_match_arm,
         clippy::match_wildcard_for_single_variants,
         reason = "a new `Op` must be named here, not caught by `_`"
     )]
-    fn dispatch(&self, req: &Request, deadline: &mut Deadline) -> OpResult {
+    fn dispatch(
+        &self,
+        req: &Request,
+        deadline: &mut Deadline,
+        w: &mut JsonWriter<'_>,
+    ) -> OpResult {
         match req.op {
-            Op::Ping => Ok(obj(vec![("pong", Json::Bool(true))])),
-            Op::CreateSession => self.create_session(req),
-            Op::LoadSession => self.load_session(req),
-            Op::CloseSession => self.close_session(req),
-            Op::ListSessions => Ok(obj(vec![(
-                "sessions",
-                jstrings(&self.registry.names()),
-            )])),
-            Op::Stats => Ok(self.stats()),
+            Op::Ping => {
+                w.field("pong", &true);
+                Ok(())
+            }
+            Op::CreateSession => self.create_session(req, w),
+            Op::LoadSession => self.load_session(req, w),
+            Op::CloseSession => self.close_session(req, w),
+            Op::ListSessions => {
+                w.field("sessions", &self.registry.names());
+                Ok(())
+            }
+            Op::Stats => {
+                self.stats(w);
+                Ok(())
+            }
             Op::SaveSession => self.with_session(req, deadline, |s| {
-                // The snapshot moves into the response: no second copy.
-                Ok(obj(vec![("snapshot", Json::Str(s.engine.save_session_json()))]))
+                w.field("snapshot", &s.engine.save_session_json());
+                Ok(())
             }),
-            Op::OpenDoc => self.with_session(req, deadline, |s| open_doc(req, s)),
-            Op::Paste => self.with_session(req, deadline, |s| paste(req, s)),
+            Op::OpenDoc => self.with_session(req, deadline, |s| open_doc(req, s, w)),
+            Op::Paste => self.with_session(req, deadline, |s| paste(req, s, w)),
             Op::AcceptRows => self.with_session(req, deadline, |s| {
-                Ok(obj(vec![("accepted", jnum(s.engine.accept_suggested_rows()))]))
+                w.field("accepted", &s.engine.accept_suggested_rows());
+                Ok(())
             }),
             Op::NameColumn => self.with_session(req, deadline, |s| {
                 let col = req.usize_param("col").map_err(bad)?;
                 let name = req.str_param("name").map_err(bad)?;
-                Ok(obj(vec![("renamed", Json::Bool(s.engine.name_column(col, name)))]))
+                w.field("renamed", &s.engine.name_column(col, name));
+                Ok(())
             }),
             Op::SetColumnType => self.with_session(req, deadline, |s| {
                 let col = req.usize_param("col").map_err(bad)?;
                 let ty = req.str_param("type").map_err(bad)?;
-                Ok(obj(vec![("set", Json::Bool(s.engine.set_column_type(col, ty)))]))
+                w.field("set", &s.engine.set_column_type(col, ty));
+                Ok(())
             }),
             Op::CommitSource => self.with_session(req, deadline, |s| {
                 let name = req.str_param("name").map_err(bad)?;
-                Ok(obj(vec![("rows", jnum(s.engine.commit_source(name)))]))
+                w.field("rows", &s.engine.commit_source(name));
+                Ok(())
             }),
-            Op::RegisterWorld => self.with_session(req, deadline, |s| register_world(req, s)),
-            Op::RegisterFlaky => self.with_session(req, deadline, |s| register_flaky(req, s)),
+            Op::RegisterWorld => self.with_session(req, deadline, |s| register_world(req, s, w)),
+            Op::RegisterFlaky => self.with_session(req, deadline, |s| register_flaky(req, s, w)),
             Op::ColumnSuggestions => self.with_session(req, deadline, |s| {
-                let listed: Vec<Json> = s
-                    .engine
-                    .column_suggestions()
-                    .iter()
-                    .enumerate()
-                    .map(|(i, sg)| {
-                        obj(vec![
-                            ("index", jnum(i)),
-                            ("label", Json::str(&sg.label)),
-                            ("cost", Json::Num(sg.cost)),
-                            (
-                                "degraded",
-                                sg.degraded
-                                    .as_deref()
-                                    .map_or(Json::Null, Json::str),
-                            ),
-                            (
-                                "columns",
-                                Json::Arr(
-                                    sg.new_fields
-                                        .iter()
-                                        .map(|f| Json::str(&f.name))
-                                        .collect(),
-                                ),
-                            ),
-                        ])
-                    })
-                    .collect();
-                let tripped = s.engine.health().tripped_services();
-                if listed.is_empty() && !tripped.is_empty() {
-                    return Err((
-                        ErrorKind::Unavailable,
-                        format!("no completions; services down: {}", tripped.join(", ")),
-                    ));
-                }
-                Ok(obj(vec![("suggestions", Json::Arr(listed))]))
+                let listed = match s.engine.column_suggestions() {
+                    listed @ [_, ..] => listed,
+                    [] => {
+                        let tripped = s.engine.health().tripped_services();
+                        if !tripped.is_empty() {
+                            return Err((
+                                ErrorKind::Unavailable,
+                                format!("no completions; services down: {}", tripped.join(", ")),
+                            ));
+                        }
+                        &[]
+                    }
+                };
+                w.key("suggestions");
+                w.arr(|w| {
+                    for (i, sg) in listed.iter().enumerate() {
+                        w.obj(|w| {
+                            w.field("index", &i);
+                            w.field("label", &sg.label);
+                            w.field("cost", &sg.cost);
+                            w.field("degraded", &sg.degraded);
+                            w.key("columns");
+                            w.arr(|w| sg.new_fields.iter().for_each(|f| w.str(&f.name)));
+                        });
+                    }
+                });
+                Ok(())
             }),
             Op::AcceptColumn => self.with_session(req, deadline, |s| {
                 let i = req.usize_param("index").map_err(bad)?;
                 if !s.engine.accept_column(i) {
                     return Err(no_suggestion(i));
                 }
-                Ok(obj(vec![("accepted", jnum(i))]))
+                w.field("accepted", &i);
+                Ok(())
             }),
             Op::RejectColumn => self.with_session(req, deadline, |s| {
                 let i = req.usize_param("index").map_err(bad)?;
                 if !s.engine.reject_column(i) {
                     return Err(no_suggestion(i));
                 }
-                Ok(obj(vec![("rejected", jnum(i))]))
+                w.field("rejected", &i);
+                Ok(())
             }),
             Op::Autocomplete => self.with_session(req, deadline, |s| {
                 let values = req.strings_param("values").map_err(bad)?;
                 let k = req.body.field("k").as_f64().map_or(3, |v| v as usize);
                 let queries = s.engine.discover_queries_for_tuple(&values, k);
-                let listed: Vec<Json> = queries
-                    .iter()
-                    .enumerate()
-                    .map(|(i, q)| {
-                        obj(vec![
-                            ("index", jnum(i)),
-                            ("cost", Json::Num(q.cost)),
-                            (
-                                "degraded",
-                                q.degraded
-                                    .as_deref()
-                                    .map_or(Json::Null, Json::str),
-                            ),
-                            (
-                                "sources",
-                                Json::Arr(
-                                    q.plan.sources().iter().map(|n| Json::str(*n)).collect(),
-                                ),
-                            ),
-                            (
-                                "columns",
-                                Json::Arr(
-                                    q.columns.names().iter().map(|n| Json::str(*n)).collect(),
-                                ),
-                            ),
-                            ("rows", jnum(q.rows)),
-                        ])
-                    })
-                    .collect();
+                w.key("queries");
+                w.arr(|w| {
+                    for (i, q) in queries.iter().enumerate() {
+                        w.obj(|w| {
+                            w.field("index", &i);
+                            w.field("cost", &q.cost);
+                            w.field("degraded", &q.degraded);
+                            w.field("sources", &q.plan.sources());
+                            w.field("columns", &q.columns.names());
+                            w.field("rows", &q.rows);
+                        });
+                    }
+                });
                 // Feedback reads only the shown trees.
                 s.last_queries.clear();
                 s.last_queries.extend(queries.into_iter().map(|q| q.tree));
-                Ok(obj(vec![("queries", Json::Arr(listed))]))
+                Ok(())
             }),
             Op::Feedback => self.with_session(req, deadline, |s| {
                 let accept = req.usize_param("accept").map_err(bad)?;
@@ -548,8 +537,8 @@ impl Server {
                     .filter(|&&i| i != accept)
                     .filter_map(|&i| s.last_queries.get(i))
                     .collect();
-                let constraints = s.engine.prefer_query(accepted, &rejected);
-                Ok(obj(vec![("constraints", jnum(constraints))]))
+                w.field("constraints", &s.engine.prefer_query(accepted, &rejected));
+                Ok(())
             }),
             Op::Explain => self.with_session(req, deadline, |s| {
                 let row = req.usize_param("row").map_err(bad)?;
@@ -557,12 +546,11 @@ impl Server {
                 let e = explain::explain_row(tab, row).ok_or_else(|| {
                     (ErrorKind::BadRequest, format!("no row {row} in the active tab"))
                 })?;
-                Ok(obj(vec![
-                    ("queries", jstrings(&e.queries)),
-                    ("sources", jstrings(&e.sources)),
-                    ("alternatives", jnum(e.alternatives.len())),
-                    ("text", Json::str(explain::render(&e))),
-                ]))
+                w.field("queries", &e.queries);
+                w.field("sources", &e.sources);
+                w.field("alternatives", &e.alternatives.len());
+                w.field("text", &explain::render(&e));
+                Ok(())
             }),
             Op::Export => self.with_session(req, deadline, |s| {
                 let format = req.str_param("format").map_err(bad)?;
@@ -578,57 +566,37 @@ impl Server {
                         ))
                     }
                 };
-                Ok(obj(vec![("format", Json::str(format)), ("data", Json::str(&data))]))
+                w.field("format", format);
+                w.field("data", &data);
+                Ok(())
             }),
             Op::Render => self.with_session(req, deadline, |s| {
-                Ok(obj(vec![("text", Json::str(s.engine.render()))]))
+                w.field("text", &s.engine.render());
+                Ok(())
             }),
             Op::Health => self.with_session(req, deadline, |s| {
                 let snaps = s.engine.health_snapshots();
-                let services: Vec<Json> = snaps.iter().map(jhealth).collect();
-                Ok(obj(vec![
-                    ("services", Json::Arr(services)),
-                    (
-                        "tripped",
-                        jstrings(&s.engine.health().tripped_services()),
-                    ),
-                    (
-                        "retries",
-                        Json::Num(s.engine.health().total_retries() as f64),
-                    ),
-                    ("trips", Json::Num(s.engine.health().total_trips() as f64)),
-                    (
-                        "backoff_virtual_ms",
-                        Json::Num(s.engine.health().backoff_virtual_ms() as f64),
-                    ),
-                ]))
+                let health = s.engine.health();
+                w.key("services");
+                w.arr(|w| snaps.iter().for_each(|snap| write_health(w, snap)));
+                w.field("tripped", &health.tripped_services());
+                write_health_totals(w, health);
+                Ok(())
             }),
             Op::SessionStats => self.with_session(req, deadline, |s| {
                 let cache = s.engine.query_cache_stats();
-                Ok(obj(vec![
-                    (
-                        "query_cache",
-                        obj(vec![
-                            ("hits", Json::Num(cache.hits as f64)),
-                            ("misses", Json::Num(cache.misses as f64)),
-                            ("invalidations", Json::Num(cache.invalidations as f64)),
-                        ]),
-                    ),
-                    ("undo_depth", jnum(s.engine.undo_depth())),
-                    ("relations", jnum(s.engine.catalog().relation_names().len())),
-                    ("graph_version", Json::Num(s.engine.graph().version() as f64)),
-                    (
-                        "health",
-                        obj(vec![
-                            ("retries", Json::Num(s.engine.health().total_retries() as f64)),
-                            ("trips", Json::Num(s.engine.health().total_trips() as f64)),
-                            (
-                                "backoff_virtual_ms",
-                                Json::Num(s.engine.health().backoff_virtual_ms() as f64),
-                            ),
-                        ]),
-                    ),
-                ]))
+                w.key("query_cache");
+                w.obj(|w| {
+                    w.field("hits", &cache.hits);
+                    w.field("misses", &cache.misses);
+                    w.field("invalidations", &cache.invalidations);
+                });
+                w.field("undo_depth", &s.engine.undo_depth());
+                w.field("relations", &s.engine.catalog().relation_names().len());
+                w.field("graph_version", &s.engine.graph().version());
+                w.key("health");
+                w.obj(|w| write_health_totals(w, s.engine.health()));
+                Ok(())
             }),
             Op::LearnTransform => self.with_session(req, deadline, |s| {
                 let from = req.str_param("from").map_err(bad)?;
@@ -658,12 +626,15 @@ impl Server {
                             ),
                         )
                     })?;
-                Ok(jtransform(&learned))
+                // The transform is the result object itself.
+                write_transform_members(w, &learned);
+                Ok(())
             }),
             Op::ListTransforms => self.with_session(req, deadline, |s| {
-                let listed: Vec<Json> =
-                    s.engine.list_transforms().iter().map(jtransform).collect();
-                Ok(obj(vec![("transforms", Json::Arr(listed))]))
+                let listed = s.engine.list_transforms();
+                w.key("transforms");
+                w.arr(|w| listed.iter().for_each(|t| w.obj(|w| write_transform_members(w, t))));
+                Ok(())
             }),
             // Handled inline at admission; dispatch never sees them.
             Op::Shutdown | Op::Invalid => Err((
@@ -673,7 +644,7 @@ impl Server {
         }
     }
 
-    fn create_session(&self, req: &Request) -> OpResult {
+    fn create_session(&self, req: &Request, w: &mut JsonWriter<'_>) -> OpResult {
         let name = req
             .session
             .ok_or_else(|| (ErrorKind::BadRequest, "missing \"session\"".to_string()))?;
@@ -686,14 +657,14 @@ impl Server {
                 self.registry.create(name, CopyCat::new()).map_err(|_| {
                     (ErrorKind::SessionExists, format!("session {name:?} already exists"))
                 })?;
-                Ok(obj(vec![("session", Json::str(name))]))
+                w.field("session", name);
             }
-            Some(w) if w.is_obj() => {
+            Some(world) if world.is_obj() => {
                 let mut config = WorldConfig::default();
-                if let Some(seed) = w.field("seed").as_f64() {
+                if let Some(seed) = world.field("seed").as_f64() {
                     config.seed = seed as u64;
                 }
-                if let Some(venues) = w.field("venues").as_f64() {
+                if let Some(venues) = world.field("venues").as_f64() {
                     config.venues = (venues as usize).max(1);
                 }
                 let base = self.shared_world(&config);
@@ -702,23 +673,22 @@ impl Server {
                         (ErrorKind::SessionExists, format!("session {name:?} already exists"))
                     })?;
                 session.state.lock().world = Some(base.world());
-                Ok(obj(vec![
-                    ("session", Json::str(name)),
-                    (
-                        "world",
-                        obj(vec![
-                            ("seed", Json::Num(config.seed as f64)),
-                            ("venues", jnum(config.venues)),
-                            ("shared", Json::Bool(true)),
-                        ]),
-                    ),
-                ]))
+                w.field("session", name);
+                w.key("world");
+                w.obj(|w| {
+                    w.field("seed", &config.seed);
+                    w.field("venues", &config.venues);
+                    w.field("shared", &true);
+                });
             }
-            Some(_) => Err((ErrorKind::BadRequest, "\"world\" must be an object".to_string())),
+            Some(_) => {
+                return Err((ErrorKind::BadRequest, "\"world\" must be an object".to_string()))
+            }
         }
+        Ok(())
     }
 
-    fn load_session(&self, req: &Request) -> OpResult {
+    fn load_session(&self, req: &Request, w: &mut JsonWriter<'_>) -> OpResult {
         let name = req
             .session
             .ok_or_else(|| (ErrorKind::BadRequest, "missing \"session\"".to_string()))?;
@@ -727,23 +697,23 @@ impl Server {
             .map_err(|e| (ErrorKind::BadRequest, format!("bad snapshot: {e}")))?;
         let relations = engine.catalog().relation_names().len();
         self.registry.replace(name, engine);
-        Ok(obj(vec![
-            ("session", Json::str(name)),
-            ("relations", jnum(relations)),
-        ]))
+        w.field("session", name);
+        w.field("relations", &relations);
+        Ok(())
     }
 
-    fn close_session(&self, req: &Request) -> OpResult {
+    fn close_session(&self, req: &Request, w: &mut JsonWriter<'_>) -> OpResult {
         let name = req
             .session
             .ok_or_else(|| (ErrorKind::BadRequest, "missing \"session\"".to_string()))?;
         self.registry
             .remove(name)
             .map_err(|_| (ErrorKind::NoSuchSession, format!("no session named {name:?}")))?;
-        Ok(obj(vec![("closed", Json::str(name))]))
+        w.field("closed", name);
+        Ok(())
     }
 
-    fn stats(&self) -> Json {
+    fn stats(&self, w: &mut JsonWriter<'_>) {
         let mut cache = copycat_core::CacheStats::default();
         let mut sessions = 0usize;
         let (mut retries, mut trips, mut backoff_ms, mut tripped) = (0u64, 0u64, 0u64, 0usize);
@@ -760,53 +730,42 @@ impl Server {
             tripped += h.tripped_services().len();
             sessions += 1;
         });
-        Json::obj(vec![
-            ("server".to_string(), self.metrics.snapshot_json()),
-            ("sessions".to_string(), jnum(sessions)),
-            (
-                "query_cache".to_string(),
-                Json::obj(vec![
-                    ("hits".to_string(), Json::Num(cache.hits as f64)),
-                    ("misses".to_string(), Json::Num(cache.misses as f64)),
-                    (
-                        "invalidations".to_string(),
-                        Json::Num(cache.invalidations as f64),
-                    ),
-                ]),
-            ),
-            (
-                "health".to_string(),
-                Json::obj(vec![
-                    ("retries".to_string(), Json::Num(retries as f64)),
-                    ("trips".to_string(), Json::Num(trips as f64)),
-                    (
-                        "backoff_virtual_ms".to_string(),
-                        Json::Num(backoff_ms as f64),
-                    ),
-                    ("tripped_services".to_string(), jnum(tripped)),
-                ]),
-            ),
-        ])
+        w.field("server", &self.metrics.snapshot_json());
+        w.field("sessions", &sessions);
+        w.key("query_cache");
+        w.obj(|w| {
+            w.field("hits", &cache.hits);
+            w.field("misses", &cache.misses);
+            w.field("invalidations", &cache.invalidations);
+        });
+        w.key("health");
+        w.obj(|w| {
+            w.field("retries", &retries);
+            w.field("trips", &trips);
+            w.field("backoff_virtual_ms", &backoff_ms);
+            w.field("tripped_services", &tripped);
+        });
     }
 }
 
-fn open_doc(req: &Request, s: &mut SessionState) -> OpResult {
+fn open_doc(req: &Request, s: &mut SessionState, w: &mut JsonWriter<'_>) -> OpResult {
     let name = req.str_param("name").map_err(bad)?;
     let headers = req.strings_param("headers").map_err(bad)?;
     let rows = rows_param(req, "rows")?;
     let sheet = contact_sheet(name, &headers, rows);
     let DocumentId(id) = s.engine.open(Document::Sheet(sheet));
-    Ok(obj(vec![("doc", jnum(id as usize))]))
+    w.field("doc", &id);
+    Ok(())
 }
 
-fn paste(req: &Request, s: &mut SessionState) -> OpResult {
+fn paste(req: &Request, s: &mut SessionState, w: &mut JsonWriter<'_>) -> OpResult {
     let doc = req.usize_param("doc").map_err(bad)?;
     let values = req.strings_param("values").map_err(bad)?;
-    let suggested = s.engine.paste_example(DocumentId(doc as u32), &values);
-    Ok(obj(vec![("suggested", jnum(suggested))]))
+    w.field("suggested", &s.engine.paste_example(DocumentId(doc as u32), &values));
+    Ok(())
 }
 
-fn register_world(req: &Request, s: &mut SessionState) -> OpResult {
+fn register_world(req: &Request, s: &mut SessionState, w: &mut JsonWriter<'_>) -> OpResult {
     let mut config = WorldConfig::default();
     if let Some(seed) = req.body.field("seed").as_f64() {
         config.seed = seed as u64;
@@ -821,20 +780,16 @@ fn register_world(req: &Request, s: &mut SessionState) -> OpResult {
     s.engine.register_service(Arc::new(ReversePhone::new(Arc::clone(&world))));
     s.engine.register_service(Arc::new(CurrencyConverter::new()));
     s.engine.register_service(Arc::new(UnitConverter::new()));
-    let services: Vec<String> = s.engine.catalog().service_names();
     // The generated rows go back to the client so a remote tester can
     // paste world-consistent data without sharing memory with us.
-    let shelters = world.shelter_rows();
-    let contacts = world.contact_rows();
+    w.field("services", &s.engine.catalog().service_names());
+    w.field("shelters", &world.shelter_rows());
+    w.field("contacts", &world.contact_rows());
     s.world = Some(world);
-    Ok(obj(vec![
-        ("services", jstrings(&services)),
-        ("shelters", jrows(&shelters)),
-        ("contacts", jrows(&contacts)),
-    ]))
+    Ok(())
 }
 
-fn register_flaky(req: &Request, s: &mut SessionState) -> OpResult {
+fn register_flaky(req: &Request, s: &mut SessionState, w: &mut JsonWriter<'_>) -> OpResult {
     let name = req.str_param("service").map_err(bad)?;
     let failure_rate = req.body.field("failure_rate").as_f64().unwrap_or(0.0);
     let latency_ms = req.body.field("latency_ms").as_f64().unwrap_or(0.0).max(0.0) as u64;
@@ -846,10 +801,10 @@ fn register_flaky(req: &Request, s: &mut SessionState) -> OpResult {
         .ok_or_else(|| (ErrorKind::BadRequest, format!("no service named {name:?}")))?;
     // An equivalent replacement source can be registered alongside: the
     // *un-faulted* service under an alias, available for failover.
-    let replacement = req.body.field("replacement").as_str().map(str::to_string);
-    if let Some(alias) = &replacement {
+    let replacement = req.body.field("replacement").as_str();
+    if let Some(alias) = replacement {
         s.engine
-            .register_service(Arc::new(Renamed::new(alias.clone(), Arc::clone(&inner))));
+            .register_service(Arc::new(Renamed::new(alias.to_string(), Arc::clone(&inner))));
     }
     let flaky = Arc::new(Flaky::new(inner, failure_rate, latency_ms, seed));
     // With `retries` (or breaker tuning) the fault-injected service is
@@ -876,16 +831,12 @@ fn register_flaky(req: &Request, s: &mut SessionState) -> OpResult {
         s.engine.register_service(Arc::clone(&flaky) as Arc<dyn Service>);
     }
     s.probes.push(flaky);
-    Ok(obj(vec![
-        ("wrapped", Json::str(name)),
-        ("latency_ms", Json::Num(latency_ms as f64)),
-        ("failure_rate", Json::Num(failure_rate)),
-        ("resilient", Json::Bool(resilient)),
-        (
-            "replacement",
-            replacement.map_or(Json::Null, |r| Json::str(&r)),
-        ),
-    ]))
+    w.field("wrapped", name);
+    w.field("latency_ms", &latency_ms);
+    w.field("failure_rate", &failure_rate);
+    w.field("resilient", &resilient);
+    w.field("replacement", &replacement);
+    Ok(())
 }
 
 fn rows_param(req: &Request, key: &str) -> Result<Vec<Vec<String>>, (ErrorKind, String)> {

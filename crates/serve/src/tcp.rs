@@ -6,21 +6,27 @@
 //! until the client's delayed ACK (~40 ms). A request line longer than
 //! [`MAX_LINE_BYTES`] is answered `bad_request` and the connection
 //! closes, so no client can make the transport buffer without bound.
+//! The close is gentle: the server half-closes, then drops a bounded
+//! amount of unread input, so a reset cannot destroy the last answer.
 //! Everything interesting —
 //! admission, backpressure, deadlines, metrics — lives below in the
 //! server, so a socket client and an in-process test observe identical
 //! behavior.
 
 use crate::server::Server;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::thread;
+use std::time::Duration;
 
 /// The longest request line the transport reads, in bytes before its
 /// `\n`. The benchmark's largest requests, `load_session`s carrying a
 /// saved session, are far below it: a traced `integrate` run averages
 /// 8.5 KB per snapshot.
 pub const MAX_LINE_BYTES: usize = 4 << 20;
+
+/// How long a closing connection waits for the client's unread input.
+const CLOSE_WAIT: Duration = Duration::from_millis(200);
 
 /// Serve `listener` until a client issues `shutdown`, then drain and
 /// return. Consumes the server, which needs every connection thread
@@ -74,6 +80,20 @@ fn serve_stream(
     if handle_connection(reader, &stream, server)? {
         let _ = TcpStream::connect(addr);
     }
+    close_gently(&stream)
+}
+
+/// Close after the last answer without resetting the connection. A
+/// socket closed with unread input (the rest of an over-long line, or
+/// requests pipelined behind it) sends a reset, which can destroy
+/// answers the client has not read yet. So send FIN first, then read
+/// and drop at most [`MAX_LINE_BYTES`] more, for at most [`CLOSE_WAIT`]
+/// per read, until the client closes its side.
+fn close_gently(stream: &TcpStream) -> io::Result<()> {
+    stream.shutdown(Shutdown::Write)?;
+    stream.set_read_timeout(Some(CLOSE_WAIT))?;
+    // A timeout or a reset here only ends the wait.
+    let _ = io::copy(&mut stream.take(MAX_LINE_BYTES as u64), &mut io::sink());
     Ok(())
 }
 

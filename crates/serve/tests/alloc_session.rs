@@ -19,34 +19,40 @@ static ALLOC: CountingAlloc = CountingAlloc::new();
 const WORLD_SEED: u64 = 3;
 const VENUES: usize = 10;
 /// Allocations a flat `create_session` may make once the process has
-/// trained the built-in types.
-const CREATE_BUDGET: u64 = 64;
-/// Allocations the second shelter `paste` may make.
-const PASTE_BUDGET: u64 = 600;
+/// trained the built-in types (11 while every answer was built as an
+/// owned `Json` tree and then serialized, 7 since each is written
+/// straight into the response; the figures below changed alike).
+const CREATE_BUDGET: u64 = 7;
+/// Allocations the second shelter `paste` may make (289 with the tree).
+const PASTE_BUDGET: u64 = 285;
 /// Allocations a second `column_suggestions` on the committed shelters
 /// may make. It made 925 while the engine cloned the whole list, row
 /// values and provenance included, on every call; 745 once it lent the
 /// list it keeps; 738 since direct and failover completions share one
-/// builder, which reads the current query's schema without cloning it.
-const SUGGEST_BUDGET: u64 = 790;
+/// builder, which reads the current query's schema without cloning it;
+/// 702 since the list is written straight into the response.
+const SUGGEST_BUDGET: u64 = 702;
 /// Allocations `learn_transform` of three venue identity pairs may
 /// make. It made 3,068 while the learner copied tokens, folded strings
 /// and sub-programs during its search; 319 once it borrowed, folded in
 /// place and rebuilt the program once from back-pointers; 299 since the
 /// coverage check compares borrowed cell text instead of copying every
-/// source and target cell.
-const LEARN_BUDGET: u64 = 299;
+/// source and target cell; 285 without the answer's `Json` tree.
+const LEARN_BUDGET: u64 = 285;
 /// Allocations `save_session` may make. It made 681 while the snapshot
 /// was cloned into a `SavedSession`, built as an owned `Json` tree and
-/// copied into the response; 29 since it streams through one writer.
-const SAVE_BUDGET: u64 = 32;
+/// copied into the response; 29 since it streams through one writer;
+/// 26 without the answer's `Json` tree.
+const SAVE_BUDGET: u64 = 26;
 /// Allocations `load_session` of the loop's snapshot may make. It made
 /// 959 while the snapshot became an owned `Json` tree, then a
 /// `SavedSession`, then cloned engine state; 286 since one `ZDoc` walk
-/// moves each value into the engine.
-const LOAD_BUDGET: u64 = 315;
-/// Allocations a warm `ping` may make.
-const PING_BUDGET: u64 = 5;
+/// moves each value into the engine; 281 without the answer's `Json`
+/// tree.
+const LOAD_BUDGET: u64 = 281;
+/// Allocations a warm `ping` may make: the response's one copy out of
+/// the thread's scratch (4 with the `Json` tree).
+const PING_BUDGET: u64 = 1;
 
 /// Answer `line`, asserting success; returns the result and the
 /// allocations the request made.

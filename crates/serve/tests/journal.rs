@@ -6,8 +6,12 @@
 //! `shutting_down`), so `ok`, a `bad_request` raised while handling the
 //! request, an `unavailable` answer from tripped breakers and a timeout
 //! raised after execution are all journaled, the timeout without its
-//! `deadline_ms`. `journal_history` must hold exactly those lines, byte
-//! for byte, and a durable router must recover the same lines from disk.
+//! `deadline_ms`. After every step `journal_history` must hold exactly
+//! those lines, byte for byte, since the session's last close, and a
+//! durable router must recover the same lines from disk. A name that
+//! journaled nothing has no journal at all: a request refused for a
+//! session that does not exist leaves none behind, and `stats()` does
+//! not count it.
 
 use copycat_serve::router::{Router, RouterConfig};
 use copycat_serve::server::ServerConfig;
@@ -21,6 +25,7 @@ use std::sync::Arc;
 /// `ok`) and whether the router journals it.
 struct Step {
     line: String,
+    session: String,
     kind: Option<&'static str>,
     journaled: bool,
 }
@@ -35,24 +40,33 @@ struct Script {
 impl Script {
     fn send(&mut self, session: &str, body: &str, kind: Option<&'static str>, journaled: bool) {
         self.next_id += 1;
-        let session = Json::str(session);
-        let line = format!("{{\"id\":{},\"op\":{body},\"session\":{session}}}", self.next_id);
-        self.steps.push(Step { line, kind, journaled });
+        let name = Json::str(session);
+        let line = format!("{{\"id\":{},\"op\":{body},\"session\":{name}}}", self.next_id);
+        self.steps.push(Step { line, session: session.to_string(), kind, journaled });
     }
 
     fn ok(&mut self, session: &str, body: &str) {
         self.send(session, body, None, true);
     }
 
-    /// The journal a session must hold: its journaled lines, each with
-    /// `deadline_ms` stripped.
-    fn journal(&self, session: &str) -> Vec<String> {
-        let tag = format!(",\"session\":{}}}", Json::str(session));
-        self.steps
-            .iter()
-            .filter(|s| s.journaled && s.line.ends_with(&tag))
-            .map(|s| s.line.replace(",\"deadline_ms\":100", ""))
-            .collect()
+    /// The journal `session` must hold after the first `steps` steps:
+    /// its journaled lines since its last successful close, each with
+    /// `deadline_ms` stripped; `None` when there are none.
+    fn journal_after(&self, session: &str, steps: usize) -> Option<Vec<String>> {
+        let mut lines = Vec::new();
+        for step in self.steps[..steps].iter().filter(|s| s.session == session) {
+            if step.kind.is_none() && step.line.contains("\"op\":\"close_session\"") {
+                lines.clear();
+            } else if step.journaled {
+                lines.push(step.line.replace(",\"deadline_ms\":100", ""));
+            }
+        }
+        (!lines.is_empty()).then_some(lines)
+    }
+
+    /// The journal `session` must hold once every step was sent.
+    fn journal(&self, session: &str) -> Option<Vec<String>> {
+        self.journal_after(session, self.steps.len())
     }
 }
 
@@ -108,7 +122,11 @@ fn script() -> Script {
     // budget: the deadline fires after execution, effects kept.
     import_shelters(&mut s, "slow", 500);
     s.send("slow", "\"column_suggestions\",\"deadline_ms\":100", Some("timeout"), true);
+    // Names that were never created are refused and leave no journal,
+    // reads and mutations alike; a later create journals normally.
     s.send("ghost", "\"paste\",\"doc\":0,\"values\":[\"a\"]", Some("no_such_session"), false);
+    s.send("nobody", "\"render\"", Some("no_such_session"), false);
+    s.ok("ghost", "\"create_session\"");
     // A failed close of one session leaves every other session alone.
     s.send("gone", "\"close_session\"", Some("no_such_session"), false);
     // A successful close drops the session's journal and disk state.
@@ -116,6 +134,7 @@ fn script() -> Script {
     s.ok("temp", "\"close_session\"");
     s.steps.push(Step {
         line: "{\"id\":900,\"op\":\"shutdown\"}".to_string(),
+        session: String::new(),
         kind: None,
         journaled: false,
     });
@@ -123,27 +142,39 @@ fn script() -> Script {
     s
 }
 
-/// Send every step, checking each answer's kind; after the failed
-/// close, `pin`'s journal (and, with `disk`, the session directories)
-/// must be what they were before it.
+/// Send every step, checking each answer's kind and, after it, the
+/// step's session's journal; after the failed close, `pin`'s journal
+/// (and, with `disk`, the session directories) must be what they were
+/// before it.
 fn drive(router: &Router, script: &Script, disk: Option<(&Fs, &Path)>) {
     let dirs = || disk.map(|(fs, root)| fs.list_dirs(root).expect("list session dirs"));
-    for step in &script.steps {
+    for (i, step) in script.steps.iter().enumerate() {
         let before = (router.journal_history("pin"), dirs());
         let resp = Json::parse(&router.handle_line(&step.line)).expect("json response");
         let kind = resp["error"]["kind"].as_str();
         assert_eq!(kind, step.kind, "{} -> {resp}", step.line);
-        if step.line.contains("\"session\":\"gone\"") {
+        if !step.session.is_empty() {
+            let want = script.journal_after(&step.session, i + 1);
+            assert_eq!(router.journal_history(&step.session), want, "after {}", step.line);
+        }
+        if step.session == "gone" {
             assert_eq!((router.journal_history("pin"), dirs()), before, "failed close touched `pin`");
         }
     }
 }
 
+/// Every named session holds its journal, and `stats()` counts exactly
+/// the sessions that hold one.
 fn assert_journals(router: &Router, script: &Script) {
-    for session in ["pin", "slow"] {
-        assert_eq!(router.journal_history(session), Some(script.journal(session)), "{session}");
+    let mut journaled = 0;
+    for session in ["pin", "slow", "ghost", "nobody", "gone", "temp"] {
+        let want = script.journal(session);
+        journaled += usize::from(want.is_some());
+        assert_eq!(router.journal_history(session), want, "{session}");
     }
-    assert_eq!(router.journal_history("temp"), None, "a closed session keeps no journal");
+    assert_eq!(journaled, 3, "`pin`, `slow` and `ghost` hold journals");
+    let sessions = router.stats()["sessions"].as_f64();
+    assert_eq!(sessions, Some(journaled as f64), "refused and closed names are not counted");
 }
 
 fn config(fs: Fs, root: Option<PathBuf>) -> RouterConfig {
@@ -163,6 +194,11 @@ fn ephemeral_router_journals_exactly_what_took_effect() {
     let router = Router::new(config(Fs::real(), None));
     drive(&router, &script, None);
     assert_journals(&router, &script);
+    // Migration looks a session up; it makes no entry for a name it
+    // does not know.
+    assert!(router.migrate_session("nowhere", 1).is_err());
+    assert_eq!(router.journal_history("nowhere"), None);
+    assert_journals(&router, &script);
     router.shutdown();
 }
 
@@ -176,7 +212,7 @@ fn durable_router_journals_and_recovers_exactly_what_took_effect() {
     drive(&router, &script, Some((&fs, &root)));
     assert_journals(&router, &script);
     let dirs = fs.list_dirs(&root).expect("list session dirs");
-    assert_eq!(dirs.len(), 2, "one directory each for `pin` and `slow`: {dirs:?}");
+    assert_eq!(dirs.len(), 3, "one directory each for `pin`, `slow` and `ghost`: {dirs:?}");
     drop(router); // kill: no shutdown, no flush
     sim.crash();
     let recovered = Router::recover(config(fs, Some(root))).expect("recovery");

@@ -607,6 +607,28 @@ fn virtual_service_latency_trips_deadlines_deterministically() {
     server.shutdown();
 }
 
+/// A deadline that fires after execution fails a request whose result
+/// was already written: the line is the error envelope alone, with no
+/// trace of the suggestion list written before the check.
+#[test]
+fn a_timeout_after_execution_answers_the_error_envelope_alone() {
+    let server = Server::new(ServerConfig::default());
+    setup_session_with_flaky(&server, 500);
+    let timed_out = server.handle_line(
+        "{\"id\":9,\"op\":\"column_suggestions\",\"session\":\"s\",\"deadline_ms\":100}",
+    );
+    assert_eq!(
+        timed_out,
+        r#"{"id":9,"ok":false,"error":{"kind":"timeout","message":"deadline exceeded during execution"}}"#
+    );
+    // Without a deadline the same round answers a list: the timed-out
+    // request had one to write.
+    let listed = server.handle("{\"id\":10,\"op\":\"column_suggestions\",\"session\":\"s\"}");
+    let shown = listed["result"]["suggestions"].as_array().map_or(0, <[Json]>::len);
+    assert!(shown > 0, "{listed}");
+    server.shutdown();
+}
+
 /// Deadlines also fire while queued: a request admitted with an already
 /// elapsed budget times out once it holds a permit, without touching the
 /// session.
@@ -964,6 +986,55 @@ fn tcp_transport_accepts_crlf_and_unterminated_final_line() {
             assert_eq!(drain["result"]["draining"].as_bool(), Some(true), "{drain}");
         }
 
+        serve_thread.join().unwrap().expect("serve exits cleanly");
+    });
+}
+
+/// A line one byte over `tcp::MAX_LINE_BYTES`, sent over a real socket
+/// after a `ping` and followed by pipelined requests the server never
+/// reads: the client reads `pong`, then the `bad_request` answer, then
+/// EOF. Closing a socket with unread input resets the connection, which
+/// would destroy the answer in flight, so the server must close gently.
+#[test]
+fn an_over_long_line_is_answered_over_a_socket_then_closed() {
+    use copycat_serve::tcp::MAX_LINE_BYTES;
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::{TcpListener, TcpStream};
+
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let server = Server::new(ServerConfig::default());
+    std::thread::scope(|scope| {
+        let _drain = ShutdownOnDrop(addr);
+        let serve_thread = scope.spawn(move || copycat_serve::tcp::serve(listener, server));
+
+        let stream = TcpStream::connect(addr).expect("connect");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        let mut read_line = |what: &str| {
+            let mut resp = String::new();
+            reader.read_line(&mut resp).unwrap_or_else(|e| panic!("reading {what}: {e}"));
+            resp
+        };
+        (&stream).write_all(b"{\"id\":1,\"op\":\"ping\"}\n").expect("send ping");
+        assert_eq!(read_line("pong"), "{\"id\":1,\"ok\":true,\"result\":{\"pong\":true}}\n");
+        let head = r#"{"id":2,"op":"ping","pad":""#;
+        let mut long = head.to_string();
+        long.extend(std::iter::repeat_n('x', MAX_LINE_BYTES + 1 - head.len() - 2));
+        long.push_str("\"}");
+        assert_eq!(long.len(), MAX_LINE_BYTES + 1);
+        long.push('\n');
+        for _ in 0..2000 {
+            long.push_str("{\"id\":4,\"op\":\"ping\"}\n");
+        }
+        (&stream).write_all(long.as_bytes()).expect("send the long line");
+        let refused = Json::parse(read_line("the answer").trim()).expect("json answer");
+        assert_eq!(refused["id"], Json::Null, "{refused}");
+        assert_eq!(refused["error"]["kind"].as_str(), Some("bad_request"), "{refused}");
+        assert_eq!(read_line("EOF"), "", "EOF after the answer");
+        drop(stream);
+
+        let stream = TcpStream::connect(addr).expect("connect");
+        (&stream).write_all(b"{\"id\":3,\"op\":\"shutdown\"}\n").expect("send shutdown");
         serve_thread.join().unwrap().expect("serve exits cleanly");
     });
 }

@@ -1,9 +1,13 @@
 //! Session durability for the serving layer.
 //!
 //! The line-delimited request protocol is already a replayable command
-//! stream, and copycat-lint pins the engine deterministic — so crash
-//! recovery can be *replay*: persist the acknowledged requests, and
-//! rebuilding a session is re-running them. This crate owns the disk
+//! stream, and the engine is deterministic: `clippy.toml` bans
+//! wall-clock reads and randomly seeded std hash maps outside their
+//! sanctioned owners, and copycat-serve's replay tests
+//! (`tests/durability.rs`, the `-- crash` scenario transcripts) require
+//! a replayed session to answer byte for byte like the original. So
+//! crash recovery can be *replay*: persist the acknowledged requests,
+//! and rebuilding a session is re-running them. This crate owns the disk
 //! half of that story:
 //!
 //! - [`wal`] — a per-session append-only log of request payloads.

@@ -122,13 +122,6 @@ impl Json {
         }
     }
 
-    /// Append the compact serialization to an existing buffer — the
-    /// allocation-free form of [`to_string`] for callers that assemble
-    /// responses in a reused scratch buffer.
-    pub fn write_compact(&self, out: &mut String) {
-        self.write_json(&mut JsonWriter::compact(out));
-    }
-
     /// Human-readable serialization (2-space indent).
     pub fn to_string_pretty(&self) -> String {
         to_string_pretty(self)

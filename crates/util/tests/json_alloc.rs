@@ -5,7 +5,7 @@
 //! every thread in the process.
 
 use copycat_util::bench::CountingAlloc;
-use copycat_util::json::Json;
+use copycat_util::json::{Json, JsonWriter, ToJson};
 use copycat_util::zjson::ZDoc;
 
 #[global_allocator]
@@ -44,7 +44,8 @@ fn numbers_and_indentation_write_without_heap_strings() {
     let expected = format!("[{}]", texts.join(","));
 
     let mut out = String::with_capacity(4 * expected.len());
-    assert_eq!(allocs(|| doc.write_compact(&mut out)), 0, "Json::write_compact allocated");
+    let compact = || doc.write_json(&mut JsonWriter::compact(&mut out));
+    assert_eq!(allocs(compact), 0, "compact `Json` output allocated");
     assert_eq!(out, expected);
 
     let mut zdoc = ZDoc::new();
