@@ -14,7 +14,7 @@
 
 use crate::autocomplete::{self, ColumnSuggestion, ScoredQuery};
 use crate::cache::{CacheStats, QueryCache};
-use crate::workspace::{Tab, Workspace};
+use crate::workspace::{RowState, Tab, Workspace};
 use copycat_document::{Clipboard, Document, DocumentId};
 use copycat_extract::{execute as run_wrapper, refine, ScoredWrapper, StructureLearner, Wrapper};
 use copycat_graph::{
@@ -29,6 +29,7 @@ use copycat_services::{
 };
 use copycat_semantic::registry::DEFAULT_RECOGNITION_THRESHOLD;
 use copycat_semantic::TypeRegistry;
+use copycat_util::undo::UndoLog;
 use std::sync::Arc;
 
 /// The two interaction modes of §2.1.
@@ -81,8 +82,10 @@ pub struct CopyCat {
     /// Transform-derived columns of the active tab: column index →
     /// (program, accumulated examples).
     transform_columns: copycat_util::hash::FxHashMap<usize, TransformState>,
-    /// Undo stack of view-state snapshots (§5 "advanced interactions").
-    undo_stack: Vec<Snapshot>,
+    /// Undo journal of the engine's own fields (§5 "advanced
+    /// interactions"); the workspace and the graph keep theirs, and all
+    /// three open and close entries together (see [`CopyCat::undo`]).
+    journal: UndoLog<EngineUndo>,
     /// Version-stamped cache of Steiner searches: repeated pastes reuse
     /// results; MIRA updates and edge insertions invalidate via the
     /// graph version.
@@ -108,20 +111,24 @@ pub struct CopyCat {
 /// A transform column's learned program plus its accumulated examples.
 type TransformState = (copycat_transform::Program, Vec<(Vec<String>, String)>);
 
-/// A restorable view-state snapshot. Catalog contents are append-only
-/// and are not rolled back; the workspace, its transform columns, the
-/// active query, and the learned edge costs are.
-struct Snapshot {
-    workspace: Workspace,
-    current_plan: Option<Plan>,
-    current_nodes: Vec<NodeId>,
-    edge_costs: Vec<f64>,
-    /// Edge count at checkpoint time: edges added later (e.g. learned
-    /// transform edges) are removed again by undo.
-    edge_count: usize,
-    tab_queries: copycat_util::hash::FxHashMap<usize, (Plan, Vec<NodeId>)>,
-    transform_columns: copycat_util::hash::FxHashMap<usize, TransformState>,
-    mode: Mode,
+/// Undo entries kept; the oldest is forgotten past this.
+const MAX_UNDO: usize = 32;
+
+/// The inverse of one change to the engine's own undoable fields, kept
+/// while an undo entry is open: each holds the previous value.
+#[derive(Debug)]
+enum EngineUndo {
+    Mode(Mode),
+    /// The active query and its nodes.
+    Query(Option<Plan>, Vec<NodeId>),
+    /// One tab's saved query (`None`: it had none).
+    TabQuery(usize, Option<(Plan, Vec<NodeId>)>),
+    /// One transform column's state (`None`: it was no transform column).
+    Transform(usize, Option<TransformState>),
+    /// A transform column's example count before an edit added one.
+    Examples(usize, usize),
+    /// A transform column's program before an edit re-learned it.
+    Program(usize, copycat_transform::Program),
 }
 
 /// What [`CopyCat::edit_cell`] did with an edit.
@@ -235,7 +242,7 @@ impl CopyCat {
             tab_queries: copycat_util::hash::FxHashMap::default(),
             cleaning: false,
             transform_columns: copycat_util::hash::FxHashMap::default(),
-            undo_stack: Vec::new(),
+            journal: UndoLog::new(),
             query_cache: QueryCache::default(),
             health: HealthRegistry::new(),
             pending_health: Vec::new(),
@@ -245,53 +252,81 @@ impl CopyCat {
 
     // --- Undo (§5 "advanced interactions") -----------------------------
 
-    /// Capture the current view state onto the undo stack (called by
-    /// mutating user actions). The stack is bounded.
+    /// Open an undo entry (called by mutating user actions before they
+    /// change anything). Until the next one, the engine, the workspace
+    /// and the graph record the inverse of every undoable change they
+    /// make, whoever asks for it. The journal keeps the newest
+    /// [`MAX_UNDO`] entries.
     fn checkpoint(&mut self) {
-        const MAX_UNDO: usize = 32;
-        let snap = Snapshot {
-            workspace: self.workspace.clone(),
-            current_plan: self.current_plan.clone(),
-            current_nodes: self.current_nodes.clone(),
-            edge_costs: self.graph.edge_ids().map(|e| self.graph.cost(e)).collect(),
-            edge_count: self.graph.edge_count(),
-            tab_queries: self.tab_queries.clone(),
-            transform_columns: self.transform_columns.clone(),
-            mode: self.mode,
+        self.journal.open(MAX_UNDO);
+        self.workspace.open_undo(MAX_UNDO);
+        self.graph.open_undo(MAX_UNDO);
+    }
+
+    /// Apply the newest entry's inverses and close it; false when no
+    /// entry is open.
+    fn unwind(&mut self) -> bool {
+        // Taken out while applying, so nothing is recorded meanwhile.
+        let mut journal = std::mem::take(&mut self.journal);
+        let Some(ops) = journal.pop() else {
+            self.journal = journal;
+            return false;
         };
-        self.undo_stack.push(snap);
-        if self.undo_stack.len() > MAX_UNDO {
-            self.undo_stack.remove(0);
+        for op in ops.rev() {
+            self.revert(op);
+        }
+        self.journal = journal;
+        self.workspace.undo();
+        // Edges added since the entry opened (learned transform edges,
+        // association edges of later commits) are removed outright —
+        // undoing a learned transform deletes its edge and bumps the
+        // graph version, so no cached ranking can resurrect it.
+        self.graph.undo();
+        true
+    }
+
+    fn revert(&mut self, op: EngineUndo) {
+        match op {
+            EngineUndo::Mode(mode) => self.mode = mode,
+            EngineUndo::Query(plan, nodes) => {
+                self.current_plan = plan;
+                self.current_nodes = nodes;
+            }
+            EngineUndo::TabQuery(tab, Some(query)) => {
+                self.tab_queries.insert(tab, query);
+            }
+            EngineUndo::TabQuery(tab, None) => {
+                self.tab_queries.remove(&tab);
+            }
+            EngineUndo::Transform(col, Some(state)) => {
+                self.transform_columns.insert(col, state);
+            }
+            EngineUndo::Transform(col, None) => {
+                self.transform_columns.remove(&col);
+            }
+            EngineUndo::Examples(col, len) => {
+                if let Some((_, examples)) = self.transform_columns.get_mut(&col) {
+                    examples.truncate(len);
+                }
+            }
+            EngineUndo::Program(col, program) => {
+                if let Some(state) = self.transform_columns.get_mut(&col) {
+                    state.0 = program;
+                }
+            }
         }
     }
 
     /// Undo the last user action: restores the workspace with its
-    /// transform columns, the active query, and the learned edge costs.
-    /// Catalog contents (committed sources) are append-only and stay.
-    /// Returns false when there is nothing to undo.
+    /// transform columns, the active query, and the learned edge costs,
+    /// including changes made since the action that opened no entry of
+    /// their own (a column rename, MIRA feedback, a service
+    /// registration's edges). Catalog contents (committed sources) are
+    /// append-only and stay. Returns false when there is nothing to
+    /// undo.
     pub fn undo(&mut self) -> bool {
-        let Some(snap) = self.undo_stack.pop() else {
+        if !self.unwind() {
             return false;
-        };
-        self.workspace = snap.workspace;
-        self.current_plan = snap.current_plan;
-        self.current_nodes = snap.current_nodes;
-        self.tab_queries = snap.tab_queries;
-        self.transform_columns = snap.transform_columns;
-        self.mode = snap.mode;
-        // Edges added since the checkpoint (learned transform edges,
-        // association edges of later commits) are removed outright —
-        // undoing a learned transform deletes its edge and bumps the
-        // graph version, so no cached ranking can resurrect it.
-        self.graph.truncate_edges(snap.edge_count);
-        for (e, cost) in self
-            .graph
-            .edge_ids()
-            .collect::<Vec<_>>()
-            .into_iter()
-            .zip(snap.edge_costs)
-        {
-            self.graph.set_cost(e, cost);
         }
         self.last_shown.clear();
         true
@@ -299,7 +334,27 @@ impl CopyCat {
 
     /// Depth of the undo stack (for UIs).
     pub fn undo_depth(&self) -> usize {
-        self.undo_stack.len()
+        self.journal.depth()
+    }
+
+    fn set_mode(&mut self, mode: Mode) {
+        if self.mode != mode {
+            self.journal.record(EngineUndo::Mode(self.mode));
+            self.mode = mode;
+        }
+    }
+
+    /// Make `plan` over `nodes` the active query.
+    fn set_query(&mut self, plan: Option<Plan>, nodes: Vec<NodeId>) {
+        let plan = std::mem::replace(&mut self.current_plan, plan);
+        let nodes = std::mem::replace(&mut self.current_nodes, nodes);
+        self.journal.record(EngineUndo::Query(plan, nodes));
+    }
+
+    /// Save `tab`'s integration query.
+    fn set_tab_query(&mut self, tab: usize, plan: Plan, nodes: Vec<NodeId>) {
+        let old = self.tab_queries.insert(tab, (plan, nodes));
+        self.journal.record(EngineUndo::TabQuery(tab, old));
     }
 
     /// The workspace (for rendering and assertions).
@@ -349,7 +404,7 @@ impl CopyCat {
             self.start_import_tab("import");
         }
         let values: Vec<String> = values.iter().map(|v| v.to_string()).collect();
-        self.workspace.active_mut().paste_row(&values);
+        self.workspace.paste_row(&values);
         match &mut self.import {
             Some(state) if state.doc == doc => {}
             _ => {
@@ -366,17 +421,16 @@ impl CopyCat {
         let Some(state) = &mut self.import else {
             return 0;
         };
-        let doc_id = state.doc;
         let examples = self.workspace.active().pasted_rows();
-        let Some(document) = self.clipboard.document(doc_id) else {
+        let Some(document) = self.clipboard.document(state.doc) else {
             return 0;
         };
         let mut hyps = self.learner.learn(document, &examples, &self.registry);
         // Apply remembered rejections to each hypothesis.
-        let rejected = state.rejected.clone();
+        let rejected = &state.rejected;
         for h in &mut hyps {
             if !rejected.is_empty() {
-                let refined = refine(&h.wrapper, document, &rejected);
+                let refined = refine(&h.wrapper, document, rejected);
                 if refined != h.wrapper {
                     h.rows = run_wrapper(&refined, document);
                     h.wrapper = refined;
@@ -389,41 +443,53 @@ impl CopyCat {
         }
         hyps.sort_by(|a, b| b.score.partial_cmp(&a.score).expect("finite"));
         let top = if hyps.is_empty() { None } else { Some(hyps.remove(0)) };
-        state.wrapper = top.clone();
+        // The top hypothesis's rows not already in the table or rejected.
+        let fresh: Vec<(Vec<String>, Option<copycat_provenance::Provenance>)> = match &top {
+            Some(h) => {
+                let committed: copycat_util::hash::FxHashSet<&[String]> = self
+                    .workspace
+                    .active()
+                    .rows
+                    .iter()
+                    .filter(|r| r.state != RowState::Suggested)
+                    .map(|r| &r.cells[..])
+                    .collect();
+                h.rows
+                    .iter()
+                    .filter(|r| !committed.contains(&r[..]) && !rejected.contains(r))
+                    .map(|r| (r.clone(), None))
+                    .collect()
+            }
+            None => Vec::new(),
+        };
         state.alternatives = hyps;
+        let has_top = top.is_some();
+        state.wrapper = top;
 
-        let tab = self.workspace.active_mut();
-        tab.clear_suggestions();
-        let mut suggested = 0;
-        if let Some(h) = &top {
-            let committed = tab.committed_rows();
-            let fresh: Vec<(Vec<String>, Option<copycat_provenance::Provenance>)> = h
-                .rows
-                .iter()
-                .filter(|r| !committed.contains(r) && !rejected.contains(r))
-                .map(|r| (r.clone(), None))
-                .collect();
-            suggested = fresh.len();
-            tab.suggest_rows(fresh);
+        self.workspace.clear_suggestions();
+        let suggested = fresh.len();
+        if has_top {
+            self.workspace.suggest_rows(fresh);
         }
         // Column-type proposals over everything visible (Figure 1's
         // PR-Street / PR-City captions).
-        let all = self.workspace.active().all_rows();
-        let arity = all.iter().map(Vec::len).max().unwrap_or(0);
+        let rows = &self.workspace.active().rows;
+        let arity = rows.iter().map(|r| r.cells.len()).max().unwrap_or(0);
+        let mut proposals = Vec::new();
         for col in 0..arity {
-            let col_values: Vec<&str> = all
+            let col_values: Vec<&str> = rows
                 .iter()
-                .filter_map(|r| r.get(col))
+                .filter_map(|r| r.cells.get(col))
                 .filter(|v| !v.is_empty())
                 .map(String::as_str)
                 .collect();
-            let best = self.registry.best(&col_values, DEFAULT_RECOGNITION_THRESHOLD);
-            if let Some((ty, _)) = best {
-                let label = ty.strip_prefix("PR-").unwrap_or(&ty).to_string();
-                self.workspace
-                    .active_mut()
-                    .propose_column(col, &label, Some(&ty));
+            if let Some((ty, _)) = self.registry.best(&col_values, DEFAULT_RECOGNITION_THRESHOLD) {
+                proposals.push((col, ty));
             }
+        }
+        for (col, ty) in proposals {
+            let label = ty.strip_prefix("PR-").unwrap_or(&ty);
+            self.workspace.propose_column(col, label, Some(&ty));
         }
         suggested
     }
@@ -431,15 +497,15 @@ impl CopyCat {
     /// Accept all suggested rows in the active tab.
     pub fn accept_suggested_rows(&mut self) -> usize {
         self.checkpoint();
-        self.workspace.active_mut().accept_all_suggestions()
+        self.workspace.accept_all_suggestions()
     }
 
     /// Reject one suggested row (import mode): removes it, refines the
     /// wrapper, and refreshes the remaining suggestions.
     pub fn reject_suggested_row(&mut self, row_index: usize) -> bool {
         self.checkpoint();
-        let Some(cells) = self.workspace.active_mut().reject_row(row_index) else {
-            self.undo_stack.pop(); // nothing happened
+        let Some(cells) = self.workspace.reject_row(row_index) else {
+            self.unwind(); // nothing happened
             return false;
         };
         if let Some(state) = &mut self.import {
@@ -451,7 +517,7 @@ impl CopyCat {
 
     /// Rename a column (user action).
     pub fn name_column(&mut self, col: usize, name: &str) -> bool {
-        self.workspace.active_mut().name_column(col, name)
+        self.workspace.name_column(col, name)
     }
 
     /// Pick a column's semantic type from the hypothesis dropdown (§3.2:
@@ -459,16 +525,11 @@ impl CopyCat {
     /// other hypotheses"). Also refreshes the system-proposed label when
     /// the user hasn't named the column.
     pub fn set_column_type(&mut self, col: usize, sem_type: &str) -> bool {
-        let label = sem_type
-            .strip_prefix("PR-")
-            .unwrap_or(sem_type)
-            .to_string();
-        let tab = self.workspace.active_mut();
-        if col >= tab.columns.len() {
+        if col >= self.workspace.active().columns.len() {
             return false;
         }
-        tab.propose_column(col, &label, Some(sem_type));
-        tab.columns[col].sem_type = Some(sem_type.to_string());
+        let label = sem_type.strip_prefix("PR-").unwrap_or(sem_type);
+        self.workspace.propose_column(col, label, Some(sem_type));
         true
     }
 
@@ -489,7 +550,7 @@ impl CopyCat {
     pub fn commit_source(&mut self, name: &str) -> usize {
         self.checkpoint();
         // Accept whatever is still suggested — committing implies consent.
-        self.workspace.active_mut().accept_all_suggestions();
+        self.workspace.accept_all_suggestions();
         let tab = self.workspace.active();
         let schema = Schema::new(tab.columns.clone());
         let rows = tab.committed_rows();
@@ -506,15 +567,12 @@ impl CopyCat {
                     .push((name.to_string(), Some(state.doc), w.wrapper.clone()));
             }
         }
-        self.workspace.active_mut().title = name.to_string();
+        self.workspace.set_title(name);
         self.import = None;
-        self.mode = Mode::Integrate;
-        self.current_plan = Some(Plan::scan(name));
-        self.current_nodes = self.graph.node_by_name(name).into_iter().collect();
-        self.tab_queries.insert(
-            self.workspace.active_index(),
-            (Plan::scan(name), self.current_nodes.clone()),
-        );
+        self.set_mode(Mode::Integrate);
+        let nodes: Vec<NodeId> = self.graph.node_by_name(name).into_iter().collect();
+        self.set_query(Some(Plan::scan(name)), nodes.clone());
+        self.set_tab_query(self.workspace.active_index(), Plan::scan(name), nodes);
         size
     }
 
@@ -526,14 +584,14 @@ impl CopyCat {
         }
         match self.tab_queries.get(&index) {
             Some((plan, nodes)) => {
-                self.current_plan = Some(plan.clone());
-                self.current_nodes = nodes.clone();
-                self.mode = Mode::Integrate;
+                let (plan, nodes) = (plan.clone(), nodes.clone());
+                self.set_query(Some(plan), nodes);
+                self.set_mode(Mode::Integrate);
             }
-            None => {
-                self.current_plan = None;
-                self.current_nodes.clear();
+            None if self.current_plan.is_some() || !self.current_nodes.is_empty() => {
+                self.set_query(None, Vec::new());
             }
+            None => {}
         }
         self.last_shown.clear();
         true
@@ -543,7 +601,7 @@ impl CopyCat {
     pub fn start_import_tab(&mut self, title: &str) {
         self.workspace.add_tab(Tab::new(title));
         self.import = None;
-        self.mode = Mode::Import;
+        self.set_mode(Mode::Import);
     }
 
     /// Add an already-cataloged relation to the source graph (used when a
@@ -709,32 +767,30 @@ impl CopyCat {
         let shown = std::mem::take(&mut self.last_shown);
         let sugg = &shown[i];
         self.checkpoint();
-        let tab = self.workspace.active_mut();
         for (c, field) in sugg.new_fields.iter().enumerate() {
             let col: Vec<String> = sugg
                 .values
                 .iter()
                 .map(|row| row.get(c).cloned().unwrap_or_default())
                 .collect();
-            tab.add_column(field.clone(), &col);
+            self.workspace.add_column(field.clone(), &col);
         }
-        for (row, prov) in tab.rows.iter_mut().zip(sugg.provenance.iter()) {
+        let rows = self.workspace.active().rows.len();
+        for (row, prov) in sugg.provenance.iter().enumerate().take(rows) {
             if let Some(p) = prov {
-                row.provenance = Some(p.clone());
+                self.workspace.set_provenance(row, p.clone());
             }
         }
-        self.current_plan = Some(sugg.plan.clone());
         // Track the new node set.
+        let mut nodes = self.current_nodes.clone();
         let edge = self.graph.edge(sugg.edge);
         for n in [edge.a, edge.b] {
-            if !self.current_nodes.contains(&n) {
-                self.current_nodes.push(n);
+            if !nodes.contains(&n) {
+                nodes.push(n);
             }
         }
-        self.tab_queries.insert(
-            self.workspace.active_index(),
-            (sugg.plan.clone(), self.current_nodes.clone()),
-        );
+        self.set_query(Some(sugg.plan.clone()), nodes.clone());
+        self.set_tab_query(self.workspace.active_index(), sugg.plan.clone(), nodes);
         // Promote over the alternatives shown alongside.
         let alternatives: Vec<[EdgeId; 1]> = shown
             .iter()
@@ -885,12 +941,13 @@ impl CopyCat {
     /// is remembered so later edits to the column can re-teach it.
     pub fn accept_transform(&mut self, name: &str, sugg: &TransformSuggestion) {
         self.checkpoint();
-        let tab = self.workspace.active_mut();
-        let col = tab.columns.len();
-        tab.add_column(Field::new(name), &sugg.values);
-        tab.name_column(col, name);
-        self.transform_columns
+        let col = self.workspace.active().columns.len();
+        self.workspace.add_column(Field::new(name), &sugg.values);
+        self.workspace.name_column(col, name);
+        let old = self
+            .transform_columns
             .insert(col, (sugg.program.clone(), sugg.examples.clone()));
+        self.journal.record(EngineUndo::Transform(col, old));
     }
 
     // --- Transform edges (syntactic join-with-transformation) ----------
@@ -1060,15 +1117,7 @@ impl CopyCat {
                 r.cells.iter().take(col).cloned().collect()
             })
         };
-        let tab = self.workspace.active_mut();
-        let Some(r) = tab.rows.get_mut(row) else {
-            return EditEffect::Local;
-        };
-        if col >= r.cells.len() {
-            return EditEffect::Local;
-        }
-        r.cells[col] = value.to_string();
-        if self.cleaning {
+        if !self.workspace.set_cell(row, col, value.to_string()) || self.cleaning {
             return EditEffect::Local;
         }
         let (Some(inputs), Some((_, examples))) =
@@ -1076,6 +1125,7 @@ impl CopyCat {
         else {
             return EditEffect::Local;
         };
+        self.journal.record(EngineUndo::Examples(col, examples.len()));
         examples.push((inputs, value.to_string()));
         let Some(program) = copycat_transform::learn(examples) else {
             // No consistent program any more: the edit was a one-off
@@ -1083,18 +1133,19 @@ impl CopyCat {
             return EditEffect::Local;
         };
         // Re-apply to every row except explicit examples.
-        let tab = self.workspace.active_mut();
         let mut updated = 0;
-        for r in tab.rows.iter_mut() {
-            let inputs: Vec<String> = r.cells.iter().take(col).cloned().collect();
+        for i in 0..self.workspace.active().rows.len() {
+            let cells = &self.workspace.active().rows[i].cells;
+            let inputs: Vec<String> = cells.iter().take(col).cloned().collect();
             if let Some(v) = program.apply(&inputs) {
-                if r.cells[col] != v {
-                    r.cells[col] = v;
+                if cells[col] != v {
+                    self.workspace.set_cell(i, col, v);
                     updated += 1;
                 }
             }
         }
-        self.transform_columns.get_mut(&col).expect("present").0 = program;
+        let old = std::mem::replace(&mut self.transform_columns.get_mut(&col).expect("present").0, program);
+        self.journal.record(EngineUndo::Program(col, old));
         EditEffect::Generalized(updated)
     }
 
@@ -1114,9 +1165,7 @@ impl CopyCat {
             .get(row)
             .and_then(|r| r.provenance.clone());
         // Remove the row from the view regardless.
-        if row < self.workspace.active().rows.len() {
-            self.workspace.active_mut().rows.remove(row);
-        }
+        self.workspace.remove_row(row);
         let Some(p) = provenance else {
             return TupleRejection { queries: Vec::new(), refined_sources: Vec::new() };
         };
@@ -1263,11 +1312,9 @@ impl CopyCat {
             tab.paste_row(&row);
         }
         let idx = self.workspace.add_tab(tab);
-        self.mode = Mode::Integrate;
-        self.current_plan = Some(Plan::scan(name));
-        self.current_nodes = vec![node];
-        self.tab_queries
-            .insert(idx, (Plan::scan(name), vec![node]));
+        self.set_mode(Mode::Integrate);
+        self.set_query(Some(Plan::scan(name)), vec![node]);
+        self.set_tab_query(idx, Plan::scan(name), vec![node]);
         true
     }
 
@@ -1613,6 +1660,61 @@ mod tests {
         assert_eq!(cc.graph().cost(zip.edge), cost_before, "cost restored");
         // Undo stack unwinds further without panicking.
         while cc.undo() {}
+        assert_eq!(cc.undo_depth(), 0);
+    }
+
+    #[test]
+    fn undo_reverts_a_generalized_edit_with_its_example_and_program() {
+        let (_, mut cc) = imported_engine();
+        let rows = cc.workspace().active().committed_rows();
+        let out0 = format!("{}!", rows[0][0]);
+        let sugg = cc.suggest_transform(&[(0, &out0)]).expect("learnable");
+        let col = cc.columns().len();
+        cc.accept_transform("Shout", &sugg);
+        let program = cc.transform_columns[&col].0.to_string();
+        let before = cc.render();
+        let edited = format!("{}!", rows[1][0]);
+        assert!(matches!(cc.edit_cell(1, col, &edited), EditEffect::Generalized(_)));
+        assert_eq!(cc.transform_columns[&col].1.len(), 2, "the edit is a new example");
+        assert!(cc.undo());
+        assert_eq!(cc.transform_columns[&col].1.len(), 1, "its example is gone");
+        assert_eq!(cc.transform_columns[&col].0.to_string(), program);
+        assert_eq!(cc.render(), before);
+        // The entry that added the column goes next, with its state.
+        assert!(cc.undo());
+        assert!(!cc.transform_columns.contains_key(&col));
+        assert_eq!(cc.columns().len(), col);
+    }
+
+    #[test]
+    fn undo_reverts_unrecorded_edits_made_after_the_action() {
+        let w = world();
+        let rows = w.shelter_rows();
+        let mut cc = CopyCat::new();
+        let doc = cc.open(shelter_doc(&w, Tier::Clean));
+        let first: Vec<&str> = rows[0].iter().map(String::as_str).collect();
+        cc.paste_example(doc, &first);
+        let pasted = cc.render();
+        cc.accept_suggested_rows();
+        // A rename opens no entry of its own: it goes with the accept.
+        cc.name_column(0, "Venue");
+        assert_eq!(cc.undo_depth(), 2);
+        assert!(cc.undo());
+        assert_eq!(cc.render(), pasted);
+        assert!(cc.undo());
+        assert!(cc.workspace().active().rows.is_empty());
+        assert!(!cc.undo(), "the stack is empty");
+    }
+
+    #[test]
+    fn undo_keeps_the_newest_thirty_two_entries() {
+        let (_, mut cc) = imported_engine();
+        for _ in 0..40 {
+            cc.accept_suggested_rows();
+        }
+        assert_eq!(cc.undo_depth(), MAX_UNDO);
+        let undone = (0..40).filter(|_| cc.undo()).count();
+        assert_eq!(undone, MAX_UNDO);
         assert_eq!(cc.undo_depth(), 0);
     }
 

@@ -6,9 +6,17 @@
 //! its own tabbed pane." Rows and columns carry suggestion state
 //! (highlighted rows in Figure 1, the yellow Zip column in Figure 2),
 //! which this headless model tracks explicitly.
+//!
+//! The [`Workspace`] changes its active tab only through methods that
+//! record each change's inverse while an undo entry is open
+//! ([`Workspace::open_undo`]), so an undo puts back exactly what the
+//! undone action changed. [`Tab`]'s own methods are the unrecorded
+//! primitives.
 
 use copycat_provenance::Provenance;
 use copycat_query::Field;
+use copycat_util::undo::UndoLog;
+use std::cell::Cell;
 use std::fmt;
 
 /// Where a row came from — drives both rendering and feedback routing.
@@ -241,27 +249,55 @@ impl Tab {
     }
 }
 
+/// The inverse of one workspace change, kept while an undo entry is
+/// open. `tab` is the index of the tab that changed.
+#[derive(Debug, Clone)]
+enum WsUndo {
+    /// Drop the rows appended since: keep the first `len`.
+    Rows { tab: usize, len: usize },
+    /// Drop the columns appended since, with their cells: keep the
+    /// first `len`.
+    Columns { tab: usize, len: usize },
+    /// Put back the rows a clear removed, by ascending index before it.
+    Removed { tab: usize, rows: Vec<(usize, Row)> },
+    /// Put back one removed row.
+    Row { tab: usize, index: usize, row: Row },
+    /// Mark these accepted rows suggested again.
+    Suggested { tab: usize, rows: Vec<usize> },
+    /// A column's previous name and whether the user had named it.
+    Name { tab: usize, col: usize, name: String, user_named: bool },
+    /// A column's previous semantic type.
+    Type { tab: usize, col: usize, sem_type: Option<String> },
+    /// A cell's previous text.
+    Cell { tab: usize, row: usize, col: usize, text: String },
+    /// A row's previous provenance.
+    Provenance { tab: usize, row: usize, provenance: Option<Provenance> },
+    /// The previous title.
+    Title { tab: usize, title: String },
+    /// The previously active tab.
+    Active(usize),
+    /// Drop the last tab, making `active` active again.
+    Tab { active: usize },
+}
+
 /// The tabbed workspace.
 #[derive(Debug, Clone, Default)]
 pub struct Workspace {
     tabs: Vec<Tab>,
     active: usize,
+    /// Inverses of the changes made since each open undo entry.
+    undo: UndoLog<WsUndo>,
 }
 
 impl Workspace {
     /// A workspace with one empty tab.
     pub fn new() -> Self {
-        Self { tabs: vec![Tab::new("Sheet1")], active: 0 }
+        Self { tabs: vec![Tab::new("Sheet1")], active: 0, undo: UndoLog::new() }
     }
 
     /// The active tab.
     pub fn active(&self) -> &Tab {
         &self.tabs[self.active]
-    }
-
-    /// The active tab, mutably.
-    pub fn active_mut(&mut self) -> &mut Tab {
-        &mut self.tabs[self.active]
     }
 
     /// All tabs.
@@ -271,6 +307,7 @@ impl Workspace {
 
     /// Add a tab and switch to it; returns its index.
     pub fn add_tab(&mut self, tab: Tab) -> usize {
+        self.undo.record(WsUndo::Tab { active: self.active });
         self.tabs.push(tab);
         self.active = self.tabs.len() - 1;
         self.active
@@ -278,17 +315,252 @@ impl Workspace {
 
     /// Switch the active tab. False on bad index.
     pub fn switch_to(&mut self, i: usize) -> bool {
-        if i < self.tabs.len() {
-            self.active = i;
-            true
-        } else {
-            false
+        if i >= self.tabs.len() {
+            return false;
         }
+        if i != self.active {
+            self.undo.record(WsUndo::Active(self.active));
+            self.active = i;
+        }
+        true
     }
 
     /// Index of the active tab.
     pub fn active_index(&self) -> usize {
         self.active
+    }
+
+    // --- Recorded edits of the active tab (see `Tab` for each) ---------
+
+    /// Paste a row of values.
+    pub fn paste_row(&mut self, values: &[String]) {
+        let (tab, cols, rows) = self.shape();
+        self.tabs[tab].paste_row(values);
+        self.record_growth(tab, cols, rows);
+    }
+
+    /// Add suggested rows.
+    pub fn suggest_rows(&mut self, rows: Vec<(Vec<String>, Option<Provenance>)>) {
+        let (tab, cols, len) = self.shape();
+        self.tabs[tab].suggest_rows(rows);
+        self.record_growth(tab, cols, len);
+    }
+
+    /// Drop all currently-suggested rows. While an undo entry is open
+    /// the rows move into it.
+    pub fn clear_suggestions(&mut self) {
+        let tab = self.active;
+        if !self.undo.is_recording() {
+            self.tabs[tab].clear_suggestions();
+            return;
+        }
+        // `extract_if` visits rows in order and hands each removed row
+        // on before it tests the next, so `seen` is one past its index.
+        let seen = Cell::new(0);
+        let removed: Vec<(usize, Row)> = self.tabs[tab]
+            .rows
+            .extract_if(.., |r| {
+                seen.set(seen.get() + 1);
+                r.state == RowState::Suggested
+            })
+            .map(|row| (seen.get() - 1, row))
+            .collect();
+        if !removed.is_empty() {
+            self.undo.record(WsUndo::Removed { tab, rows: removed });
+        }
+    }
+
+    /// Accept every suggested row.
+    pub fn accept_all_suggestions(&mut self) -> usize {
+        let tab = self.active;
+        let recording = self.undo.is_recording();
+        let mut accepted = Vec::new();
+        let mut n = 0;
+        for (i, r) in self.tabs[tab].rows.iter_mut().enumerate() {
+            if r.state == RowState::Suggested {
+                r.state = RowState::Accepted;
+                n += 1;
+                if recording {
+                    accepted.push(i);
+                }
+            }
+        }
+        if !accepted.is_empty() {
+            self.undo.record(WsUndo::Suggested { tab, rows: accepted });
+        }
+        n
+    }
+
+    /// Reject (remove) one suggested row by index, returning its cells.
+    pub fn reject_row(&mut self, i: usize) -> Option<Vec<String>> {
+        let tab = self.active;
+        if self.tabs[tab].rows.get(i)?.state != RowState::Suggested {
+            return None;
+        }
+        let row = self.tabs[tab].rows.remove(i);
+        if !self.undo.is_recording() {
+            return Some(row.cells);
+        }
+        let cells = row.cells.clone();
+        self.undo.record(WsUndo::Row { tab, index: i, row });
+        Some(cells)
+    }
+
+    /// Remove one row, whatever its state. False on bad index.
+    pub fn remove_row(&mut self, i: usize) -> bool {
+        let tab = self.active;
+        if i >= self.tabs[tab].rows.len() {
+            return false;
+        }
+        let row = self.tabs[tab].rows.remove(i);
+        self.undo.record(WsUndo::Row { tab, index: i, row });
+        true
+    }
+
+    /// Set a column's header as the user's choice.
+    pub fn name_column(&mut self, col: usize, name: &str) -> bool {
+        let tab = self.active;
+        let t = &mut self.tabs[tab];
+        let Some(f) = t.columns.get_mut(col) else {
+            return false;
+        };
+        let name = std::mem::replace(&mut f.name, name.to_string());
+        let user_named = std::mem::replace(&mut t.user_named[col], true);
+        self.undo.record(WsUndo::Name { tab, col, name, user_named });
+        true
+    }
+
+    /// System-proposed column label and semantic type; never overwrites
+    /// a user-chosen name. Records only what it changes.
+    pub fn propose_column(&mut self, col: usize, name: &str, sem_type: Option<&str>) {
+        let tab = self.active;
+        let t = &mut self.tabs[tab];
+        let Some(f) = t.columns.get_mut(col) else {
+            return;
+        };
+        if !t.user_named[col] && f.name != name {
+            let name = std::mem::replace(&mut f.name, name.to_string());
+            self.undo.record(WsUndo::Name { tab, col, name, user_named: false });
+        }
+        if let Some(ty) = sem_type.filter(|&ty| f.sem_type.as_deref() != Some(ty)) {
+            let sem_type = f.sem_type.replace(ty.to_string());
+            self.undo.record(WsUndo::Type { tab, col, sem_type });
+        }
+    }
+
+    /// Append a column with values aligned to the current rows.
+    pub fn add_column(&mut self, field: Field, values: &[String]) {
+        let (tab, cols, _) = self.shape();
+        self.tabs[tab].add_column(field, values);
+        self.undo.record(WsUndo::Columns { tab, len: cols });
+    }
+
+    /// Set one cell's text. False when the row or column is missing.
+    pub fn set_cell(&mut self, row: usize, col: usize, text: String) -> bool {
+        let tab = self.active;
+        let Some(cell) = self.tabs[tab].rows.get_mut(row).and_then(|r| r.cells.get_mut(col)) else {
+            return false;
+        };
+        let text = std::mem::replace(cell, text);
+        self.undo.record(WsUndo::Cell { tab, row, col, text });
+        true
+    }
+
+    /// Set one row's provenance. False on bad index.
+    pub fn set_provenance(&mut self, row: usize, provenance: Provenance) -> bool {
+        let tab = self.active;
+        let Some(r) = self.tabs[tab].rows.get_mut(row) else {
+            return false;
+        };
+        let provenance = r.provenance.replace(provenance);
+        self.undo.record(WsUndo::Provenance { tab, row, provenance });
+        true
+    }
+
+    /// Set the active tab's title.
+    pub fn set_title(&mut self, title: &str) {
+        let tab = self.active;
+        let title = std::mem::replace(&mut self.tabs[tab].title, title.to_string());
+        self.undo.record(WsUndo::Title { tab, title });
+    }
+
+    /// The active tab's index, column count and row count.
+    fn shape(&self) -> (usize, usize, usize) {
+        let t = self.active();
+        (self.active, t.columns.len(), t.rows.len())
+    }
+
+    /// Record what a paste or suggestion appended to `tab`: columns
+    /// beyond `cols` (their cells included) and rows beyond `rows`.
+    fn record_growth(&mut self, tab: usize, cols: usize, rows: usize) {
+        if self.tabs[tab].columns.len() > cols {
+            self.undo.record(WsUndo::Columns { tab, len: cols });
+        }
+        if self.tabs[tab].rows.len() > rows {
+            self.undo.record(WsUndo::Rows { tab, len: rows });
+        }
+    }
+
+    // --- Undo -----------------------------------------------------------
+
+    /// Open an undo entry: until the next one, every change made
+    /// through this type records its inverse. At most `max` entries
+    /// stay open; the oldest is forgotten.
+    pub fn open_undo(&mut self, max: usize) {
+        self.undo.open(max);
+    }
+
+    /// Undo the newest open entry: apply its inverses newest first.
+    /// Nothing happens when no entry is open.
+    pub fn undo(&mut self) {
+        // Taken out while applying, so nothing is recorded meanwhile.
+        let mut log = std::mem::take(&mut self.undo);
+        if let Some(ops) = log.pop() {
+            for op in ops.rev() {
+                self.revert(op);
+            }
+        }
+        self.undo = log;
+    }
+
+    fn revert(&mut self, op: WsUndo) {
+        match op {
+            WsUndo::Rows { tab, len } => self.tabs[tab].rows.truncate(len),
+            WsUndo::Columns { tab, len } => {
+                let t = &mut self.tabs[tab];
+                t.columns.truncate(len);
+                t.user_named.truncate(len);
+                for r in &mut t.rows {
+                    r.cells.truncate(len);
+                }
+            }
+            WsUndo::Removed { tab, rows } => {
+                for (i, row) in rows {
+                    self.tabs[tab].rows.insert(i, row);
+                }
+            }
+            WsUndo::Row { tab, index, row } => self.tabs[tab].rows.insert(index, row),
+            WsUndo::Suggested { tab, rows } => {
+                for i in rows {
+                    self.tabs[tab].rows[i].state = RowState::Suggested;
+                }
+            }
+            WsUndo::Name { tab, col, name, user_named } => {
+                self.tabs[tab].columns[col].name = name;
+                self.tabs[tab].user_named[col] = user_named;
+            }
+            WsUndo::Type { tab, col, sem_type } => self.tabs[tab].columns[col].sem_type = sem_type,
+            WsUndo::Cell { tab, row, col, text } => self.tabs[tab].rows[row].cells[col] = text,
+            WsUndo::Provenance { tab, row, provenance } => {
+                self.tabs[tab].rows[row].provenance = provenance;
+            }
+            WsUndo::Title { tab, title } => self.tabs[tab].title = title,
+            WsUndo::Active(i) => self.active = i,
+            WsUndo::Tab { active } => {
+                self.tabs.pop();
+                self.active = active;
+            }
+        }
     }
 }
 

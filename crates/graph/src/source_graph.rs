@@ -3,6 +3,7 @@
 use copycat_query::Schema;
 use copycat_util::hash::FxHashMap;
 use copycat_util::json::{FromJson, JsonError, JsonWriter, ToJson};
+use copycat_util::undo::UndoLog;
 use copycat_util::zjson::ZRef;
 use std::fmt;
 
@@ -230,6 +231,16 @@ pub const SUGGESTION_COST_THRESHOLD: f64 = 2.0;
 /// Minimum edge cost (MIRA updates never drive costs to zero or below).
 pub const MIN_EDGE_COST: f64 = 0.01;
 
+/// The inverse of one graph change, kept while an undo entry is open.
+#[derive(Debug, Clone, Copy)]
+enum GraphUndo {
+    /// The edge count when the entry opened: edges added since are
+    /// removed by undo.
+    Edges(usize),
+    /// An edge's cost before an effective [`SourceGraph::set_cost`].
+    Cost(EdgeId, f64),
+}
+
 /// The frozen, immutable prefix of a [`SourceGraph`]: the world every
 /// tenant session shares. Built once with [`SourceGraph::freeze`],
 /// wrapped in an `Arc`, and layered under per-session overlay graphs
@@ -300,6 +311,9 @@ pub struct SourceGraph {
     adj_overrides: FxHashMap<u32, Vec<EdgeId>>,
     /// Monotonic structure/cost version; see [`SourceGraph::version`].
     version: u64,
+    /// Inverses of the cost changes and edge insertions made since each
+    /// open undo entry; see [`SourceGraph::open_undo`].
+    undo: UndoLog<GraphUndo>,
 }
 
 impl SourceGraph {
@@ -468,9 +482,9 @@ impl SourceGraph {
         id
     }
 
-    /// Remove every edge with id ≥ `keep` (undo of edges added after a
-    /// checkpoint — e.g. a learned transform edge the user backed out
-    /// of). Only session-local edges can be removed; `keep` below the
+    /// Remove every edge with id ≥ `keep` (undo of edges added after an
+    /// undo entry opened — e.g. a learned transform edge the user backed
+    /// out of). Only session-local edges can be removed; `keep` below the
     /// shared base's edge count is clamped to it. Adjacency lists and
     /// overlay merge lists are rewritten, and the version bumps once
     /// when anything was actually removed, so version-keyed caches and
@@ -541,20 +555,76 @@ impl SourceGraph {
     /// For overlay graphs, a base edge's first effective update copies
     /// it into the session-private override map; the shared base is
     /// never written.
+    ///
+    /// While an undo entry is open ([`open_undo`](Self::open_undo)), an
+    /// effective update records the edge's old cost.
     pub fn set_cost(&mut self, id: EdgeId, cost: f64) {
         let clamped = cost.max(MIN_EDGE_COST);
         let base_edges = self.base_edges();
         if (id.0 as usize) < base_edges {
-            if self.edge(id).weight != clamped {
+            let old = self.edge(id).weight;
+            if old != clamped {
                 let mut copy = self.edge(id).clone();
                 copy.weight = clamped;
                 self.edge_overrides.insert(id.0, copy);
+                self.undo.record(GraphUndo::Cost(id, old));
                 self.version += 1;
             }
-        } else if self.edges[id.0 as usize - base_edges].weight != clamped {
-            self.edges[id.0 as usize - base_edges].weight = clamped;
-            self.version += 1;
+        } else {
+            let weight = &mut self.edges[id.0 as usize - base_edges].weight;
+            if *weight != clamped {
+                self.undo.record(GraphUndo::Cost(id, *weight));
+                *weight = clamped;
+                self.version += 1;
+            }
         }
+    }
+
+    /// Open an undo entry: until the next one, every effective
+    /// [`set_cost`](Self::set_cost) records the edge's old cost, and
+    /// [`undo`](Self::undo) removes the edges added from now on. At most
+    /// `max` entries stay open; the oldest is forgotten. With no entry
+    /// open nothing is recorded, so a graph whose session never edits
+    /// keeps no undo state (and an overlay never copies base costs for
+    /// it).
+    pub fn open_undo(&mut self, max: usize) {
+        self.undo.open(max);
+        self.undo.record(GraphUndo::Edges(self.edge_count()));
+    }
+
+    /// Undo the newest open entry: edges added since it opened are
+    /// removed ([`truncate_edges`](Self::truncate_edges)) and every edge
+    /// whose cost it changed gets back the cost it had when the entry
+    /// opened, through [`set_cost`](Self::set_cost), so the version
+    /// bumps once per restored edge. Nodes and cost hints stay. Nothing
+    /// happens when no entry is open.
+    pub fn undo(&mut self) {
+        // Taken out while applying, so the restoring writes record
+        // nothing.
+        let mut log = std::mem::take(&mut self.undo);
+        if let Some(ops) = log.pop() {
+            let mut keep = self.edge_count();
+            let mut costs: Vec<(EdgeId, f64)> = Vec::new();
+            for op in ops {
+                match op {
+                    GraphUndo::Edges(n) => keep = n,
+                    // An edge's first change in the entry holds the cost
+                    // it had when the entry opened.
+                    GraphUndo::Cost(e, cost) => {
+                        if !costs.iter().any(|&(seen, _)| seen == e) {
+                            costs.push((e, cost));
+                        }
+                    }
+                }
+            }
+            self.truncate_edges(keep);
+            for (e, cost) in costs {
+                if (e.0 as usize) < keep {
+                    self.set_cost(e, cost);
+                }
+            }
+        }
+        self.undo = log;
     }
 
     /// Edge cost.
@@ -867,6 +937,60 @@ mod tests {
         };
         assert_eq!(ser(&flat), ser(&overlay));
         assert_eq!(flat.version(), overlay.version());
+    }
+
+    #[test]
+    fn undo_restores_costs_and_removes_new_edges() {
+        let (mut g, a, _, c) = tiny();
+        g.set_cost(EdgeId(0), 0.5);
+        g.open_undo(4);
+        let v0 = g.version();
+        g.set_cost(EdgeId(0), 0.7);
+        g.set_cost(EdgeId(0), 0.9);
+        g.set_cost(EdgeId(1), 2.5);
+        let e = g.add_edge(a, c, EdgeKind::Join { pairs: vec![] });
+        g.set_cost(e, 3.0);
+        g.undo();
+        assert_eq!(g.cost(EdgeId(0)), 0.5, "the cost when the entry opened");
+        assert_eq!(g.cost(EdgeId(1)), 1.5);
+        assert_eq!(g.edge_count(), 2);
+        assert_eq!(g.incident(a).len(), 2);
+        // One bump per restored edge plus one for the truncation.
+        assert_eq!(g.version(), v0 + 5 + 3);
+        // Nothing is open any more: changes stay.
+        g.set_cost(EdgeId(1), 0.2);
+        g.undo();
+        assert_eq!(g.cost(EdgeId(1)), 0.2);
+    }
+
+    #[test]
+    fn an_entry_that_changed_nothing_undoes_without_a_version_bump() {
+        let (mut g, _, _, _) = tiny();
+        g.open_undo(4);
+        let v0 = g.version();
+        g.set_cost(EdgeId(0), 0.4);
+        g.set_cost(EdgeId(0), 1.0);
+        g.undo();
+        assert_eq!(g.cost(EdgeId(0)), 1.0);
+        assert_eq!(g.version(), v0 + 2, "only the two edits bumped it");
+    }
+
+    #[test]
+    fn overlay_undo_never_writes_the_base() {
+        let (flat, a, _, c) = tiny();
+        let base = std::sync::Arc::new(flat.freeze());
+        let mut g = SourceGraph::with_base(std::sync::Arc::clone(&base));
+        // With no entry open, a cost change records nothing.
+        g.set_cost(EdgeId(1), 0.3);
+        g.open_undo(4);
+        g.set_cost(EdgeId(0), 0.25);
+        g.add_edge(a, c, EdgeKind::Join { pairs: vec![] });
+        g.undo();
+        assert_eq!(g.cost(EdgeId(0)), 1.0);
+        assert_eq!(g.cost(EdgeId(1)), 0.3);
+        assert_eq!(g.edge_count(), base.edge_count());
+        assert_eq!(g.incident(a).len(), 2);
+        assert_eq!(SourceGraph::with_base(base).cost(EdgeId(0)), 1.0);
     }
 
     #[test]

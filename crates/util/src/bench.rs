@@ -10,9 +10,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// benchmarks and allocation-count regression tests. Install it as the
 /// global allocator in a *binary or test crate* (never a library):
 ///
-/// ```ignore
+/// ```
 /// #[global_allocator]
 /// static ALLOC: copycat_util::bench::CountingAlloc = copycat_util::bench::CountingAlloc::new();
+/// # fn main() {}
 /// ```
 ///
 /// Counters are process-wide monotone totals; callers measure by

@@ -26,6 +26,8 @@
 //!   (replaces `crc32fast`).
 //! - [`varint`] — LEB128 length prefixes for the WAL's record framing
 //!   (replaces `integer-encoding`).
+//! - [`undo`] — [`undo::UndoLog`], inverse operations grouped into
+//!   bounded undo entries (the engine's undo journal).
 //! - [`zjson`] — the JSON parser: a zero-copy flat DOM in which
 //!   escape-free strings become spans into the input line, and a warm
 //!   doc parses with zero heap allocations. [`Json::parse`] is an
@@ -43,6 +45,7 @@ pub mod hist;
 pub mod json;
 pub mod rng;
 pub mod sync;
+pub mod undo;
 pub mod varint;
 pub mod zjson;
 
