@@ -137,7 +137,7 @@ impl std::fmt::Debug for WorldBase {
         write!(
             f,
             "WorldBase(relations: {}, services: {}, graph: {} nodes / {} edges, types: {})",
-            self.catalog.relation_names().len(),
+            self.catalog.relation_count(),
             self.catalog.service_names().len(),
             self.graph.node_count(),
             self.graph.edge_count(),

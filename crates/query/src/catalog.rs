@@ -149,18 +149,33 @@ impl Catalog {
 
     /// Sorted relation names.
     pub fn relation_names(&self) -> Vec<String> {
-        let relations = self.relations.read();
-        let mut v: Vec<String> = relations.keys().cloned().collect();
-        if let Some(base) = &self.base {
-            let removed = self.removed.read();
-            for name in base.relation_names() {
-                if !removed.contains(&name) && !relations.contains_key(&name) {
-                    v.push(name);
-                }
-            }
-        }
+        let mut v = Vec::new();
+        self.visit_relation_names(&mut |name| v.push(name.to_string()));
         v.sort();
         v
+    }
+
+    /// Number of relations [`relation_names`](Self::relation_names)
+    /// lists, counted without collecting a name.
+    pub fn relation_count(&self) -> usize {
+        let mut n = 0;
+        self.visit_relation_names(&mut |_| n += 1);
+        n
+    }
+
+    /// Visit each relation name once, unordered: this layer's, then the
+    /// base's that this layer neither shadows nor removed.
+    fn visit_relation_names(&self, f: &mut dyn FnMut(&str)) {
+        let relations = self.relations.read();
+        relations.keys().for_each(|name| f(name));
+        if let Some(base) = &self.base {
+            let removed = self.removed.read();
+            base.visit_relation_names(&mut |name| {
+                if !removed.contains(name) && !relations.contains_key(name) {
+                    f(name);
+                }
+            });
+        }
     }
 
     /// Sorted service names.
@@ -260,6 +275,12 @@ mod tests {
         assert_eq!(layered.relation("shelters").unwrap().schema().arity(), 2);
         assert_eq!(base.relation("shelters").unwrap().schema().arity(), 1);
         assert_eq!(layered.relation_names(), vec!["shelters"]);
+        assert_eq!(layered.relation_count(), 1, "a shadow counts once");
+        layered.add_relation(Relation::empty("contacts", Schema::of(&["Name"])));
+        assert_eq!(layered.relation_count(), 2);
+        assert!(layered.remove_relation("shelters"));
+        assert_eq!(layered.relation_count(), layered.relation_names().len());
+        assert_eq!(layered.relation_count(), 1, "a tombstone hides the base's copy");
     }
 
     #[test]

@@ -106,15 +106,19 @@ impl SessionRegistry {
     }
 
     /// Replace (or create) a session wholesale — the `load_session`
-    /// path. The old engine, if any, is dropped with its cache.
+    /// path. The old engine, if any, is dropped with its cache after
+    /// the shard's lock is released, so lookups of the shard's other
+    /// sessions never wait for it to be freed.
     pub fn replace(&self, name: &str, engine: CopyCat) -> Arc<Session> {
         let session = Arc::new(Session {
             name: name.to_string(),
             state: Mutex::new(SessionState::fresh(engine)),
         });
-        self.shard(name)
+        let old = self
+            .shard(name)
             .write()
             .insert(name.to_string(), Arc::clone(&session));
+        drop(old);
         session
     }
 
@@ -127,10 +131,17 @@ impl SessionRegistry {
             .ok_or(RegistryError::Missing)
     }
 
-    /// Drop a session.
+    /// Drop a session. The map's reference is taken out under the
+    /// shard's lock and released after it: when it was the last one,
+    /// the engine is freed without blocking lookups of the shard's
+    /// other sessions.
     pub fn remove(&self, name: &str) -> Result<(), RegistryError> {
-        match self.shard(name).write().remove(name) {
-            Some(_) => Ok(()),
+        let removed = self.shard(name).write().remove(name);
+        match removed {
+            Some(session) => {
+                drop(session);
+                Ok(())
+            }
             None => Err(RegistryError::Missing),
         }
     }

@@ -592,7 +592,7 @@ impl Server {
                     w.field("invalidations", &cache.invalidations);
                 });
                 w.field("undo_depth", &s.engine.undo_depth());
-                w.field("relations", &s.engine.catalog().relation_names().len());
+                w.field("relations", &s.engine.catalog().relation_count());
                 w.field("graph_version", &s.engine.graph().version());
                 w.key("health");
                 w.obj(|w| write_health_totals(w, s.engine.health()));
@@ -695,7 +695,7 @@ impl Server {
         let snapshot = req.str_param("snapshot").map_err(bad)?;
         let engine = CopyCat::load_session_json(snapshot)
             .map_err(|e| (ErrorKind::BadRequest, format!("bad snapshot: {e}")))?;
-        let relations = engine.catalog().relation_names().len();
+        let relations = engine.catalog().relation_count();
         self.registry.replace(name, engine);
         w.field("session", name);
         w.field("relations", &relations);
