@@ -444,7 +444,7 @@ impl CopyCat {
         hyps.sort_by(|a, b| b.score.partial_cmp(&a.score).expect("finite"));
         let top = if hyps.is_empty() { None } else { Some(hyps.remove(0)) };
         // The top hypothesis's rows not already in the table or rejected.
-        let fresh: Vec<(Vec<String>, Option<copycat_provenance::Provenance>)> = match &top {
+        let fresh: Vec<&[String]> = match &top {
             Some(h) => {
                 let committed: copycat_util::hash::FxHashSet<&[String]> = self
                     .workspace
@@ -457,20 +457,16 @@ impl CopyCat {
                 h.rows
                     .iter()
                     .filter(|r| !committed.contains(&r[..]) && !rejected.contains(r))
-                    .map(|r| (r.clone(), None))
+                    .map(|r| &r[..])
                     .collect()
             }
             None => Vec::new(),
         };
+        let suggested = fresh.len();
+        self.workspace.replace_suggestions(&fresh);
         state.alternatives = hyps;
-        let has_top = top.is_some();
         state.wrapper = top;
 
-        self.workspace.clear_suggestions();
-        let suggested = fresh.len();
-        if has_top {
-            self.workspace.suggest_rows(fresh);
-        }
         // Column-type proposals over everything visible (Figure 1's
         // PR-Street / PR-City captions).
         let rows = &self.workspace.active().rows;

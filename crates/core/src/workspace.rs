@@ -258,8 +258,17 @@ enum WsUndo {
     /// Drop the columns appended since, with their cells: keep the
     /// first `len`.
     Columns { tab: usize, len: usize },
-    /// Put back the rows a clear removed, by ascending index before it.
-    Removed { tab: usize, rows: Vec<(usize, Row)> },
+    /// Undo a suggestion refresh: drop the rows from `start` on, then
+    /// put the previous suggestions back at their indices: `removed`
+    /// holds those the refresh dropped, and each `(index, offset, n)`
+    /// of `moved` says the `n` rows from `index` on became the appended
+    /// rows from offset `offset` (from `start`) on.
+    Suggestions {
+        tab: usize,
+        start: usize,
+        removed: Vec<(usize, Row)>,
+        moved: Vec<(usize, usize, usize)>,
+    },
     /// Put back one removed row.
     Row { tab: usize, index: usize, row: Row },
     /// Mark these accepted rows suggested again.
@@ -278,6 +287,14 @@ enum WsUndo {
     Active(usize),
     /// Drop the last tab, making `active` active again.
     Tab { active: usize },
+}
+
+/// Whether `cells` equals `values` padded with empty cells to `width`.
+fn padded_eq(cells: &[String], values: &[String], width: usize) -> bool {
+    cells.len() == width
+        && values.len() <= width
+        && cells[..values.len()] == *values
+        && cells[values.len()..].iter().all(String::is_empty)
 }
 
 /// The tabbed workspace.
@@ -339,25 +356,20 @@ impl Workspace {
         self.record_growth(tab, cols, rows);
     }
 
-    /// Add suggested rows.
-    pub fn suggest_rows(&mut self, rows: Vec<(Vec<String>, Option<Provenance>)>) {
-        let (tab, cols, len) = self.shape();
-        self.tabs[tab].suggest_rows(rows);
-        self.record_growth(tab, cols, len);
-    }
-
-    /// Drop all currently-suggested rows. While an undo entry is open
-    /// the rows move into it.
-    pub fn clear_suggestions(&mut self) {
-        let tab = self.active;
-        if !self.undo.is_recording() {
-            self.tabs[tab].clear_suggestions();
-            return;
-        }
+    /// Replace the active tab's suggested rows with `rows`, exactly as
+    /// [`Tab::clear_suggestions`] and then [`Tab::suggest_rows`] (with no
+    /// provenance) would. A refresh mostly re-suggests what it drops, so
+    /// a dropped row equal to the next new suggestion is moved into
+    /// place instead of copied, and the undo entry records only where
+    /// each dropped row was; the rest move into the entry.
+    pub fn replace_suggestions(&mut self, rows: &[&[String]]) {
+        let (tab, cols, _) = self.shape();
+        let recording = self.undo.is_recording();
+        let t = &mut self.tabs[tab];
         // `extract_if` visits rows in order and hands each removed row
         // on before it tests the next, so `seen` is one past its index.
         let seen = Cell::new(0);
-        let removed: Vec<(usize, Row)> = self.tabs[tab]
+        let mut removed: Vec<(usize, Row)> = t
             .rows
             .extract_if(.., |r| {
                 seen.set(seen.get() + 1);
@@ -365,8 +377,54 @@ impl Workspace {
             })
             .map(|row| (seen.get() - 1, row))
             .collect();
-        if !removed.is_empty() {
-            self.undo.record(WsUndo::Removed { tab, rows: removed });
+        let start = t.rows.len();
+        t.ensure_columns(rows.iter().map(|r| r.len()).max().unwrap_or(0));
+        let width = t.columns.len();
+        let reusable = |r: &Row, values: &[String]| r.provenance.is_none() && padded_eq(&r.cells, values, width);
+        let mut moved = Vec::new();
+        // The next dropped row to try, looking one row past it, so one
+        // row gone from (or new in) the middle does not end the reuse.
+        let mut next = 0;
+        for values in rows {
+            if t.rows[..start].iter().any(|r| r.state != RowState::Suggested && padded_eq(&r.cells, values, width)) {
+                continue;
+            }
+            let hit = (next..removed.len().min(next + 2)).find(|&i| reusable(&removed[i].1, values));
+            let row = match hit {
+                Some(i) => {
+                    next = i + 1;
+                    if recording {
+                        let (at, offset) = (removed[i].0, t.rows.len() - start);
+                        match moved.last_mut() {
+                            Some((a, o, n)) if *a + *n == at && *o + *n == offset => *n += 1,
+                            _ => moved.push((at, offset, 1)),
+                        }
+                    }
+                    std::mem::replace(&mut removed[i].1, Row { cells: Vec::new(), state: RowState::Suggested, provenance: None })
+                }
+                None => {
+                    let mut cells = values.to_vec();
+                    cells.resize(width, String::new());
+                    Row { cells, state: RowState::Suggested, provenance: None }
+                }
+            };
+            t.rows.push(row);
+        }
+        if !recording {
+            return;
+        }
+        if t.columns.len() > cols {
+            self.undo.record(WsUndo::Columns { tab, len: cols });
+        }
+        // Both lists ascend by index, so one walk drops the moved rows'
+        // placeholders.
+        let mut reused = moved.iter().flat_map(|&(at, _, n)| at..at + n).peekable();
+        removed.retain(|&(at, _)| reused.next_if_eq(&at).is_none());
+        if !removed.is_empty() || !moved.is_empty() || self.tabs[tab].rows.len() > start {
+            // The entry outlives the refresh: keep no spare capacity.
+            removed.shrink_to_fit();
+            moved.shrink_to_fit();
+            self.undo.record(WsUndo::Suggestions { tab, start, removed, moved });
         }
     }
 
@@ -534,9 +592,14 @@ impl Workspace {
                     r.cells.truncate(len);
                 }
             }
-            WsUndo::Removed { tab, rows } => {
-                for (i, row) in rows {
-                    self.tabs[tab].rows.insert(i, row);
+            WsUndo::Suggestions { tab, start, mut removed, moved } => {
+                let t = &mut self.tabs[tab];
+                let mut appended: Vec<Option<Row>> = t.rows.drain(start..).map(Some).collect();
+                let back = moved.into_iter().flat_map(|(at, o, n)| (0..n).map(move |k| (at + k, o + k)));
+                removed.extend(back.filter_map(|(at, o)| Some((at, appended[o].take()?))));
+                removed.sort_by_key(|&(at, _)| at);
+                for (at, row) in removed {
+                    t.rows.insert(at, row);
                 }
             }
             WsUndo::Row { tab, index, row } => self.tabs[tab].rows.insert(index, row),

@@ -1,6 +1,7 @@
 //! Counting-allocator pin for the import path: a flat `create_session`,
 //! the second `paste` of the paste-to-export loop (the step that runs
-//! structure learning and type recognition), a warm `column_suggestions`,
+//! structure learning and type recognition), the `accept_rows` after
+//! it, the first `commit_source`, a warm `column_suggestions`,
 //! and the loop's `learn_transform`, `save_session` and `load_session`
 //! each stay within a fixed allocation budget, as does a warm `ping` —
 //! the admission and dispatch path alone.
@@ -23,8 +24,18 @@ const VENUES: usize = 10;
 /// owned `Json` tree and then serialized, 7 since each is written
 /// straight into the response; the figures below changed alike).
 const CREATE_BUDGET: u64 = 7;
-/// Allocations the second shelter `paste` may make (289 with the tree).
-const PASTE_BUDGET: u64 = 285;
+/// Allocations the second shelter `paste` may make (289 with the tree;
+/// 285 while each undoable edit copied the whole workspace, plan, tab
+/// queries and edge costs into an undo snapshot and a refresh cloned
+/// every suggested row; 113 since undo records what an edit changed and
+/// a refresh moves an unchanged suggestion back into place).
+const PASTE_BUDGET: u64 = 113;
+/// Allocations `accept_rows` after the second paste may make (52 with
+/// the undo snapshot, 3 with the undo journal).
+const ACCEPT_BUDGET: u64 = 3;
+/// Allocations the first `commit_source` may make (200 with the undo
+/// snapshot, 150 with the undo journal).
+const COMMIT_BUDGET: u64 = 150;
 /// Allocations a second `column_suggestions` on the committed shelters
 /// may make. It made 925 while the engine cloned the whole list, row
 /// values and provenance included, on every call; 745 once it lent the
@@ -37,8 +48,10 @@ const SUGGEST_BUDGET: u64 = 702;
 /// and sub-programs during its search; 319 once it borrowed, folded in
 /// place and rebuilt the program once from back-pointers; 299 since the
 /// coverage check compares borrowed cell text instead of copying every
-/// source and target cell; 285 without the answer's `Json` tree.
-const LEARN_BUDGET: u64 = 285;
+/// source and target cell; 285 without the answer's `Json` tree; 144
+/// since adding the transform edge opens an undo entry instead of
+/// copying the session into a snapshot.
+const LEARN_BUDGET: u64 = 144;
 /// Allocations `save_session` may make. It made 681 while the snapshot
 /// was cloned into a `SavedSession`, built as an owned `Json` tree and
 /// copied into the response; 29 since it streams through one writer;
@@ -48,8 +61,9 @@ const SAVE_BUDGET: u64 = 26;
 /// 959 while the snapshot became an owned `Json` tree, then a
 /// `SavedSession`, then cloned engine state; 286 since one `ZDoc` walk
 /// moves each value into the engine; 281 without the answer's `Json`
-/// tree.
-const LOAD_BUDGET: u64 = 281;
+/// tree; 278 since the relations are counted without collecting their
+/// names.
+const LOAD_BUDGET: u64 = 278;
 /// Allocations a warm `ping` may make: the response's one copy out of
 /// the thread's scratch (4 with the `Json` tree).
 const PING_BUDGET: u64 = 1;
@@ -100,10 +114,10 @@ fn import_path_allocation_budget() {
     counted(&server, &req(4, "paste", &format!(r#","doc":0,"values":{}"#, row_json(&shelters[0]))));
     let (_, paste) =
         counted(&server, &req(5, "paste", &format!(r#","doc":0,"values":{}"#, row_json(&shelters[1]))));
-    counted(&server, &req(6, "accept_rows", ""));
+    let (_, accept) = counted(&server, &req(6, "accept_rows", ""));
     counted(&server, &req(7, "name_column", r#","col":0,"name":"Name""#));
     counted(&server, &req(8, "set_column_type", r#","col":2,"type":"PR-City""#));
-    counted(&server, &req(9, "commit_source", r#","name":"Shelters""#));
+    let (_, commit) = counted(&server, &req(9, "commit_source", r#","name":"Shelters""#));
     counted(&server, &req(10, "column_suggestions", ""));
     let (_, suggest) = counted(&server, &req(11, "column_suggestions", ""));
     counted(&server, &req(12, "accept_column", r#","index":0"#));
@@ -153,6 +167,8 @@ fn import_path_allocation_budget() {
     assert_eq!(loaded["relations"].as_f64(), Some(2.0), "both sources restored: {loaded}");
     assert!(create <= CREATE_BUDGET, "flat create_session: {create} allocations > {CREATE_BUDGET}");
     assert!(paste <= PASTE_BUDGET, "second paste: {paste} allocations > {PASTE_BUDGET}");
+    assert!(accept <= ACCEPT_BUDGET, "accept_rows: {accept} allocations > {ACCEPT_BUDGET}");
+    assert!(commit <= COMMIT_BUDGET, "first commit_source: {commit} allocations > {COMMIT_BUDGET}");
     assert!(
         suggest <= SUGGEST_BUDGET,
         "warm column_suggestions: {suggest} allocations > {SUGGEST_BUDGET}"
@@ -162,7 +178,8 @@ fn import_path_allocation_budget() {
     assert!(load <= LOAD_BUDGET, "load_session: {load} allocations > {LOAD_BUDGET}");
     assert!(ping <= PING_BUDGET, "warm ping: {ping} allocations > {PING_BUDGET}");
     eprintln!(
-        "allocations: create_session {create}, paste {paste}, warm column_suggestions {suggest}, \
+        "allocations: create_session {create}, paste {paste}, accept_rows {accept}, \
+         commit_source {commit}, warm column_suggestions {suggest}, \
          learn_transform {learn}, save_session {save}, load_session {load}, ping {ping}"
     );
 }
