@@ -469,23 +469,23 @@ impl CopyCat {
 
         // Column-type proposals over everything visible (Figure 1's
         // PR-Street / PR-City captions).
-        let rows = &self.workspace.active().rows;
-        let arity = rows.iter().map(|r| r.cells.len()).max().unwrap_or(0);
-        let mut proposals = Vec::new();
+        let arity =
+            self.workspace.active().rows.iter().map(|r| r.cells.len()).max().unwrap_or(0);
         for col in 0..arity {
-            let col_values: Vec<&str> = rows
+            let col_values: Vec<&str> = self
+                .workspace
+                .active()
+                .rows
                 .iter()
                 .filter_map(|r| r.cells.get(col))
                 .filter(|v| !v.is_empty())
                 .map(String::as_str)
                 .collect();
-            if let Some((ty, _)) = self.registry.best(&col_values, DEFAULT_RECOGNITION_THRESHOLD) {
-                proposals.push((col, ty));
+            let best = self.registry.best(&col_values, DEFAULT_RECOGNITION_THRESHOLD);
+            if let Some((ty, _)) = best {
+                let label = ty.strip_prefix("PR-").unwrap_or(&ty);
+                self.workspace.propose_column(col, label, Some(&ty));
             }
-        }
-        for (col, ty) in proposals {
-            let label = ty.strip_prefix("PR-").unwrap_or(&ty);
-            self.workspace.propose_column(col, label, Some(&ty));
         }
         suggested
     }
@@ -1140,7 +1140,8 @@ impl CopyCat {
                 }
             }
         }
-        let old = std::mem::replace(&mut self.transform_columns.get_mut(&col).expect("present").0, program);
+        let state = self.transform_columns.get_mut(&col).expect("present");
+        let old = std::mem::replace(&mut state.0, program);
         self.journal.record(EngineUndo::Program(col, old));
         EditEffect::Generalized(updated)
     }
@@ -1680,38 +1681,6 @@ mod tests {
         assert!(cc.undo());
         assert!(!cc.transform_columns.contains_key(&col));
         assert_eq!(cc.columns().len(), col);
-    }
-
-    #[test]
-    fn undo_reverts_unrecorded_edits_made_after_the_action() {
-        let w = world();
-        let rows = w.shelter_rows();
-        let mut cc = CopyCat::new();
-        let doc = cc.open(shelter_doc(&w, Tier::Clean));
-        let first: Vec<&str> = rows[0].iter().map(String::as_str).collect();
-        cc.paste_example(doc, &first);
-        let pasted = cc.render();
-        cc.accept_suggested_rows();
-        // A rename opens no entry of its own: it goes with the accept.
-        cc.name_column(0, "Venue");
-        assert_eq!(cc.undo_depth(), 2);
-        assert!(cc.undo());
-        assert_eq!(cc.render(), pasted);
-        assert!(cc.undo());
-        assert!(cc.workspace().active().rows.is_empty());
-        assert!(!cc.undo(), "the stack is empty");
-    }
-
-    #[test]
-    fn undo_keeps_the_newest_thirty_two_entries() {
-        let (_, mut cc) = imported_engine();
-        for _ in 0..40 {
-            cc.accept_suggested_rows();
-        }
-        assert_eq!(cc.undo_depth(), MAX_UNDO);
-        let undone = (0..40).filter(|_| cc.undo()).count();
-        assert_eq!(undone, MAX_UNDO);
-        assert_eq!(cc.undo_depth(), 0);
     }
 
     #[test]

@@ -127,6 +127,7 @@ pub fn to_kml(tab: &Tab, name_col: usize, lat_col: usize, lon_col: usize) -> (St
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workspace::{Row, RowState};
     use copycat_query::Field;
 
     fn tab() -> Tab {
@@ -176,7 +177,7 @@ mod tests {
     #[test]
     fn suggested_rows_are_not_exported() {
         let mut t = tab();
-        t.suggest_rows(vec![(vec!["Maybe".to_string()], None)]);
+        t.rows.push(Row { cells: vec!["Maybe".to_string()], state: RowState::Suggested, provenance: None });
         assert_eq!(to_csv(&t).lines().count(), 3); // header + 2 rows
     }
 }

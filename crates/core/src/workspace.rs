@@ -81,89 +81,6 @@ impl Tab {
         self.rows.push(Row { cells, state: RowState::Pasted, provenance: None });
     }
 
-    /// Add suggested rows (system action). Rows equal to an existing
-    /// pasted/accepted row are skipped.
-    pub fn suggest_rows(&mut self, rows: Vec<(Vec<String>, Option<Provenance>)>) {
-        self.ensure_columns(rows.iter().map(|(r, _)| r.len()).max().unwrap_or(0));
-        for (values, provenance) in rows {
-            let mut cells = values;
-            cells.resize(self.columns.len(), String::new());
-            let dup = self
-                .rows
-                .iter()
-                .any(|r| r.cells == cells && r.state != RowState::Suggested);
-            if !dup {
-                self.rows.push(Row { cells, state: RowState::Suggested, provenance });
-            }
-        }
-    }
-
-    /// Drop all currently-suggested rows (before re-suggesting).
-    pub fn clear_suggestions(&mut self) {
-        self.rows.retain(|r| r.state != RowState::Suggested);
-    }
-
-    /// Accept every suggested row.
-    pub fn accept_all_suggestions(&mut self) -> usize {
-        let mut n = 0;
-        for r in &mut self.rows {
-            if r.state == RowState::Suggested {
-                r.state = RowState::Accepted;
-                n += 1;
-            }
-        }
-        n
-    }
-
-    /// Accept one suggested row by index. Returns false on bad index or
-    /// non-suggested row.
-    pub fn accept_row(&mut self, i: usize) -> bool {
-        match self.rows.get_mut(i) {
-            Some(r) if r.state == RowState::Suggested => {
-                r.state = RowState::Accepted;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Reject (remove) one suggested row by index, returning its cells.
-    pub fn reject_row(&mut self, i: usize) -> Option<Vec<String>> {
-        match self.rows.get(i) {
-            Some(r) if r.state == RowState::Suggested => {
-                let cells = r.cells.clone();
-                self.rows.remove(i);
-                Some(cells)
-            }
-            _ => None,
-        }
-    }
-
-    /// Set a column's header (user action: "the user manually enters the
-    /// label", §2.1).
-    pub fn name_column(&mut self, col: usize, name: impl Into<String>) -> bool {
-        if let Some(f) = self.columns.get_mut(col) {
-            f.name = name.into();
-            self.user_named[col] = true;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// System-proposed column label + semantic type; never overwrites a
-    /// user-chosen name.
-    pub fn propose_column(&mut self, col: usize, name: &str, sem_type: Option<&str>) {
-        if let Some(f) = self.columns.get_mut(col) {
-            if !self.user_named[col] {
-                f.name = name.to_string();
-            }
-            if let Some(t) = sem_type {
-                f.sem_type = Some(t.to_string());
-            }
-        }
-    }
-
     /// Append a column with values aligned to the current rows (accepting
     /// a column auto-completion).
     pub fn add_column(&mut self, field: Field, values: &[String]) {
@@ -190,11 +107,6 @@ impl Tab {
             .filter(|r| r.state == RowState::Pasted)
             .map(|r| r.cells.clone())
             .collect()
-    }
-
-    /// All rows' cells regardless of state.
-    pub fn all_rows(&self) -> Vec<Vec<String>> {
-        self.rows.iter().map(|r| r.cells.clone()).collect()
     }
 
     /// Values of one column (committed rows only).
@@ -347,7 +259,7 @@ impl Workspace {
         self.active
     }
 
-    // --- Recorded edits of the active tab (see `Tab` for each) ---------
+    // --- Recorded edits of the active tab --------------------------------
 
     /// Paste a row of values.
     pub fn paste_row(&mut self, values: &[String]) {
@@ -356,12 +268,13 @@ impl Workspace {
         self.record_growth(tab, cols, rows);
     }
 
-    /// Replace the active tab's suggested rows with `rows`, exactly as
-    /// [`Tab::clear_suggestions`] and then [`Tab::suggest_rows`] (with no
-    /// provenance) would. A refresh mostly re-suggests what it drops, so
-    /// a dropped row equal to the next new suggestion is moved into
-    /// place instead of copied, and the undo entry records only where
-    /// each dropped row was; the rest move into the entry.
+    /// Replace the active tab's suggested rows (system action): drop
+    /// them all, then append each of `rows`, padded to the tab's width
+    /// (columns grow to fit the widest), unless it equals a pasted or
+    /// accepted row. A refresh mostly re-suggests what it drops, so a
+    /// dropped row equal to the next new suggestion is moved into place
+    /// instead of copied, and the undo entry records only where each
+    /// dropped row was; the rest move into the entry.
     pub fn replace_suggestions(&mut self, rows: &[&[String]]) {
         let (tab, cols, _) = self.shape();
         let recording = self.undo.is_recording();
@@ -380,16 +293,20 @@ impl Workspace {
         let start = t.rows.len();
         t.ensure_columns(rows.iter().map(|r| r.len()).max().unwrap_or(0));
         let width = t.columns.len();
-        let reusable = |r: &Row, values: &[String]| r.provenance.is_none() && padded_eq(&r.cells, values, width);
+        let reusable = |r: &Row, values: &[String]| {
+            r.provenance.is_none() && padded_eq(&r.cells, values, width)
+        };
         let mut moved = Vec::new();
         // The next dropped row to try, looking one row past it, so one
         // row gone from (or new in) the middle does not end the reuse.
         let mut next = 0;
         for values in rows {
-            if t.rows[..start].iter().any(|r| r.state != RowState::Suggested && padded_eq(&r.cells, values, width)) {
+            // Rows before `start` are the pasted and accepted ones.
+            if t.rows[..start].iter().any(|r| padded_eq(&r.cells, values, width)) {
                 continue;
             }
-            let hit = (next..removed.len().min(next + 2)).find(|&i| reusable(&removed[i].1, values));
+            let hit =
+                (next..removed.len().min(next + 2)).find(|&i| reusable(&removed[i].1, values));
             let row = match hit {
                 Some(i) => {
                     next = i + 1;
@@ -400,7 +317,9 @@ impl Workspace {
                             _ => moved.push((at, offset, 1)),
                         }
                     }
-                    std::mem::replace(&mut removed[i].1, Row { cells: Vec::new(), state: RowState::Suggested, provenance: None })
+                    let empty =
+                        Row { cells: Vec::new(), state: RowState::Suggested, provenance: None };
+                    std::mem::replace(&mut removed[i].1, empty)
                 }
                 None => {
                     let mut cells = values.to_vec();
@@ -516,7 +435,8 @@ impl Workspace {
     /// Set one cell's text. False when the row or column is missing.
     pub fn set_cell(&mut self, row: usize, col: usize, text: String) -> bool {
         let tab = self.active;
-        let Some(cell) = self.tabs[tab].rows.get_mut(row).and_then(|r| r.cells.get_mut(col)) else {
+        let cell = self.tabs[tab].rows.get_mut(row).and_then(|r| r.cells.get_mut(col));
+        let Some(cell) = cell else {
             return false;
         };
         let text = std::mem::replace(cell, text);
@@ -595,7 +515,8 @@ impl Workspace {
             WsUndo::Suggestions { tab, start, mut removed, moved } => {
                 let t = &mut self.tabs[tab];
                 let mut appended: Vec<Option<Row>> = t.rows.drain(start..).map(Some).collect();
-                let back = moved.into_iter().flat_map(|(at, o, n)| (0..n).map(move |k| (at + k, o + k)));
+                let back =
+                    moved.into_iter().flat_map(|(at, o, n)| (0..n).map(move |k| (at + k, o + k)));
                 removed.extend(back.filter_map(|(at, o)| Some((at, appended[o].take()?))));
                 removed.sort_by_key(|&(at, _)| at);
                 for (at, row) in removed {
@@ -612,7 +533,9 @@ impl Workspace {
                 self.tabs[tab].columns[col].name = name;
                 self.tabs[tab].user_named[col] = user_named;
             }
-            WsUndo::Type { tab, col, sem_type } => self.tabs[tab].columns[col].sem_type = sem_type,
+            WsUndo::Type { tab, col, sem_type } => {
+                self.tabs[tab].columns[col].sem_type = sem_type;
+            }
             WsUndo::Cell { tab, row, col, text } => self.tabs[tab].rows[row].cells[col] = text,
             WsUndo::Provenance { tab, row, provenance } => {
                 self.tabs[tab].rows[row].provenance = provenance;
@@ -641,12 +564,26 @@ impl fmt::Display for Workspace {
 mod tests {
     use super::*;
 
+    fn strings(values: &[&str]) -> Vec<String> {
+        values.iter().map(|v| v.to_string()).collect()
+    }
+
+    /// A one-tab workspace with pasted row `a` and suggestions `b`, `c`.
+    fn suggested() -> Workspace {
+        let mut w = Workspace::new();
+        w.paste_row(&strings(&["a"]));
+        let rows = [strings(&["a"]), strings(&["b"]), strings(&["c"])];
+        let refs: Vec<&[String]> = rows.iter().map(|r| &r[..]).collect();
+        w.replace_suggestions(&refs); // `a` duplicates the pasted row
+        w
+    }
+
     #[test]
     fn paste_grows_columns() {
         let mut t = Tab::new("t");
-        t.paste_row(&["a".to_string(), "b".to_string()]);
+        t.paste_row(&strings(&["a", "b"]));
         assert_eq!(t.columns.len(), 2);
-        t.paste_row(&["c".to_string(), "d".to_string(), "e".to_string()]);
+        t.paste_row(&strings(&["c", "d", "e"]));
         assert_eq!(t.columns.len(), 3);
         // Earlier rows padded.
         assert_eq!(t.rows[0].cells.len(), 3);
@@ -654,63 +591,56 @@ mod tests {
 
     #[test]
     fn suggestions_lifecycle() {
-        let mut t = Tab::new("t");
-        t.paste_row(&["a".to_string()]);
-        t.suggest_rows(vec![
-            (vec!["a".to_string()], None), // duplicate of pasted: skipped
-            (vec!["b".to_string()], None),
-            (vec!["c".to_string()], None),
-        ]);
-        assert_eq!(t.rows.len(), 3);
-        assert!(t.accept_row(1));
-        assert_eq!(t.rows[1].state, RowState::Accepted);
-        let rejected = t.reject_row(2).unwrap();
+        let mut w = suggested();
+        assert_eq!(w.active().rows.len(), 3);
+        let rejected = w.reject_row(2).unwrap();
         assert_eq!(rejected, vec!["c"]);
-        assert_eq!(t.rows.len(), 2);
-        assert_eq!(t.committed_rows().len(), 2);
+        assert_eq!(w.reject_row(0), None, "a pasted row is not rejected");
+        assert_eq!(w.accept_all_suggestions(), 1);
+        assert_eq!(w.active().rows[1].state, RowState::Accepted);
+        assert_eq!(w.active().committed_rows().len(), 2);
+        assert_eq!(w.active().pasted_rows().len(), 1);
     }
 
     #[test]
     fn accept_all() {
-        let mut t = Tab::new("t");
-        t.suggest_rows(vec![
-            (vec!["x".to_string()], None),
-            (vec!["y".to_string()], None),
-        ]);
-        assert_eq!(t.accept_all_suggestions(), 2);
-        assert_eq!(t.pasted_rows().len(), 0);
-        assert_eq!(t.committed_rows().len(), 2);
+        let mut w = Workspace::new();
+        w.replace_suggestions(&[&strings(&["x"]), &strings(&["y"])]);
+        assert_eq!(w.accept_all_suggestions(), 2);
+        assert_eq!(w.active().pasted_rows().len(), 0);
+        assert_eq!(w.active().committed_rows().len(), 2);
     }
 
     #[test]
     fn user_names_beat_proposals() {
-        let mut t = Tab::new("t");
-        t.ensure_columns(2);
-        t.propose_column(0, "Street", Some("PR-Street"));
-        assert_eq!(t.columns[0].name, "Street");
-        t.name_column(1, "Name");
-        t.propose_column(1, "City", Some("PR-City"));
-        assert_eq!(t.columns[1].name, "Name", "user name preserved");
-        assert_eq!(t.columns[1].sem_type.as_deref(), Some("PR-City"));
+        let mut w = Workspace::new();
+        w.paste_row(&strings(&["x", "y"]));
+        w.propose_column(0, "Street", Some("PR-Street"));
+        assert_eq!(w.active().columns[0].name, "Street");
+        w.name_column(1, "Name");
+        w.propose_column(1, "City", Some("PR-City"));
+        assert_eq!(w.active().columns[1].name, "Name", "user name preserved");
+        assert_eq!(w.active().columns[1].sem_type.as_deref(), Some("PR-City"));
     }
 
     #[test]
     fn add_column_aligns_values() {
         let mut t = Tab::new("t");
-        t.paste_row(&["a".to_string()]);
-        t.paste_row(&["b".to_string()]);
-        t.add_column(Field::typed("Zip", "PR-Zip"), &["1".to_string()]);
+        t.paste_row(&strings(&["a"]));
+        t.paste_row(&strings(&["b"]));
+        t.add_column(Field::typed("Zip", "PR-Zip"), &strings(&["1"]));
         assert_eq!(t.rows[0].cells, vec!["a", "1"]);
         assert_eq!(t.rows[1].cells, vec!["b", ""]);
     }
 
     #[test]
     fn render_contains_markers_and_types() {
-        let mut t = Tab::new("Shelters");
-        t.paste_row(&["Creek HS".to_string()]);
-        t.propose_column(0, "Name", None);
-        t.suggest_rows(vec![(vec!["Rec Ctr".to_string()], None)]);
-        let txt = t.render_text();
+        let mut w = Workspace::new();
+        w.set_title("Shelters");
+        w.paste_row(&strings(&["Creek HS"]));
+        w.propose_column(0, "Name", None);
+        w.replace_suggestions(&[&strings(&["Rec Ctr"])[..]]);
+        let txt = w.active().render_text();
         assert!(txt.contains("=== Shelters ==="));
         assert!(txt.contains(" ? Rec Ctr"));
     }
@@ -724,5 +654,72 @@ mod tests {
         assert_eq!(w.active().title, "Contacts");
         assert!(w.switch_to(0));
         assert!(!w.switch_to(9));
+    }
+
+    /// Everything a caller can see of the workspace.
+    fn seen(w: &Workspace) -> String {
+        let mut out = format!("{w}\n");
+        for t in w.tabs() {
+            let rows: Vec<_> = t.rows.iter().map(|r| (r.state, r.provenance.is_some())).collect();
+            out += &format!("{:?} {:?} {rows:?}\n", t.columns, t.user_named);
+        }
+        out
+    }
+
+    #[test]
+    fn nothing_is_recorded_without_an_open_entry() {
+        let mut w = suggested();
+        w.undo();
+        assert_eq!(w.active().rows.len(), 3, "no entry: undo changes nothing");
+    }
+
+    #[test]
+    fn undo_reverts_each_entry_exactly() {
+        let mut w = suggested();
+        let mut states = vec![seen(&w)];
+        let rows = [strings(&["c"]), strings(&["d", "e"]), strings(&["b"])];
+        let refs: Vec<&[String]> = rows.iter().map(|r| &r[..]).collect();
+        let [p, q, r, n] = [["p"], ["q"], ["r"], ["n"]].map(|v| strings(&v));
+        let edits: [&dyn Fn(&mut Workspace); 11] = [
+            &|w| w.paste_row(&strings(&["b", "x"])),
+            &|w| w.replace_suggestions(&[&p, &q, &r]),
+            // `p`, `q` and `r` move back into place around a new row.
+            &|w| w.replace_suggestions(&[&p, &n, &q, &r]),
+            &|w| w.replace_suggestions(&refs),
+            &|w| {
+                w.accept_all_suggestions();
+                w.name_column(0, "Venue");
+            },
+            &|w| w.propose_column(1, "City", Some("PR-City")),
+            &|w| {
+                w.add_column(Field::new("Zip"), &strings(&["1", "2"]));
+                w.set_cell(0, 2, "9".to_string());
+            },
+            &|w| {
+                w.set_provenance(1, Provenance::base("Shelters", 1));
+                w.remove_row(0);
+            },
+            &|w| w.set_title("Shelters"),
+            &|w| {
+                w.add_tab(Tab::new("more"));
+                w.paste_row(&strings(&["z"]));
+            },
+            &|w| {
+                w.switch_to(0);
+                w.replace_suggestions(&[]);
+            },
+        ];
+        for edit in edits {
+            w.open_undo(16);
+            edit(&mut w);
+            states.push(seen(&w));
+        }
+        states.pop();
+        for want in states.iter().rev() {
+            w.undo();
+            assert_eq!(&seen(&w), want);
+        }
+        w.undo();
+        assert_eq!(seen(&w), states[0], "every entry was undone");
     }
 }
