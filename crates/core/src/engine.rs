@@ -131,6 +131,14 @@ enum EngineUndo {
     Program(usize, copycat_transform::Program),
 }
 
+/// Put `key`'s previous entry (or its absence) back into `map`.
+fn restore<V>(map: &mut copycat_util::hash::FxHashMap<usize, V>, key: usize, old: Option<V>) {
+    match old {
+        Some(v) => map.insert(key, v),
+        None => map.remove(&key),
+    };
+}
+
 /// What [`CopyCat::edit_cell`] did with an edit.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EditEffect {
@@ -292,18 +300,8 @@ impl CopyCat {
                 self.current_plan = plan;
                 self.current_nodes = nodes;
             }
-            EngineUndo::TabQuery(tab, Some(query)) => {
-                self.tab_queries.insert(tab, query);
-            }
-            EngineUndo::TabQuery(tab, None) => {
-                self.tab_queries.remove(&tab);
-            }
-            EngineUndo::Transform(col, Some(state)) => {
-                self.transform_columns.insert(col, state);
-            }
-            EngineUndo::Transform(col, None) => {
-                self.transform_columns.remove(&col);
-            }
+            EngineUndo::TabQuery(tab, query) => restore(&mut self.tab_queries, tab, query),
+            EngineUndo::Transform(col, state) => restore(&mut self.transform_columns, col, state),
             EngineUndo::Examples(col, len) => {
                 if let Some((_, examples)) = self.transform_columns.get_mut(&col) {
                     examples.truncate(len);

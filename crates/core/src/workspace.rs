@@ -370,8 +370,17 @@ impl Workspace {
 
     /// Reject (remove) one suggested row by index, returning its cells.
     pub fn reject_row(&mut self, i: usize) -> Option<Vec<String>> {
+        if self.active().rows.get(i)?.state != RowState::Suggested {
+            return None;
+        }
+        self.remove_row(i)
+    }
+
+    /// Remove one row, whatever its state, returning its cells. `None`
+    /// on bad index.
+    pub fn remove_row(&mut self, i: usize) -> Option<Vec<String>> {
         let tab = self.active;
-        if self.tabs[tab].rows.get(i)?.state != RowState::Suggested {
+        if i >= self.tabs[tab].rows.len() {
             return None;
         }
         let row = self.tabs[tab].rows.remove(i);
@@ -381,17 +390,6 @@ impl Workspace {
         let cells = row.cells.clone();
         self.undo.record(WsUndo::Row { tab, index: i, row });
         Some(cells)
-    }
-
-    /// Remove one row, whatever its state. False on bad index.
-    pub fn remove_row(&mut self, i: usize) -> bool {
-        let tab = self.active;
-        if i >= self.tabs[tab].rows.len() {
-            return false;
-        }
-        let row = self.tabs[tab].rows.remove(i);
-        self.undo.record(WsUndo::Row { tab, index: i, row });
-        true
     }
 
     /// Set a column's header as the user's choice.

@@ -137,13 +137,7 @@ impl SessionRegistry {
     /// other sessions.
     pub fn remove(&self, name: &str) -> Result<(), RegistryError> {
         let removed = self.shard(name).write().remove(name);
-        match removed {
-            Some(session) => {
-                drop(session);
-                Ok(())
-            }
-            None => Err(RegistryError::Missing),
-        }
+        removed.map(drop).ok_or(RegistryError::Missing)
     }
 
     /// Live session count.
