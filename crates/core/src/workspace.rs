@@ -265,7 +265,10 @@ impl Workspace {
     pub fn paste_row(&mut self, values: &[String]) {
         let (tab, cols, rows) = self.shape();
         self.tabs[tab].paste_row(values);
-        self.record_growth(tab, cols, rows);
+        if self.tabs[tab].columns.len() > cols {
+            self.undo.record(WsUndo::Columns { tab, len: cols });
+        }
+        self.undo.record(WsUndo::Rows { tab, len: rows });
     }
 
     /// Replace the active tab's suggested rows (system action): drop
@@ -464,17 +467,6 @@ impl Workspace {
     fn shape(&self) -> (usize, usize, usize) {
         let t = self.active();
         (self.active, t.columns.len(), t.rows.len())
-    }
-
-    /// Record what a paste or suggestion appended to `tab`: columns
-    /// beyond `cols` (their cells included) and rows beyond `rows`.
-    fn record_growth(&mut self, tab: usize, cols: usize, rows: usize) {
-        if self.tabs[tab].columns.len() > cols {
-            self.undo.record(WsUndo::Columns { tab, len: cols });
-        }
-        if self.tabs[tab].rows.len() > rows {
-            self.undo.record(WsUndo::Rows { tab, len: rows });
-        }
     }
 
     // --- Undo -----------------------------------------------------------
