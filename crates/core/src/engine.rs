@@ -111,9 +111,6 @@ pub struct CopyCat {
 /// A transform column's learned program plus its accumulated examples.
 type TransformState = (copycat_transform::Program, Vec<(Vec<String>, String)>);
 
-/// Undo entries kept; the oldest is forgotten past this.
-const MAX_UNDO: usize = 32;
-
 /// The inverse of one change to the engine's own undoable fields, kept
 /// while an undo entry is open: each holds the previous value.
 #[derive(Debug)]
@@ -129,6 +126,18 @@ enum EngineUndo {
     Examples(usize, usize),
     /// A transform column's program before an edit re-learned it.
     Program(usize, copycat_transform::Program),
+}
+
+impl EngineUndo {
+    /// Whether `self` and `other` put back the same field (or the same
+    /// tab's query), so that of the two only the older is needed.
+    fn same_slot(&self, other: &Self) -> bool {
+        match (self, other) {
+            (Self::Mode(_), Self::Mode(_)) | (Self::Query(..), Self::Query(..)) => true,
+            (Self::TabQuery(a, _), Self::TabQuery(b, _)) => a == b,
+            _ => false,
+        }
+    }
 }
 
 /// Put `key`'s previous entry (or its absence) back into `map`.
@@ -263,12 +272,12 @@ impl CopyCat {
     /// Open an undo entry (called by mutating user actions before they
     /// change anything). Until the next one, the engine, the workspace
     /// and the graph record the inverse of every undoable change they
-    /// make, whoever asks for it. The journal keeps the newest
-    /// [`MAX_UNDO`] entries.
+    /// make, whoever asks for it. Each keeps the newest
+    /// [`MAX_ENTRIES`](copycat_util::undo::MAX_ENTRIES) entries.
     fn checkpoint(&mut self) {
-        self.journal.open(MAX_UNDO);
-        self.workspace.open_undo(MAX_UNDO);
-        self.graph.open_undo(MAX_UNDO);
+        self.journal.open();
+        self.workspace.open_undo();
+        self.graph.open_undo();
     }
 
     /// Apply the newest entry's inverses and close it; false when no
@@ -335,9 +344,17 @@ impl CopyCat {
         self.journal.depth()
     }
 
+    /// Record `op`, the inverse of setting one field, unless the open
+    /// entry already puts that field back to an older value.
+    fn record_set(&mut self, op: EngineUndo) {
+        if !self.journal.newest().any(|r| r.same_slot(&op)) {
+            self.journal.record(op);
+        }
+    }
+
     fn set_mode(&mut self, mode: Mode) {
         if self.mode != mode {
-            self.journal.record(EngineUndo::Mode(self.mode));
+            self.record_set(EngineUndo::Mode(self.mode));
             self.mode = mode;
         }
     }
@@ -346,13 +363,13 @@ impl CopyCat {
     fn set_query(&mut self, plan: Option<Plan>, nodes: Vec<NodeId>) {
         let plan = std::mem::replace(&mut self.current_plan, plan);
         let nodes = std::mem::replace(&mut self.current_nodes, nodes);
-        self.journal.record(EngineUndo::Query(plan, nodes));
+        self.record_set(EngineUndo::Query(plan, nodes));
     }
 
     /// Save `tab`'s integration query.
     fn set_tab_query(&mut self, tab: usize, plan: Plan, nodes: Vec<NodeId>) {
         let old = self.tab_queries.insert(tab, (plan, nodes));
-        self.journal.record(EngineUndo::TabQuery(tab, old));
+        self.record_set(EngineUndo::TabQuery(tab, old));
     }
 
     /// The workspace (for rendering and assertions).

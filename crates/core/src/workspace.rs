@@ -171,16 +171,8 @@ enum WsUndo {
     /// first `len`.
     Columns { tab: usize, len: usize },
     /// Undo a suggestion refresh: drop the rows from `start` on, then
-    /// put the previous suggestions back at their indices: `removed`
-    /// holds those the refresh dropped, and each `(index, offset, n)`
-    /// of `moved` says the `n` rows from `index` on became the appended
-    /// rows from offset `offset` (from `start`) on.
-    Suggestions {
-        tab: usize,
-        start: usize,
-        removed: Vec<(usize, Row)>,
-        moved: Vec<(usize, usize, usize)>,
-    },
+    /// put the suggestions it removed back at their indices, ascending.
+    Suggestions { tab: usize, start: usize, removed: Vec<(usize, Row)> },
     /// Put back one removed row.
     Row { tab: usize, index: usize, row: Row },
     /// Mark these accepted rows suggested again.
@@ -199,6 +191,25 @@ enum WsUndo {
     Active(usize),
     /// Drop the last tab, making `active` active again.
     Tab { active: usize },
+}
+
+impl WsUndo {
+    /// Whether `self` and `other` put back the same slot's value, so
+    /// that of the two only the older is needed.
+    fn same_slot(&self, other: &Self) -> bool {
+        use WsUndo::*;
+        match (self, other) {
+            (Name { tab, col, .. }, Name { tab: t, col: c, .. })
+            | (Type { tab, col, .. }, Type { tab: t, col: c, .. }) => (tab, col) == (t, c),
+            (Cell { tab, row, col, .. }, Cell { tab: t, row: r, col: c, .. }) => {
+                (tab, row, col) == (t, r, c)
+            }
+            (Provenance { tab, row, .. }, Provenance { tab: t, row: r, .. }) => (tab, row) == (t, r),
+            (Title { tab, .. }, Title { tab: t, .. }) => tab == t,
+            (Active(_), Active(_)) => true,
+            _ => false,
+        }
+    }
 }
 
 /// Whether `cells` equals `values` padded with empty cells to `width`.
@@ -248,7 +259,7 @@ impl Workspace {
             return false;
         }
         if i != self.active {
-            self.undo.record(WsUndo::Active(self.active));
+            self.record_set(WsUndo::Active(self.active));
             self.active = i;
         }
         true
@@ -274,13 +285,9 @@ impl Workspace {
     /// Replace the active tab's suggested rows (system action): drop
     /// them all, then append each of `rows`, padded to the tab's width
     /// (columns grow to fit the widest), unless it equals a pasted or
-    /// accepted row. A refresh mostly re-suggests what it drops, so a
-    /// dropped row equal to the next new suggestion is moved into place
-    /// instead of copied, and the undo entry records only where each
-    /// dropped row was; the rest move into the entry.
+    /// accepted row. The dropped rows move into the undo entry.
     pub fn replace_suggestions(&mut self, rows: &[&[String]]) {
         let (tab, cols, _) = self.shape();
-        let recording = self.undo.is_recording();
         let t = &mut self.tabs[tab];
         // `extract_if` visits rows in order and hands each removed row
         // on before it tests the next, so `seen` is one past its index.
@@ -296,76 +303,37 @@ impl Workspace {
         let start = t.rows.len();
         t.ensure_columns(rows.iter().map(|r| r.len()).max().unwrap_or(0));
         let width = t.columns.len();
-        let reusable = |r: &Row, values: &[String]| {
-            r.provenance.is_none() && padded_eq(&r.cells, values, width)
-        };
-        let mut moved = Vec::new();
-        // The next dropped row to try, looking one row past it, so one
-        // row gone from (or new in) the middle does not end the reuse.
-        let mut next = 0;
         for values in rows {
             // Rows before `start` are the pasted and accepted ones.
             if t.rows[..start].iter().any(|r| padded_eq(&r.cells, values, width)) {
                 continue;
             }
-            let hit =
-                (next..removed.len().min(next + 2)).find(|&i| reusable(&removed[i].1, values));
-            let row = match hit {
-                Some(i) => {
-                    next = i + 1;
-                    if recording {
-                        let (at, offset) = (removed[i].0, t.rows.len() - start);
-                        match moved.last_mut() {
-                            Some((a, o, n)) if *a + *n == at && *o + *n == offset => *n += 1,
-                            _ => moved.push((at, offset, 1)),
-                        }
-                    }
-                    let empty =
-                        Row { cells: Vec::new(), state: RowState::Suggested, provenance: None };
-                    std::mem::replace(&mut removed[i].1, empty)
-                }
-                None => {
-                    let mut cells = values.to_vec();
-                    cells.resize(width, String::new());
-                    Row { cells, state: RowState::Suggested, provenance: None }
-                }
-            };
-            t.rows.push(row);
+            let mut cells = values.to_vec();
+            cells.resize(width, String::new());
+            t.rows.push(Row { cells, state: RowState::Suggested, provenance: None });
         }
-        if !recording {
-            return;
-        }
-        if t.columns.len() > cols {
+        if width > cols {
             self.undo.record(WsUndo::Columns { tab, len: cols });
         }
-        // Both lists ascend by index, so one walk drops the moved rows'
-        // placeholders.
-        let mut reused = moved.iter().flat_map(|&(at, _, n)| at..at + n).peekable();
-        removed.retain(|&(at, _)| reused.next_if_eq(&at).is_none());
-        if !removed.is_empty() || !moved.is_empty() || self.tabs[tab].rows.len() > start {
+        if !removed.is_empty() || self.tabs[tab].rows.len() > start {
             // The entry outlives the refresh: keep no spare capacity.
             removed.shrink_to_fit();
-            moved.shrink_to_fit();
-            self.undo.record(WsUndo::Suggestions { tab, start, removed, moved });
+            self.undo.record(WsUndo::Suggestions { tab, start, removed });
         }
     }
 
     /// Accept every suggested row.
     pub fn accept_all_suggestions(&mut self) -> usize {
         let tab = self.active;
-        let recording = self.undo.is_recording();
         let mut accepted = Vec::new();
-        let mut n = 0;
         for (i, r) in self.tabs[tab].rows.iter_mut().enumerate() {
             if r.state == RowState::Suggested {
                 r.state = RowState::Accepted;
-                n += 1;
-                if recording {
-                    accepted.push(i);
-                }
+                accepted.push(i);
             }
         }
-        if !accepted.is_empty() {
+        let n = accepted.len();
+        if n > 0 {
             self.undo.record(WsUndo::Suggested { tab, rows: accepted });
         }
         n
@@ -387,9 +355,6 @@ impl Workspace {
             return None;
         }
         let row = self.tabs[tab].rows.remove(i);
-        if !self.undo.is_recording() {
-            return Some(row.cells);
-        }
         let cells = row.cells.clone();
         self.undo.record(WsUndo::Row { tab, index: i, row });
         Some(cells)
@@ -402,9 +367,11 @@ impl Workspace {
         let Some(f) = t.columns.get_mut(col) else {
             return false;
         };
-        let name = std::mem::replace(&mut f.name, name.to_string());
-        let user_named = std::mem::replace(&mut t.user_named[col], true);
-        self.undo.record(WsUndo::Name { tab, col, name, user_named });
+        if f.name != name || !t.user_named[col] {
+            let name = std::mem::replace(&mut f.name, name.to_string());
+            let user_named = std::mem::replace(&mut t.user_named[col], true);
+            self.record_set(WsUndo::Name { tab, col, name, user_named });
+        }
         true
     }
 
@@ -418,11 +385,12 @@ impl Workspace {
         };
         if !t.user_named[col] && f.name != name {
             let name = std::mem::replace(&mut f.name, name.to_string());
-            self.undo.record(WsUndo::Name { tab, col, name, user_named: false });
+            self.record_set(WsUndo::Name { tab, col, name, user_named: false });
         }
+        let f = &mut self.tabs[tab].columns[col];
         if let Some(ty) = sem_type.filter(|&ty| f.sem_type.as_deref() != Some(ty)) {
             let sem_type = f.sem_type.replace(ty.to_string());
-            self.undo.record(WsUndo::Type { tab, col, sem_type });
+            self.record_set(WsUndo::Type { tab, col, sem_type });
         }
     }
 
@@ -440,8 +408,10 @@ impl Workspace {
         let Some(cell) = cell else {
             return false;
         };
-        let text = std::mem::replace(cell, text);
-        self.undo.record(WsUndo::Cell { tab, row, col, text });
+        if *cell != text {
+            let text = std::mem::replace(cell, text);
+            self.record_set(WsUndo::Cell { tab, row, col, text });
+        }
         true
     }
 
@@ -452,15 +422,17 @@ impl Workspace {
             return false;
         };
         let provenance = r.provenance.replace(provenance);
-        self.undo.record(WsUndo::Provenance { tab, row, provenance });
+        self.record_set(WsUndo::Provenance { tab, row, provenance });
         true
     }
 
     /// Set the active tab's title.
     pub fn set_title(&mut self, title: &str) {
         let tab = self.active;
-        let title = std::mem::replace(&mut self.tabs[tab].title, title.to_string());
-        self.undo.record(WsUndo::Title { tab, title });
+        if self.tabs[tab].title != title {
+            let title = std::mem::replace(&mut self.tabs[tab].title, title.to_string());
+            self.record_set(WsUndo::Title { tab, title });
+        }
     }
 
     /// The active tab's index, column count and row count.
@@ -472,10 +444,27 @@ impl Workspace {
     // --- Undo -----------------------------------------------------------
 
     /// Open an undo entry: until the next one, every change made
-    /// through this type records its inverse. At most `max` entries
-    /// stay open; the oldest is forgotten.
-    pub fn open_undo(&mut self, max: usize) {
-        self.undo.open(max);
+    /// through this type records its inverse. The newest
+    /// [`MAX_ENTRIES`](copycat_util::undo::MAX_ENTRIES) entries stay
+    /// open; the oldest is forgotten.
+    pub fn open_undo(&mut self) {
+        self.undo.open();
+    }
+
+    /// Record `op`, the inverse of setting one slot, unless the open
+    /// entry already puts that slot back: an earlier record for it
+    /// holds the older value, unless a row was removed since, which
+    /// may have moved the row a slot names. So repeated edits of one
+    /// slot (a column renamed over and over) keep one record.
+    fn record_set(&mut self, op: WsUndo) {
+        let restored = self
+            .undo
+            .newest()
+            .take_while(|r| !matches!(r, WsUndo::Row { .. } | WsUndo::Suggestions { .. }))
+            .any(|r| r.same_slot(&op));
+        if !restored {
+            self.undo.record(op);
+        }
     }
 
     /// Undo the newest open entry: apply its inverses newest first.
@@ -502,13 +491,9 @@ impl Workspace {
                     r.cells.truncate(len);
                 }
             }
-            WsUndo::Suggestions { tab, start, mut removed, moved } => {
+            WsUndo::Suggestions { tab, start, removed } => {
                 let t = &mut self.tabs[tab];
-                let mut appended: Vec<Option<Row>> = t.rows.drain(start..).map(Some).collect();
-                let back =
-                    moved.into_iter().flat_map(|(at, o, n)| (0..n).map(move |k| (at + k, o + k)));
-                removed.extend(back.filter_map(|(at, o)| Some((at, appended[o].take()?))));
-                removed.sort_by_key(|&(at, _)| at);
+                t.rows.truncate(start);
                 for (at, row) in removed {
                     t.rows.insert(at, row);
                 }
@@ -673,7 +658,6 @@ mod tests {
         let edits: [&dyn Fn(&mut Workspace); 11] = [
             &|w| w.paste_row(&strings(&["b", "x"])),
             &|w| w.replace_suggestions(&[&p, &q, &r]),
-            // `p`, `q` and `r` move back into place around a new row.
             &|w| w.replace_suggestions(&[&p, &n, &q, &r]),
             &|w| w.replace_suggestions(&refs),
             &|w| {
@@ -700,7 +684,7 @@ mod tests {
             },
         ];
         for edit in edits {
-            w.open_undo(16);
+            w.open_undo();
             edit(&mut w);
             states.push(seen(&w));
         }
@@ -711,5 +695,30 @@ mod tests {
         }
         w.undo();
         assert_eq!(seen(&w), states[0], "every entry was undone");
+    }
+
+    #[test]
+    fn repeated_edits_of_one_slot_keep_one_record() {
+        let mut w = suggested();
+        w.open_undo();
+        let before = seen(&w);
+        for name in ["x", "y", "y"] {
+            w.name_column(0, name);
+        }
+        w.propose_column(0, "p", Some("T1"));
+        w.propose_column(0, "p", Some("T2"));
+        w.set_cell(2, 0, "z".to_string());
+        w.set_cell(2, 0, "w".to_string());
+        w.set_title("t1");
+        w.set_title("t2");
+        assert_eq!(w.undo.newest().count(), 4, "one name, type, cell and title");
+        w.set_cell(1, 0, "b2".to_string());
+        // Removing row 1 moves the row that `c` was in up to 1, so an
+        // edit of cell (1, 0) afterwards records again.
+        w.reject_row(1);
+        w.set_cell(1, 0, "v".to_string());
+        assert_eq!(w.undo.newest().count(), 7);
+        w.undo();
+        assert_eq!(seen(&w), before);
     }
 }

