@@ -1038,3 +1038,39 @@ fn an_over_long_line_is_answered_over_a_socket_then_closed() {
         serve_thread.join().unwrap().expect("serve exits cleanly");
     });
 }
+
+/// Drain does not wait on an idle client: one connection answers a
+/// `ping` and then sends nothing, another sends `shutdown`, and `serve`
+/// returns within 2 s while the idle client is still connected. The
+/// wait is bounded and the idle client is closed before the verdict,
+/// so a transport that waits on it fails here instead of hanging.
+#[test]
+fn drain_ends_idle_connections() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::{TcpListener, TcpStream};
+    use std::time::Duration;
+
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let server = Server::new(ServerConfig::default());
+    std::thread::scope(|scope| {
+        let _drain = ShutdownOnDrop(addr);
+        let (done, served) = std::sync::mpsc::channel();
+        scope.spawn(move || {
+            let _ = done.send(copycat_serve::tcp::serve(listener, server).is_ok());
+        });
+
+        let idle = TcpStream::connect(addr).expect("connect");
+        let mut reader = BufReader::new(idle.try_clone().expect("clone"));
+        (&idle).write_all(b"{\"id\":1,\"op\":\"ping\"}\n").expect("send ping");
+        let mut pong = String::new();
+        reader.read_line(&mut pong).expect("read pong");
+        assert_eq!(pong, "{\"id\":1,\"ok\":true,\"result\":{\"pong\":true}}\n");
+
+        let stream = TcpStream::connect(addr).expect("connect");
+        (&stream).write_all(b"{\"id\":2,\"op\":\"shutdown\"}\n").expect("send shutdown");
+        let returned = served.recv_timeout(Duration::from_secs(2));
+        drop(idle);
+        assert_eq!(returned, Ok(true), "serve must return while a client idles");
+    });
+}
