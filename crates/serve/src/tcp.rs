@@ -8,14 +8,34 @@
 //! closes, so no client can make the transport buffer without bound.
 //! The close is gentle: the server half-closes, then drops a bounded
 //! amount of unread input, so a reset cannot destroy the last answer.
-//! Everything interesting —
-//! admission, backpressure, deadlines, metrics — lives below in the
-//! server, so a socket client and an in-process test observe identical
-//! behavior.
+//!
+//! **Spin, then park.** An interactive client sends its next request
+//! microseconds after reading an answer. A thread asleep in `read`
+//! pays a wake-up for it, and on a VM that is a halted vCPU woken by
+//! an interrupt, often longer than the request itself. So after each
+//! answer a connection polls its non-blocking socket for [`SPIN_US`],
+//! yielding on every poll, and only then parks in a blocking `read`
+//! (Linux's guest halt-polling answers the same cost the same way).
+//! The spin is gated, because spinning threads take CPU from the
+//! connections that have work: only the connection that started the
+//! server's most recent request may spin, at most one spins at a
+//! time, and the spinner parks as soon as another connection starts a
+//! request. A parked read wakes every [`CLOSE_WAIT`] to see whether the
+//! server is draining, so an idle client cannot hold `serve` open after
+//! `shutdown`, and an idle server makes no more than those wake-ups. A
+//! response write that finds the client's buffers full falls back to
+//! a blocking write, so each response still leaves in one `write_all`.
+//!
+//! Everything interesting — admission, backpressure, deadlines,
+//! metrics — lives below in the server, so a socket client and an
+//! in-process test observe identical behavior.
 
+use crate::deadline::Deadline;
 use crate::server::Server;
-use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{Shutdown, TcpListener, TcpStream};
+use std::cell::Cell;
+use std::io::{self, BufRead, BufReader, ErrorKind, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread;
 use std::time::Duration;
 
@@ -25,28 +45,47 @@ use std::time::Duration;
 /// 8.5 KB per snapshot.
 pub const MAX_LINE_BYTES: usize = 4 << 20;
 
-/// How long a closing connection waits for the client's unread input.
+/// How long one blocking read waits: a parked connection looks this
+/// often whether the server is draining, and a closing one waits this
+/// long for the client's unread input.
 const CLOSE_WAIT: Duration = Duration::from_millis(200);
+
+/// How long a connection polls for its client's next request before it
+/// parks, in microseconds: longer than a closed-loop client's turn-around
+/// on loopback, far shorter than a user's pause.
+const SPIN_US: u64 = 30;
+
+/// Which connection may spin. Connections are numbered from 1 in
+/// accept order; 0 is none.
+#[derive(Default)]
+struct SpinGate {
+    /// The connection that started the server's most recent request.
+    latest: AtomicU64,
+    /// The connection spinning now.
+    spinner: AtomicU64,
+}
 
 /// Serve `listener` until a client issues `shutdown`, then drain and
 /// return. Consumes the server, which needs every connection thread
 /// joined first.
 pub fn serve(listener: TcpListener, server: Server) -> std::io::Result<()> {
     let addr = listener.local_addr()?;
+    let gate = SpinGate::default();
     // A scope (rather than detached spawns) guarantees every connection
     // thread has joined before the scope returns, so the server can be
     // consumed by `shutdown` below without reference counting.
     let accepted = thread::scope(|scope| {
-        loop {
+        for id in 1u64.. {
             let (stream, _) = listener.accept()?;
             if server.draining() {
-                return Ok(());
+                break;
             }
-            let srv = &server;
+            let conn = Conn { stream, id, gate: &gate, server: &server, nonblocking: Cell::new(false) };
             scope.spawn(move || {
-                let _ = serve_stream(stream, srv, addr);
+                let _ = serve_stream(conn, addr);
             });
         }
+        Ok(())
     });
     // Drain even when the accept loop died on an I/O error: admitted
     // work still gets its responses.
@@ -67,20 +106,17 @@ fn trim_line_terminator(line: &mut Vec<u8>) {
     }
 }
 
-/// One accepted socket: answered on a no-delay socket until EOF; when
-/// a request started the drain, the acceptor is woken (it blocks in
-/// `accept`) so the listener loop notices and exits.
-fn serve_stream(
-    stream: TcpStream,
-    server: &Server,
-    addr: std::net::SocketAddr,
-) -> std::io::Result<()> {
-    stream.set_nodelay(true)?;
-    let reader = BufReader::new(stream.try_clone()?);
-    if handle_connection(reader, &stream, server)? {
+/// One accepted socket: answered on a no-delay socket until EOF or
+/// drain; when a request started the drain, the acceptor is woken (it
+/// blocks in `accept`) so the listener loop notices and exits.
+fn serve_stream(conn: Conn<'_>, addr: SocketAddr) -> io::Result<()> {
+    conn.stream.set_nodelay(true)?;
+    conn.stream.set_read_timeout(Some(CLOSE_WAIT))?;
+    if handle_connection(BufReader::new(&conn), &conn, conn.server)? {
         let _ = TcpStream::connect(addr);
     }
-    close_gently(&stream)
+    conn.set_nonblocking(false)?;
+    close_gently(&conn.stream)
 }
 
 /// Close after the last answer without resetting the connection. A
@@ -88,13 +124,125 @@ fn serve_stream(
 /// requests pipelined behind it) sends a reset, which can destroy
 /// answers the client has not read yet. So send FIN first, then read
 /// and drop at most [`MAX_LINE_BYTES`] more, for at most [`CLOSE_WAIT`]
-/// per read, until the client closes its side.
+/// per read (the blocking socket's read timeout), until the client
+/// closes its side.
 fn close_gently(stream: &TcpStream) -> io::Result<()> {
     stream.shutdown(Shutdown::Write)?;
-    stream.set_read_timeout(Some(CLOSE_WAIT))?;
     // A timeout or a reset here only ends the wait.
     let _ = io::copy(&mut stream.take(MAX_LINE_BYTES as u64), &mut io::sink());
     Ok(())
+}
+
+/// One accepted connection: its socket as the reader and the writer of
+/// [`handle_connection`], spinning and parking as the module doc says.
+struct Conn<'a> {
+    stream: TcpStream,
+    id: u64,
+    gate: &'a SpinGate,
+    server: &'a Server,
+    /// The socket's mode, so it is switched only when it changes.
+    nonblocking: Cell<bool>,
+}
+
+impl Conn<'_> {
+    fn set_nonblocking(&self, on: bool) -> io::Result<()> {
+        if self.nonblocking.get() != on {
+            self.stream.set_nonblocking(on)?;
+            self.nonblocking.set(on);
+        }
+        Ok(())
+    }
+
+    /// Whether another connection started a request since this one did.
+    fn superseded(&self) -> bool {
+        // relaxed: a scheduling hint; a stale read costs at most one
+        // more poll or one early park, never a wrong answer.
+        self.gate.latest.load(Ordering::Relaxed) != self.id
+    }
+
+    /// Poll the non-blocking socket for up to [`SPIN_US`], if the gate
+    /// lets this connection spin; `None` when nothing arrived.
+    fn spin(&self, buf: &mut [u8]) -> Option<io::Result<usize>> {
+        if self.superseded() {
+            return None;
+        }
+        // relaxed: the token guards no other memory; it only keeps a
+        // second connection from spinning at the same time.
+        let token = self.gate.spinner.compare_exchange(0, self.id, Ordering::Relaxed, Ordering::Relaxed);
+        if token.is_err() {
+            return None;
+        }
+        let polled = self.poll(buf);
+        // relaxed: as above, the token guards no other memory.
+        self.gate.spinner.store(0, Ordering::Relaxed);
+        polled
+    }
+
+    fn poll(&self, buf: &mut [u8]) -> Option<io::Result<usize>> {
+        if let Err(e) = self.set_nonblocking(true) {
+            return Some(Err(e));
+        }
+        let clock = Deadline::starting_now(None);
+        loop {
+            match (&self.stream).read(buf) {
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => {}
+                read => return Some(read),
+            }
+            if clock.spent_us() >= SPIN_US || self.superseded() {
+                return None;
+            }
+            thread::yield_now();
+        }
+    }
+
+    /// Block in `read` until input, EOF or drain (read as EOF), waking
+    /// every [`CLOSE_WAIT`] to look.
+    fn park(&self, buf: &mut [u8]) -> io::Result<usize> {
+        self.set_nonblocking(false)?;
+        loop {
+            match (&self.stream).read(buf) {
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                    if self.server.draining() {
+                        return Ok(0);
+                    }
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                read => return read,
+            }
+        }
+    }
+}
+
+impl Read for &Conn<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let read = match self.spin(buf) {
+            Some(read) => read?,
+            None => self.park(buf)?,
+        };
+        if read > 0 {
+            // relaxed: see `superseded`.
+            self.gate.latest.store(self.id, Ordering::Relaxed);
+        }
+        Ok(read)
+    }
+}
+
+impl Write for &Conn<'_> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        match (&self.stream).write(buf) {
+            // The client's buffers are full: wait for room as a
+            // blocking socket does.
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                self.set_nonblocking(false)?;
+                (&self.stream).write(buf)
+            }
+            written => written,
+        }
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
 }
 
 /// Answer each request line of `reader` on `writer` until EOF, until

@@ -1074,3 +1074,165 @@ fn drain_ends_idle_connections() {
         assert_eq!(returned, Ok(true), "serve must return while a client idles");
     });
 }
+
+/// A TCP client of `addr`: sends one line, reads one answer line.
+struct LineClient {
+    stream: std::net::TcpStream,
+    reader: std::io::BufReader<std::net::TcpStream>,
+}
+
+impl LineClient {
+    fn connect(addr: std::net::SocketAddr) -> LineClient {
+        let stream = std::net::TcpStream::connect(addr).expect("connect");
+        stream.set_nodelay(true).expect("nodelay");
+        let reader = std::io::BufReader::new(stream.try_clone().expect("clone"));
+        LineClient { stream, reader }
+    }
+
+    fn send(&self, line: &str) {
+        use std::io::Write;
+        (&self.stream).write_all(format!("{line}\n").as_bytes()).expect("send");
+    }
+
+    /// The next answer, its newline stripped.
+    fn answer(&mut self) -> String {
+        use std::io::BufRead;
+        let mut answer = String::new();
+        self.reader.read_line(&mut answer).expect("read answer");
+        answer.strip_suffix('\n').expect("a whole answer line").to_string()
+    }
+
+    fn ask(&mut self, line: &str) -> String {
+        self.send(line);
+        self.answer()
+    }
+}
+
+/// A client that pauses longer than the transport's spin between
+/// requests is answered from the parked read, also after a pause longer
+/// than the park's periodic drain check.
+#[test]
+fn a_client_pausing_between_requests_is_answered() {
+    use std::net::TcpListener;
+    use std::time::Duration;
+
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let server = Server::new(ServerConfig::default());
+    std::thread::scope(|scope| {
+        let _drain = ShutdownOnDrop(addr);
+        let serve_thread = scope.spawn(move || copycat_serve::tcp::serve(listener, server));
+
+        let mut client = LineClient::connect(addr);
+        for (id, pause_ms) in [0, 1, 5, 50, 450, 0].into_iter().enumerate() {
+            std::thread::sleep(Duration::from_millis(pause_ms));
+            let pong = client.ask(&format!("{{\"id\":{id},\"op\":\"ping\"}}"));
+            assert_eq!(pong, format!("{{\"id\":{id},\"ok\":true,\"result\":{{\"pong\":true}}}}"));
+        }
+        let drain = client.ask("{\"id\":9,\"op\":\"shutdown\"}");
+        assert_eq!(drain, "{\"id\":9,\"ok\":true,\"result\":{\"draining\":true}}");
+        serve_thread.join().unwrap().expect("serve exits cleanly");
+    });
+}
+
+/// A response far larger than the socket buffers (Linux caps a send
+/// buffer at 4 MiB by default) reaches a client that sleeps before
+/// reading it, byte for byte: the transport writes to a non-blocking
+/// socket and must fall back to waiting when the buffers fill.
+#[test]
+fn a_response_larger_than_the_socket_buffers_reaches_a_late_reader() {
+    use std::net::TcpListener;
+    use std::time::Duration;
+
+    let esc = |s: &str| Json::str(s).to_string();
+    let rows: Vec<String> = (0..2400)
+        .map(|i| {
+            let cells = [format!("Venue {i} {}", "v".repeat(1200)), format!("{i} Oak St"), format!("City{}", i % 7)];
+            let cells: Vec<String> = cells.iter().map(|c| esc(c)).collect();
+            format!("[{}]", cells.join(","))
+        })
+        .collect();
+    let first = Json::parse(&rows[0]).expect("row json");
+    // The document's rows, imported three times: the saved session
+    // carries each committed copy.
+    let mut script = vec![
+        "{\"id\":1,\"op\":\"create_session\",\"session\":\"big\"}".to_string(),
+        format!(
+            "{{\"id\":2,\"op\":\"open_doc\",\"session\":\"big\",\"name\":\"Big\",\
+             \"headers\":[\"Venue\",\"Street\",\"City\"],\"rows\":[{}]}}",
+            rows.join(",")
+        ),
+    ];
+    for copy in 0..3 {
+        script.extend([
+            format!("{{\"id\":3,\"op\":\"paste\",\"session\":\"big\",\"doc\":0,\"values\":{first}}}"),
+            "{\"id\":4,\"op\":\"accept_rows\",\"session\":\"big\"}".to_string(),
+            format!("{{\"id\":5,\"op\":\"commit_source\",\"session\":\"big\",\"name\":\"Big{copy}\"}}"),
+        ]);
+    }
+    script.push("{\"id\":6,\"op\":\"save_session\",\"session\":\"big\"}".to_string());
+    let reference = Server::new(ServerConfig::default());
+    let expected = drive(&reference, &script);
+    reference.shutdown();
+    let saved = expected.last().expect("the save's answer").len();
+    assert!(saved > 8 << 20, "the saved session must dwarf the socket buffers: {saved} bytes");
+
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let server = Server::new(ServerConfig::default());
+    std::thread::scope(|scope| {
+        let _drain = ShutdownOnDrop(addr);
+        let serve_thread = scope.spawn(move || copycat_serve::tcp::serve(listener, server));
+
+        let mut client = LineClient::connect(addr);
+        let (save, setup) = script.split_last().expect("non-empty script");
+        for (line, want) in setup.iter().zip(&expected) {
+            assert_eq!(&client.ask(line), want);
+        }
+        client.send(save);
+        std::thread::sleep(Duration::from_millis(300));
+        let got = client.answer();
+        assert!(got == expected[setup.len()], "the large answer differs ({} bytes against {saved})", got.len());
+        client.ask("{\"id\":7,\"op\":\"shutdown\"}");
+        serve_thread.join().unwrap().expect("serve exits cleanly");
+    });
+}
+
+/// "Concurrent equals sequential" over sockets: eight connections, each
+/// driving its own session's script at once, get answers byte-identical
+/// to the same scripts run one after another through
+/// `Server::handle_line`.
+#[test]
+fn concurrent_socket_sessions_answer_like_sequential_ones() {
+    use std::net::TcpListener;
+
+    let scripts: Vec<Vec<String>> =
+        (0..8).map(|i| session_script(&format!("conn-{i}"), &format!("c{i}"), 3 + i % 2)).collect();
+    let reference = Server::new(ServerConfig::default());
+    let expected: Vec<Vec<String>> = scripts.iter().map(|script| drive(&reference, script)).collect();
+    reference.shutdown();
+
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let server = Server::new(ServerConfig::default());
+    std::thread::scope(|scope| {
+        let _drain = ShutdownOnDrop(addr);
+        let serve_thread = scope.spawn(move || copycat_serve::tcp::serve(listener, server));
+
+        let clients: Vec<_> = scripts
+            .iter()
+            .map(|script| {
+                scope.spawn(move || {
+                    let mut client = LineClient::connect(addr);
+                    script.iter().map(|line| client.ask(line)).collect::<Vec<String>>()
+                })
+            })
+            .collect();
+        let got: Vec<Vec<String>> = clients.into_iter().map(|c| c.join().unwrap()).collect();
+        for (i, (want, got)) in expected.iter().zip(&got).enumerate() {
+            assert_eq!(want, got, "connection {i}: socket answers differ from sequential ones");
+        }
+        LineClient::connect(addr).ask("{\"id\":1,\"op\":\"shutdown\"}");
+        serve_thread.join().unwrap().expect("serve exits cleanly");
+    });
+}
