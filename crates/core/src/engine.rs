@@ -46,9 +46,6 @@ pub enum Mode {
 struct ImportState {
     doc: DocumentId,
     wrapper: Option<ScoredWrapper>,
-    /// Lower-ranked hypotheses ("the system will choose another
-    /// hypothesis and revise the suggestions", §3.1).
-    alternatives: Vec<ScoredWrapper>,
     rejected: Vec<Vec<String>>,
 }
 
@@ -424,7 +421,7 @@ impl CopyCat {
             Some(state) if state.doc == doc => {}
             _ => {
                 self.import =
-                    Some(ImportState { doc, wrapper: None, alternatives: Vec::new(), rejected: Vec::new() });
+                    Some(ImportState { doc, wrapper: None, rejected: Vec::new() });
             }
         }
         self.relearn_import()
@@ -457,7 +454,7 @@ impl CopyCat {
             }
         }
         hyps.sort_by(|a, b| b.score.partial_cmp(&a.score).expect("finite"));
-        let top = if hyps.is_empty() { None } else { Some(hyps.remove(0)) };
+        let top = hyps.into_iter().next();
         // The top hypothesis's rows not already in the table or rejected.
         let fresh: Vec<&[String]> = match &top {
             Some(h) => {
@@ -479,7 +476,6 @@ impl CopyCat {
         };
         let suggested = fresh.len();
         self.workspace.replace_suggestions(&fresh);
-        state.alternatives = hyps;
         state.wrapper = top;
 
         // Column-type proposals over everything visible (Figure 1's
@@ -514,9 +510,14 @@ impl CopyCat {
     /// Reject one suggested row (import mode): removes it, refines the
     /// wrapper, and refreshes the remaining suggestions.
     pub fn reject_suggested_row(&mut self, row_index: usize) -> bool {
+        // Refused before an entry opens: at full depth, opening one
+        // would forget the oldest entry for an edit that never happens.
+        let rows = &self.workspace.active().rows;
+        if rows.get(row_index).is_none_or(|r| r.state != RowState::Suggested) {
+            return false;
+        }
         self.checkpoint();
         let Some(cells) = self.workspace.reject_row(row_index) else {
-            self.unwind(); // nothing happened
             return false;
         };
         if let Some(state) = &mut self.import {

@@ -211,3 +211,37 @@ fn accepted_degraded_rows_explain_why() {
     }
     assert!(explained > 0, "at least one answered row was explained");
 }
+
+/// Undo puts a degraded service's cost hint back with the bind-edge
+/// costs scaled from it, so the next suggestion round re-prices those
+/// edges from the service's observed cost again. Undo used to restore
+/// the edges but leave the newer hint, and the round after saw no hint
+/// change and kept the healthier prices.
+#[test]
+fn undo_restores_a_degraded_services_cost_hint_with_its_edges() {
+    use copycat_graph::EdgeKind;
+
+    let w = world();
+    let mut cc = imported_engine(&w);
+    let flaky = Flaky::new(Arc::new(ZipResolver::new(Arc::clone(&w))), 0.9, 10, 7);
+    cc.register_resilient(Arc::new(Renamed::new("zip_mirror", Arc::new(flaky))), RetryPolicy::default());
+    let node = cc.graph().node_by_name("zip_mirror").expect("registered");
+    let priced = |cc: &CopyCat| {
+        let g = cc.graph();
+        let binds = g.incident(node).iter().filter(|&&e| matches!(g.edge(e).kind, EdgeKind::Bind { .. }));
+        (g.node(node).cost_hint, binds.map(|&e| g.cost(e)).collect::<Vec<f64>>())
+    };
+    let healthy = priced(&cc);
+    assert!(!healthy.1.is_empty(), "the mirror has bind edges");
+
+    cc.accept_suggested_rows(); // opens an undo entry
+    cc.column_suggestions();
+    cc.column_suggestions();
+    let degraded = priced(&cc);
+    assert!(degraded.0 > healthy.0, "failures raise the hint: {healthy:?} -> {degraded:?}");
+
+    assert!(cc.undo());
+    assert_eq!(priced(&cc), healthy, "undo restores the hint with its edges");
+    cc.column_suggestions();
+    assert_eq!(priced(&cc), degraded, "the next round re-prices from the observed cost");
+}

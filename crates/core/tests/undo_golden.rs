@@ -17,8 +17,10 @@
 //! observed health re-prices its edges). The worlds are a flat
 //! 8-venue scenario and copy-on-write sessions of a shared 12-venue
 //! world. The golden was captured while undo restored whole-state
-//! snapshots; there is no update mode: a diff is a behaviour change,
-//! and the test prints the first differing line.
+//! snapshots, then moved where a refused row rejection stopped costing
+//! the oldest entry and where undo started restoring a service's cost
+//! hint; there is no update mode: a diff is a behaviour change, and the
+//! test prints the first differing line.
 
 use copycat_core::export::to_csv;
 use copycat_core::{CopyCat, Scenario, ScenarioConfig, WorldBase};

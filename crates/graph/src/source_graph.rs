@@ -239,6 +239,8 @@ enum GraphUndo {
     Edges(usize),
     /// An edge's cost before an effective [`SourceGraph::set_cost`].
     Cost(EdgeId, f64),
+    /// A node's cost hint before a [`SourceGraph::set_cost_hint`].
+    Hint(NodeId, f64),
 }
 
 /// The frozen, immutable prefix of a [`SourceGraph`]: the world every
@@ -569,6 +571,7 @@ impl SourceGraph {
         let restored = self.undo.newest().any(|op| match *op {
             GraphUndo::Cost(e, _) => e == id,
             GraphUndo::Edges(n) => id.0 as usize >= n,
+            GraphUndo::Hint(..) => false,
         });
         if !restored {
             self.undo.record(GraphUndo::Cost(id, old));
@@ -600,8 +603,10 @@ impl SourceGraph {
     /// removed ([`truncate_edges`](Self::truncate_edges)) and every edge
     /// whose cost it changed gets back the cost it had when the entry
     /// opened, through [`set_cost`](Self::set_cost), so the version
-    /// bumps once per restored edge. Nodes and cost hints stay. Nothing
-    /// happens when no entry is open.
+    /// bumps once per restored edge; every node whose cost hint it
+    /// changed gets back its old hint, so the hint still matches the
+    /// bind-edge costs scaled from it. Nodes stay. Nothing happens when
+    /// no entry is open.
     pub fn undo(&mut self) {
         // Taken out while applying, so the restoring writes record
         // nothing.
@@ -613,6 +618,9 @@ impl SourceGraph {
                         self.truncate_edges(keep);
                     }
                     GraphUndo::Cost(e, cost) => self.set_cost(e, cost),
+                    GraphUndo::Hint(n, hint) => {
+                        self.set_cost_hint(n, hint);
+                    }
                 }
             }
         }
@@ -629,24 +637,27 @@ impl SourceGraph {
     /// value. Observed service health feeds in here; callers re-price
     /// the incident edges themselves via [`SourceGraph::set_cost`]
     /// (which bumps the version only on an effective change). Base
-    /// nodes copy-on-write like [`SourceGraph::set_cost`].
+    /// nodes copy-on-write like [`SourceGraph::set_cost`]. While an undo
+    /// entry is open, a node's first change since the entry opened
+    /// records its old hint, as `set_cost` does for an edge.
     pub fn set_cost_hint(&mut self, n: NodeId, hint: f64) -> f64 {
         let clamped = hint.max(0.1);
+        let old = self.node(n).cost_hint;
+        if old == clamped {
+            return old;
+        }
+        if !self.undo.newest().any(|op| matches!(*op, GraphUndo::Hint(m, _) if m == n)) {
+            self.undo.record(GraphUndo::Hint(n, old));
+        }
         let base_nodes = self.base_nodes();
         if (n.0 as usize) < base_nodes {
-            let old = self.node(n).cost_hint;
-            if old != clamped {
-                let mut copy = self.node(n).clone();
-                copy.cost_hint = clamped;
-                self.node_overrides.insert(n.0, copy);
-            }
-            old
+            let mut copy = self.node(n).clone();
+            copy.cost_hint = clamped;
+            self.node_overrides.insert(n.0, copy);
         } else {
-            let local = &mut self.nodes[n.0 as usize - base_nodes];
-            let old = local.cost_hint;
-            local.cost_hint = clamped;
-            old
+            self.nodes[n.0 as usize - base_nodes].cost_hint = clamped;
         }
+        old
     }
 
     /// Number of nodes (base + local).

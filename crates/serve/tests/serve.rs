@@ -1137,7 +1137,7 @@ fn a_client_pausing_between_requests_is_answered() {
 
 /// A response far larger than the socket buffers (Linux caps a send
 /// buffer at 4 MiB by default) reaches a client that sleeps before
-/// reading it, byte for byte: the transport writes to a non-blocking
+/// reading it, byte for byte: the transport writes it to a non-blocking
 /// socket and must fall back to waiting when the buffers fill.
 #[test]
 fn a_response_larger_than_the_socket_buffers_reaches_a_late_reader() {
@@ -1189,8 +1189,17 @@ fn a_response_larger_than_the_socket_buffers_reaches_a_late_reader() {
         for (line, want) in setup.iter().zip(&expected) {
             assert_eq!(&client.ask(line), want);
         }
-        client.send(save);
+        // The save rides behind more pings than the transport reads at
+        // once, so the line reaches the server in a read made while the
+        // connection polls its non-blocking socket, and the answer goes
+        // out on that socket.
+        let pings: String = (0..400).map(|id| format!("{{\"id\":{id},\"op\":\"ping\"}}\n")).collect();
+        assert!(pings.len() > 8 * 1024, "more than one read's worth of pings");
+        client.send(&format!("{pings}{save}"));
         std::thread::sleep(Duration::from_millis(300));
+        for id in 0..400 {
+            assert_eq!(client.answer(), format!("{{\"id\":{id},\"ok\":true,\"result\":{{\"pong\":true}}}}"));
+        }
         let got = client.answer();
         assert!(got == expected[setup.len()], "the large answer differs ({} bytes against {saved})", got.len());
         client.ask("{\"id\":7,\"op\":\"shutdown\"}");
