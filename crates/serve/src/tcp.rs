@@ -168,8 +168,7 @@ impl Conn<'_> {
         }
         // relaxed: the token guards no other memory; it only keeps a
         // second connection from spinning at the same time.
-        let token = self.gate.spinner.compare_exchange(0, self.id, Ordering::Relaxed, Ordering::Relaxed);
-        if token.is_err() {
+        if self.gate.spinner.compare_exchange(0, self.id, Ordering::Relaxed, Ordering::Relaxed).is_err() {
             return None;
         }
         let polled = self.poll(buf);
